@@ -5,7 +5,10 @@ fine-structure gap is electric-dipole forbidden, so Omega = 1/2 levels
 never couple radiatively): Planck spectral density, Einstein A and B
 coefficients from rigid-rotor line strengths, the rate-matrix generator,
 population evolution, and the derived timescales (ground-state residence
-lifetime, re-thermalization time, per-cycle leave probability).
+lifetime, re-thermalization time, per-cycle leave probability).  The
+generator is time independent, so no ODE is integrated: populations come
+from its matrix exponential (Moler & Van Loan, SIAM Rev. 45:3, 2003) and
+the residence lifetime from its ground-level diagonal entry.
 
 Line strengths use the Hoenl-London factors of a Pi-state branch with
 fixed Omega.  Absolute rates hinge on two dipole scales that are not
@@ -24,7 +27,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 from scipy import constants as _const
-from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from .dataio import write_table
 from .spectroscopy import (
@@ -43,7 +46,6 @@ from .spectroscopy import (
 __all__ = [
     "VIB_DECAY_TARGET",
     "IntegrationError",
-    "PlanckField",
     "EinsteinCoefficients",
     "RateMatrix",
     "PopulationTrajectory",
@@ -75,7 +77,12 @@ _HZ_PER_CM = _const.c * 100.0
 
 
 class IntegrationError(RuntimeError):
-    """Numerical integration failed; carries the last trusted time."""
+    """A numerical result failed a check; carries the last trusted time.
+
+    From the kinetics it signals only a failed invariant (a snapshot sum
+    off one, or a population below zero, by more than the tolerance); the
+    sweep also raises it when its ODE solver fails.
+    """
 
     def __init__(self, message: str, last_time: float):
         super().__init__(f"{message} (last valid time {last_time:.6g} s)")
@@ -111,23 +118,6 @@ def photon_occupation(nu: float, T: float) -> float:
     if x > 700.0:  # expm1 would overflow; occupation underflows to zero
         return math.exp(-x)
     return 1.0 / math.expm1(x)
-
-
-@dataclass(frozen=True)
-class PlanckField:
-    """Isotropic thermal radiation field at a fixed temperature."""
-
-    temperature: float
-
-    def __post_init__(self) -> None:
-        if not self.temperature > 0.0:
-            raise ValueError(f"temperature must be positive, got {self.temperature!r}")
-
-    def energy_density(self, nu: float) -> float:
-        return planck_energy_density(nu, self.temperature)
-
-    def occupation(self, nu: float) -> float:
-        return photon_occupation(nu, self.temperature)
 
 
 def radiative_levels(c: MolecularConstants) -> list[RoVibState]:
@@ -367,37 +357,25 @@ def evolve_populations(
     *,
     snapshots: int = 201,
 ) -> PopulationTrajectory:
-    """Integrate dp/dt = G p from ``init`` over ``duration`` seconds.
+    """Propagate dp/dt = G p from ``init`` over ``duration`` seconds.
 
-    Adaptive explicit Runge-Kutta; such schemes preserve the linear
-    invariant sum(p) to roundoff, and the per-snapshot drift is checked
-    against ``tol`` anyway.  Raises :class:`IntegrationError` if the solver
-    fails, loses normalization beyond ``tol``, or produces populations
-    below -tol.
+    The generator is time independent, so each snapshot follows from the
+    last through the exact propagator ``expm(G dt)`` of the uniform grid
+    step; it needs no detailed-balance weights, so T = 0 works too.  The
+    result is checked as an invariant: :class:`IntegrationError` is raised
+    if a snapshot sum drifts from one by more than ``tol`` or a population
+    falls below -tol.
     """
     if duration < 0.0:
         raise ValueError(f"duration must be >= 0, got {duration!r}")
-    gen = m.generator
-    p0 = _as_vector(init, m.level_index)
     times = np.linspace(0.0, duration, snapshots)
-    if duration == 0.0:
-        raw = np.tile(p0[:, None], (1, snapshots))
-    else:
-        sol = solve_ivp(
-            lambda t, p: gen @ p,
-            (0.0, duration),
-            p0,
-            method="DOP853",
-            t_eval=times,
-            rtol=tol,
-            atol=tol * 1e-3,
-        )
-        if not sol.success:
-            last = float(sol.t[-1]) if sol.t.size else 0.0
-            raise IntegrationError(f"solver failed: {sol.message}", last_time=last)
-        raw = sol.y
-    sums = raw.sum(axis=0)
-    drift = sums - 1.0
+    step = expm(m.generator * (duration / max(snapshots - 1, 1)))
+    raw = np.empty((len(m.level_index), snapshots))
+    p = _as_vector(init, m.level_index)
+    for k in range(snapshots):
+        raw[:, k] = p
+        p = step @ p
+    drift = raw.sum(axis=0) - 1.0
     worst = int(np.abs(drift).argmax())
     if abs(drift[worst]) > tol:
         raise IntegrationError(
@@ -419,41 +397,20 @@ def evolve_populations(
 
 
 @lru_cache(maxsize=64)
-def ground_state_residence_lifetime(
-    c: MolecularConstants, T: float, *, fit_decades: float = 2.0
-) -> float:
+def ground_state_residence_lifetime(c: MolecularConstants, T: float) -> float:
     """1/e time for leaving the rotational ground level, in seconds.
 
-    Starts from unit occupation of (v = 0, Omega = 3/2, J = 3/2), evolves a
-    generator with the return paths into that level removed (so only first
-    departures count), and fits a single exponential over the first
-    ``fit_decades`` decades of decay.
+    Only first departures from (v = 0, Omega = 3/2, J = 3/2) count, so the
+    return paths into that level are ignored.  With inflow removed the
+    ground survival is exactly exp(G_gg t), and the lifetime is -1/G_gg
+    with no fit.
     """
     m = build_rate_matrix(c, T)
     g = m.index_of(ROT_GROUND)
-    gen = m.generator.copy()
-    # Remove inflow into the ground level; its outflow column is untouched.
-    kept = gen[g, g]
-    gen[g, :] = 0.0
-    gen[g, g] = kept
-    gamma_guess = -kept
-    if gamma_guess <= 0.0:
+    gamma = -m.generator[g, g]
+    if gamma <= 0.0:
         raise ValueError("ground level has no departure channels at this temperature")
-    horizon = math.log(10.0**fit_decades) / gamma_guess * 1.05
-    times = np.linspace(0.0, horizon, 161)
-    p0 = np.zeros(len(m.level_index))
-    p0[g] = 1.0
-    sol = solve_ivp(
-        lambda t, p: gen @ p, (0.0, horizon), p0,
-        method="DOP853", t_eval=times, rtol=1e-10, atol=1e-12,
-    )
-    if not sol.success:
-        last = float(sol.t[-1]) if sol.t.size else 0.0
-        raise IntegrationError(f"solver failed: {sol.message}", last_time=last)
-    survival = sol.y[g]
-    mask = survival >= 10.0 ** (-fit_decades)
-    slope = np.polyfit(times[mask], np.log(survival[mask]), 1)[0]
-    return float(-1.0 / slope)
+    return float(1.0 / gamma)
 
 
 def rethermalization_time(

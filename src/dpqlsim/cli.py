@@ -475,7 +475,8 @@ def _run(args: argparse.Namespace, argv: Sequence[str]) -> int:
         grid = _TWO_PI * 1e3 * np.linspace(
             args.omega_min_khz, args.omega_max_khz, args.omega_points
         )
-        outputs = cmd_sweep(SweepConfig(), grid, out_dir, threshold=args.threshold)
+        sweep_cfg = SweepConfig(g_q=constants.g_q_ground)
+        outputs = cmd_sweep(sweep_cfg, grid, out_dir, threshold=args.threshold)
     else:  # pragma: no cover - argparse enforces the choices
         raise UsageError(f"unknown command {args.command!r}")
 

@@ -138,7 +138,9 @@ class MolecularConstants:
 
     Units: ``omega_e``, ``A_so`` and ``B_e`` in cm^-1; ``omega_mol`` (the
     ground-state Omega-doublet splitting) and ``g_q_ground`` (the vacuum
-    Rabi coupling to the phonon mode) in rad/s.
+    Rabi coupling to the phonon mode) in rad/s.  ``dpqlsim sweep`` takes
+    its coupling from ``g_q_ground`` but does not read ``omega_mol``,
+    because its grid sets the molecular frequency per point.
 
     ``mu_vib_scale`` multiplies the vibrational transition dipole used by
     the radiative-rate builder and ``mu_rot_scale`` sets the rotational

@@ -2,19 +2,21 @@
 
 Lifetime anchors were computed independently (direct eigen-decomposition of
 the ground-level survival problem and closed-form two-level checks) before
-being frozen here.
+being frozen here.  The module propagates populations with matrix
+exponentials; the adaptive DOP853 solves it replaced stay here as oracles.
 """
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
 from scipy import constants as sc
+from scipy.integrate import solve_ivp
 
 from dpqlsim.bbr_kinetics import (
     VIB_DECAY_TARGET,
     IntegrationError,
-    PlanckField,
     build_einstein_coefficients,
     build_rate_matrix,
     evolve_populations,
@@ -34,6 +36,7 @@ from dpqlsim.spectroscopy import (
     StateDistribution,
     degeneracy,
     level_energy,
+    most_probable_rotational_state,
     thermal_population,
 )
 
@@ -45,6 +48,30 @@ MU_VIB_DEBYE = 0.2502961387959916
 TAU_SWEEP = {200.0: 18.901, 300.0: 3.977, 400.0: 1.753, 500.0: 1.038, 600.0: 0.713}
 PG_RESTRICTED_300 = 0.006089281901039157
 DEBYE = 1e-21 / sc.c
+
+# Oracle settings: a tight adaptive DOP853 solve of the master equation.
+ORACLE_RTOL, ORACLE_ATOL = 1e-12, 1e-15
+RETHERM_DURATION, RETHERM_SNAPSHOTS = 600.0, 601
+
+
+def dop853_populations(gen, p0, times):
+    """Populations at ``times`` from an adaptive solve of dp/dt = gen p."""
+    sol = solve_ivp(
+        lambda t, p: gen @ p, (times[0], times[-1]), p0, method="DOP853",
+        t_eval=times, rtol=ORACLE_RTOL, atol=ORACLE_ATOL,
+    )
+    assert sol.success, sol.message
+    return sol.y
+
+
+@lru_cache(maxsize=None)
+def rethermalization_oracle(T):
+    """DOP853 populations from the argmax level on the rethermalization grid."""
+    m = build_rate_matrix(CONSTANTS, T)
+    p0 = np.zeros(len(m.level_index))
+    p0[m.index_of(most_probable_rotational_state(CONSTANTS, T))] = 1.0
+    times = np.linspace(0.0, RETHERM_DURATION, RETHERM_SNAPSHOTS)
+    return times, dop853_populations(m.generator, p0, times)
 
 
 class TestPlanck:
@@ -78,13 +105,6 @@ class TestPlanck:
         # Low-frequency classical limit n_bar -> kT / h nu.
         nu, T = 11e9, 300.0
         assert photon_occupation(nu, T) == pytest.approx(sc.k * T / (sc.h * nu) - 0.5, rel=1e-3)
-
-    def test_field_wrapper(self):
-        f = PlanckField(300.0)
-        assert f.energy_density(19e12) == planck_energy_density(19e12, 300.0)
-        assert f.occupation(19e12) == photon_occupation(19e12, 300.0)
-        with pytest.raises(ValueError):
-            PlanckField(0.0)
 
 
 class TestEinsteinCoefficients:
@@ -212,6 +232,17 @@ class TestEvolvePopulations:
         with pytest.raises((IntegrationError, ValueError)):
             evolve_populations(m, init, 10.0, tol=1e-60)
 
+    @pytest.mark.parametrize("T", [300.0, 450.0, 500.0])
+    def test_matches_dop853_oracle(self, T):
+        m = build_rate_matrix(CONSTANTS, T)
+        start = StateDistribution({most_probable_rotational_state(CONSTANTS, T): 1.0})
+        traj = evolve_populations(
+            m, start, RETHERM_DURATION, snapshots=RETHERM_SNAPSHOTS
+        )
+        times, expected = rethermalization_oracle(T)
+        np.testing.assert_array_equal(traj.times, times)
+        assert np.abs(traj.populations - expected).max() <= 1e-9
+
     def test_csv_export(self, tmp_path):
         m = build_rate_matrix(CONSTANTS, 300.0)
         init = StateDistribution({ROT_GROUND: 1.0})
@@ -237,6 +268,21 @@ class TestResidenceLifetime:
         tau = ground_state_residence_lifetime(CONSTANTS, 300.0)
         assert tau == pytest.approx(1.0 / gamma, rel=1e-6)
 
+    def test_inflow_stripped_survival_oracle(self):
+        # The definition the closed form replaces: evolve with the return
+        # paths into the ground level removed and watch its population.
+        m = build_rate_matrix(CONSTANTS, 300.0)
+        g = m.index_of(ROT_GROUND)
+        gen = m.generator.copy()
+        gen[g, :] = 0.0
+        gen[g, g] = m.generator[g, g]
+        p0 = np.zeros(len(m.level_index))
+        p0[g] = 1.0
+        tau = ground_state_residence_lifetime(CONSTANTS, 300.0)
+        times = np.linspace(0.0, 5.0 * tau, 161)
+        survival = dop853_populations(gen, p0, times)[g]
+        assert np.abs(survival - np.exp(-times / tau)).max() <= 1e-9
+
     def test_temperature_sweep(self):
         rows = lifetime_temperature_sweep(CONSTANTS, sorted(TAU_SWEEP))
         for T, tau, pg in rows:
@@ -251,6 +297,22 @@ class TestRethermalization:
         t63 = rethermalization_time(CONSTANTS, 300.0)
         assert t63 == pytest.approx(141.77, rel=1e-3)
         assert 100.0 < t63 < 300.0
+
+    @pytest.mark.parametrize("T", [450.0, 500.0])
+    def test_hot_field_matches_dop853_oracle(self, T):
+        # Same 1 s grid and linear interpolation as rethermalization_time,
+        # applied to the oracle's ground population.
+        t63 = rethermalization_time(CONSTANTS, T)
+        assert math.isfinite(t63)
+        times, pops = rethermalization_oracle(T)
+        m = build_rate_matrix(CONSTANTS, T)
+        pg = pops[m.index_of(ROT_GROUND)]
+        target = 0.63 * restricted_boltzmann(CONSTANTS, T).probability(ROT_GROUND)
+        k = int(np.nonzero(pg >= target)[0][0])
+        expected = times[k - 1] + (target - pg[k - 1]) / (pg[k] - pg[k - 1]) * (
+            times[k] - times[k - 1]
+        )
+        assert t63 == pytest.approx(expected, rel=1e-6)
 
     def test_low_J_start_overshoots_thermal(self):
         # Cascading down from J=11/2 parks excess population in the ground

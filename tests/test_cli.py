@@ -30,6 +30,7 @@ from dpqlsim.spectroscopy import (
     constants_to_config,
     thermal_population,
 )
+from dpqlsim.sweep_dynamics import SweepConfig, landau_zener_oracle
 
 # Closed-form transfer for the default coupling and ramp rate, reported by
 # the sweep command next to the integrated map.
@@ -336,6 +337,22 @@ class TestSweep:
         assert hi == pytest.approx(470e3)
         manifest = load_manifest(tmp_path)
         assert set(manifest["outputs"]) == {"transfer_map.csv", "report.json"}
+
+    def test_config_coupling_reaches_sweep(self, tmp_path):
+        g_half = MolecularConstants().g_q_ground / 2.0
+        cfg = tmp_path / "config.txt"
+        cfg.write_text(f"g_q_ground = {g_half!r}\n")
+        code = main(
+            ["sweep", "--config", str(cfg), "--omega-min-khz", "450",
+             "--omega-max-khz", "460", "--omega-points", "1", "--out", str(tmp_path)]
+        )
+        assert code == EXIT_OK
+        report = json.loads((tmp_path / "report.json").read_text())
+        expected = landau_zener_oracle(g_half, SweepConfig().ramp_rate)
+        assert report["landau_zener_transfer"] == pytest.approx(expected, rel=1e-12)
+        assert report["landau_zener_transfer"] < LZ_DEFAULT - 0.1
+        _, rows = read_csv(tmp_path / "transfer_map.csv")
+        assert float(rows[0][1]) == pytest.approx(g_half / (2.0 * np.pi))
 
     def test_bad_grid_rejected(self, tmp_path, capsys):
         code = main(["sweep", "--omega-points", "0", "--out", str(tmp_path)])
