@@ -3,7 +3,7 @@ Adiabatic transfer through the avoided crossing
 ===============================================
 
 Sweeping the trap frequency through resonance with the molecular
-doublet swaps a phonon into the molecule.  Here we integrate the
+doublet swaps a phonon into the molecule.  Here we propagate the
 two-level dynamics for the nominal sweep, compare against the
 closed-form crossing formula, and map how far the molecular frequency
 can drift before transfer degrades.
@@ -34,7 +34,7 @@ print(f"numeric transfer:      {numeric:.6f}")
 print(f"closed-form estimate:  {closed:.6f}")
 
 # Slower coupling, worse transfer: the crossing formula tracks the
-# integration well into the diabatic regime.
+# propagation well into the diabatic regime.
 print("\ntransfer vs coupling strength:")
 for g_khz in (0.4, 1.0, 2.6):
     c = SweepConfig(g_q=TWO_PI * g_khz * 1e3)
@@ -42,8 +42,9 @@ for g_khz in (0.4, 1.0, 2.6):
           f"closed form {landau_zener_oracle(c.g_q, c.ramp_rate):.4f}")
 
 # Coarse window map: which molecular frequencies still transfer well
-# with the sweep fixed?  (A fine grid takes about twenty seconds; the
-# coarse one below keeps the demo quick.)
+# with the sweep fixed?  (The propagator evolves a whole grid at once, so
+# a 1 kHz grid also takes well under a second; the coarse one below keeps
+# the printout short.)
 grid = TWO_PI * 1e3 * np.arange(412.0, 489.0, 4.0)
 wm = transfer_window_map(cfg, grid, threshold=0.99)
 print("\nomega_mol (kHz)  transfer")

@@ -26,12 +26,14 @@ from functools import cached_property, lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import constants as _const
 from scipy.linalg import expm
 
 from .dataio import write_table
 from .spectroscopy import (
+    BOLTZMANN_K,
     KB_CM,
+    LIGHT_C,
+    PLANCK_H,
     ROT_GROUND,
     MolecularConstants,
     RoVibState,
@@ -69,19 +71,23 @@ VIB_DECAY_TARGET = 5.0
 # Radiative transitions act only inside this fine-structure manifold.
 _RADIATIVE_TWO_OMEGA = 3
 
+# Vacuum permittivity, F/m (CODATA 2022).
+_EPSILON_0 = 8.8541878188e-12
+
 # 16 pi^3 / (3 eps0 h c^3): A = _A_PREFACTOR * nu^3 * mu^2 * S / (2J_u + 1)
-_A_PREFACTOR = 16.0 * math.pi**3 / (3.0 * _const.epsilon_0 * _const.h * _const.c**3)
+_A_PREFACTOR = 16.0 * math.pi**3 / (3.0 * _EPSILON_0 * PLANCK_H * LIGHT_C**3)
 
 # cm^-1 to Hz.
-_HZ_PER_CM = _const.c * 100.0
+_HZ_PER_CM = LIGHT_C * 100.0
 
 
 class IntegrationError(RuntimeError):
     """A numerical result failed a check; carries the last trusted time.
 
-    From the kinetics it signals only a failed invariant (a snapshot sum
-    off one, or a population below zero, by more than the tolerance); the
-    sweep also raises it when its ODE solver fails.
+    It signals a failed invariant.  From the kinetics that is a snapshot
+    sum off one, or a population below zero, by more than the tolerance;
+    from the sweep, a final state whose norm is off one by more than 1e-6
+    or is not finite.
     """
 
     def __init__(self, message: str, last_time: float):
@@ -99,8 +105,8 @@ def planck_energy_density(nu: float, T: float) -> float:
         raise ValueError(f"frequency must be positive, got {nu!r}")
     if not T > 0.0:
         raise ValueError(f"temperature must be positive, got {T!r}")
-    x = _const.h * nu / (_const.k * T)
-    prefactor = 8.0 * math.pi * _const.h * nu**3 / _const.c**3
+    x = PLANCK_H * nu / (BOLTZMANN_K * T)
+    prefactor = 8.0 * math.pi * PLANCK_H * nu**3 / LIGHT_C**3
     if x > 700.0:  # expm1 would overflow; Wien tail underflows to zero instead
         return prefactor * math.exp(-x)
     return prefactor / math.expm1(x)
@@ -114,7 +120,7 @@ def photon_occupation(nu: float, T: float) -> float:
         raise ValueError(f"temperature must be >= 0, got {T!r}")
     if T == 0.0:
         return 0.0
-    x = _const.h * nu / (_const.k * T)
+    x = PLANCK_H * nu / (BOLTZMANN_K * T)
     if x > 700.0:  # expm1 would overflow; occupation underflows to zero
         return math.exp(-x)
     return 1.0 / math.expm1(x)
@@ -201,7 +207,7 @@ def build_einstein_coefficients(c: MolecularConstants) -> EinsteinCoefficients:
         nu = (level_energy(upper, c) - level_energy(lower, c)) * _HZ_PER_CM
         rate = _A_PREFACTOR * nu**3 * mu**2 * strength / degeneracy(upper)
         A[(upper, lower)] = rate
-        B[(upper, lower)] = rate * _const.c**3 / (8.0 * math.pi * _const.h * nu**3)
+        B[(upper, lower)] = rate * LIGHT_C**3 / (8.0 * math.pi * PLANCK_H * nu**3)
         freqs[(upper, lower)] = nu
 
     for v in range(c.v_max + 1):

@@ -303,7 +303,8 @@ def cmd_analyze(
         report.update(longest_run=length, longest_run_start=start)
         print(
             f"longest dark run: {length} (start {start}), "
-            f"Z = {result.z:.3f}, p = {result.p_value:.6g}"
+            f"Z = {result.z:.3f}, p = {result.p_value:.6g} "
+            f"(log10 p = {result.log10_p:.3f})"
         )
     elif mode == "hmm":
         if params_path is not None:

@@ -9,23 +9,24 @@ while present and at the noise floor afterwards.
 Significance of an observed run of consecutive darks uses the exact
 distribution of the longest success run in independent Bernoulli trials.
 The production path is a run-length automaton raised to the n-th power
-(exact at any practical n); a counting recursion over strings with a
-bounded run is kept as an independent cross-check, and the historical
-linear-in-n extrapolation is available for n beyond a configured cap.
-p-values convert to one-sided Gaussian sigmas through the inverse normal
-quantile.
+(exact at any practical n), or for long runs the closed form of the union
+bound over where the run starts; a counting recursion over strings with a bounded run
+is kept as an independent cross-check, and the historical linear-in-n
+extrapolation is available for n beyond a configured cap.  Exceedance
+probabilities are carried as logarithms, so a p-value below the float
+range still gives a finite one-sided Gaussian sigma through the inverse
+normal quantile of its logarithm.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
-from scipy.stats import binom as _binom
+from scipy.special import gammaln, ndtr, ndtri, ndtri_exp, xlog1py, xlogy
 
 __all__ = [
     "NoiseSignalModel",
@@ -46,6 +47,8 @@ __all__ = [
     "observed_run_significance",
     "required_run_length",
 ]
+
+_LN10 = math.log(10.0)
 
 
 @dataclass(frozen=True)
@@ -82,15 +85,25 @@ def _check_k(k: int, bin_size: int) -> None:
         raise ValueError(f"k must lie in [0, {bin_size}], got {k!r}")
 
 
+def _binom_pmf(k, n: int, p: float) -> np.ndarray:
+    # C(n, k) p^k (1 - p)^(n - k) in log space; xlogy and xlog1py give
+    # 0 log 0 = 0, so p = 0 and p = 1 need no special case.
+    k = np.asarray(k)
+    return np.exp(
+        gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
+        + xlogy(k, p) + xlog1py(n - k, -p)
+    )
+
+
 def noise_pmf(model: NoiseSignalModel) -> np.ndarray:
     """Dark-count pmf of a noise-only bin, indices 0..bin."""
-    return _binom.pmf(np.arange(model.bin + 1), model.bin, model.p_b)
+    return _binom_pmf(np.arange(model.bin + 1), model.bin, model.p_b)
 
 
 def binom_noise_pmf(k: int, model: NoiseSignalModel) -> float:
     """Probability of k darks in one noise-only bin."""
     _check_k(k, model.bin)
-    return float(_binom.pmf(k, model.bin, model.p_b))
+    return float(_binom_pmf(k, model.bin, model.p_b))
 
 
 @lru_cache(maxsize=64)
@@ -103,8 +116,8 @@ def _signal_pmf_cached(p_b: float, p_d: float, p_s: float, bin_size: int) -> np.
             weight = (1.0 - p_s) ** (i - 1) * p_s
         else:
             weight = (1.0 - p_s) ** (bin_size - 1)
-        signal = _binom.pmf(np.arange(i + 1), i, p_d)
-        noise = _binom.pmf(np.arange(bin_size - i + 1), bin_size - i, p_b)
+        signal = _binom_pmf(np.arange(i + 1), i, p_d)
+        noise = _binom_pmf(np.arange(bin_size - i + 1), bin_size - i, p_b)
         pmf += weight * np.convolve(signal, noise)
     return pmf
 
@@ -189,25 +202,42 @@ def _check_run_args(n: int, x: int, p_dark: float) -> None:
         raise ValueError(f"p_dark must lie in [0, 1], got {p_dark!r}")
 
 
-def _automaton_matrix(x: int, p_dark: float) -> np.ndarray:
-    # States 0..x track the trailing dark-run length; state x+1 absorbs
-    # once a run of length x+1 has appeared.
+def _automaton_row(n: int, x: int, p_dark: float) -> np.ndarray:
+    """Scaled masses w_r = u_r / p^r after n steps from an empty run.
+
+    States r = 0..x hold u_r, the mass whose trailing dark run has length
+    r; state x + 1 absorbs once a run of length x + 1 has appeared.  In
+    the scaled coordinates a bright sends r to 0 with weight q p^r and a
+    dark moves r to r + 1 with weight 1, so no entry exceeds n and the
+    vanishing factor p^r of a long run stays out of the matrix.
+    """
     size = x + 2
     t = np.zeros((size, size))
-    q = 1.0 - p_dark
-    for r in range(x + 1):
-        t[r, 0] = q
-        t[r, min(r + 1, x + 1)] = p_dark
+    t[: x + 1, 0] = (1.0 - p_dark) * p_dark ** np.arange(x + 1)
+    t[np.arange(x + 1), np.arange(1, x + 2)] = 1.0
     t[x + 1, x + 1] = 1.0
-    return t
+    return np.linalg.matrix_power(t, n)[0]
 
 
-def _automaton_masses(n: int, x: int, p_dark: float) -> tuple[float, float]:
-    """(live mass, dead mass) after n steps; both free of cancellation."""
-    power = np.linalg.matrix_power(_automaton_matrix(x, p_dark), n)
-    live = float(power[0, : x + 1].sum())
-    dead = float(power[0, x + 1])
-    return live, dead
+def _log_exceedance(n: int, x: int, p_dark: float) -> float:
+    """Natural log of P(longest dark run > x) in n trials; no cancellation.
+
+    A run of L = x + 1 or more darks starts at the first trial or right
+    after a bright, so the union bound over its start is p^L (1 + (n - L) q).
+    The bound is exact when two such runs cannot fit (2L + 1 > n), and
+    exact to float precision when the terms it counts twice, below
+    n^2 p^(2L) / 2, are under 2^-53 of it.  Otherwise the scaled automaton
+    gives p^L w_L.  Either way p^L is kept as a logarithm.
+    """
+    run = x + 1
+    if run > n or p_dark == 0.0:
+        return -math.inf
+    log_tail = run * math.log(p_dark)
+    if 2 * run + 1 > n or log_tail + math.log(0.5 * n * n) <= math.log(2.0**-53):
+        log_mass = math.log1p((n - run) * (1.0 - p_dark))
+    else:
+        log_mass = math.log(_automaton_row(n, x, p_dark)[run])
+    return min(log_tail + log_mass, 0.0)  # rounding may pass 1
 
 
 def _recursion_counts(n: int, x: int) -> list[list[int]]:
@@ -249,7 +279,7 @@ def longest_run_cdf(n: int, x: int, p_dark: float, *, method: str = "automaton")
     if n == 0 or p_dark == 0.0:
         return 1.0
     if method == "automaton":
-        return _automaton_masses(n, x, p_dark)[0]
+        return float(_automaton_row(n, x, p_dark)[: x + 1] @ p_dark ** np.arange(x + 1))
     if method == "recursion":
         return _recursion_cdf(n, x, p_dark)
     raise ValueError(f"method must be 'automaton' or 'recursion', got {method!r}")
@@ -270,7 +300,7 @@ def extrapolate_p_value(
     if exact_cap < x + 1:
         raise ValueError("exact_cap must exceed x")
     ns = np.unique(np.linspace(max(x + 1, exact_cap // 2), exact_cap, points).astype(int))
-    ps = [_automaton_masses(int(m), x, p_dark)[1] for m in ns]
+    ps = [math.exp(_log_exceedance(int(m), x, p_dark)) for m in ns]
     slope, intercept = np.polyfit(ns, ps, 1)
     p = slope * n_target + intercept
     if p >= 1.0:
@@ -285,7 +315,7 @@ def p_value(n: int, x: int, p_dark: float, *, exact_cap: int = 1_000_000) -> flo
     """
     _check_run_args(n, x, p_dark)
     if n <= exact_cap:
-        return _automaton_masses(n, x, p_dark)[1]
+        return math.exp(_log_exceedance(n, x, p_dark))
     return extrapolate_p_value(n, x, p_dark, exact_cap=exact_cap)[0]
 
 
@@ -303,7 +333,12 @@ def p_from_z(z: float) -> float:
 
 @dataclass(frozen=True)
 class SignificanceResult:
-    """Longest-run significance summary for one (n, x) evaluation."""
+    """Longest-run significance summary for one (n, x) evaluation.
+
+    ``log10_p`` is the decimal logarithm of the p-value and defaults to
+    the one of ``p_value``; set it when the p-value lies below the float
+    range, where ``p_value`` reads 0.0 and ``z`` stays finite.
+    """
 
     n: int
     x: int
@@ -312,16 +347,22 @@ class SignificanceResult:
     z: float
     extrapolated: bool = False
     clipped: bool = False
+    log10_p: float | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.p_value <= 1.0:
-            raise ValueError(f"p_value must lie in (0, 1], got {self.p_value!r}")
-        expected = -math.inf if self.p_value == 1.0 else z_from_p(self.p_value)
-        if expected == -math.inf:
-            consistent = self.z == -math.inf
-        else:
-            consistent = abs(self.z - expected) <= 1e-9
-        if not consistent:
+        if self.log10_p is None:
+            if not 0.0 < self.p_value <= 1.0:
+                raise ValueError(f"p_value must lie in (0, 1], got {self.p_value!r}")
+            object.__setattr__(self, "log10_p", math.log10(self.p_value))
+        elif not (
+            -math.inf < self.log10_p <= 0.0
+            and math.isclose(self.p_value, 10.0**self.log10_p, rel_tol=1e-9, abs_tol=1e-300)
+        ):
+            raise ValueError(
+                f"p_value={self.p_value!r} inconsistent with log10_p={self.log10_p!r}"
+            )
+        expected = -float(ndtri_exp(self.log10_p * _LN10))
+        if not (self.z == expected or abs(self.z - expected) <= 1e-9):
             raise ValueError(f"z={self.z!r} inconsistent with p={self.p_value!r}")
 
     @property
@@ -334,6 +375,7 @@ class SignificanceResult:
             "x": self.x,
             "p_dark": self.p_dark,
             "p_value": self.p_value,
+            "log10_p": self.log10_p,
             "z": self.z,
             "method": self.method,
         }
@@ -348,18 +390,13 @@ def significance(
     clipped = False
     if extrapolated:
         p, clipped = extrapolate_p_value(n, x, p_dark, exact_cap=exact_cap)
-        p = max(p, 0.0)
-        if p == 0.0:
-            # A vanishing fit means the exact value is below float noise;
-            # fall back to the exact automaton rather than claim p = 0.
-            p = _automaton_masses(n, x, p_dark)[1]
-            extrapolated = False
-    else:
-        p = _automaton_masses(n, x, p_dark)[1]
-    z = -math.inf if p >= 1.0 else z_from_p(p)
+        # A vanishing fit means the exact value is below float noise; fall
+        # back to the exact path rather than claim p = 0.
+        extrapolated = p > 0.0
+    log_p = math.log(p) if extrapolated else _log_exceedance(n, x, p_dark)
     return SignificanceResult(
-        n=n, x=x, p_dark=p_dark, p_value=min(p, 1.0), z=z,
-        extrapolated=extrapolated, clipped=clipped,
+        n=n, x=x, p_dark=p_dark, p_value=math.exp(log_p), z=-float(ndtri_exp(log_p)),
+        extrapolated=extrapolated, clipped=clipped, log10_p=log_p / _LN10,
     )
 
 
@@ -398,10 +435,7 @@ def observed_run_significance(
             n=n, x=0, p_dark=p_dark, p_value=1.0, z=-math.inf
         )
     inner = significance(n, x_obs - 1, p_dark, exact_cap=exact_cap)
-    return SignificanceResult(
-        n=n, x=x_obs, p_dark=p_dark, p_value=inner.p_value, z=inner.z,
-        extrapolated=inner.extrapolated, clipped=inner.clipped,
-    )
+    return replace(inner, x=x_obs)
 
 
 def required_run_length(

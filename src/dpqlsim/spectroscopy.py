@@ -29,7 +29,6 @@ from functools import lru_cache
 from typing import Iterable, Mapping
 
 import numpy as np
-from scipy import constants as _const
 
 __all__ = [
     "KB_CM",
@@ -50,8 +49,14 @@ __all__ = [
     "constants_from_config",
 ]
 
+# SI defining constants (exact since 2019), written out rather than read
+# from scipy.constants, whose import costs more than the rest of the module.
+PLANCK_H = 6.62607015e-34  # J s
+LIGHT_C = 299792458.0  # m/s
+BOLTZMANN_K = 1.380649e-23  # J/K
+
 # Boltzmann constant expressed in cm^-1 per kelvin.
-KB_CM = _const.k / (_const.h * _const.c * 100.0)
+KB_CM = BOLTZMANN_K / (PLANCK_H * LIGHT_C * 100.0)
 
 # Each (v, Omega, J) level is a near-degenerate parity doublet; the factor is
 # uniform across the level set and cancels in all population ratios.

@@ -220,7 +220,25 @@ class TestAnalyzeRuns:
         assert report["x"] == length
         assert report["z"] == pytest.approx(expected.z, rel=1e-12)
         assert report["p_value"] == pytest.approx(expected.p_value, rel=1e-12)
+        assert report["log10_p"] == pytest.approx(expected.log10_p, rel=1e-12)
         assert not (tmp_path / "bins.csv").exists()
+
+    def test_underflowing_p_value_reports_log10_p(self, tmp_path):
+        # 30000 noise cycles with a 300-cycle dark run: p ~ 1e-457 at the
+        # default p_dark = 0.03 is below the float range.
+        outcomes = (np.random.default_rng(5).random(30000) < 0.03).astype(int)
+        outcomes[999:1301] = [0] + [1] * 300 + [0]
+        data = tmp_path / "dataset.csv"
+        write_dataset_csv(data, [(i, int(o), 0.04 * i, None) for i, o in enumerate(outcomes)])
+        code = main(["analyze", str(data), "--mode", "runs", "--out", str(tmp_path / "runs")])
+        assert code == EXIT_OK
+        report = json.loads((tmp_path / "runs" / "report.json").read_text())
+        expected = observed_run_significance(outcomes, 0.03)
+        assert report["x"] == 300
+        assert report["p_value"] == 0.0
+        assert report["log10_p"] == pytest.approx(expected.log10_p, rel=1e-12)
+        assert report["log10_p"] < -450.0
+        assert report["z"] == pytest.approx(expected.z, rel=1e-12)
 
 
 class TestAnalyzeHmm:

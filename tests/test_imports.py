@@ -1,0 +1,39 @@
+"""Import footprint of the command line tool and its literal constants."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import scipy.constants
+
+import dpqlsim
+from dpqlsim import bbr_kinetics, spectroscopy
+
+# Each costs a large share of ``import dpqlsim.cli`` and is used by no
+# module under src/ any more.
+HEAVY = ("scipy.integrate", "scipy.stats", "scipy.constants")
+
+
+def test_cli_import_leaves_heavy_scipy_modules_out():
+    src = str(Path(dpqlsim.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    probe = (
+        "import sys, dpqlsim.cli; "
+        f"print(','.join(m for m in {HEAVY!r} if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == ""
+
+
+def test_si_literals_equal_scipy_constants():
+    assert spectroscopy.PLANCK_H == scipy.constants.h
+    assert spectroscopy.LIGHT_C == scipy.constants.c
+    assert spectroscopy.BOLTZMANN_K == scipy.constants.k
+    assert bbr_kinetics._EPSILON_0 == scipy.constants.epsilon_0
+    assert spectroscopy.KB_CM == scipy.constants.k / (
+        scipy.constants.h * scipy.constants.c * 100.0
+    )

@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import erfc
+from scipy.special import erfc, ndtri_exp
+from scipy.stats import binom
 
+from dpqlsim import run_statistics
 from dpqlsim.run_statistics import (
     BinValuePrediction,
     NoiseSignalModel,
@@ -246,7 +248,8 @@ class TestSignificance:
         d = significance(1000, 4, 0.03).to_json_dict()
         assert d["n"] == 1000 and d["x"] == 4
         assert d["method"] == "exact"
-        assert set(d) == {"n", "x", "p_dark", "p_value", "z", "method"}
+        assert set(d) == {"n", "x", "p_dark", "p_value", "log10_p", "z", "method"}
+        assert d["log10_p"] == pytest.approx(math.log10(d["p_value"]), rel=1e-12)
 
 
 class TestObservedRuns:
@@ -270,6 +273,134 @@ class TestObservedRuns:
         result = observed_run_significance([0] * 50, 0.03)
         assert result.p_value == 1.0
         assert result.z == -math.inf
+
+
+def underflowing_stream(n=30000, run=300, p_dark=0.05, seed=7):
+    """A noise stream of n cycles with one dark run of ``run`` cycles."""
+    outcomes = (np.random.default_rng(seed).random(n) < p_dark).astype(np.int8)
+    outcomes[1000 : 1000 + run] = 1
+    outcomes[999] = outcomes[1000 + run] = 0
+    return outcomes
+
+
+def union_log10(n, run, p_dark):
+    # Sum over run starts of P(a run of >= ``run`` darks starts here); the
+    # overlaps it counts twice are O(p^(2 run)), far below float precision
+    # relative to p^run once p^run is tiny.
+    return run * math.log10(p_dark) + math.log10(1.0 + (n - run) * (1.0 - p_dark))
+
+
+class TestLogSpaceSignificance:
+    def test_underflowing_p_value_keeps_finite_z(self):
+        # p ~ 1e-386 underflows a float: z and log10_p carry the result.
+        result = observed_run_significance(underflowing_stream(), 0.05)
+        assert result.x == 300
+        assert result.p_value == 0.0
+        assert result.log10_p == pytest.approx(union_log10(30000, 300, 0.05), rel=1e-12)
+        # The scaled automaton, which the closed form stands in for here,
+        # also keeps this p-value: its entry carries no p^300 factor.
+        automaton = run_statistics._automaton_row(30000, 299, 0.05)[300]
+        assert (math.log(automaton) + 300 * math.log(0.05)) / math.log(10.0) == pytest.approx(
+            result.log10_p, rel=1e-12
+        )
+        assert result.z == pytest.approx(
+            -ndtri_exp(result.log10_p * math.log(10.0)), rel=1e-12
+        )
+        assert 40.0 < result.z < math.inf
+        d = result.to_json_dict()
+        assert d["p_value"] == 0.0 and d["log10_p"] == result.log10_p
+
+    def test_log_path_matches_float_path_where_representable(self):
+        for n, x, p in [(1000, 4, 0.03), (30000, 12, 0.05), (200, 0, 0.3)]:
+            result = significance(n, x, p)
+            assert 10.0**result.log10_p == pytest.approx(result.p_value, rel=1e-12)
+            assert result.z == pytest.approx(z_from_p(result.p_value), rel=1e-12)
+
+    def test_closed_form_matches_automaton_for_long_runs(self):
+        # With L = x + 1, P(longest >= L) = p^L (1 + (n - L) q) when 2L + 1 > n,
+        # and to float precision when n^2 p^L / 2 <= 2^-53; pinned against
+        # the scaled automaton for every such x.
+        checked = {"fit": 0, "precision": 0}
+        for n, p in [(n, p) for n in range(1, 16) for p in (0.03, 0.3, 0.5, 0.9, 1.0)] + [
+            (160, 0.3), (120, 0.05)
+        ]:
+            for x in range(n):
+                run = x + 1
+                fits_once = 2 * run + 1 > n
+                if not fits_once and 0.5 * n * n * p**run > 2.0**-53:
+                    continue
+                checked["fit" if fits_once else "precision"] += 1
+                closed = run_statistics._log_exceedance(n, x, p)
+                automaton = run_statistics._automaton_row(n, x, p)[run]
+                # Logs, so that subnormal values keep their precision.
+                assert abs(closed - (math.log(automaton) + run * math.log(p))) <= 1e-12
+        assert checked["fit"] > 400 and checked["precision"] > 80
+
+    def test_p_value_against_enumeration_for_every_x(self):
+        # Both paths (automaton and closed form) against the exceedance
+        # summed over all 2^n strings, with no 1 - cdf cancellation.
+        for n, p in [(9, 0.3), (10, 0.05), (11, 0.8)]:
+            exceed = np.zeros(n + 1)
+            for bits in itertools.product((0, 1), repeat=n):
+                run = best = 0
+                for b in bits:
+                    run = run + 1 if b else 0
+                    best = max(best, run)
+                k = sum(bits)
+                exceed[:best] += p**k * (1.0 - p) ** (n - k)
+            for x in range(n + 1):
+                assert p_value(n, x, p) == pytest.approx(exceed[x], rel=1e-12, abs=0)
+
+    def test_long_runs_skip_the_automaton(self, monkeypatch):
+        # A dense (n + 1)^2 automaton here would need 7.2 GB.
+        def refuse(*args):
+            raise AssertionError("automaton built for an all-dark stream")
+
+        monkeypatch.setattr(run_statistics, "_automaton_row", refuse)
+        result = observed_run_significance(np.ones(30000, dtype=np.int8), 0.05)
+        assert result.x == 30000
+        assert result.log10_p == pytest.approx(30000 * math.log10(0.05), rel=1e-12)
+        assert math.isfinite(result.z) and result.z > 400.0
+        # A 10000-cycle run also fits twice; its (10001)^2 automaton would
+        # need 800 MB and hours of matrix products.
+        long_run = np.zeros(30000, dtype=np.int8)
+        long_run[5000:15000] = 1
+        result = observed_run_significance(long_run, 0.05)
+        assert result.log10_p == pytest.approx(union_log10(30000, 10000, 0.05), rel=1e-12)
+
+    def test_impossible_run_still_rejected(self):
+        # p_dark = 0 makes any dark run impossible under noise: no finite z.
+        with pytest.raises(ValueError):
+            observed_run_significance([0, 1, 0], 0.0)
+
+
+class TestBinomialPmfOracle:
+    # The pmfs are built from scipy.special; scipy.stats is the oracle.
+    @pytest.mark.parametrize("n", [0, 1, 7, 20, 60])
+    @pytest.mark.parametrize("p", [0.0, 0.03, 0.5, 0.72, 1.0])
+    def test_matches_scipy_stats(self, n, p):
+        k = np.arange(n + 1)
+        np.testing.assert_allclose(
+            run_statistics._binom_pmf(k, n, p), binom.pmf(k, n, p), rtol=1e-12, atol=0
+        )
+
+    def test_bin_pmfs_match_scipy_stats(self):
+        model = NoiseSignalModel()
+        k = np.arange(model.bin + 1)
+        np.testing.assert_allclose(
+            noise_pmf(model), binom.pmf(k, model.bin, model.p_b), rtol=1e-12, atol=0
+        )
+        assert binom_noise_pmf(3, model) == pytest.approx(
+            binom.pmf(3, model.bin, model.p_b), rel=1e-12
+        )
+        expected = np.zeros(model.bin + 1)
+        for i in range(1, model.bin + 1):
+            weight = (1.0 - model.p_s) ** (i - 1) * (model.p_s if i < model.bin else 1.0)
+            expected += weight * np.convolve(
+                binom.pmf(np.arange(i + 1), i, model.p_d),
+                binom.pmf(np.arange(model.bin - i + 1), model.bin - i, model.p_b),
+            )
+        np.testing.assert_allclose(signal_pmf(model), expected, rtol=1e-12, atol=0)
 
 
 class TestRequiredRunLength:
