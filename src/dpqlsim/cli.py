@@ -35,6 +35,7 @@ from .bbr_kinetics import (
 )
 from .dataio import (
     DataFormatError,
+    config_casts,
     read_dataset_csv,
     read_keyvalues,
     sha256_digest,
@@ -90,13 +91,8 @@ class UsageError(ValueError):
     """Bad flags or config content; maps to exit code 2."""
 
 
-_CONSTANT_KEYS = frozenset(constants_to_config(MolecularConstants()))
-_EXPERIMENT_KEYS = frozenset(ExperimentConfig().to_mapping()) | {
-    "ramp_fidelity_1",
-    "ramp_fidelity_2",
-    "shelving_fidelity",
-    "trial_duration_cap",
-}
+_CONSTANT_KEYS = frozenset(config_casts(MolecularConstants))
+_EXPERIMENT_KEYS = frozenset(config_casts(ExperimentConfig))
 
 
 def load_config(
@@ -118,7 +114,7 @@ def load_config(
             f"{path}: unknown config keys: {', '.join(sorted(unknown))}"
         )
     try:
-        constants = constants_from_config(constants_to_config(MolecularConstants()) | constant_part)
+        constants = constants_from_config(constant_part)
         config = ExperimentConfig.from_mapping(experiment_part)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"{path}: {exc}") from exc

@@ -12,14 +12,18 @@ import csv
 import hashlib
 import io
 import math
+from dataclasses import fields
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, get_args, get_type_hints
 
 __all__ = [
     "DataFormatError",
     "read_keyvalues",
     "parse_keyvalues",
     "write_keyvalues",
+    "config_casts",
+    "config_to_mapping",
+    "config_from_mapping",
     "DATASET_HEADER",
     "read_dataset_csv",
     "write_dataset_csv",
@@ -84,6 +88,55 @@ def write_keyvalues(
             value = format_number(value)
         lines.append(f"{key} = {value}")
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _parse_bool(raw: object) -> bool:
+    if not isinstance(raw, str):
+        return bool(raw)
+    lowered = raw.strip().lower()
+    if lowered not in ("true", "false", "0", "1"):
+        raise ValueError(f"expected a boolean, got {raw!r}")
+    return lowered in ("true", "1")
+
+
+_CASTS: dict[type, Callable[[object], object]] = {float: float, int: int, bool: _parse_bool}
+
+
+def config_casts(cls: type) -> dict[str, Callable[[object], object]]:
+    """Config key -> parser for each field of a flat config dataclass.
+
+    The key set is the field list; a field annotated ``T | None`` parses
+    as T and may be left out.
+    """
+    hints = get_type_hints(cls)
+    casts = {}
+    for f in fields(cls):
+        kind = next((t for t in get_args(hints[f.name]) if t is not type(None)), hints[f.name])
+        casts[f.name] = _CASTS[kind]
+    return casts
+
+
+def config_to_mapping(config: object) -> dict[str, object]:
+    """Field values of a flat config dataclass, unset optionals left out."""
+    values = ((f.name, getattr(config, f.name)) for f in fields(config))
+    return {name: value for name, value in values if value is not None}
+
+
+def config_from_mapping(cls: type, mapping: Mapping[str, object]):
+    """Build ``cls`` from a key-value mapping; absent keys take defaults.
+
+    Unknown keys raise ``ValueError`` so typos in config files fail loudly.
+    """
+    casts = config_casts(cls)
+    kwargs: dict[str, object] = {}
+    for key, raw in mapping.items():
+        if key not in casts:
+            raise ValueError(f"unknown {cls.__name__} key {key!r}")
+        try:
+            kwargs[key] = casts[key](raw)
+        except ValueError as exc:
+            raise ValueError(f"key {key!r}: {exc}") from None
+    return cls(**kwargs)
 
 
 def format_number(x: float) -> str:

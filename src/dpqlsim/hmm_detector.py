@@ -175,6 +175,38 @@ def _check_observations(observations: Sequence[int] | np.ndarray) -> np.ndarray:
     return obs.astype(np.int8)
 
 
+def _smooth(
+    params: HmmParams, obs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scaled forward and backward passes over a nonempty stream.
+
+    ``alpha[t]`` is the filtered state distribution after record t and
+    ``scale[t]`` the predictive probability of that record, so the
+    log-likelihood is ``log(scale).sum()``; ``beta`` carries the matching
+    scaled backward messages.
+    """
+    trans, emit = params.trans, params.emit
+    n = obs.size
+    alpha = np.empty((n, 2))
+    scale = np.empty(n)
+    a = params.initial * emit[:, obs[0]]
+    scale[0] = a.sum()
+    if scale[0] == 0.0:
+        raise ValueError("observation sequence impossible under the model")
+    alpha[0] = a / scale[0]
+    for t in range(1, n):
+        a = (alpha[t - 1] @ trans) * emit[:, obs[t]]
+        scale[t] = a.sum()
+        if scale[t] == 0.0:
+            raise ValueError("observation sequence impossible under the model")
+        alpha[t] = a / scale[t]
+    beta = np.empty((n, 2))
+    beta[n - 1] = 1.0
+    for t in range(n - 2, -1, -1):
+        beta[t] = trans @ (emit[:, obs[t + 1]] * beta[t + 1]) / scale[t + 1]
+    return alpha, beta, scale
+
+
 def forward_backward(
     params: HmmParams, observations: Sequence[int] | np.ndarray
 ) -> DecodedSeries:
@@ -192,24 +224,7 @@ def forward_backward(
             posteriors=np.empty(0),
             log_likelihood=0.0,
         )
-    trans, emit, initial = params.trans, params.emit, params.initial
-    alpha = np.empty((n, 2))
-    scale = np.empty(n)
-    a = initial * emit[:, obs[0]]
-    scale[0] = a.sum()
-    if scale[0] == 0.0:
-        raise ValueError("observation sequence impossible under the model")
-    alpha[0] = a / scale[0]
-    for t in range(1, n):
-        a = (alpha[t - 1] @ trans) * emit[:, obs[t]]
-        scale[t] = a.sum()
-        if scale[t] == 0.0:
-            raise ValueError("observation sequence impossible under the model")
-        alpha[t] = a / scale[t]
-    beta = np.empty((n, 2))
-    beta[n - 1] = 1.0
-    for t in range(n - 2, -1, -1):
-        beta[t] = trans @ (emit[:, obs[t + 1]] * beta[t + 1]) / scale[t + 1]
+    alpha, beta, scale = _smooth(params, obs)
     gamma = alpha * beta
     gamma /= gamma.sum(axis=1, keepdims=True)
     posteriors = gamma[:, 1]
@@ -321,37 +336,15 @@ def baum_welch(
     params = initial_params
     history: list[float] = []
     for _ in range(max_iter):
-        trans, emit = params.trans, params.emit
-        n = obs.size
-        alpha = np.empty((n, 2))
-        scale = np.empty(n)
-        a = params.initial * emit[:, obs[0]]
-        scale[0] = a.sum()
-        if scale[0] == 0.0:
-            raise ValueError("observation sequence impossible under the model")
-        alpha[0] = a / scale[0]
-        for t in range(1, n):
-            a = (alpha[t - 1] @ trans) * emit[:, obs[t]]
-            scale[t] = a.sum()
-            if scale[t] == 0.0:
-                raise ValueError("observation sequence impossible under the model")
-            alpha[t] = a / scale[t]
+        alpha, beta, scale = _smooth(params, obs)
         history.append(float(np.log(scale).sum()))
-        beta = np.empty((n, 2))
-        beta[n - 1] = 1.0
-        for t in range(n - 2, -1, -1):
-            beta[t] = trans @ (emit[:, obs[t + 1]] * beta[t + 1]) / scale[t + 1]
         gamma = alpha * beta
         gamma /= gamma.sum(axis=1, keepdims=True)
-        xi_sum = np.zeros((2, 2))
-        for t in range(n - 1):
-            xi = (
-                alpha[t][:, None]
-                * trans
-                * (emit[:, obs[t + 1]] * beta[t + 1])[None, :]
-                / scale[t + 1]
-            )
-            xi_sum += xi
+        # Sum over t of xi_t[i, j] = alpha[t, i] trans[i, j] emit[j, o_t+1]
+        # beta[t+1, j] / scale[t+1], contracted over t in one product.
+        xi_sum = params.trans * (
+            alpha[:-1].T @ (params.emit[:, obs[1:]].T * beta[1:] / scale[1:, None])
+        )
         new_trans = xi_sum / gamma[:-1].sum(axis=0)[:, None]
         emit_num = np.zeros((2, 2))
         for o in (0, 1):

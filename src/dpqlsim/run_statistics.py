@@ -10,9 +10,8 @@ Significance of an observed run of consecutive darks uses the exact
 distribution of the longest success run in independent Bernoulli trials.
 The production path is a run-length automaton raised to the n-th power
 (exact at any practical n), or for long runs the closed form of the union
-bound over where the run starts; a counting recursion over strings with a bounded run
-is kept as an independent cross-check, and the historical linear-in-n
-extrapolation is available for n beyond a configured cap.  Exceedance
+bound over where the run starts; a counting recursion over strings with a
+bounded run is kept as an independent cross-check.  Exceedance
 probabilities are carried as logarithms, so a p-value below the float
 range still gives a finite one-sided Gaussian sigma through the inverse
 normal quantile of its logarithm.
@@ -39,7 +38,6 @@ __all__ = [
     "bin_value_distribution",
     "longest_run_cdf",
     "p_value",
-    "extrapolate_p_value",
     "z_from_p",
     "p_from_z",
     "significance",
@@ -271,52 +269,23 @@ def _recursion_cdf(n: int, x: int, p_dark: float) -> float:
 def longest_run_cdf(n: int, x: int, p_dark: float, *, method: str = "automaton") -> float:
     """P(longest dark run in n Bernoulli trials is <= x).
 
-    ``method='automaton'`` is the production path; ``'recursion'`` is the
-    exact-integer counting cross-check and is practical for n up to a few
-    hundred.
+    ``method='automaton'`` is the production path, the complement of the
+    same log-space exceedance that :func:`significance` uses; ``'recursion'``
+    is the exact-integer counting cross-check and is practical for n up to a
+    few hundred.
     """
     _check_run_args(n, x, p_dark)
-    if n == 0 or p_dark == 0.0:
-        return 1.0
     if method == "automaton":
-        return float(_automaton_row(n, x, p_dark)[: x + 1] @ p_dark ** np.arange(x + 1))
+        return -math.expm1(_log_exceedance(n, x, p_dark))
     if method == "recursion":
         return _recursion_cdf(n, x, p_dark)
     raise ValueError(f"method must be 'automaton' or 'recursion', got {method!r}")
 
 
-def extrapolate_p_value(
-    n_target: int, x: int, p_dark: float, *, exact_cap: int = 1000, points: int = 11
-) -> tuple[float, bool]:
-    """Linear-in-n extrapolation of the exact p-value beyond ``exact_cap``.
-
-    Fits p(n) over exact evaluations up to the cap and extends the line to
-    ``n_target``; returns (p, clipped) where the flag marks saturation at
-    one.  Kept for methodological fidelity; the automaton path makes exact
-    evaluation cheap far beyond any practical cap.
-    """
-    if points < 2:
-        raise ValueError("points must be >= 2")
-    if exact_cap < x + 1:
-        raise ValueError("exact_cap must exceed x")
-    ns = np.unique(np.linspace(max(x + 1, exact_cap // 2), exact_cap, points).astype(int))
-    ps = [math.exp(_log_exceedance(int(m), x, p_dark)) for m in ns]
-    slope, intercept = np.polyfit(ns, ps, 1)
-    p = slope * n_target + intercept
-    if p >= 1.0:
-        return 1.0, True
-    return max(float(p), 0.0), False
-
-
-def p_value(n: int, x: int, p_dark: float, *, exact_cap: int = 1_000_000) -> float:
-    """P(longest dark run > x) in n trials; exact up to ``exact_cap``.
-
-    Beyond the cap the linear extrapolation takes over, saturating at one.
-    """
+def p_value(n: int, x: int, p_dark: float) -> float:
+    """P(longest dark run > x) in n trials, exact at any n."""
     _check_run_args(n, x, p_dark)
-    if n <= exact_cap:
-        return math.exp(_log_exceedance(n, x, p_dark))
-    return extrapolate_p_value(n, x, p_dark, exact_cap=exact_cap)[0]
+    return math.exp(_log_exceedance(n, x, p_dark))
 
 
 def z_from_p(p: float) -> float:
@@ -345,8 +314,6 @@ class SignificanceResult:
     p_dark: float
     p_value: float
     z: float
-    extrapolated: bool = False
-    clipped: bool = False
     log10_p: float | None = None
 
     def __post_init__(self) -> None:
@@ -365,10 +332,6 @@ class SignificanceResult:
         if not (self.z == expected or abs(self.z - expected) <= 1e-9):
             raise ValueError(f"z={self.z!r} inconsistent with p={self.p_value!r}")
 
-    @property
-    def method(self) -> str:
-        return "extrapolated" if self.extrapolated else "exact"
-
     def to_json_dict(self) -> dict[str, object]:
         return {
             "n": self.n,
@@ -377,50 +340,35 @@ class SignificanceResult:
             "p_value": self.p_value,
             "log10_p": self.log10_p,
             "z": self.z,
-            "method": self.method,
         }
 
 
-def significance(
-    n: int, x: int, p_dark: float, *, exact_cap: int = 1_000_000
-) -> SignificanceResult:
+def significance(n: int, x: int, p_dark: float) -> SignificanceResult:
     """Full significance record for the event 'longest run exceeds x'."""
     _check_run_args(n, x, p_dark)
-    extrapolated = n > exact_cap
-    clipped = False
-    if extrapolated:
-        p, clipped = extrapolate_p_value(n, x, p_dark, exact_cap=exact_cap)
-        # A vanishing fit means the exact value is below float noise; fall
-        # back to the exact path rather than claim p = 0.
-        extrapolated = p > 0.0
-    log_p = math.log(p) if extrapolated else _log_exceedance(n, x, p_dark)
+    log_p = _log_exceedance(n, x, p_dark)
     return SignificanceResult(
         n=n, x=x, p_dark=p_dark, p_value=math.exp(log_p), z=-float(ndtri_exp(log_p)),
-        extrapolated=extrapolated, clipped=clipped, log10_p=log_p / _LN10,
+        log10_p=log_p / _LN10,
     )
 
 
 def find_longest_run(outcomes: Sequence[int] | np.ndarray) -> tuple[int, int]:
     """(length, start index) of the longest run of dark outcomes; first wins."""
-    best_len, best_start = 0, 0
-    run_len, run_start = 0, 0
-    for i, value in enumerate(outcomes):
-        if value == 1:
-            if run_len == 0:
-                run_start = i
-            run_len += 1
-            if run_len > best_len:
-                best_len, best_start = run_len, run_start
-        else:
-            run_len = 0
-    return best_len, best_start
+    dark = np.asarray(outcomes) == 1
+    # Padded with brights, the stream changes value at every run's start
+    # and one past its end, in alternation.
+    edges = np.flatnonzero(np.diff(np.concatenate(([False], dark, [False])).view(np.int8)))
+    if edges.size == 0:
+        return 0, 0
+    lengths = edges[1::2] - edges[::2]
+    best = int(np.argmax(lengths))  # argmax keeps the first of equal runs
+    return int(lengths[best]), int(edges[2 * best])
 
 
 def observed_run_significance(
     outcomes: Sequence[int] | np.ndarray,
     p_dark: float,
-    *,
-    exact_cap: int = 1_000_000,
 ) -> SignificanceResult:
     """Significance of the longest observed dark run in a stream.
 
@@ -434,16 +382,16 @@ def observed_run_significance(
         return SignificanceResult(
             n=n, x=0, p_dark=p_dark, p_value=1.0, z=-math.inf
         )
-    inner = significance(n, x_obs - 1, p_dark, exact_cap=exact_cap)
+    inner = significance(n, x_obs - 1, p_dark)
     return replace(inner, x=x_obs)
 
 
 def required_run_length(
-    n: int, p_dark: float, z_target: float, *, exact_cap: int = 1_000_000, max_x: int = 200
+    n: int, p_dark: float, z_target: float, *, max_x: int = 200
 ) -> SignificanceResult:
     """Smallest x whose exceedance reaches ``z_target`` sigmas at size n."""
     for x in range(min(n, max_x) + 1):
-        result = significance(n, x, p_dark, exact_cap=exact_cap)
+        result = significance(n, x, p_dark)
         if result.z >= z_target:
             return result
     raise ValueError(

@@ -30,6 +30,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from .dataio import config_from_mapping, config_to_mapping
+
 __all__ = [
     "KB_CM",
     "PARITY_DOUBLET",
@@ -141,11 +143,13 @@ ROT_GROUND = RoVibState(v=0, two_omega=3, two_J=3)
 class MolecularConstants:
     """Spectroscopic constants plus truncation and dipole calibration knobs.
 
-    Units: ``omega_e``, ``A_so`` and ``B_e`` in cm^-1; ``omega_mol`` (the
-    ground-state Omega-doublet splitting) and ``g_q_ground`` (the vacuum
-    Rabi coupling to the phonon mode) in rad/s.  ``dpqlsim sweep`` takes
-    its coupling from ``g_q_ground`` but does not read ``omega_mol``,
-    because its grid sets the molecular frequency per point.
+    Units: ``omega_e``, ``A_so`` and ``B_e`` in cm^-1; ``g_q_ground`` (the
+    vacuum Rabi coupling to the phonon mode) in rad/s, which ``dpqlsim
+    sweep`` takes as its coupling.  The molecular Omega-doublet frequency
+    is not a constant here: the sweep grid sets it per point.
+
+    Every field is a config-file key of the same name (see
+    :func:`constants_from_config`).
 
     ``mu_vib_scale`` multiplies the vibrational transition dipole used by
     the radiative-rate builder and ``mu_rot_scale`` sets the rotational
@@ -157,7 +161,6 @@ class MolecularConstants:
     omega_e: float = 634.0
     A_so: float = 130.0
     B_e: float = 0.37
-    omega_mol: float = 2 * math.pi * 450e3
     g_q_ground: float = 2 * math.pi * 2.6e3
     v_max: int = 1
     J_count: int = 70
@@ -184,24 +187,9 @@ class MolecularConstants:
         return 3 if self.omega_half_lower else 1
 
 
-# Config-file keys with their parsers; see constants_from_config.
-_CONFIG_FIELDS: dict[str, type] = {
-    "omega_e": float,
-    "A_so": float,
-    "B_e": float,
-    "omega_mol": float,
-    "g_q_ground": float,
-    "v_max": int,
-    "J_count": int,
-    "mu_vib_scale": float,
-    "mu_rot_scale": float,
-    "omega_half_lower": bool,
-}
-
-
 def constants_to_config(c: MolecularConstants) -> dict[str, object]:
     """Flatten constants into a key-value mapping for config serialization."""
-    return {name: getattr(c, name) for name in _CONFIG_FIELDS}
+    return config_to_mapping(c)
 
 
 def constants_from_config(mapping: Mapping[str, object]) -> MolecularConstants:
@@ -209,19 +197,7 @@ def constants_from_config(mapping: Mapping[str, object]) -> MolecularConstants:
 
     Unknown keys raise ``ValueError`` so typos in config files fail loudly.
     """
-    kwargs: dict[str, object] = {}
-    for key, raw in mapping.items():
-        if key not in _CONFIG_FIELDS:
-            raise ValueError(f"unknown molecular-constants key {key!r}")
-        caster = _CONFIG_FIELDS[key]
-        if caster is bool and isinstance(raw, str):
-            lowered = raw.strip().lower()
-            if lowered not in ("true", "false", "0", "1"):
-                raise ValueError(f"key {key!r}: expected a boolean, got {raw!r}")
-            kwargs[key] = lowered in ("true", "1")
-        else:
-            kwargs[key] = caster(raw)
-    return MolecularConstants(**kwargs)
+    return config_from_mapping(MolecularConstants, mapping)
 
 
 @dataclass(frozen=True)

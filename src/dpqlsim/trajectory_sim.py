@@ -33,7 +33,6 @@ from .spectroscopy import (
 )
 
 __all__ = [
-    "DEFAULT_RAMP_FIDELITIES",
     "ExperimentConfig",
     "MeasurementRecord",
     "TrialDataset",
@@ -47,12 +46,6 @@ __all__ = [
     "disjoint_bin_counts",
     "records_from_rows",
 ]
-
-#: Nominal two-ramp-plus-shelving fidelity budget whose product motivates
-#: the 0.72 detection fidelity.  Kept as reference metadata; the simulator
-#: itself only consumes ``detection_fidelity``.
-DEFAULT_RAMP_FIDELITIES = (0.90, 0.85, 0.95)
-
 
 def _check_probability(name: str, value: float) -> None:
     if not 0.0 <= value <= 1.0:
@@ -69,6 +62,9 @@ class ExperimentConfig:
     truncates a trial at a wall-clock time (molecule loss), and
     ``thermalization_wait`` documents the equilibration pause assumed long
     enough that each trial starts from a thermal state.
+
+    Every field is a config-file key of the same name; ``to_mapping``
+    leaves out the optional fields that are unset.
     """
 
     cycle: float = 0.040
@@ -114,46 +110,11 @@ class ExperimentConfig:
                 )
 
     def to_mapping(self) -> dict[str, object]:
-        out: dict[str, object] = {
-            "cycle": self.cycle,
-            "experiments_per_trial": self.experiments_per_trial,
-            "p_bright_noise": self.p_bright_noise,
-            "detection_fidelity": self.detection_fidelity,
-            "collision_rate": self.collision_rate,
-            "thermalization_wait": self.thermalization_wait,
-            "temperature": self.temperature,
-            "rng_seed": self.rng_seed,
-        }
-        for name in ("ramp_fidelity_1", "ramp_fidelity_2", "shelving_fidelity"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        if self.trial_duration_cap is not None:
-            out["trial_duration_cap"] = self.trial_duration_cap
-        return out
+        return dataio.config_to_mapping(self)
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, object]) -> "ExperimentConfig":
-        casters: dict[str, type] = {
-            "cycle": float,
-            "experiments_per_trial": int,
-            "p_bright_noise": float,
-            "detection_fidelity": float,
-            "ramp_fidelity_1": float,
-            "ramp_fidelity_2": float,
-            "shelving_fidelity": float,
-            "collision_rate": float,
-            "thermalization_wait": float,
-            "temperature": float,
-            "rng_seed": int,
-            "trial_duration_cap": float,
-        }
-        kwargs: dict[str, object] = {}
-        for key, raw in mapping.items():
-            if key not in casters:
-                raise ValueError(f"unknown experiment-config key {key!r}")
-            kwargs[key] = casters[key](raw)
-        return cls(**kwargs)
+        return dataio.config_from_mapping(cls, mapping)
 
 
 @dataclass(frozen=True)

@@ -407,6 +407,16 @@ class TestConfigAndManifest:
         assert main(["thermal", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
         assert "tempreture" in capsys.readouterr().err
 
+    def test_retired_omega_mol_key_rejected(self, tmp_path, capsys):
+        # The sweep grid sets the molecular frequency per point, so a config
+        # file that still pins omega_mol is stale and must say so.
+        cfg = tmp_path / "config.txt"
+        cfg.write_text("omega_mol = 2827433.388\n")
+        argv = ["sweep", "--config", str(cfg), "--omega-points", "3", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_USAGE
+        assert "omega_mol" in capsys.readouterr().err
+        assert not (tmp_path / "transfer_map.csv").exists()
+
     def test_bad_config_value(self, tmp_path, capsys):
         cfg = tmp_path / "config.txt"
         cfg.write_text("temperature = -5\n")

@@ -1,12 +1,16 @@
 """Round-trip and error-reporting tests for the flat-file layer."""
 
 import hashlib
+from dataclasses import dataclass
 
 import pytest
 
 from dpqlsim.dataio import (
     DATASET_HEADER,
     DataFormatError,
+    config_casts,
+    config_from_mapping,
+    config_to_mapping,
     format_number,
     parse_keyvalues,
     read_dataset_csv,
@@ -44,6 +48,36 @@ class TestKeyValues:
     def test_empty_key_rejected(self):
         with pytest.raises(DataFormatError):
             parse_keyvalues("= 3\n")
+
+
+@dataclass(frozen=True)
+class _Knobs:
+    rate: float = 1.0
+    count: int = 2
+    flag: bool = False
+    cap: float | None = None
+
+
+class TestConfigSchema:
+    def test_keys_and_casts_follow_the_fields(self):
+        assert list(config_casts(_Knobs)) == ["rate", "count", "flag", "cap"]
+        knobs = config_from_mapping(
+            _Knobs, {"rate": "0.5", "count": "7", "flag": " True ", "cap": "3"}
+        )
+        assert knobs == _Knobs(rate=0.5, count=7, flag=True, cap=3.0)
+
+    def test_unset_optionals_left_out(self):
+        assert config_to_mapping(_Knobs()) == {"rate": 1.0, "count": 2, "flag": False}
+        knobs = _Knobs(cap=0.25)
+        assert config_from_mapping(_Knobs, config_to_mapping(knobs)) == knobs
+
+    def test_errors_name_the_key(self):
+        with pytest.raises(ValueError, match="'rtae'"):
+            config_from_mapping(_Knobs, {"rtae": "1"})
+        with pytest.raises(ValueError, match="'flag'.*boolean"):
+            config_from_mapping(_Knobs, {"flag": "maybe"})
+        with pytest.raises(ValueError, match="'count'"):
+            config_from_mapping(_Knobs, {"count": "2.5"})
 
 
 class TestFormatNumber:

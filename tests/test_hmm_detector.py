@@ -269,6 +269,53 @@ class TestSupervisedEstimation:
         assert mean_error(8.0) < mean_error(1.0)
 
 
+def loop_baum_welch(obs, params, max_iter, tol):
+    """Per-record EM loop: the reference for the shared smoother and the
+    contracted transition count."""
+    obs = np.asarray(obs, dtype=np.int8)
+    n = obs.size
+    history = []
+    for _ in range(max_iter):
+        trans, emit = params.trans, params.emit
+        alpha = np.empty((n, 2))
+        scale = np.empty(n)
+        a = params.initial * emit[:, obs[0]]
+        scale[0] = a.sum()
+        alpha[0] = a / scale[0]
+        for t in range(1, n):
+            a = (alpha[t - 1] @ trans) * emit[:, obs[t]]
+            scale[t] = a.sum()
+            alpha[t] = a / scale[t]
+        history.append(float(np.log(scale).sum()))
+        beta = np.empty((n, 2))
+        beta[n - 1] = 1.0
+        for t in range(n - 2, -1, -1):
+            beta[t] = trans @ (emit[:, obs[t + 1]] * beta[t + 1]) / scale[t + 1]
+        gamma = alpha * beta
+        gamma /= gamma.sum(axis=1, keepdims=True)
+        xi_sum = np.zeros((2, 2))
+        for t in range(n - 1):
+            xi_sum += (
+                alpha[t][:, None]
+                * trans
+                * (emit[:, obs[t + 1]] * beta[t + 1])[None, :]
+                / scale[t + 1]
+            )
+        new_trans = xi_sum / gamma[:-1].sum(axis=0)[:, None]
+        emit_num = np.zeros((2, 2))
+        for o in (0, 1):
+            emit_num[:, o] = gamma[obs == o].sum(axis=0)
+        new_emit = emit_num / gamma.sum(axis=0)[:, None]
+        params = HmmParams(
+            trans=new_trans / new_trans.sum(axis=1, keepdims=True),
+            emit=new_emit / new_emit.sum(axis=1, keepdims=True),
+            initial=gamma[0] / gamma[0].sum(),
+        )
+        if len(history) >= 2 and abs(history[-1] - history[-2]) < tol:
+            break
+    return params, history
+
+
 class TestBaumWelch:
     def synthetic_stream(self, n=1500, seed=17):
         truth = default_params(p_b=0.03, p_d=0.7, p_s=0.02, p_g=0.2)
@@ -297,6 +344,19 @@ class TestBaumWelch:
     def test_requires_two_observations(self):
         with pytest.raises(ValueError):
             baum_welch([1], default_params())
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-6])
+    def test_matches_loop_oracle(self, tol):
+        obs = self.synthetic_stream()
+        start = default_params(p_b=0.05, p_d=0.5, p_s=0.05, p_g=0.2)
+        refined, history = baum_welch(obs, start, max_iter=12, tol=tol)
+        expected, expected_history = loop_baum_welch(obs, start, 12, tol)
+        for name in ("trans", "emit", "initial"):
+            np.testing.assert_allclose(
+                getattr(refined, name), getattr(expected, name), rtol=1e-10, atol=0.0
+            )
+        assert len(history) == len(expected_history)
+        np.testing.assert_allclose(history, expected_history, rtol=1e-9, atol=0.0)
 
     def test_converged_input_is_stable(self):
         obs = self.synthetic_stream(n=800)

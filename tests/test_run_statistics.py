@@ -15,7 +15,6 @@ from dpqlsim.run_statistics import (
     SignificanceResult,
     bin_value_distribution,
     binom_noise_pmf,
-    extrapolate_p_value,
     find_longest_run,
     longest_run_cdf,
     noise_pmf,
@@ -180,6 +179,17 @@ class TestLongestRunCdf:
         assert longest_run_cdf(5, 5, 0.3) == pytest.approx(1.0, abs=1e-12)
         assert longest_run_cdf(5, 2, 0.0) == 1.0
 
+    def test_long_streams_skip_the_dense_automaton(self, monkeypatch):
+        # Both points are closed-form exact (a single run fits, or the
+        # double-counted terms sit far below 2^-53), so neither may build
+        # the (x + 2)^2 automaton: at x = 29999 it would take 7.2 GB.
+        def refuse(n, x, p_dark):
+            raise AssertionError(f"dense automaton requested for n={n}, x={x}")
+
+        monkeypatch.setattr(run_statistics, "_automaton_row", refuse)
+        assert longest_run_cdf(30000, 29999, 0.05) == 1.0
+        assert longest_run_cdf(30000, 10000, 0.05) == 1.0
+
     def test_validation(self):
         with pytest.raises(ValueError):
             longest_run_cdf(5, 6, 0.3)
@@ -220,45 +230,56 @@ class TestSignificance:
         p = p_value(1000, 4, 0.03)
         assert p == pytest.approx(1.0 - longest_run_cdf(1000, 4, 0.03), rel=1e-9)
 
-    def test_extrapolated_close_to_exact_here(self):
-        approx = significance(1000, 4, 0.03, exact_cap=500)
-        exact = significance(1000, 4, 0.03)
-        assert approx.method == "extrapolated"
-        assert approx.p_value == pytest.approx(exact.p_value, rel=1e-3)
-
-    def test_extrapolation_saturates(self):
-        p, clipped = extrapolate_p_value(10**6, 0, 0.03, exact_cap=1000)
-        assert p == 1.0 and clipped
-
-    def test_extrapolation_validation(self):
-        with pytest.raises(ValueError):
-            extrapolate_p_value(100, 5, 0.03, exact_cap=3)
-        with pytest.raises(ValueError):
-            extrapolate_p_value(100, 2, 0.03, points=1)
-
     def test_result_consistency_enforced(self):
         with pytest.raises(ValueError):
             SignificanceResult(n=10, x=2, p_dark=0.03, p_value=0.01, z=5.0)
         with pytest.raises(ValueError):
             SignificanceResult(n=10, x=2, p_dark=0.03, p_value=0.0, z=-math.inf)
         ok = SignificanceResult(n=10, x=0, p_dark=0.03, p_value=1.0, z=-math.inf)
-        assert ok.method == "exact"
+        assert ok.log10_p == 0.0
 
     def test_json_dict(self):
         d = significance(1000, 4, 0.03).to_json_dict()
         assert d["n"] == 1000 and d["x"] == 4
-        assert d["method"] == "exact"
-        assert set(d) == {"n", "x", "p_dark", "p_value", "log10_p", "z", "method"}
+        assert set(d) == {"n", "x", "p_dark", "p_value", "log10_p", "z"}
         assert d["log10_p"] == pytest.approx(math.log10(d["p_value"]), rel=1e-12)
+
+
+def loop_longest_run(outcomes):
+    """Per-record walk: the reference for the run-length pass."""
+    best_len, best_start = 0, 0
+    run_len, run_start = 0, 0
+    for i, value in enumerate(outcomes):
+        if value == 1:
+            if run_len == 0:
+                run_start = i
+            run_len += 1
+            if run_len > best_len:
+                best_len, best_start = run_len, run_start
+        else:
+            run_len = 0
+    return best_len, best_start
 
 
 class TestObservedRuns:
     def test_find_longest_run(self):
         assert find_longest_run([0, 1, 1, 1, 0, 1, 1]) == (3, 1)
         assert find_longest_run([1, 1, 0, 1, 1]) == (2, 0)  # first run wins ties
+        assert find_longest_run([0, 1, 1, 0, 1, 1, 0, 1]) == (2, 1)
         assert find_longest_run([]) == (0, 0)
         assert find_longest_run([1, 1, 1]) == (3, 0)
         assert find_longest_run([0, 0]) == (0, 0)
+
+    def test_find_longest_run_matches_loop(self):
+        rng = np.random.default_rng(11)
+        for trial in range(200):
+            n = int(rng.integers(0, 60))
+            outcomes = (rng.random(n) < rng.uniform(0.0, 1.0)).astype(np.int8)
+            assert find_longest_run(outcomes) == loop_longest_run(outcomes), trial
+        for outcomes in ([], [1] * 40, [0] * 40, [1, 1, 0, 1, 1, 0, 1, 1]):
+            assert find_longest_run(np.array(outcomes, dtype=np.int8)) == (
+                loop_longest_run(outcomes)
+            )
 
     def test_observed_significance_exceedance_convention(self):
         outcomes = [0] * 100 + [1] * 5 + [0] * 95

@@ -16,7 +16,6 @@ from dpqlsim.spectroscopy import (
     thermal_distribution,
 )
 from dpqlsim.trajectory_sim import (
-    DEFAULT_RAMP_FIDELITIES,
     ExperimentConfig,
     MeasurementRecord,
     TrajectoryDynamics,
@@ -60,7 +59,7 @@ class TestExperimentConfig:
             ExperimentConfig(**kwargs)
 
     def test_ramp_product_must_match_fidelity(self):
-        r1, r2, sh = DEFAULT_RAMP_FIDELITIES
+        r1, r2, sh = 0.90, 0.85, 0.95
         # Consistent: detection fidelity equals the product.
         ExperimentConfig(
             detection_fidelity=r1 * r2 * sh,
