@@ -7,6 +7,8 @@ sweep transfer, dark-run significance statistics, and hidden-Markov
 detection of ground-level episodes.
 """
 
+from types import ModuleType as _ModuleType
+
 __version__ = "0.1.0"
 
 from .spectroscopy import (
@@ -110,99 +112,9 @@ from .hmm_detector import (
     write_decoded_csv,
 )
 
-__all__ = [
-    "__version__",
-    # spectroscopy
-    "KB_CM",
-    "PARITY_DOUBLET",
-    "ROT_GROUND",
-    "MolecularConstants",
-    "RoVibState",
-    "StateDistribution",
-    "constants_from_config",
-    "constants_to_config",
-    "degeneracy",
-    "enumerate_levels",
-    "level_energy",
-    "manifold_population",
-    "most_probable_rotational_state",
-    "partition_function",
-    "thermal_distribution",
-    "thermal_population",
-    # dataio
-    "DATASET_HEADER",
-    "DataFormatError",
-    "read_dataset_csv",
-    "read_keyvalues",
-    "sha256_digest",
-    "write_dataset_csv",
-    "write_keyvalues",
-    "write_table",
-    # bbr_kinetics
-    "VIB_DECAY_TARGET",
-    "EinsteinCoefficients",
-    "IntegrationError",
-    "PopulationTrajectory",
-    "RateMatrix",
-    "build_einstein_coefficients",
-    "build_rate_matrix",
-    "evolve_populations",
-    "ground_state_residence_lifetime",
-    "leave_probability_per_cycle",
-    "lifetime_temperature_sweep",
-    "photon_occupation",
-    "planck_energy_density",
-    "radiative_levels",
-    "restricted_boltzmann",
-    "rethermalization_time",
-    # trajectory_sim
-    "ExperimentConfig",
-    "TrajectoryDynamics",
-    "TrialDataset",
-    "bin_series",
-    "disjoint_bin_counts",
-    "ensemble_ground_occupancy",
-    "simulate_hours",
-    "simulate_trial",
-    # sweep_dynamics
-    "SweepConfig",
-    "TransferWindowMap",
-    "TwoLevelAmplitudes",
-    "evolve_sweep",
-    "evolve_sweep_amplitudes",
-    "jc_coupling_matrix",
-    "landau_zener_oracle",
-    "offres_carrier_excitation",
-    "transfer_window_map",
-    # run_statistics
-    "BinValuePrediction",
-    "NoiseSignalModel",
-    "SignificanceResult",
-    "bin_value_distribution",
-    "binom_noise_pmf",
-    "find_longest_run",
-    "longest_run_cdf",
-    "noise_pmf",
-    "observed_run_significance",
-    "p_from_z",
-    "p_value",
-    "required_run_length",
-    "signal_bin_pmf",
-    "signal_pmf",
-    "significance",
-    "z_from_p",
-    # hmm_detector
-    "STATE_NAMES",
-    "DecodedSeries",
-    "DetectionMetrics",
-    "EstimationError",
-    "HmmParams",
-    "baum_welch",
-    "bayes_posterior",
-    "default_params",
-    "estimate_params_supervised",
-    "evaluate",
-    "forward_backward",
-    "viterbi",
-    "write_decoded_csv",
+# Every name imported above; the submodules bound as attributes stay out.
+__all__ = ["__version__"] + [
+    name
+    for name, value in dict(globals()).items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

@@ -12,7 +12,9 @@ Every command writes flat CSV/JSON files into --out plus a manifest.json
 recording the command line, the full config snapshot, the seed, the tool
 version, and a sha256 digest of every output, so a rerun can be checked
 for byte-identical results.  Exit codes: 0 success, 2 usage or config
-errors, 3 data-format errors, 4 numerical failures.
+errors, 3 data-format errors (a dataset with no records is one), 4
+numerical failures.  JSON files are strict RFC 8259: an infinite run
+z-score is written as null.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
+from operator import itemgetter
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -149,7 +152,7 @@ def _write_manifest(
     if extra:
         manifest.update(extra)
     path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
     return path
 
 
@@ -203,6 +206,11 @@ def cmd_simulate(
     """Labeled Monte Carlo stream covering ``hours`` of wall-clock time."""
     if not hours > 0.0:
         raise UsageError(f"--hours must be positive, got {hours!r}")
+    cap = config.trial_duration_cap
+    if cap is not None and cap < config.cycle:
+        raise UsageError(
+            f"trial_duration_cap {cap:g} s is shorter than one cycle ({config.cycle:g} s)"
+        )
     dataset = simulate_hours(config, hours, constants)
     path = out_dir / "dataset.csv"
     dataset.to_csv(path)
@@ -239,12 +247,12 @@ def cmd_analyze(
 ) -> dict[str, Path]:
     """Analyze a measurement stream: histogram, run test, or HMM decode."""
     rows = read_dataset_csv(dataset_path)
-    outcomes = np.array([r[1] for r in rows], dtype=np.int8)
-    indices = [r[0] for r in rows]
-    hidden = [r[3] for r in rows]
-    labels = (
-        np.array(hidden, dtype=np.int8) if all(h is not None for h in hidden) and rows else None
-    )
+    if not rows:
+        raise DataFormatError("dataset holds no records", source=str(dataset_path))
+    n = len(rows)
+    outcomes = np.fromiter(map(itemgetter(1), rows), np.int8, n)
+    hidden = map(itemgetter(3), rows)
+    labels = None if None in hidden else np.fromiter(map(itemgetter(3), rows), np.int8, n)
     outputs: dict[str, Path] = {}
     report: dict[str, object] = {
         "mode": mode,
@@ -318,7 +326,7 @@ def cmd_analyze(
             )
         decoded = forward_backward(params, outcomes)
         path = out_dir / "decoded.csv"
-        write_decoded_csv(path, outcomes, decoded, indices=indices)
+        write_decoded_csv(path, outcomes, decoded, indices=map(itemgetter(0), rows))
         outputs["decoded.csv"] = path
         report.update(
             log_likelihood=decoded.log_likelihood,
@@ -326,14 +334,7 @@ def cmd_analyze(
         )
         if labels is not None:
             metrics = evaluate(decoded.states, labels)
-            report["metrics"] = {
-                "precision": metrics.precision,
-                "recall": metrics.recall,
-                "f1": metrics.f1,
-                "correct_positive": metrics.correct_positive,
-                "incorrect_positive": metrics.incorrect_positive,
-                "incorrect_negative": metrics.incorrect_negative,
-            }
+            report["metrics"] = asdict(metrics)
             print(
                 f"precision {metrics.precision:.4f}, recall {metrics.recall:.4f}, "
                 f"F1 {metrics.f1:.4f}"
@@ -341,7 +342,7 @@ def cmd_analyze(
     else:
         raise UsageError(f"unknown analyze mode {mode!r}")
     report_path = out_dir / "report.json"
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    report_path.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
     outputs["report.json"] = report_path
     return outputs
 
@@ -369,7 +370,7 @@ def cmd_sweep(
         "landau_zener_transfer": landau_zener_oracle(cfg.g_q, cfg.ramp_rate),
     }
     report_path = out_dir / "report.json"
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    report_path.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
     if window_map.window is None:
         print("no grid point clears the transfer threshold")
     else:

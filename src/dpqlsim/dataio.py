@@ -11,10 +11,14 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import math
+import re
+import warnings
 from dataclasses import fields
+from itertools import islice, starmap
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, get_args, get_type_hints
+
+import numpy as np
 
 __all__ = [
     "DataFormatError",
@@ -141,78 +145,139 @@ def config_from_mapping(cls: type, mapping: Mapping[str, object]):
 
 def format_number(x: float) -> str:
     """Compact, reproducible decimal rendering used by every exporter."""
-    if isinstance(x, int):
-        return str(x)
-    if math.isnan(x):
-        return "nan"
-    return f"{x:.10g}"
+    return str(x) if isinstance(x, int) else f"{x:.10g}"
 
 
-def _parse_hidden(token: str, *, source: str | None, line: int) -> int | None:
-    if token == "NA":
+_ROW_DTYPE = np.dtype(
+    [("index", np.int64), ("outcome", np.int8), ("time_s", np.float64), ("hidden", "U3")]
+)
+_HIDDEN = {"0": 0, "1": 1, "NA": None}
+# Bodies made only of these bytes take the columnar parse: on them
+# np.loadtxt splits quoted cells as csv does and converts a cell exactly
+# when int() / float() would, to the same value.
+_SAFE = b'0123456789eE+-.naiftyNAIFTY", \t\n'
+_CELL = re.compile(r'(?:^|,)(?:"((?:[^"]|"")*)"([^,]*)|([^,]*))')
+_BLOCK_ROWS = 1 << 14  # rows converted, or formatted and written, per block
+
+
+def _cells(line: str) -> list[str]:
+    """One CSV line split as the csv module's default dialect splits it."""
+    if '"' not in line:
+        return line.split(",")
+    return [
+        m[3] if m[1] is None else m[1].replace('""', '"') + m[2] for m in _CELL.finditer(line)
+    ]
+
+
+def _check_header(line: str, source: str) -> None:
+    header = _cells(line)
+    if tuple(h.strip() for h in header) != DATASET_HEADER:
+        raise DataFormatError(
+            f"expected header {','.join(DATASET_HEADER)!r}, got {','.join(header)!r}",
+            source=source,
+            line=1,
+        )
+
+
+def _parse_rows(text: str, source: str) -> list[tuple[int, int, float, int | None]]:
+    """Line-by-line parse naming the first malformed line (the header is line 1)."""
+    head, _, body = text.partition("\n")
+    _check_header(head, source)
+    rows = []
+    for lineno, line in enumerate(body.split("\n"), start=2):
+        if not line:
+            continue
+        row = _cells(line)
+        try:
+            values = int(row[0]), int(row[1]), float(row[2]), _HIDDEN.get(row[3].strip(), "?")
+        except (ValueError, IndexError):
+            values = None
+        if len(row) != 4:
+            error = f"expected 4 columns, got {len(row)}"
+        elif values is None:
+            error = f"malformed row {row!r}"
+        elif values[1] not in (0, 1):
+            error = f"outcome must be 0 or 1, got {row[1]!r}"
+        elif values[3] == "?":
+            error = f"hidden must be 0, 1 or NA, got {row[3].strip()!r}"
+        else:
+            rows.append(values)
+            continue
+        raise DataFormatError(error, source=source, line=lineno)
+    return rows
+
+
+def _read_table(path: Path, source: str) -> np.ndarray | None:
+    """Check the header, then parse the body in one columnar pass.
+
+    Returns None when that pass does not take the file: a CR, a non-ASCII
+    header, a body character outside the safe set, a malformed row or
+    padding around ``hidden``.
+    """
+    raw = path.read_bytes()
+    if not raw:
+        raise DataFormatError("empty dataset file", source=source, line=1)
+    fh = io.BytesIO(raw)
+    head = fh.readline()
+    unsafe = len(raw.translate(None, _SAFE)) - len(head.translate(None, _SAFE))
+    if unsafe or b"\r" in raw or not head.isascii():
         return None
-    if token in ("0", "1"):
-        return int(token)
-    raise DataFormatError(f"hidden must be 0, 1 or NA, got {token!r}", source=source, line=line)
+    _check_header(head.decode().rstrip("\n"), source)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a body without rows warns
+        try:
+            table = np.loadtxt(fh, _ROW_DTYPE, delimiter=",", quotechar='"', comments=None,
+                               ndmin=1, encoding="ascii")
+        except ValueError:
+            return None
+    valid = np.isin(table["outcome"], (0, 1)) & np.isin(table["hidden"], tuple(_HIDDEN))
+    return table if valid.all() else None
 
 
 def read_dataset_csv(path: str | Path) -> list[tuple[int, int, float, int | None]]:
     """Read a measurement stream; returns (index, outcome, time_s, hidden) rows.
 
-    Raises :class:`DataFormatError` with the offending row number on any
-    malformed content, including a bad header.
+    Cells may be quoted or padded, and blank lines are skipped.  A file the
+    columnar pass does not take is read again line by line, which raises
+    :class:`DataFormatError` with the offending line number on malformed
+    content, including a bad header.
     """
     path = Path(path)
-    source = str(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError("empty dataset file", source=source, line=1) from None
-        if tuple(h.strip() for h in header) != DATASET_HEADER:
-            raise DataFormatError(
-                f"expected header {','.join(DATASET_HEADER)!r}, got {','.join(header)!r}",
-                source=source,
-                line=1,
-            )
-        rows: list[tuple[int, int, float, int | None]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise DataFormatError(
-                    f"expected 4 columns, got {len(row)}", source=source, line=lineno
-                )
-            try:
-                index = int(row[0])
-                outcome = int(row[1])
-                time_s = float(row[2])
-            except ValueError:
-                raise DataFormatError(
-                    f"malformed row {row!r}", source=source, line=lineno
-                ) from None
-            if outcome not in (0, 1):
-                raise DataFormatError(
-                    f"outcome must be 0 or 1, got {row[1]!r}", source=source, line=lineno
-                )
-            hidden = _parse_hidden(row[3].strip(), source=source, line=lineno)
-            rows.append((index, outcome, time_s, hidden))
+    table = _read_table(path, str(path))
+    if table is None:
+        return _parse_rows(path.read_text(), str(path))
+    rows: list[tuple[int, int, float, int | None]] = []
+    for k in range(0, table.size, _BLOCK_ROWS):
+        block = table[k : k + _BLOCK_ROWS]
+        columns = [block[name].tolist() for name in ("index", "outcome", "time_s")]
+        rows.extend(zip(*columns, map(_HIDDEN.__getitem__, block["hidden"].tolist())))
     return rows
+
+
+def _write_blocks(
+    path: str | Path, header: Sequence[str], row_format: str, rows: Iterable[Sequence[object]]
+) -> None:
+    """Write ``header``, then ``row_format.format(*row)`` per row, one write per block.
+
+    ``{:.10g}`` renders any float as :func:`format_number` does.
+    """
+    rows = iter(rows)
+    with Path(path).open("w") as fh:
+        fh.write(",".join(header) + "\n")
+        while block := list(islice(rows, _BLOCK_ROWS)):
+            fh.write("".join(starmap(row_format.format, block)))
 
 
 def write_dataset_csv(
     path: str | Path, rows: Iterable[tuple[int, int, float, int | None]]
 ) -> None:
     """Write a measurement stream in the shared dataset format."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(DATASET_HEADER)
-    for index, outcome, time_s, hidden in rows:
-        writer.writerow(
-            [index, outcome, format_number(float(time_s)), "NA" if hidden is None else hidden]
-        )
-    Path(path).write_text(buf.getvalue())
+    _write_blocks(
+        path,
+        DATASET_HEADER,
+        "{},{},{:.10g},{}\n",
+        ((i, o, t, "NA" if h is None else h) for i, o, t, h in rows),
+    )
 
 
 def write_table(

@@ -16,12 +16,13 @@ unlabeled streams.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dataio import write_table
+from .dataio import _write_blocks
 
 __all__ = [
     "STATE_NAMES",
@@ -183,28 +184,35 @@ def _smooth(
     ``alpha[t]`` is the filtered state distribution after record t and
     ``scale[t]`` the predictive probability of that record, so the
     log-likelihood is ``log(scale).sum()``; ``beta`` carries the matching
-    scaled backward messages.
+    scaled backward messages.  The passes are scalar IEEE float loops in a
+    fixed operation order with no fused multiply-add, so their bits do not
+    depend on the BLAS build.
     """
-    trans, emit = params.trans, params.emit
-    n = obs.size
-    alpha = np.empty((n, 2))
-    scale = np.empty(n)
-    a = params.initial * emit[:, obs[0]]
-    scale[0] = a.sum()
-    if scale[0] == 0.0:
-        raise ValueError("observation sequence impossible under the model")
-    alpha[0] = a / scale[0]
-    for t in range(1, n):
-        a = (alpha[t - 1] @ trans) * emit[:, obs[t]]
-        scale[t] = a[0] + a[1]  # a.sum() bit for bit, without the reduction
-        if scale[t] == 0.0:
+    (t00, t01), (t10, t11) = params.trans.tolist()
+    em = tuple(zip(*params.emit.tolist()))  # em[o] = (emit[0, o], emit[1, o])
+    seq = obs.tolist()
+    n = len(seq)
+    alpha, beta, scale = (array("d", [0.0]) * (k * n) for k in (2, 2, 1))
+    x0, x1 = em[seq[0]]
+    p0, p1 = params.initial.tolist()
+    a0, a1 = p0 * x0, p1 * x1
+    for t in range(n):
+        if t:
+            x0, x1 = em[seq[t]]
+            a0, a1 = (p0 * t00 + p1 * t10) * x0, (p0 * t01 + p1 * t11) * x1
+        s = a0 + a1
+        if s == 0.0:
             raise ValueError("observation sequence impossible under the model")
-        alpha[t] = a / scale[t]
-    beta = np.empty((n, 2))
-    beta[n - 1] = 1.0
+        p0, p1 = a0 / s, a1 / s
+        scale[t], alpha[2 * t], alpha[2 * t + 1] = s, p0, p1
+    b0 = b1 = beta[-1] = beta[-2] = 1.0
     for t in range(n - 2, -1, -1):
-        beta[t] = trans @ (emit[:, obs[t + 1]] * beta[t + 1]) / scale[t + 1]
-    return alpha, beta, scale
+        x0, x1 = em[seq[t + 1]]
+        v0, v1, s = x0 * b0, x1 * b1, scale[t + 1]
+        b0, b1 = (t00 * v0 + t01 * v1) / s, (t10 * v0 + t11 * v1) / s
+        beta[2 * t], beta[2 * t + 1] = b0, b1
+    alpha, beta = (np.frombuffer(buf).reshape(n, 2) for buf in (alpha, beta))
+    return alpha, beta, np.frombuffer(scale)
 
 
 def forward_backward(
@@ -237,28 +245,35 @@ def forward_backward(
 
 
 def viterbi(params: HmmParams, observations: Sequence[int] | np.ndarray) -> np.ndarray:
-    """Most likely hidden path in log-space; ties resolve to state 0."""
+    """Most likely hidden path in log-space; ties resolve to state 0.
+
+    The recursion is a scalar IEEE float loop with a fixed operation
+    order; ``back[t]`` packs the best source of state 0 in bit 0 and that
+    of state 1 in bit 1, a source switching to 1 only when strictly better.
+    """
     obs = _check_observations(observations)
     n = obs.size
     if n == 0:
         return np.empty(0, dtype=np.int8)
     with np.errstate(divide="ignore"):
-        log_trans = np.log(params.trans)
-        log_emit = np.log(params.emit)
-        log_init = np.log(params.initial)
-    delta = log_init + log_emit[:, obs[0]]
-    back = np.empty((n, 2), dtype=np.int8)
+        (l00, l01), (l10, l11) = np.log(params.trans).tolist()
+        # le[o] = (log emit[0, o], log emit[1, o])
+        le = tuple(zip(*np.log(params.emit).tolist()))
+        i0, i1 = np.log(params.initial).tolist()
+    seq = obs.tolist()
+    y0, y1 = le[seq[0]]
+    d0, d1 = i0 + y0, i1 + y1
+    back = bytearray(n)
     for t in range(1, n):
-        cand = delta[:, None] + log_trans  # cand[i, j]: from i into j
-        # argmax over the source state, preferring 0 on exact ties
-        choose1 = cand[1] > cand[0]
-        back[t] = choose1
-        delta = np.where(choose1, cand[1], cand[0]) + log_emit[:, obs[t]]
-    path = np.empty(n, dtype=np.int8)
-    path[n - 1] = 1 if delta[1] > delta[0] else 0
+        y0, y1 = le[seq[t]]
+        c00, c10, c01, c11 = d0 + l00, d1 + l10, d0 + l01, d1 + l11
+        back[t] = (c10 > c00) | (c11 > c01) << 1
+        d0, d1 = (c10 if c10 > c00 else c00) + y0, (c11 if c11 > c01 else c01) + y1
+    path = bytearray(n)
+    path[-1] = d1 > d0
     for t in range(n - 1, 0, -1):
-        path[t - 1] = back[t, path[t]]
-    return path
+        path[t - 1] = back[t] >> path[t] & 1
+    return np.frombuffer(path, dtype=np.int8)
 
 
 def _labeled_pairs(
@@ -402,15 +417,13 @@ def write_decoded_csv(
     observations: Sequence[int] | np.ndarray,
     decoded: DecodedSeries,
     *,
-    indices: Sequence[int] | None = None,
+    indices: Iterable[int] | None = None,
 ) -> None:
     """Export decoding as CSV: index, outcome, predicted_state, posterior."""
     obs = _check_observations(observations)
     if obs.size != decoded.states.size:
         raise ValueError("observations and decoded series differ in length")
-    idx = range(obs.size) if indices is None else indices
-    rows = (
-        (int(i), int(o), int(s), float(p))
-        for i, o, s, p in zip(idx, obs, decoded.states, decoded.posteriors)
-    )
-    write_table(path, ("index", "outcome", "predicted_state", "posterior"), rows)
+    idx = range(obs.size) if indices is None else map(int, indices)
+    rows = zip(idx, obs.tolist(), decoded.states.tolist(), decoded.posteriors.tolist())
+    header = ("index", "outcome", "predicted_state", "posterior")
+    _write_blocks(path, header, "{},{},{},{:.10g}\n", rows)

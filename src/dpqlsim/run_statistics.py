@@ -333,13 +333,14 @@ class SignificanceResult:
             raise ValueError(f"z={self.z!r} inconsistent with p={self.p_value!r}")
 
     def to_json_dict(self) -> dict[str, object]:
+        """Fields for a JSON report; an infinite ``z`` (p = 1) becomes None (null)."""
         return {
             "n": self.n,
             "x": self.x,
             "p_dark": self.p_dark,
             "p_value": self.p_value,
             "log10_p": self.log10_p,
-            "z": self.z,
+            "z": self.z if math.isfinite(self.z) else None,
         }
 
 

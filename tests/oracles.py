@@ -1,0 +1,151 @@
+"""Reference implementations that the fast paths in ``src/`` replaced.
+
+Each is the earlier per-record code, kept here only to check the scalar
+HMM kernels and the columnar CSV reader and block writers against:
+
+- ``smooth`` / ``forward_backward`` / ``viterbi``: numpy 2-vector loops.
+- ``read_dataset_csv``: a ``csv.reader`` row loop.
+- ``write_dataset_csv`` / ``write_decoded_csv``: ``csv.writer`` writers.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+from pathlib import Path
+
+import numpy as np
+
+from dpqlsim.dataio import DATASET_HEADER, DataFormatError, format_number
+
+
+def smooth(params, obs):
+    """Scaled forward and backward passes, one numpy step per record."""
+    obs = np.asarray(obs, dtype=np.int8)
+    trans, emit = params.trans, params.emit
+    n = obs.size
+    alpha = np.empty((n, 2))
+    scale = np.empty(n)
+    a = params.initial * emit[:, obs[0]]
+    scale[0] = a.sum()
+    if scale[0] == 0.0:
+        raise ValueError("observation sequence impossible under the model")
+    alpha[0] = a / scale[0]
+    for t in range(1, n):
+        a = (alpha[t - 1] @ trans) * emit[:, obs[t]]
+        scale[t] = a[0] + a[1]
+        if scale[t] == 0.0:
+            raise ValueError("observation sequence impossible under the model")
+        alpha[t] = a / scale[t]
+    beta = np.empty((n, 2))
+    beta[n - 1] = 1.0
+    for t in range(n - 2, -1, -1):
+        beta[t] = trans @ (emit[:, obs[t + 1]] * beta[t + 1]) / scale[t + 1]
+    return alpha, beta, scale
+
+
+def forward_backward(params, obs):
+    """(posteriors of state 1, log-likelihood) through :func:`smooth`."""
+    alpha, beta, scale = smooth(params, obs)
+    gamma = alpha * beta
+    gamma /= gamma.sum(axis=1, keepdims=True)
+    return gamma[:, 1], float(np.log(scale).sum())
+
+
+def viterbi(params, obs):
+    """Log-space Viterbi with numpy 2-vector steps; ties go to state 0."""
+    obs = np.asarray(obs, dtype=np.int8)
+    n = obs.size
+    with np.errstate(divide="ignore"):
+        log_trans = np.log(params.trans)
+        log_emit = np.log(params.emit)
+        log_init = np.log(params.initial)
+    delta = log_init + log_emit[:, obs[0]]
+    back = np.empty((n, 2), dtype=np.int8)
+    for t in range(1, n):
+        cand = delta[:, None] + log_trans
+        choose1 = cand[1] > cand[0]
+        back[t] = choose1
+        delta = np.where(choose1, cand[1], cand[0]) + log_emit[:, obs[t]]
+    path = np.empty(n, dtype=np.int8)
+    path[n - 1] = 1 if delta[1] > delta[0] else 0
+    for t in range(n - 1, 0, -1):
+        path[t - 1] = back[t, path[t]]
+    return path
+
+
+def read_dataset_csv(path):
+    """Row-by-row ``csv.reader`` parse of a dataset file."""
+    path = Path(path)
+    source = str(path)
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataFormatError("empty dataset file", source=source, line=1) from None
+        if tuple(h.strip() for h in header) != DATASET_HEADER:
+            raise DataFormatError(
+                f"expected header {','.join(DATASET_HEADER)!r}, got {','.join(header)!r}",
+                source=source,
+                line=1,
+            )
+        rows = []
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != 4:
+                raise DataFormatError(
+                    f"expected 4 columns, got {len(row)}", source=source, line=lineno
+                )
+            try:
+                index = int(row[0])
+                outcome = int(row[1])
+                time_s = float(row[2])
+            except ValueError:
+                raise DataFormatError(
+                    f"malformed row {row!r}", source=source, line=lineno
+                ) from None
+            if outcome not in (0, 1):
+                raise DataFormatError(
+                    f"outcome must be 0 or 1, got {row[1]!r}", source=source, line=lineno
+                )
+            token = row[3].strip()
+            if token not in ("0", "1", "NA"):
+                raise DataFormatError(
+                    f"hidden must be 0, 1 or NA, got {token!r}", source=source, line=lineno
+                )
+            rows.append((index, outcome, time_s, None if token == "NA" else int(token)))
+    return rows
+
+
+def _write_csv(path, header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    Path(path).write_text(buf.getvalue())
+
+
+def write_dataset_csv(path, rows):
+    _write_csv(
+        path,
+        DATASET_HEADER,
+        (
+            [i, o, format_number(float(t)), "NA" if h is None else h]
+            for i, o, t, h in rows
+        ),
+    )
+
+
+def write_decoded_csv(path, observations, decoded, *, indices=None):
+    obs = np.asarray(observations)
+    idx = range(obs.size) if indices is None else indices
+    _write_csv(
+        path,
+        ("index", "outcome", "predicted_state", "posterior"),
+        (
+            (int(i), int(o), int(s), format_number(float(p)))
+            for i, o, s, p in zip(idx, obs, decoded.states, decoded.posteriors)
+        ),
+    )

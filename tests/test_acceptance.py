@@ -100,6 +100,7 @@ def test_criterion_1_thermal_anchors():
 
 
 def test_criterion_2_kinetics_anchors():
+    t0 = time.perf_counter()
     c = MolecularConstants()
     decay = build_einstein_coefficients(c).total_decay_rate(RoVibState(1, 3, 3))
     tau300 = ground_state_residence_lifetime(c, 300.0)
@@ -117,11 +118,12 @@ def test_criterion_2_kinetics_anchors():
         2,
         checks,
         f"decay={decay:.6f}/s, tau={tau300:.3f} s, retherm={t_retherm:.1f} s, "
-        f"p_s={ps300:.5f}/{ps450:.5f}",
+        f"p_s={ps300:.5f}/{ps450:.5f}, {time.perf_counter() - t0:.1f} s",
     )
 
 
 def test_criterion_3_stationarity():
+    t0 = time.perf_counter()
     c = MolecularConstants()
     m = build_rate_matrix(c, 300.0)
     colsum = float(np.abs(m.generator.sum(axis=0)).max())
@@ -133,7 +135,12 @@ def test_criterion_3_stationarity():
         ("per-level drift over 1000 s within 1%", drift <= 0.01),
         ("generator columns sum to zero within 1e-12", colsum <= 1e-12),
     ]
-    _finish(3, checks, f"max relative drift={drift:.2e}, max column sum={colsum:.2e}")
+    _finish(
+        3,
+        checks,
+        f"max relative drift={drift:.2e}, max column sum={colsum:.2e}, "
+        f"{time.perf_counter() - t0:.1f} s",
+    )
 
 
 def test_criterion_4_monte_carlo_occupancy():
@@ -251,6 +258,7 @@ def test_criterion_6_run_statistics():
 
 
 def test_criterion_7_bin_model():
+    t0 = time.perf_counter()
     model = NoiseSignalModel(p_b=0.03, p_d=0.72, p_s=0.015)
     q_noise = noise_pmf(model)
     q_signal = signal_pmf(model)
@@ -292,7 +300,8 @@ def test_criterion_7_bin_model():
         7,
         checks,
         f"norm err={norm_err:.1e}, signal MC max dev={mc_dev:.2f} SE, "
-        f"noise curve max dev={noise_dev:.2f} SE over {n_quiet} bins",
+        f"noise curve max dev={noise_dev:.2f} SE over {n_quiet} bins, "
+        f"{time.perf_counter() - t0:.1f} s",
     )
 
 
@@ -359,6 +368,7 @@ def trained_detector():
 
 
 def test_criterion_8_hmm_anchors(trained_detector):
+    t0 = time.perf_counter()
     params = trained_detector
     p_b_rec = float(params.emit[0, 1])
     p_d_rec = float(params.emit[1, 1])
@@ -394,7 +404,7 @@ def test_criterion_8_hmm_anchors(trained_detector):
         f"emissions=({p_b_rec:.5f}, {p_d_rec:.5f}), "
         f"P/R/F1={metrics.precision:.4f}/{metrics.recall:.4f}/{metrics.f1:.4f}, "
         f"bridged FP share={bridged:.3f}, run posterior={posterior:.4f}, "
-        f"mismatch F1={mismatch.f1:.3f}",
+        f"mismatch F1={mismatch.f1:.3f}, {time.perf_counter() - t0:.1f} s",
     )
 
 
@@ -410,6 +420,7 @@ def test_criterion_8_bridging_check_fails_without_return_channel(trained_detecto
 
 
 def test_criterion_9_end_to_end_detection():
+    t0 = time.perf_counter()
     req30k = required_run_length(30000, 0.03, 4.1)
     req180k = required_run_length(180000, 0.03, 4.1)
 
@@ -436,5 +447,5 @@ def test_criterion_9_end_to_end_detection():
         checks,
         f"x(30000)={req30k.x} (Z={req30k.z:.2f}), x(180000)={req180k.x} "
         f"(Z={req180k.z:.2f}), injected Z={runs.z:.2f}, coverage={coverage}/11, "
-        f"posterior={posterior:.4f}",
+        f"posterior={posterior:.4f}, {time.perf_counter() - t0:.1f} s",
     )

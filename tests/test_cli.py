@@ -43,6 +43,15 @@ def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
     return rows[0], rows[1:]
 
 
+def strict_load(path: Path) -> dict:
+    """Parse RFC 8259 JSON, refusing the NaN and Infinity extensions."""
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name} in {path}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
 def load_manifest(out_dir: Path) -> dict:
     return json.loads((out_dir / "manifest.json").read_text())
 
@@ -165,6 +174,18 @@ class TestSimulate:
         assert code == EXIT_USAGE
         assert "--hours" in capsys.readouterr().err
 
+    def test_cap_shorter_than_a_cycle_is_usage_error(self, tmp_path, capsys):
+        # A 0.01 s cap holds no 40 ms cycle: refused before any file is written.
+        cfg = tmp_path / "config.txt"
+        cfg.write_text("trial_duration_cap = 0.01\n")
+        out = tmp_path / "out"
+        code = main(["simulate", "--config", str(cfg), "--hours", "1", "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "trial_duration_cap 0.01 s" in err and "cycle (0.04 s)" in err
+        assert not (out / "dataset.csv").exists()
+        assert not (out / "manifest.json").exists()
+
     def test_temperature_override_recorded(self, tmp_path):
         code = main(
             ["simulate", "--hours", "0.01", "--seed", "2", "--temperature", "450",
@@ -257,6 +278,20 @@ class TestAnalyzeRuns:
         assert report["z"] == pytest.approx(expected.z, rel=1e-12)
 
 
+    def test_all_bright_stream_reports_null_z(self, tmp_path):
+        # No dark run at all: p = 1 and z = -inf, which strict JSON has no
+        # literal for; the report writes null.
+        data = tmp_path / "dataset.csv"
+        write_dataset_csv(data, [(i, 0, 0.04 * (i + 1), None) for i in range(500)])
+        out = tmp_path / "runs"
+        assert main(["analyze", str(data), "--mode", "runs", "--out", str(out)]) == EXIT_OK
+        for name in ("report.json", "manifest.json"):
+            strict_load(out / name)
+        report = strict_load(out / "report.json")
+        assert report["x"] == 0 and report["p_value"] == 1.0
+        assert report["z"] is None
+
+
 class TestAnalyzeHmm:
     def test_decoded_and_metrics(self, sim_dir, tmp_path):
         code = main(
@@ -344,6 +379,17 @@ class TestAnalyzeErrors:
         )
         assert code == EXIT_DATA
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["bins", "runs", "hmm"])
+    def test_stream_without_records_is_data_error(self, tmp_path, capsys, mode):
+        data = tmp_path / "dataset.csv"
+        write_dataset_csv(data, [])
+        assert read_dataset_csv(data) == []
+        out = tmp_path / mode
+        code = main(["analyze", str(data), "--mode", mode, "--out", str(out)])
+        assert code == EXIT_DATA
+        assert "no records" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
 
     def test_unknown_mode_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as exc:

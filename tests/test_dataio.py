@@ -1,10 +1,18 @@
 """Round-trip and error-reporting tests for the flat-file layer."""
 
+import csv
 import hashlib
+import math
+import random
 from dataclasses import dataclass
 
+import numpy as np
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dpqlsim import dataio
 from dpqlsim.dataio import (
     DATASET_HEADER,
     DataFormatError,
@@ -20,6 +28,7 @@ from dpqlsim.dataio import (
     write_keyvalues,
     write_table,
 )
+from dpqlsim.hmm_detector import DecodedSeries, write_decoded_csv
 
 
 class TestKeyValues:
@@ -159,3 +168,186 @@ class TestDigest:
         d1 = sha256_digest(path)
         path.write_bytes(b"two")
         assert sha256_digest(path) != d1
+
+
+def _same(a, b):
+    """Row lists equal value for value and type (repr also matches nan to nan)."""
+    return repr(a) == repr(b)
+
+
+_times = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [0.04, 7200.0, -0.0, 1e-300, 5e-324]
+)
+_PADS = ["", " ", "  ", "\t", " \t "]
+_SPECIAL_TIMES = [0.0, -0.0, 0.04, 1e-300, 5e-324, 1e300, math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def dataset_texts(draw):
+    """(file text, whether the columnar pass should take it): a random valid
+    dataset file with quoted and padded cells, blank lines, CRLF and NA.
+
+    Hypothesis draws the shape and the rates; a seeded generator fills the
+    cells, which keeps each example cheap to draw.
+    """
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    p_quote, p_pad, p_blank = (draw(st.sampled_from([0.0, 0.1, 0.5])) for _ in range(3))
+    header = draw(st.sampled_from([DATASET_HEADER, ('"index"', " outcome ", "time_s", "hidden\t")]))
+    lines = [",".join(header)]
+    hidden_padded = False
+    for _ in range(draw(st.integers(0, 200))):
+        if rng.random() < p_blank:
+            lines.append("")
+        if rng.random() < 0.8:
+            time_s = rng.uniform(0.0, 1e4)
+        else:
+            time_s = rng.choice(_SPECIAL_TIMES)
+        cells = [
+            str(rng.randint(-(10**6), 10**15)),
+            rng.choice(["0", "1", "00", "+1", "-0"]),
+            rng.choice([f"{time_s:.10g}", repr(time_s)]),
+            rng.choice(["0", "1", "NA"]),
+        ]
+        for j, cell in enumerate(cells):
+            if rng.random() < p_pad:
+                cells[j] = rng.choice(_PADS) + cell + rng.choice(_PADS)
+                hidden_padded |= j == 3 and cells[j] != cell
+            if rng.random() < p_quote:
+                cells[j] = f'"{cells[j]}"'
+        lines.append(",".join(cells))
+    text = newline.join(lines) + draw(st.sampled_from(["", newline, newline * 2]))
+    return text, "\r" not in text and not hidden_padded
+
+
+_JUNK = ["", " ", "x", "2", "-1", "1.5", "0x1", "NA", "nan", "1e3", "1_0", "00", "+1",
+         "٣", '"1"', 'a"b', '"N""A"', "1,2", "3 4", "NaN", "inf", "\xa0"]
+
+
+class TestColumnarReaderAgainstOracle:
+    """read_dataset_csv against the csv.reader loop it replaced."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(dataset_texts())
+    def test_valid_files_read_as_the_oracle(self, tmp_path_factory, case):
+        text, columnar = case
+        path = tmp_path_factory.mktemp("d") / "d.csv"
+        path.write_bytes(text.encode())
+        assert _same(read_dataset_csv(path), oracles.read_dataset_csv(path))
+        assert (dataio._read_table(path, str(path)) is not None) == columnar
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(dataset_texts(), st.data())
+    def test_single_cell_corruption(self, tmp_path_factory, case, data):
+        text, _ = case
+        lines = text.split("\n")
+        rows = [k for k, line in enumerate(lines) if k and line.strip()]
+        if not rows:
+            return
+        k = data.draw(st.sampled_from(rows))
+        cells = lines[k].rstrip("\r").split(",")
+        if '"' in lines[k]:  # a quoted cell may hold no comma; pick among whole cells
+            cells = next(csv.reader([lines[k].rstrip("\r")]))
+            cells = [f'"{c}"' for c in cells]
+        j = data.draw(st.integers(0, len(cells) - 1))
+        junk = data.draw(st.sampled_from(_JUNK + [None]))
+        if junk is None:
+            del cells[j]
+        else:
+            cells[j] = junk
+        lines[k] = ",".join(cells) + ("\r" if lines[k].endswith("\r") else "")
+        path = tmp_path_factory.mktemp("d") / "d.csv"
+        path.write_bytes("\n".join(lines).encode())
+        try:
+            expected = oracles.read_dataset_csv(path)
+        except DataFormatError as exc:
+            with pytest.raises(DataFormatError) as err:
+                read_dataset_csv(path)
+            assert (err.value.line, str(err.value)) == (exc.line, str(exc))
+        else:
+            assert _same(read_dataset_csv(path), expected)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "index,outcome,time_s,hidden\r0,1,0.04,NA\r1,0,0.08,1\r",
+            "index,outcome,time_s,hidden\n\n\n0,1,0.04,NA\n",
+            "index,outcome,time_s,hidden\n",
+            "index,outcome,time_s,hidden\n\n",
+            '"index","outcome","time_s","hidden"\n"0","1","0.04","NA"\n',
+            "index,outcome,time_s,hidden\n 0 ,1, 0.04 , NA \n",
+            "index,outcome,time_s,hidden\n1_0,1,0.04,NA\n",
+            "index,outcome,time_s,hidden\n99999999999999999999,1,1e400,NA\n",
+            "\xa0index,outcome,time_s,hidden\n0,1,0.04,1\n",
+        ],
+    )
+    def test_edge_files(self, tmp_path, text):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode())
+        assert _same(read_dataset_csv(path), oracles.read_dataset_csv(path))
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("", 1),
+            ("\nindex,outcome,time_s,hidden\n", 1),
+            ("index,outcome,time_s,hidden\n0,1,0.04,NA\n  \n", 3),
+            ("index,outcome,time_s,hidden\r\n0,1,0.04,NA\r\n1,0,0.08\r\n", 3),
+            ("index,outcome,time_s,hidden\n0,1,0.04,NA\n1,0,0.08,NA\x1c\n2,2,0.12,NA\n", 4),
+            ("index,outcome,time_s,hidden\n0,1,0.04,NAN\n", 2),
+            ("index,outcome,time_s,hidden\n0,1,0.04\x1c,NA\n", 2),
+        ],
+    )
+    def test_edge_errors(self, tmp_path, text, line):
+        path = tmp_path / "d.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(DataFormatError) as expected:
+            oracles.read_dataset_csv(path)
+        with pytest.raises(DataFormatError) as err:
+            read_dataset_csv(path)
+        assert err.value.line == expected.value.line == line
+        assert str(err.value) == str(expected.value)
+
+
+_ints = st.integers(-(2**70), 2**70)
+
+
+class TestBlockWritersAgainstOracle:
+    """The block writers against the csv.writer writers they replaced."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(_ints, st.sampled_from([0, 1]), _times,
+                              st.sampled_from([0, 1, None])), max_size=40))
+    def test_dataset_bytes(self, tmp_path_factory, rows):
+        out = tmp_path_factory.mktemp("w")
+        write_dataset_csv(out / "new.csv", rows)
+        oracles.write_dataset_csv(out / "old.csv", rows)
+        assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
+
+    def test_dataset_bytes_across_blocks(self, tmp_path):
+        rng = np.random.default_rng(5)
+        n = 2 * dataio._BLOCK_ROWS + 17
+        hidden = rng.integers(0, 3, n).tolist()
+        rows = [
+            (k, int(o), t, None if h == 2 else h)
+            for k, o, t, h in zip(range(n), rng.integers(0, 2, n), rng.random(n) * 1e4, hidden)
+        ]
+        write_dataset_csv(tmp_path / "new.csv", iter(rows))
+        oracles.write_dataset_csv(tmp_path / "old.csv", rows)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.integers(0, 40), st.integers(0, 2**32 - 1), st.booleans(), st.data())
+    def test_decoded_bytes(self, tmp_path_factory, n, seed, with_indices, data):
+        rng = np.random.default_rng(seed)
+        obs = rng.integers(0, 2, n).astype(np.int8)
+        posteriors = np.array(data.draw(st.lists(_times, min_size=n, max_size=n)), dtype=float)
+        decoded = DecodedSeries(
+            states=rng.integers(0, 2, n).astype(np.int8), posteriors=posteriors,
+            log_likelihood=0.0,
+        )
+        indices = data.draw(st.lists(_ints, min_size=n, max_size=n)) if with_indices else None
+        out = tmp_path_factory.mktemp("w")
+        write_decoded_csv(out / "new.csv", obs, decoded, indices=indices)
+        oracles.write_decoded_csv(out / "old.csv", obs, decoded, indices=indices)
+        assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()

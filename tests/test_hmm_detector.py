@@ -7,9 +7,13 @@ which is exact for a two-state chain on short streams.
 import itertools
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dpqlsim.dataio import read_keyvalues, write_keyvalues
 from dpqlsim.hmm_detector import (
@@ -448,3 +452,89 @@ class TestDecodedCsv:
         decoded = forward_backward(default_params(), obs[:2])
         with pytest.raises(ValueError):
             write_decoded_csv(tmp_path / "x.csv", obs, decoded)
+
+
+# Probabilities that make entries vanish or rows symmetric come up often,
+# so zero-probability paths and exact Viterbi ties are exercised.
+# Nonzero draws stay above 1e-9, so ten-record products cannot underflow.
+_prob = st.sampled_from([0.0, 0.5, 1.0, 0.03, 0.72]) | st.floats(1e-9, 1.0)
+
+
+@st.composite
+def hmm_params(draw):
+    def row():
+        p = draw(_prob)
+        return [1.0 - p, p]
+
+    return HmmParams(
+        trans=np.array([row(), row()]),
+        emit=np.array([row(), row()]),
+        initial=np.array(row()),
+    )
+
+
+@st.composite
+def streams(draw, max_size=2000):
+    n = draw(st.integers(1, max_size))
+    p_dark = draw(_prob)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return (rng.random(n) < p_dark).astype(np.int8)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the ValueError message it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestScalarKernelsAgainstOracle:
+    """The scalar forward-backward and Viterbi loops against the numpy-loop oracles."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(hmm_params(), streams())
+    def test_viterbi_path_identical(self, params, obs):
+        assert np.array_equal(viterbi(params, obs), oracles.viterbi(params, obs))
+
+    def test_viterbi_ties_go_to_state_zero(self):
+        flat = HmmParams(trans=np.full((2, 2), 0.5), emit=np.full((2, 2), 0.5),
+                         initial=np.full(2, 0.5))
+        obs = np.array([0, 1, 1, 0, 1])
+        assert not viterbi(flat, obs).any()
+        assert np.array_equal(viterbi(flat, obs), oracles.viterbi(flat, obs))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(hmm_params(), streams())
+    def test_smoothing_matches_oracle(self, params, obs):
+        expected = _outcome(oracles.forward_backward, params, obs)
+        got = _outcome(forward_backward, params, obs)
+        if isinstance(expected, str):
+            assert got == expected  # the same "impossible" error
+            return
+        posteriors, log_likelihood = expected
+        assert np.all((got.posteriors >= 0.0) & (got.posteriors <= 1.0))
+        assert np.allclose(got.posteriors, posteriors, rtol=0.0, atol=1e-12)
+        assert got.log_likelihood == pytest.approx(log_likelihood, rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(hmm_params(), streams(max_size=10))
+    def test_log_likelihood_matches_brute_force(self, params, obs):
+        # Exact rational sum over all paths, so no product underflows.
+        trans, emit, initial = (
+            [[Fraction(x) for x in row] for row in np.atleast_2d(m).tolist()]
+            for m in (params.trans, params.emit, params.initial)
+        )
+        total = Fraction(0)
+        for path in itertools.product((0, 1), repeat=obs.size):
+            prob = initial[0][path[0]] * emit[path[0]][obs[0]]
+            for t in range(1, obs.size):
+                prob *= trans[path[t - 1]][path[t]] * emit[path[t]][obs[t]]
+            total += prob
+        if total == 0:
+            with pytest.raises(ValueError, match="impossible"):
+                forward_backward(params, obs)
+            return
+        exact_ll = math.log(total.numerator) - math.log(total.denominator)
+        got = forward_backward(params, obs).log_likelihood
+        assert got == pytest.approx(exact_ll, rel=1e-12, abs=1e-12)

@@ -8,7 +8,7 @@ import pytest
 from scipy import stats
 
 from dpqlsim.bbr_kinetics import build_rate_matrix
-from dpqlsim.dataio import read_dataset_csv
+from dpqlsim.dataio import DATASET_HEADER, read_dataset_csv
 from dpqlsim.spectroscopy import (
     ROT_GROUND,
     MolecularConstants,
@@ -154,6 +154,8 @@ class TestRecordsAndDatasets:
             ds.records[size]
         path = tmp_path / "trial.csv"
         ds.to_csv(path)
+        if not size:  # the 0.039 s cap holds no 40 ms cycle: header only
+            assert path.read_text() == ",".join(DATASET_HEADER) + "\n"
         back = read_dataset_csv(path)
         assert [(i, o, h) for i, o, _, h in back] == [(i, o, h) for i, o, _, h in rows]
         assert [f"{t:.10g}" for _, _, t, _ in back] == [f"{t:.10g}" for _, _, t, _ in rows]
