@@ -24,7 +24,6 @@ import json
 import math
 import sys
 from dataclasses import asdict, replace
-from operator import itemgetter
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -38,8 +37,8 @@ from .bbr_kinetics import (
 )
 from .dataio import (
     DataFormatError,
+    _read_columns,
     config_casts,
-    read_dataset_csv,
     read_keyvalues,
     sha256_digest,
     write_table,
@@ -202,8 +201,8 @@ def cmd_simulate(
     config: ExperimentConfig,
     hours: float,
     out_dir: Path,
-) -> dict[str, Path]:
-    """Labeled Monte Carlo stream covering ``hours`` of wall-clock time."""
+) -> tuple[dict[str, Path], dict[str, object]]:
+    """Labeled Monte Carlo stream over ``hours``; returns outputs and manifest counts."""
     if not hours > 0.0:
         raise UsageError(f"--hours must be positive, got {hours!r}")
     cap = config.trial_duration_cap
@@ -218,7 +217,10 @@ def cmd_simulate(
         f"simulated {len(dataset.records)} cycles ({hours:g} h), "
         f"ground occupancy {dataset.ground_occupancy():.6f}"
     )
-    return {"dataset.csv": path}
+    labels = dataset.hidden  # a ground visit is a run of ground labels
+    visits = int(np.count_nonzero(np.diff(labels, prepend=np.int8(0)) > 0))
+    counts = {"cycles": labels.size, "ground_cycles": int(labels.sum()), "ground_visits": visits}
+    return {"dataset.csv": path}, {"counts": counts}
 
 
 def _detector_rates(
@@ -246,13 +248,10 @@ def cmd_analyze(
     window: int = 20,
 ) -> dict[str, Path]:
     """Analyze a measurement stream: histogram, run test, or HMM decode."""
-    rows = read_dataset_csv(dataset_path)
-    if not rows:
+    index, outcomes, _, hidden = _read_columns(dataset_path)
+    if not outcomes.size:
         raise DataFormatError("dataset holds no records", source=str(dataset_path))
-    n = len(rows)
-    outcomes = np.fromiter(map(itemgetter(1), rows), np.int8, n)
-    hidden = map(itemgetter(3), rows)
-    labels = None if None in hidden else np.fromiter(map(itemgetter(3), rows), np.int8, n)
+    labels = None if (hidden < 0).any() else hidden
     outputs: dict[str, Path] = {}
     report: dict[str, object] = {
         "mode": mode,
@@ -326,7 +325,7 @@ def cmd_analyze(
             )
         decoded = forward_backward(params, outcomes)
         path = out_dir / "decoded.csv"
-        write_decoded_csv(path, outcomes, decoded, indices=map(itemgetter(0), rows))
+        write_decoded_csv(path, outcomes, decoded, indices=index.tolist())
         outputs["decoded.csv"] = path
         report.update(
             log_likelihood=decoded.log_likelihood,
@@ -446,6 +445,7 @@ def _run(args: argparse.Namespace, argv: Sequence[str]) -> int:
     if getattr(args, "temperature", None) is not None and args.command == "simulate":
         config = replace(config, temperature=args.temperature)
     out_dir = _ensure_out(args.out)
+    extra = None
 
     if args.command == "thermal":
         temperatures = args.temperature or [config.temperature]
@@ -456,7 +456,7 @@ def _run(args: argparse.Namespace, argv: Sequence[str]) -> int:
         temperatures = np.linspace(args.t_min, args.t_max, args.t_points)
         outputs = cmd_lifetime(constants, temperatures, out_dir)
     elif args.command == "simulate":
-        outputs = cmd_simulate(constants, config, args.hours, out_dir)
+        outputs, extra = cmd_simulate(constants, config, args.hours, out_dir)
     elif args.command == "analyze":
         outputs = cmd_analyze(
             constants,
@@ -478,9 +478,7 @@ def _run(args: argparse.Namespace, argv: Sequence[str]) -> int:
     else:  # pragma: no cover - argparse enforces the choices
         raise UsageError(f"unknown command {args.command!r}")
 
-    manifest = _write_manifest(
-        out_dir, argv, constants, config, args.seed, outputs
-    )
+    manifest = _write_manifest(out_dir, argv, constants, config, args.seed, outputs, extra)
     print(f"wrote {len(outputs)} output file(s) + {manifest.name} in {out_dir}")
     return EXIT_OK
 

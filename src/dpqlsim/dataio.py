@@ -151,21 +151,22 @@ def format_number(x: float) -> str:
 _ROW_DTYPE = np.dtype(
     [("index", np.int64), ("outcome", np.int8), ("time_s", np.float64), ("hidden", "U3")]
 )
-_HIDDEN = {"0": 0, "1": 1, "NA": None}
+_HIDDEN = {"0": 0, "1": 1, "NA": -1}  # hidden cell -> column code
 # Bodies made only of these bytes take the columnar parse: on them
 # np.loadtxt splits quoted cells as csv does and converts a cell exactly
 # when int() / float() would, to the same value.
 _SAFE = b'0123456789eE+-.naiftyNAIFTY", \t\n'
-_CELL = re.compile(r'(?:^|,)(?:"((?:[^"]|"")*)"([^,]*)|([^,]*))')
+# One cell; group 2 holds a quoted cell's closing quote, empty if the text ends first.
+_CELL = re.compile(r'(?:^|,)(?:"((?:[^"]|"")*+)("?)([^,]*)|([^,]*))')
 _BLOCK_ROWS = 1 << 14  # rows converted, or formatted and written, per block
 
 
 def _cells(line: str) -> list[str]:
-    """One CSV line split as the csv module's default dialect splits it."""
+    """One CSV record split as the csv module's default dialect splits it."""
     if '"' not in line:
         return line.split(",")
     return [
-        m[3] if m[1] is None else m[1].replace('""', '"') + m[2] for m in _CELL.finditer(line)
+        m[4] if m[1] is None else m[1].replace('""', '"') + m[3] for m in _CELL.finditer(line)
     ]
 
 
@@ -179,17 +180,21 @@ def _check_header(line: str, source: str) -> None:
         )
 
 
-def _parse_rows(text: str, source: str) -> list[tuple[int, int, float, int | None]]:
-    """Line-by-line parse naming the first malformed line (the header is line 1)."""
+def _parse_rows(text: str, source: str) -> list[tuple[int, int, float, int]]:
+    """Line-by-line parse naming the first line of a malformed record (the header is 1)."""
     head, _, body = text.partition("\n")
     _check_header(head, source)
     rows = []
-    for lineno, line in enumerate(body.split("\n"), start=2):
+    lines = enumerate(body.split("\n"), start=2)
+    for lineno, line in lines:
+        # a record whose last quoted cell is left open runs on, as csv reads it
+        while '"' in line and [*_CELL.finditer(line)][-1][2] == "" and (more := next(lines, None)):
+            line += "\n" + more[1]
         if not line:
             continue
         row = _cells(line)
         try:
-            values = int(row[0]), int(row[1]), float(row[2]), _HIDDEN.get(row[3].strip(), "?")
+            values = int(row[0]), int(row[1]), float(row[2]), _HIDDEN.get(row[3].strip())
         except (ValueError, IndexError):
             values = None
         if len(row) != 4:
@@ -198,7 +203,7 @@ def _parse_rows(text: str, source: str) -> list[tuple[int, int, float, int | Non
             error = f"malformed row {row!r}"
         elif values[1] not in (0, 1):
             error = f"outcome must be 0 or 1, got {row[1]!r}"
-        elif values[3] == "?":
+        elif values[3] is None:
             error = f"hidden must be 0, 1 or NA, got {row[3].strip()!r}"
         else:
             rows.append(values)
@@ -234,23 +239,34 @@ def _read_table(path: Path, source: str) -> np.ndarray | None:
     return table if valid.all() else None
 
 
-def read_dataset_csv(path: str | Path) -> list[tuple[int, int, float, int | None]]:
-    """Read a measurement stream; returns (index, outcome, time_s, hidden) rows.
+def _read_columns(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A dataset file's (index, outcome, time_s, hidden) columns; NA reads as -1.
 
-    Cells may be quoted or padded, and blank lines are skipped.  A file the
-    columnar pass does not take is read again line by line, which raises
-    :class:`DataFormatError` with the offending line number on malformed
-    content, including a bad header.
+    A file the columnar pass does not take is read again line by line.
     """
     path = Path(path)
     table = _read_table(path, str(path))
     if table is None:
-        return _parse_rows(path.read_text(), str(path))
+        # object indices: the line parse takes integers beyond int64
+        rows = np.array(_parse_rows(path.read_text(), str(path)), dtype=object).reshape(-1, 4)
+        index, outcome, time_s, hidden = rows.T
+        return index, outcome.astype(np.int8), time_s.astype(float), hidden.astype(np.int8)
+    hidden = np.select([table["hidden"] == "1", table["hidden"] == "NA"], [1, -1]).astype(np.int8)
+    return table["index"].copy(), table["outcome"].copy(), table["time_s"].copy(), hidden
+
+
+def read_dataset_csv(path: str | Path) -> list[tuple[int, int, float, int | None]]:
+    """Read a measurement stream; returns (index, outcome, time_s, hidden) rows.
+
+    Cells may be quoted or padded, blank lines are skipped and ``hidden`` is
+    None for NA.  Malformed content, including a bad header, raises
+    :class:`DataFormatError` with the offending line number.
+    """
+    columns = _read_columns(path)
     rows: list[tuple[int, int, float, int | None]] = []
-    for k in range(0, table.size, _BLOCK_ROWS):
-        block = table[k : k + _BLOCK_ROWS]
-        columns = [block[name].tolist() for name in ("index", "outcome", "time_s")]
-        rows.extend(zip(*columns, map(_HIDDEN.__getitem__, block["hidden"].tolist())))
+    for k in range(0, columns[0].size, _BLOCK_ROWS):
+        index, outcome, time_s, hidden = (c[k : k + _BLOCK_ROWS].tolist() for c in columns)
+        rows.extend(zip(index, outcome, time_s, (None if h < 0 else h for h in hidden)))
     return rows
 
 

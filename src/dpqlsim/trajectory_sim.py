@@ -7,17 +7,20 @@ emitted: dark with the detection fidelity when the molecule occupies the
 rotational ground level, dark with the noise floor otherwise.  Measurement
 never alters the hidden state.
 
-Exactly four uniform variates are consumed per cycle in a fixed order
+Exactly four uniform variates are drawn per cycle in a fixed order
 (collision gate, jump gate / collision resample, jump target, emission),
 so datasets are bit-reproducible from (config, seed) and insensitive to
-which branches fire.  A stream is held as columns: one int8 outcome array
-and one int8 ground-level label array, with cycle k ending at
-``(k + 1) * cycle`` seconds.
+which branches fire.  Drawn up front, they let the simulator skip from
+event to event (Gillespie, J. Phys. Chem. 81:2340, 1977), so its Python
+work scales with jumps and collisions, not cycles.  A stream is held as
+columns: one int8 outcome array and one int8 ground-level label array,
+with cycle k ending at ``(k + 1) * cycle`` seconds.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -201,7 +204,9 @@ class TrajectoryDynamics:
     Encodes every level of the full two-manifold set as an integer; the
     radiative levels carry one-jump-per-cycle transition tables derived
     from the exponentiated generator column (stay probability
-    exp(G_ii dt), targets weighted by their off-diagonal rates).  The
+    exp(G_ii dt), targets weighted by their off-diagonal rates); the
+    simulator applies the rule of :meth:`step_code` at events only, the next
+    jump being the first cycle whose gate clears the stay probability.  The
     one-jump restriction is accurate to O((rate * dt)^2).  The fastest
     levels are those of v = 1: at 300 K their out-rates reach 6.4 /s
     (5.25 /s for v = 1, J = 3/2), up to 0.26 per 40 ms cycle.  At most one
@@ -281,28 +286,44 @@ def _dynamics_cached(
     )
 
 
-def _simulate_arrays(
-    config: ExperimentConfig,
-    constants: MolecularConstants,
-    rng: np.random.Generator,
-    n_cycles: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fast path: (outcomes, ground_labels) int8 arrays for n_cycles."""
+def _simulate_arrays(config: ExperimentConfig, constants: MolecularConstants,
+                     rng: np.random.Generator, n_cycles: int) -> tuple[np.ndarray, np.ndarray]:
+    """(outcomes, ground_labels) int8 arrays, bit for bit a per-cycle ``step_code`` loop."""
     dyn = TrajectoryDynamics.for_config(config, constants)
     code = dyn.sample_thermal_code(rng.random())
-    uniforms = rng.random((n_cycles, 4))
-    outcomes = np.empty(n_cycles, dtype=np.int8)
-    labels = np.empty(n_cycles, dtype=np.int8)
-    p_d, p_b = config.detection_fidelity, config.p_bright_noise
-    ground = dyn.ground_code
-    step = dyn.step_code
-    for k in range(n_cycles):
-        u = uniforms[k]
-        code = step(code, u[0], u[1], u[2])
-        in_ground = code == ground
-        labels[k] = in_ground
-        outcomes[k] = u[3] < (p_d if in_ground else p_b)
-    return outcomes, labels
+    u = rng.random((n_cycles, 4))
+    gate = u[:, 1]
+    stops = iter(np.flatnonzero(u[:, 0] < dyn.collision_prob).tolist() + [n_cycles])
+    stop = next(stops)  # the next collision, or the end of the stream
+    cums, targets = ([None if c is None else c.tolist() for c in t]
+                     for t in (dyn.jump_cum, dyn.jump_codes))
+    labels = np.zeros(n_cycles, dtype=np.int8)
+    k = start = 0  # labels are written below k, the gate is searched from start
+    while True:
+        # The next event: a collision at `stop`, unless a radiative level's
+        # gate clears its stay probability first (windows widening x4).
+        event, width = stop, 64
+        while cums[code] is not None and start < stop:
+            end = min(start + width, stop)
+            hit = (gate[start:end] >= dyn.stay_prob[code]).tobytes().find(1)  # first True, or -1
+            if hit >= 0:
+                event = start + hit
+                break
+            start, width = end, width * 4
+        if code == dyn.ground_code:
+            labels[k:event] = 1
+        if event == n_cycles:
+            break
+        if event == stop:
+            stop = next(stops)
+            code = dyn.sample_thermal_code(gate[event])
+        else:
+            code = targets[code][bisect_right(cums[code], u[event, 2])]
+        k, start = event, event + 1
+    dark = u[:, 3] < config.p_bright_noise
+    in_ground = np.flatnonzero(labels)
+    dark[in_ground] = u[in_ground, 3] < config.detection_fidelity
+    return dark.view(np.int8), labels
 
 
 def simulate_trial(
@@ -358,13 +379,8 @@ def ensemble_ground_occupancy(
         raise ValueError("n_trials must be >= 1")
     constants = constants or MolecularConstants()
     n_cycles = int(round(hours * 3600.0 / config.cycle))
-    children = np.random.SeedSequence(config.rng_seed).spawn(n_trials)
-    fractions = np.empty(n_trials)
-    for i, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        _, labels = _simulate_arrays(config, constants, rng, n_cycles)
-        fractions[i] = labels.mean()
-    return fractions
+    rngs = map(np.random.default_rng, np.random.SeedSequence(config.rng_seed).spawn(n_trials))
+    return np.array([_simulate_arrays(config, constants, rng, n_cycles)[1].mean() for rng in rngs])
 
 
 def bin_series(values: Sequence[int] | np.ndarray, window: int = 20) -> np.ndarray:

@@ -1,8 +1,10 @@
 """Reference implementations that the fast paths in ``src/`` replaced.
 
-Each is the earlier per-record code, kept here only to check the scalar
-HMM kernels and the columnar CSV reader and block writers against:
+Each is the earlier per-cycle or per-record code, kept here only to check
+the event-driven simulator, the scalar HMM kernels and the columnar CSV
+reader and block writers against:
 
+- ``simulate_arrays``: one ``TrajectoryDynamics.step_code`` call per cycle.
 - ``smooth`` / ``forward_backward`` / ``viterbi``: numpy 2-vector loops.
 - ``read_dataset_csv``: a ``csv.reader`` row loop.
 - ``write_dataset_csv`` / ``write_decoded_csv``: ``csv.writer`` writers.
@@ -17,6 +19,26 @@ from pathlib import Path
 import numpy as np
 
 from dpqlsim.dataio import DATASET_HEADER, DataFormatError, format_number
+from dpqlsim.trajectory_sim import TrajectoryDynamics
+
+
+def simulate_arrays(config, constants, rng, n_cycles):
+    """(outcomes, ground_labels) int8 arrays, one hidden-state step per cycle."""
+    dyn = TrajectoryDynamics.for_config(config, constants)
+    code = dyn.sample_thermal_code(rng.random())
+    uniforms = rng.random((n_cycles, 4))
+    outcomes = np.empty(n_cycles, dtype=np.int8)
+    labels = np.empty(n_cycles, dtype=np.int8)
+    p_d, p_b = config.detection_fidelity, config.p_bright_noise
+    ground = dyn.ground_code
+    step = dyn.step_code
+    for k in range(n_cycles):
+        u = uniforms[k]
+        code = step(code, u[0], u[1], u[2])
+        in_ground = code == ground
+        labels[k] = in_ground
+        outcomes[k] = u[3] < (p_d if in_ground else p_b)
+    return outcomes, labels
 
 
 def smooth(params, obs):

@@ -169,6 +169,18 @@ class TestSimulate:
             "0682161c783c95143352717daa7109df2910e5a51e1d0ad12997c819cf9a9347"
         )
 
+    @pytest.mark.parametrize("seed, visits", [("416", 5), ("7", 0)])
+    def test_manifest_counts_match_dataset(self, tmp_path, seed, visits):
+        # Seed 416 starts in the ground level, which counts as a visit, and
+        # enters it four more times; seed 7 never visits it.
+        argv = ["simulate", "--paper-defaults", "--hours", "0.01", "--seed", seed]
+        assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+        hidden = [r[3] for r in read_dataset_csv(tmp_path / "dataset.csv")]
+        rises = sum(b == 1 and (k == 0 or hidden[k - 1] == 0) for k, b in enumerate(hidden))
+        assert rises == visits and hidden[0] == (seed == "416")
+        counts = load_manifest(tmp_path)["counts"]
+        assert counts == {"cycles": 900, "ground_cycles": sum(hidden), "ground_visits": visits}
+
     def test_zero_hours_rejected(self, tmp_path, capsys):
         code = main(["simulate", "--hours", "0", "--out", str(tmp_path)])
         assert code == EXIT_USAGE
@@ -350,6 +362,20 @@ class TestAnalyzeHmm:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["n_records"] == 2000
         assert "metrics" not in report
+
+    def test_one_na_label_skips_metrics_and_indices_pass_through(self, sim_dir, tmp_path):
+        # A single NA leaves the whole stream unlabeled; decoded.csv echoes
+        # the file's own indices, which need not count from 0.
+        rows = read_dataset_csv(sim_dir / "dataset.csv")[:2000]
+        shifted = tmp_path / "shifted.csv"
+        write_dataset_csv(
+            shifted, [(i + 7, o, t, None if i == 1234 else h) for i, o, t, h in rows]
+        )
+        assert main(["analyze", str(shifted), "--mode", "hmm", "--out", str(tmp_path)]) == EXIT_OK
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert "metrics" not in report
+        _, decoded = read_csv(tmp_path / "decoded.csv")
+        assert [int(r[0]) for r in decoded] == list(range(7, 2007))
 
     def test_bad_params_file_is_usage_error(self, sim_dir, tmp_path, capsys):
         bad = tmp_path / "bad_params.txt"

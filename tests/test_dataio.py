@@ -183,9 +183,11 @@ _SPECIAL_TIMES = [0.0, -0.0, 0.04, 1e-300, 5e-324, 1e300, math.inf, -math.inf, m
 
 
 @st.composite
-def dataset_texts(draw):
+def dataset_texts(draw, breaks=False):
     """(file text, whether the columnar pass should take it): a random valid
     dataset file with quoted and padded cells, blank lines, CRLF and NA.
+    With ``breaks`` a quoted cell may end in a line break, so its record
+    spans lines; the columnar flag is then not predicted.
 
     Hypothesis draws the shape and the rates; a seeded generator fills the
     cells, which keeps each example cheap to draw.
@@ -193,6 +195,7 @@ def dataset_texts(draw):
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     p_quote, p_pad, p_blank = (draw(st.sampled_from([0.0, 0.1, 0.5])) for _ in range(3))
+    p_break = draw(st.sampled_from([0.1, 0.5])) if breaks else 0.0
     header = draw(st.sampled_from([DATASET_HEADER, ('"index"', " outcome ", "time_s", "hidden\t")]))
     lines = [",".join(header)]
     hidden_padded = False
@@ -215,6 +218,8 @@ def dataset_texts(draw):
                 hidden_padded |= j == 3 and cells[j] != cell
             if rng.random() < p_quote:
                 cells[j] = f'"{cells[j]}"'
+                if p_break and rng.random() < p_break:
+                    cells[j] = cells[j][:-1] + newline * rng.randint(1, 2) + '"'
         lines.append(",".join(cells))
     text = newline.join(lines) + draw(st.sampled_from(["", newline, newline * 2]))
     return text, "\r" not in text and not hidden_padded
@@ -235,6 +240,18 @@ class TestColumnarReaderAgainstOracle:
         path.write_bytes(text.encode())
         assert _same(read_dataset_csv(path), oracles.read_dataset_csv(path))
         assert (dataio._read_table(path, str(path)) is not None) == columnar
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(dataset_texts(breaks=True))
+    def test_records_spanning_lines_read_as_the_oracle(self, tmp_path_factory, case):
+        text, _ = case
+        path = tmp_path_factory.mktemp("d") / "d.csv"
+        path.write_bytes(text.encode())
+        expected = oracles.read_dataset_csv(path)
+        assert _same(read_dataset_csv(path), expected)
+        # The line-by-line parse on its own, whichever path the file takes.
+        rows = dataio._parse_rows(path.read_text(), str(path))
+        assert _same([(*row[:3], None if row[3] < 0 else row[3]) for row in rows], expected)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(dataset_texts(), st.data())
@@ -279,6 +296,10 @@ class TestColumnarReaderAgainstOracle:
             "index,outcome,time_s,hidden\n1_0,1,0.04,NA\n",
             "index,outcome,time_s,hidden\n99999999999999999999,1,1e400,NA\n",
             "\xa0index,outcome,time_s,hidden\n0,1,0.04,1\n",
+            'index,outcome,time_s,hidden\n"0\n",1,0.04, NA\n',
+            'index,outcome,time_s,hidden\n0,1,0.04,"1\n"\n',
+            'index,outcome,time_s,hidden\r\n"0\r\n\r\n",1,0.04, NA\r\n1,0,0.08,1\r\n',
+            'index,outcome,time_s,hidden\n0,1,0.04,"NA\n',
         ],
     )
     def test_edge_files(self, tmp_path, text):
@@ -296,6 +317,9 @@ class TestColumnarReaderAgainstOracle:
             ("index,outcome,time_s,hidden\n0,1,0.04,NA\n1,0,0.08,NA\x1c\n2,2,0.12,NA\n", 4),
             ("index,outcome,time_s,hidden\n0,1,0.04,NAN\n", 2),
             ("index,outcome,time_s,hidden\n0,1,0.04\x1c,NA\n", 2),
+            ('index,outcome,time_s,hidden\n0,1,0.04,"N\nA"\n1,0,0.08,1\n', 2),
+            ('index,outcome,time_s,hidden\n0,1,0.04,a"b\n1,0,0.08,1\n', 2),
+            ('index,outcome,time_s,hidden\n0,1,0.04,"N""A', 2),
         ],
     )
     def test_edge_errors(self, tmp_path, text, line):
@@ -307,6 +331,21 @@ class TestColumnarReaderAgainstOracle:
             read_dataset_csv(path)
         assert err.value.line == expected.value.line == line
         assert str(err.value) == str(expected.value)
+
+    def test_errors_name_the_first_line_of_their_record(self, tmp_path):
+        # csv.reader numbers records, so after a record that spans two lines
+        # the oracle names record 3; the reader names line 4, where it starts.
+        path = tmp_path / "d.csv"
+        path.write_text('index,outcome,time_s,hidden\n"0\n",1,0.04, NA\n1,0,0.08,2\n')
+        with pytest.raises(DataFormatError) as expected:
+            oracles.read_dataset_csv(path)
+        with pytest.raises(DataFormatError) as err:
+            read_dataset_csv(path)
+        assert (expected.value.line, err.value.line) == (3, 4)
+        assert str(err.value) == str(expected.value).replace("line 3", "line 4")
+        path.write_text('index,outcome,time_s,hidden\n"x\n",1,0.04, NA\n')
+        with pytest.raises(DataFormatError, match=r"line 2: malformed row \['x\\n'"):
+            read_dataset_csv(path)
 
 
 _ints = st.integers(-(2**70), 2**70)

@@ -1,12 +1,15 @@
 """Monte Carlo loop: reproducibility, emission branches, state marginals."""
 
 import math
+import random
 from dataclasses import replace
 
 import numpy as np
+import oracles
 import pytest
 from scipy import stats
 
+from dpqlsim import trajectory_sim
 from dpqlsim.bbr_kinetics import build_rate_matrix
 from dpqlsim.dataio import DATASET_HEADER, read_dataset_csv
 from dpqlsim.spectroscopy import (
@@ -413,6 +416,121 @@ class TestReturnChannel:
         se = math.sqrt(expected * (1.0 - expected) / len(back))
         assert 0.35 <= expected <= 0.45
         assert abs(share - expected) <= 3.0 * se
+
+
+def _run_both(config: ExperimentConfig, n: int, seed: int):
+    """(event-driven, per-cycle oracle) results for one seed, plus the next
+    uniform each RNG gives afterwards, which shows the draws consumed."""
+    runs = []
+    for simulate in (trajectory_sim._simulate_arrays, oracles.simulate_arrays):
+        rng = np.random.default_rng(seed)
+        outcomes, labels = simulate(config, CONSTANTS, rng, n)
+        runs.append((outcomes, labels, rng.random()))
+    return runs
+
+
+def _assert_bit_equal(config: ExperimentConfig, n: int, seed: int) -> np.ndarray:
+    (outcomes, labels, after), (outcomes_0, labels_0, after_0) = _run_both(config, n, seed)
+    assert outcomes.dtype == labels.dtype == np.int8
+    assert outcomes.shape == labels.shape == (n,)
+    assert np.array_equal(outcomes, outcomes_0), (config, n, seed)
+    assert np.array_equal(labels, labels_0), (config, n, seed)
+    assert after == after_0
+    return labels
+
+
+class TestEventDrivenAgainstOracle:
+    """The event-driven simulator against the per-cycle loop it replaced."""
+
+    # 64 and 65 sit on the first search window's edge; 4097 crosses the x4
+    # widened windows (64 + 256 + 1024 + 4096) of the slowest levels.
+    LENGTHS = (0, 1, 2, 63, 64, 65, 4097)
+
+    @pytest.mark.parametrize("temperature", [200.0, 300.0, 450.0, 600.0])
+    @pytest.mark.parametrize("collision_rate", [0.0, 0.008, 1e3])
+    def test_lengths_temperatures_and_collision_rates(self, temperature, collision_rate):
+        config = ExperimentConfig(temperature=temperature, collision_rate=collision_rate)
+        seeds = random.Random(f"{temperature}/{collision_rate}")
+        for n in self.LENGTHS:
+            for _ in range(3):
+                _assert_bit_equal(config, n, seeds.randrange(2**63))
+
+    def test_collision_every_cycle(self):
+        # At 1e3 /s a 40 ms cycle is a collision but for e^-40: every cycle
+        # is an event, and the ground level is resampled about once in 250.
+        config = ExperimentConfig(collision_rate=1e3)
+        assert TrajectoryDynamics.for_config(config).collision_prob == 1.0
+        labels = _assert_bit_equal(config, 4097, 5)
+        assert labels.any()
+
+    @pytest.mark.parametrize("detection_fidelity", [0.0, 1.0])
+    @pytest.mark.parametrize("p_bright_noise", [0.0, 1.0])
+    @pytest.mark.parametrize("collision_rate", [0.008, 1e3])
+    def test_emission_extremes(self, detection_fidelity, p_bright_noise, collision_rate):
+        config = ExperimentConfig(detection_fidelity=detection_fidelity,
+                                  p_bright_noise=p_bright_noise, collision_rate=collision_rate)
+        seeds = random.Random(f"{detection_fidelity}/{p_bright_noise}/{collision_rate}")
+        for n in (1, 65, 4097):
+            _assert_bit_equal(config, n, seeds.randrange(2**63))
+
+    @pytest.mark.parametrize("temperature", [300.0, 450.0, 600.0])
+    def test_long_streams(self, temperature):
+        # Half an hour holds hundreds of jumps; at 1 /s collisions also cut
+        # most search windows short and make ground visits common.
+        seeds = random.Random(f"long/{temperature}")
+        visits = 0
+        for collision_rate in (0.008, 1.0):
+            config = ExperimentConfig(temperature=temperature, collision_rate=collision_rate)
+            for _ in range(2):
+                labels = _assert_bit_equal(config, 45000, seeds.randrange(2**63))
+                visits += int(np.count_nonzero(np.diff(labels, prepend=0) == 1))
+        assert visits > 0
+
+    @pytest.mark.parametrize(
+        "temperature, collision_rate", [(300.0, 0.008), (300.0, 1.0), (600.0, 0.0), (600.0, 10.0)]
+    )
+    def test_watched_levels(self, monkeypatch, temperature, collision_rate):
+        # The labels show only the rarely occupied ground level, so an event
+        # taken at the wrong cycle elsewhere would mostly go unseen.  Both
+        # simulators read the cached tables' ground_code: relabelling busy
+        # levels as ground in turn makes every event into or out of them show.
+        config = ExperimentConfig(temperature=temperature, collision_rate=collision_rate)
+        dyn = TrajectoryDynamics.for_config(config, CONSTANTS)
+        by_weight = np.argsort(-np.diff(dyn.thermal_cum, prepend=0.0)).tolist()
+        radiative = [c for c in by_weight if dyn.jump_cum[c] is not None][:5]
+        collisional = [c for c in by_weight if dyn.jump_cum[c] is None][:1]
+        seeds = random.Random(f"watched/{temperature}/{collision_rate}")
+        watched_cycles = 0
+        for code in radiative + collisional:
+            monkeypatch.setattr(dyn, "ground_code", code)
+            for n in (1, 2, 65, 20000, 20000, 20000):
+                watched_cycles += int(_assert_bit_equal(config, n, seeds.randrange(2**63)).sum())
+        assert watched_cycles > 1000
+
+    def test_event_on_the_last_cycle(self, monkeypatch):
+        # At 1e3 /s every cycle, the last one included, is a collision; watch
+        # the most populated level (2.3 % at 300 K) so that some of many
+        # one- and two-cycle streams end by entering it.
+        config = ExperimentConfig(collision_rate=1e3)
+        dyn = TrajectoryDynamics.for_config(config, CONSTANTS)
+        busiest = int(np.argmax(np.diff(dyn.thermal_cum, prepend=0.0)))
+        monkeypatch.setattr(dyn, "ground_code", busiest)
+        ends = [_assert_bit_equal(config, n, seed)[-1] for seed in range(300) for n in (1, 2)]
+        assert sum(ends) > 0
+
+    def test_duration_cap_and_ensemble(self, monkeypatch):
+        capped = ExperimentConfig(rng_seed=17, trial_duration_cap=123.45, temperature=450.0)
+        ensemble = ExperimentConfig(rng_seed=18, temperature=450.0)
+        new_trial = simulate_trial(capped)
+        new_fractions = ensemble_ground_occupancy(ensemble, 4, 0.25)
+        monkeypatch.setattr(trajectory_sim, "_simulate_arrays", oracles.simulate_arrays)
+        old_trial = simulate_trial(capped)
+        old_fractions = ensemble_ground_occupancy(ensemble, 4, 0.25)
+        assert new_trial.outcome.size == 3086  # cycles ending within 123.45 s
+        assert np.array_equal(new_trial.outcome, old_trial.outcome)
+        assert np.array_equal(new_trial.hidden, old_trial.hidden)
+        assert np.array_equal(new_fractions, old_fractions)
+        assert new_fractions.dtype == np.float64
 
 
 class TestEnsemble:
