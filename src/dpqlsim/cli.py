@@ -11,10 +11,11 @@ sweep      trap-frequency sweep transfer map and high-fidelity window
 Every command writes flat CSV/JSON files into --out plus a manifest.json
 recording the command line, the full config snapshot, the seed, the tool
 version, and a sha256 digest of every output, so a rerun can be checked
-for byte-identical results.  Exit codes: 0 success, 2 usage or config
-errors, 3 data-format errors (a dataset with no records is one), 4
-numerical failures.  JSON files are strict RFC 8259: an infinite run
-z-score is written as null.
+for byte-identical results.  Each ``cmd_*`` function returns its outputs
+and its added manifest fields (``simulate`` adds ``counts``).  Exit codes:
+0 success, 2 usage or config errors, 3 data-format errors (a dataset with
+no records is one), 4 numerical failures.  JSON files are strict RFC 8259:
+an infinite run z-score is written as null.
 """
 
 from __future__ import annotations
@@ -157,7 +158,7 @@ def _write_manifest(
 
 def cmd_thermal(
     constants: MolecularConstants, temperatures: Sequence[float], out_dir: Path
-) -> dict[str, Path]:
+) -> tuple[dict[str, Path], dict[str, object]]:
     """Thermal population table: one row per level, one column per T."""
     if not temperatures:
         raise UsageError("thermal needs at least one --temperature")
@@ -175,12 +176,12 @@ def cmd_thermal(
     write_table(path, header, rows)
     for T, d in zip(temperatures, dists):
         print(f"T={T:g} K: P(ground rotational) = {d.probability(ROT_GROUND):.6f}")
-    return {"thermal_populations.csv": path}
+    return {"thermal_populations.csv": path}, {}
 
 
 def cmd_lifetime(
     constants: MolecularConstants, temperatures: Sequence[float], out_dir: Path
-) -> dict[str, Path]:
+) -> tuple[dict[str, Path], dict[str, object]]:
     """Residence lifetime and thermal occupancy across temperatures."""
     if len(temperatures) == 0:
         raise UsageError("lifetime needs a nonempty temperature range")
@@ -193,7 +194,7 @@ def cmd_lifetime(
     )
     for T, tau, pop in rows:
         print(f"T={T:g} K: lifetime = {tau:.3f} s, thermal ground population = {pop:.6f}")
-    return {"lifetime_vs_temperature.csv": path}
+    return {"lifetime_vs_temperature.csv": path}, {}
 
 
 def cmd_simulate(
@@ -202,7 +203,7 @@ def cmd_simulate(
     hours: float,
     out_dir: Path,
 ) -> tuple[dict[str, Path], dict[str, object]]:
-    """Labeled Monte Carlo stream over ``hours``; returns outputs and manifest counts."""
+    """Labeled Monte Carlo stream covering ``hours`` of wall-clock time."""
     if not hours > 0.0:
         raise UsageError(f"--hours must be positive, got {hours!r}")
     cap = config.trial_duration_cap
@@ -246,7 +247,7 @@ def cmd_analyze(
     *,
     params_path: str | Path | None = None,
     window: int = 20,
-) -> dict[str, Path]:
+) -> tuple[dict[str, Path], dict[str, object]]:
     """Analyze a measurement stream: histogram, run test, or HMM decode."""
     index, outcomes, _, hidden = _read_columns(dataset_path)
     if not outcomes.size:
@@ -343,7 +344,7 @@ def cmd_analyze(
     report_path = out_dir / "report.json"
     report_path.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
     outputs["report.json"] = report_path
-    return outputs
+    return outputs, {}
 
 
 def cmd_sweep(
@@ -352,7 +353,7 @@ def cmd_sweep(
     out_dir: Path,
     *,
     threshold: float = 0.99,
-) -> dict[str, Path]:
+) -> tuple[dict[str, Path], dict[str, object]]:
     """Transfer map over molecular frequencies plus the window report."""
     window_map = transfer_window_map(cfg, omega_mol_values, threshold=threshold)
     path = out_dir / "transfer_map.csv"
@@ -375,7 +376,7 @@ def cmd_sweep(
     else:
         lo, hi = (w / _TWO_PI / 1e3 for w in window_map.window)
         print(f"transfer > {threshold:g} window: [{lo:.1f}, {hi:.1f}] kHz")
-    return {"transfer_map.csv": path, "report.json": report_path}
+    return {"transfer_map.csv": path, "report.json": report_path}, {}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -445,20 +446,19 @@ def _run(args: argparse.Namespace, argv: Sequence[str]) -> int:
     if getattr(args, "temperature", None) is not None and args.command == "simulate":
         config = replace(config, temperature=args.temperature)
     out_dir = _ensure_out(args.out)
-    extra = None
 
     if args.command == "thermal":
         temperatures = args.temperature or [config.temperature]
-        outputs = cmd_thermal(constants, temperatures, out_dir)
+        outputs, extra = cmd_thermal(constants, temperatures, out_dir)
     elif args.command == "lifetime":
         if args.t_points < 1 or args.t_min <= 0 or args.t_max < args.t_min:
             raise UsageError("lifetime needs t-min > 0, t-max >= t-min, t-points >= 1")
         temperatures = np.linspace(args.t_min, args.t_max, args.t_points)
-        outputs = cmd_lifetime(constants, temperatures, out_dir)
+        outputs, extra = cmd_lifetime(constants, temperatures, out_dir)
     elif args.command == "simulate":
         outputs, extra = cmd_simulate(constants, config, args.hours, out_dir)
     elif args.command == "analyze":
-        outputs = cmd_analyze(
+        outputs, extra = cmd_analyze(
             constants,
             config,
             args.dataset,
@@ -474,7 +474,7 @@ def _run(args: argparse.Namespace, argv: Sequence[str]) -> int:
             args.omega_min_khz, args.omega_max_khz, args.omega_points
         )
         sweep_cfg = SweepConfig(g_q=constants.g_q_ground)
-        outputs = cmd_sweep(sweep_cfg, grid, out_dir, threshold=args.threshold)
+        outputs, extra = cmd_sweep(sweep_cfg, grid, out_dir, threshold=args.threshold)
     else:  # pragma: no cover - argparse enforces the choices
         raise UsageError(f"unknown command {args.command!r}")
 

@@ -157,7 +157,7 @@ _HIDDEN = {"0": 0, "1": 1, "NA": -1}  # hidden cell -> column code
 # when int() / float() would, to the same value.
 _SAFE = b'0123456789eE+-.naiftyNAIFTY", \t\n'
 # One cell; group 2 holds a quoted cell's closing quote, empty if the text ends first.
-_CELL = re.compile(r'(?:^|,)(?:"((?:[^"]|"")*+)("?)([^,]*)|([^,]*))')
+_CELL = re.compile(r'(?:^|,)(?:"((?:[^"]|"")*)("?)([^,]*)|([^,]*))')
 _BLOCK_ROWS = 1 << 14  # rows converted, or formatted and written, per block
 
 
@@ -180,16 +180,19 @@ def _check_header(line: str, source: str) -> None:
         )
 
 
-def _parse_rows(text: str, source: str) -> list[tuple[int, int, float, int]]:
+def _parse_rows(text: str, source: str) -> tuple[np.ndarray, ...]:
     """Line-by-line parse naming the first line of a malformed record (the header is 1)."""
     head, _, body = text.partition("\n")
     _check_header(head, source)
-    rows = []
+    columns = [], [], [], []  # index, outcome, time_s, hidden
     lines = enumerate(body.split("\n"), start=2)
     for lineno, line in lines:
-        # a record whose last quoted cell is left open runs on, as csv reads it
-        while '"' in line and [*_CELL.finditer(line)][-1][2] == "" and (more := next(lines, None)):
+        # A record whose last quoted cell is left open runs on, as csv reads
+        # it.  Each line is scanned once: a quote reopens the cell before it.
+        tail = line
+        while '"' in tail and [*_CELL.finditer(tail)][-1][2] == "" and (more := next(lines, None)):
             line += "\n" + more[1]
+            tail = '"' + more[1]
         if not line:
             continue
         row = _cells(line)
@@ -206,10 +209,12 @@ def _parse_rows(text: str, source: str) -> list[tuple[int, int, float, int]]:
         elif values[3] is None:
             error = f"hidden must be 0, 1 or NA, got {row[3].strip()!r}"
         else:
-            rows.append(values)
+            for column, value in zip(columns, values):
+                column.append(value)
             continue
         raise DataFormatError(error, source=source, line=lineno)
-    return rows
+    # object indices: the line parse takes integers beyond int64
+    return tuple(map(np.array, columns, (object, np.int8, float, np.int8)))
 
 
 def _read_table(path: Path, source: str) -> np.ndarray | None:
@@ -240,17 +245,11 @@ def _read_table(path: Path, source: str) -> np.ndarray | None:
 
 
 def _read_columns(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A dataset file's (index, outcome, time_s, hidden) columns; NA reads as -1.
-
-    A file the columnar pass does not take is read again line by line.
-    """
+    """A dataset file's (index, outcome, time_s, hidden) columns; NA reads as -1."""
     path = Path(path)
     table = _read_table(path, str(path))
     if table is None:
-        # object indices: the line parse takes integers beyond int64
-        rows = np.array(_parse_rows(path.read_text(), str(path)), dtype=object).reshape(-1, 4)
-        index, outcome, time_s, hidden = rows.T
-        return index, outcome.astype(np.int8), time_s.astype(float), hidden.astype(np.int8)
+        return _parse_rows(path.read_text(), str(path))
     hidden = np.select([table["hidden"] == "1", table["hidden"] == "NA"], [1, -1]).astype(np.int8)
     return table["index"].copy(), table["outcome"].copy(), table["time_s"].copy(), hidden
 

@@ -379,8 +379,13 @@ def ensemble_ground_occupancy(
         raise ValueError("n_trials must be >= 1")
     constants = constants or MolecularConstants()
     n_cycles = int(round(hours * 3600.0 / config.cycle))
-    rngs = map(np.random.default_rng, np.random.SeedSequence(config.rng_seed).spawn(n_trials))
-    return np.array([_simulate_arrays(config, constants, rng, n_cycles)[1].mean() for rng in rngs])
+    children = np.random.SeedSequence(config.rng_seed).spawn(n_trials)
+    fractions = np.empty(n_trials)
+    for i, child in enumerate(children):
+        rng = np.random.default_rng(child)
+        _, labels = _simulate_arrays(config, constants, rng, n_cycles)
+        fractions[i] = labels.mean()
+    return fractions
 
 
 def bin_series(values: Sequence[int] | np.ndarray, window: int = 20) -> np.ndarray:

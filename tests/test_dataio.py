@@ -4,6 +4,7 @@ import csv
 import hashlib
 import math
 import random
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,8 +251,9 @@ class TestColumnarReaderAgainstOracle:
         expected = oracles.read_dataset_csv(path)
         assert _same(read_dataset_csv(path), expected)
         # The line-by-line parse on its own, whichever path the file takes.
-        rows = dataio._parse_rows(path.read_text(), str(path))
-        assert _same([(*row[:3], None if row[3] < 0 else row[3]) for row in rows], expected)
+        index, outcome, time_s, hidden = dataio._parse_rows(path.read_text(), str(path))
+        hidden = [None if h < 0 else h for h in hidden.tolist()]
+        assert _same(list(zip(index.tolist(), outcome.tolist(), time_s.tolist(), hidden)), expected)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(dataset_texts(), st.data())
@@ -300,6 +302,7 @@ class TestColumnarReaderAgainstOracle:
             'index,outcome,time_s,hidden\n0,1,0.04,"1\n"\n',
             'index,outcome,time_s,hidden\r\n"0\r\n\r\n",1,0.04, NA\r\n1,0,0.08,1\r\n',
             'index,outcome,time_s,hidden\n0,1,0.04,"NA\n',
+            'index,outcome,time_s,hidden\n"0\n","1\n"," 0.04\n\n",NA\n1,0,0.08,1\n',
         ],
     )
     def test_edge_files(self, tmp_path, text):
@@ -320,6 +323,7 @@ class TestColumnarReaderAgainstOracle:
             ('index,outcome,time_s,hidden\n0,1,0.04,"N\nA"\n1,0,0.08,1\n', 2),
             ('index,outcome,time_s,hidden\n0,1,0.04,a"b\n1,0,0.08,1\n', 2),
             ('index,outcome,time_s,hidden\n0,1,0.04,"N""A', 2),
+            ('index,outcome,time_s,hidden\n"0\n"  ,1,0.04,"N""\n"\n', 2),
         ],
     )
     def test_edge_errors(self, tmp_path, text, line):
@@ -346,6 +350,17 @@ class TestColumnarReaderAgainstOracle:
         path.write_text('index,outcome,time_s,hidden\n"x\n",1,0.04, NA\n')
         with pytest.raises(DataFormatError, match=r"line 2: malformed row \['x\\n'"):
             read_dataset_csv(path)
+
+    def test_unclosed_quote_is_reported_in_linear_time(self, tmp_path):
+        # The open cell takes in every later line, each of which is scanned
+        # once; a rescan of the joined record per line would take minutes.
+        path = tmp_path / "d.csv"
+        body = "".join(f"{k},0,{0.04 * k:.2f},0\n" for k in range(1, 20001))
+        path.write_text('index,outcome,time_s,hidden\n0,1,0.04,"NA\n' + body)
+        start = time.perf_counter()
+        with pytest.raises(DataFormatError, match="line 2: hidden must be 0, 1 or NA"):
+            read_dataset_csv(path)
+        assert time.perf_counter() - start < 5.0
 
 
 _ints = st.integers(-(2**70), 2**70)
