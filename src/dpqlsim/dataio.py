@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import re
 import warnings
 from dataclasses import fields
 from itertools import islice, starmap
@@ -156,22 +155,10 @@ _HIDDEN = {"0": 0, "1": 1, "NA": -1}  # hidden cell -> column code
 # np.loadtxt splits quoted cells as csv does and converts a cell exactly
 # when int() / float() would, to the same value.
 _SAFE = b'0123456789eE+-.naiftyNAIFTY", \t\n'
-# One cell; group 2 holds a quoted cell's closing quote, empty if the text ends first.
-_CELL = re.compile(r'(?:^|,)(?:"((?:[^"]|"")*)("?)([^,]*)|([^,]*))')
 _BLOCK_ROWS = 1 << 14  # rows converted, or formatted and written, per block
 
 
-def _cells(line: str) -> list[str]:
-    """One CSV record split as the csv module's default dialect splits it."""
-    if '"' not in line:
-        return line.split(",")
-    return [
-        m[4] if m[1] is None else m[1].replace('""', '"') + m[3] for m in _CELL.finditer(line)
-    ]
-
-
-def _check_header(line: str, source: str) -> None:
-    header = _cells(line)
+def _check_header(header: list[str], source: str) -> None:
     if tuple(h.strip() for h in header) != DATASET_HEADER:
         raise DataFormatError(
             f"expected header {','.join(DATASET_HEADER)!r}, got {','.join(header)!r}",
@@ -180,40 +167,39 @@ def _check_header(line: str, source: str) -> None:
         )
 
 
-def _parse_rows(text: str, source: str) -> tuple[np.ndarray, ...]:
-    """Line-by-line parse naming the first line of a malformed record (the header is 1)."""
-    head, _, body = text.partition("\n")
-    _check_header(head, source)
+def _parse_rows(path: Path, source: str) -> tuple[np.ndarray, ...]:
+    """``csv.reader`` parse naming the first line of a bad record (the header is 1)."""
     columns = [], [], [], []  # index, outcome, time_s, hidden
-    lines = enumerate(body.split("\n"), start=2)
-    for lineno, line in lines:
-        # A record whose last quoted cell is left open runs on, as csv reads
-        # it.  Each line is scanned once: a quote reopens the cell before it.
-        tail = line
-        while '"' in tail and [*_CELL.finditer(tail)][-1][2] == "" and (more := next(lines, None)):
-            line += "\n" + more[1]
-            tail = '"' + more[1]
-        if not line:
-            continue
-        row = _cells(line)
+    start = 1  # first line of the record being read
+    with path.open(newline="") as fh:
+        reader = csv.reader(fh)
         try:
-            values = int(row[0]), int(row[1]), float(row[2]), _HIDDEN.get(row[3].strip())
-        except (ValueError, IndexError):
-            values = None
-        if len(row) != 4:
-            error = f"expected 4 columns, got {len(row)}"
-        elif values is None:
-            error = f"malformed row {row!r}"
-        elif values[1] not in (0, 1):
-            error = f"outcome must be 0 or 1, got {row[1]!r}"
-        elif values[3] is None:
-            error = f"hidden must be 0, 1 or NA, got {row[3].strip()!r}"
-        else:
-            for column, value in zip(columns, values):
-                column.append(value)
-            continue
-        raise DataFormatError(error, source=source, line=lineno)
-    # object indices: the line parse takes integers beyond int64
+            _check_header(next(reader, []), source)
+            start = reader.line_num + 1
+            for row in reader:
+                lineno, start = start, reader.line_num + 1
+                if not row:
+                    continue
+                try:
+                    values = int(row[0]), int(row[1]), float(row[2]), _HIDDEN.get(row[3].strip())
+                except (ValueError, IndexError):
+                    values = None
+                if len(row) != 4:
+                    error = f"expected 4 columns, got {len(row)}"
+                elif values is None:
+                    error = f"malformed row {row!r}"
+                elif values[1] not in (0, 1):
+                    error = f"outcome must be 0 or 1, got {row[1]!r}"
+                elif values[3] is None:
+                    error = f"hidden must be 0, 1 or NA, got {row[3].strip()!r}"
+                else:
+                    for column, value in zip(columns, values):
+                        column.append(value)
+                    continue
+                raise DataFormatError(error, source=source, line=lineno)
+        except csv.Error as exc:
+            raise DataFormatError(str(exc), source=source, line=start) from None
+    # object indices: the parse takes integers beyond int64
     return tuple(map(np.array, columns, (object, np.int8, float, np.int8)))
 
 
@@ -221,8 +207,9 @@ def _read_table(path: Path, source: str) -> np.ndarray | None:
     """Check the header, then parse the body in one columnar pass.
 
     Returns None when that pass does not take the file: a CR, a non-ASCII
-    header, a body character outside the safe set, a malformed row or
-    padding around ``hidden``.
+    header or one longer than csv's field limit, a body character outside
+    the safe set, a malformed row or padding around ``hidden``.  The stdlib
+    ``csv`` reader then parses it, naming the first line of a bad record.
     """
     raw = path.read_bytes()
     if not raw:
@@ -230,9 +217,9 @@ def _read_table(path: Path, source: str) -> np.ndarray | None:
     fh = io.BytesIO(raw)
     head = fh.readline()
     unsafe = len(raw.translate(None, _SAFE)) - len(head.translate(None, _SAFE))
-    if unsafe or b"\r" in raw or not head.isascii():
+    if unsafe or b"\r" in raw or not head.isascii() or len(head) > csv.field_size_limit():
         return None
-    _check_header(head.decode().rstrip("\n"), source)
+    _check_header(next(csv.reader([head.decode()]), []), source)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # a body without rows warns
         try:
@@ -249,7 +236,7 @@ def _read_columns(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     path = Path(path)
     table = _read_table(path, str(path))
     if table is None:
-        return _parse_rows(path.read_text(), str(path))
+        return _parse_rows(path, str(path))
     hidden = np.select([table["hidden"] == "1", table["hidden"] == "NA"], [1, -1]).astype(np.int8)
     return table["index"].copy(), table["outcome"].copy(), table["time_s"].copy(), hidden
 
@@ -258,7 +245,9 @@ def read_dataset_csv(path: str | Path) -> list[tuple[int, int, float, int | None
     """Read a measurement stream; returns (index, outcome, time_s, hidden) rows.
 
     Cells may be quoted or padded, blank lines are skipped and ``hidden`` is
-    None for NA.  Malformed content, including a bad header, raises
+    None for NA.  A file the columnar pass declines is parsed by the stdlib
+    ``csv`` reader, naming the first line of a bad record.  Malformed
+    content, including a bad header or a csv error, raises
     :class:`DataFormatError` with the offending line number.
     """
     columns = _read_columns(path)

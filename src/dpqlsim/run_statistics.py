@@ -7,14 +7,12 @@ geometric number of cycles, and emits darks at the detection fidelity
 while present and at the noise floor afterwards.
 
 Significance of an observed run of consecutive darks uses the exact
-distribution of the longest success run in independent Bernoulli trials.
-The production path is a run-length automaton raised to the n-th power
-(exact at any practical n), or for long runs the closed form of the union
-bound over where the run starts; a counting recursion over strings with a
-bounded run is kept as an independent cross-check.  Exceedance
-probabilities are carried as logarithms, so a p-value below the float
-range still gives a finite one-sided Gaussian sigma through the inverse
-normal quantile of its logarithm.
+distribution of the longest success run in independent Bernoulli trials:
+a run-length automaton raised to the n-th power (exact at any practical
+n), or for long runs the closed form of the union bound over where the
+run starts.  Exceedance probabilities are carried as logarithms, so a
+p-value below the float range still gives a finite one-sided Gaussian
+sigma through the inverse normal quantile of its logarithm.
 """
 
 from __future__ import annotations
@@ -238,48 +236,14 @@ def _log_exceedance(n: int, x: int, p_dark: float) -> float:
     return min(log_tail + log_mass, 0.0)  # rounding may pass 1
 
 
-def _recursion_counts(n: int, x: int) -> list[list[int]]:
-    # counts[m][k]: length-m strings with k darks and no dark run longer
-    # than x, built by conditioning on the leading run (j darks, then a
-    # bright, then any admissible remainder).  Exact integers throughout.
-    counts = [[0] * (n + 1) for _ in range(n + 1)]
-    for m in range(n + 1):
-        for k in range(m + 1):
-            if m == k:
-                counts[m][k] = 1 if m <= x else 0
-                continue
-            total = 0
-            for j in range(min(x, k) + 1):
-                total += counts[m - 1 - j][k - j]
-            counts[m][k] = total
-    return counts
-
-
-def _recursion_cdf(n: int, x: int, p_dark: float) -> float:
-    counts = _recursion_counts(n, x)
-    q = 1.0 - p_dark
-    total = 0.0
-    for k in range(n + 1):
-        count = counts[n][k]
-        if count:
-            total += float(count) * p_dark**k * q ** (n - k)
-    return total
-
-
-def longest_run_cdf(n: int, x: int, p_dark: float, *, method: str = "automaton") -> float:
+def longest_run_cdf(n: int, x: int, p_dark: float) -> float:
     """P(longest dark run in n Bernoulli trials is <= x).
 
-    ``method='automaton'`` is the production path, the complement of the
-    same log-space exceedance that :func:`significance` uses; ``'recursion'``
-    is the exact-integer counting cross-check and is practical for n up to a
-    few hundred.
+    The complement of the same log-space exceedance that
+    :func:`significance` uses.
     """
     _check_run_args(n, x, p_dark)
-    if method == "automaton":
-        return -math.expm1(_log_exceedance(n, x, p_dark))
-    if method == "recursion":
-        return _recursion_cdf(n, x, p_dark)
-    raise ValueError(f"method must be 'automaton' or 'recursion', got {method!r}")
+    return -math.expm1(_log_exceedance(n, x, p_dark))
 
 
 def p_value(n: int, x: int, p_dark: float) -> float:

@@ -342,15 +342,7 @@ def manifold_population(
     ``manifold_population(c, T, v=0, two_omega=3) / manifold_population(c,
     T, v=0)``.
     """
-    _check_temperature(T)
-    states, energies, weights = _level_table(c)
-    mask = np.ones(len(states), dtype=bool)
-    if v is not None:
-        mask &= np.array([s.v == v for s in states])
-    if two_omega is not None:
-        mask &= np.array([s.two_omega == two_omega for s in states])
-    boltz = weights * np.exp(-energies / (KB_CM * T))
-    return float(boltz[mask].sum() / boltz.sum())
+    return thermal_distribution(c, T).marginal(v=v, two_omega=two_omega)
 
 
 def thermal_distribution(c: MolecularConstants, T: float) -> StateDistribution:

@@ -8,6 +8,8 @@ reader and block writers against:
 - ``smooth`` / ``forward_backward`` / ``viterbi``: numpy 2-vector loops.
 - ``read_dataset_csv``: a ``csv.reader`` row loop.
 - ``write_dataset_csv`` / ``write_decoded_csv``: ``csv.writer`` writers.
+- ``longest_run_cdf``: an exact-integer count of strings with a bounded
+  dark run, practical for n up to a few hundred.
 """
 
 from __future__ import annotations
@@ -171,3 +173,32 @@ def write_decoded_csv(path, observations, decoded, *, indices=None):
             for i, o, s, p in zip(idx, obs, decoded.states, decoded.posteriors)
         ),
     )
+
+
+def _recursion_counts(n, x):
+    # counts[m][k]: length-m strings with k darks and no dark run longer
+    # than x, built by conditioning on the leading run (j darks, then a
+    # bright, then any admissible remainder).  Exact integers throughout.
+    counts = [[0] * (n + 1) for _ in range(n + 1)]
+    for m in range(n + 1):
+        for k in range(m + 1):
+            if m == k:
+                counts[m][k] = 1 if m <= x else 0
+                continue
+            total = 0
+            for j in range(min(x, k) + 1):
+                total += counts[m - 1 - j][k - j]
+            counts[m][k] = total
+    return counts
+
+
+def longest_run_cdf(n, x, p_dark):
+    """P(longest dark run in n Bernoulli trials is <= x) from the exact counts."""
+    counts = _recursion_counts(n, x)
+    q = 1.0 - p_dark
+    total = 0.0
+    for k in range(n + 1):
+        count = counts[n][k]
+        if count:
+            total += float(count) * p_dark**k * q ** (n - k)
+    return total

@@ -17,6 +17,7 @@ import time
 from dataclasses import replace
 
 import numpy as np
+import oracles
 import pytest
 from conftest import record_acceptance
 
@@ -234,10 +235,7 @@ def test_criterion_6_run_statistics():
         for n, x, p in [(12, 4, 0.03), (10, 2, 0.1), (9, 3, 0.5)]
     )
     method_dev = max(
-        abs(
-            longest_run_cdf(n, x, 0.03, method="recursion")
-            - longest_run_cdf(n, x, 0.03, method="automaton")
-        )
+        abs(oracles.longest_run_cdf(n, x, 0.03) - longest_run_cdf(n, x, 0.03))
         for n in (50, 125, 200)
         for x in (1, 3, 6)
     )

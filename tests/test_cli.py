@@ -406,6 +406,15 @@ class TestAnalyzeErrors:
         assert code == EXIT_DATA
         assert "error:" in capsys.readouterr().err
 
+    def test_csv_error_is_data_error(self, tmp_path, capsys):
+        # An unclosed quote takes in the rest of the file, past csv's field limit.
+        bad = tmp_path / "bad.csv"
+        body = "".join(f"{k},0,{0.04 * k:.2f},0\n" for k in range(1, 20001))
+        bad.write_text('index,outcome,time_s,hidden\n0,1,0.04,"NA\n' + body)
+        code = main(["analyze", str(bad), "--mode", "runs", "--out", str(tmp_path)])
+        assert code == EXIT_DATA
+        assert "error:" in capsys.readouterr().err
+
     @pytest.mark.parametrize("mode", ["bins", "runs", "hmm"])
     def test_stream_without_records_is_data_error(self, tmp_path, capsys, mode):
         data = tmp_path / "dataset.csv"

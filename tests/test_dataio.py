@@ -250,8 +250,8 @@ class TestColumnarReaderAgainstOracle:
         path.write_bytes(text.encode())
         expected = oracles.read_dataset_csv(path)
         assert _same(read_dataset_csv(path), expected)
-        # The line-by-line parse on its own, whichever path the file takes.
-        index, outcome, time_s, hidden = dataio._parse_rows(path.read_text(), str(path))
+        # The csv.reader parse on its own, whichever path the file takes.
+        index, outcome, time_s, hidden = dataio._parse_rows(path, str(path))
         hidden = [None if h < 0 else h for h in hidden.tolist()]
         assert _same(list(zip(index.tolist(), outcome.tolist(), time_s.tolist(), hidden)), expected)
 
@@ -324,6 +324,7 @@ class TestColumnarReaderAgainstOracle:
             ('index,outcome,time_s,hidden\n0,1,0.04,a"b\n1,0,0.08,1\n', 2),
             ('index,outcome,time_s,hidden\n0,1,0.04,"N""A', 2),
             ('index,outcome,time_s,hidden\n"0\n"  ,1,0.04,"N""\n"\n', 2),
+            ('index,outcome,time_s,hidden\r\n"x\r\n",1,0.04,NA\r\n', 2),
         ],
     )
     def test_edge_errors(self, tmp_path, text, line):
@@ -352,15 +353,24 @@ class TestColumnarReaderAgainstOracle:
             read_dataset_csv(path)
 
     def test_unclosed_quote_is_reported_in_linear_time(self, tmp_path):
-        # The open cell takes in every later line, each of which is scanned
-        # once; a rescan of the joined record per line would take minutes.
+        # The open cell takes in every later line until it passes csv's
+        # field limit, where the oracle itself raises csv.Error.
         path = tmp_path / "d.csv"
         body = "".join(f"{k},0,{0.04 * k:.2f},0\n" for k in range(1, 20001))
         path.write_text('index,outcome,time_s,hidden\n0,1,0.04,"NA\n' + body)
+        with pytest.raises(csv.Error):
+            oracles.read_dataset_csv(path)
         start = time.perf_counter()
-        with pytest.raises(DataFormatError, match="line 2: hidden must be 0, 1 or NA"):
+        with pytest.raises(DataFormatError) as err:
             read_dataset_csv(path)
         assert time.perf_counter() - start < 5.0
+        assert str(err.value) == f"{path}: line 2: field larger than field limit (131072)"
+
+    def test_header_past_the_field_limit_is_a_data_format_error(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x" * 200000 + "\n0,1,0.04,NA\n")
+        with pytest.raises(DataFormatError, match=r"line 1: field larger than field limit"):
+            read_dataset_csv(path)
 
 
 _ints = st.integers(-(2**70), 2**70)

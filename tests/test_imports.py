@@ -1,10 +1,12 @@
-"""Import footprint of the command line tool and its literal constants."""
+"""Import footprint of the command line tool, its literal constants and its syntax."""
 
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 import scipy.constants
 
 import dpqlsim
@@ -27,6 +29,14 @@ def test_cli_import_leaves_heavy_scipy_modules_out():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == ""
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(dpqlsim.__file__).parent.glob("*.py")), ids=lambda p: p.name
+)
+def test_sources_parse_as_python_3_10(path):
+    # pyproject.toml declares Python >= 3.10; a 3.11-only construct fails here.
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
 
 
 def test_si_literals_equal_scipy_constants():

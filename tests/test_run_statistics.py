@@ -4,6 +4,7 @@ import itertools
 import math
 
 import numpy as np
+import oracles
 import pytest
 from scipy.special import erfc, ndtri_exp
 from scipy.stats import binom
@@ -163,15 +164,13 @@ class TestLongestRunCdf:
         for n, x, p in [(8, 2, 0.3), (10, 0, 0.1), (12, 4, 0.5), (9, 3, 0.03)]:
             exact = brute_force_run_cdf(n, x, p)
             assert longest_run_cdf(n, x, p) == pytest.approx(exact, abs=1e-12)
-            assert longest_run_cdf(n, x, p, method="recursion") == pytest.approx(
-                exact, abs=1e-12
-            )
+            assert oracles.longest_run_cdf(n, x, p) == pytest.approx(exact, abs=1e-12)
 
     def test_automaton_matches_recursion_at_scale(self):
         for n in (50, 117, 200):
             for x in (1, 3, 6):
                 a = longest_run_cdf(n, x, 0.03)
-                r = longest_run_cdf(n, x, 0.03, method="recursion")
+                r = oracles.longest_run_cdf(n, x, 0.03)
                 assert a == pytest.approx(r, abs=1e-12)
 
     def test_edge_cases(self):
@@ -197,8 +196,6 @@ class TestLongestRunCdf:
             longest_run_cdf(-1, 0, 0.3)
         with pytest.raises(ValueError):
             longest_run_cdf(5, 2, 1.5)
-        with pytest.raises(ValueError):
-            longest_run_cdf(5, 2, 0.3, method="guess")
 
 
 class TestGaussianConversion:
