@@ -18,8 +18,6 @@ from .spectroscopy import (
     MolecularConstants,
     RoVibState,
     StateDistribution,
-    constants_from_config,
-    constants_to_config,
     degeneracy,
     enumerate_levels,
     level_energy,
@@ -52,7 +50,6 @@ from .bbr_kinetics import (
     leave_probability_per_cycle,
     lifetime_temperature_sweep,
     photon_occupation,
-    planck_energy_density,
     radiative_levels,
     restricted_boltzmann,
     rethermalization_time,
@@ -61,7 +58,6 @@ from .trajectory_sim import (
     ExperimentConfig,
     TrajectoryDynamics,
     TrialDataset,
-    bin_series,
     disjoint_bin_counts,
     ensemble_ground_occupancy,
     simulate_hours,
@@ -70,9 +66,7 @@ from .trajectory_sim import (
 from .sweep_dynamics import (
     SweepConfig,
     TransferWindowMap,
-    TwoLevelAmplitudes,
     evolve_sweep,
-    evolve_sweep_amplitudes,
     jc_coupling_matrix,
     landau_zener_oracle,
     offres_carrier_excitation,
@@ -83,18 +77,13 @@ from .run_statistics import (
     NoiseSignalModel,
     SignificanceResult,
     bin_value_distribution,
-    binom_noise_pmf,
     find_longest_run,
     longest_run_cdf,
     noise_pmf,
     observed_run_significance,
-    p_from_z,
-    p_value,
     required_run_length,
-    signal_bin_pmf,
     signal_pmf,
     significance,
-    z_from_p,
 )
 from .hmm_detector import (
     STATE_NAMES,
@@ -103,7 +92,6 @@ from .hmm_detector import (
     EstimationError,
     HmmParams,
     baum_welch,
-    bayes_posterior,
     default_params,
     estimate_params_supervised,
     evaluate,

@@ -2,8 +2,8 @@
 
 Builds the radiative master equation over the Omega = 3/2 level set (the
 fine-structure gap is electric-dipole forbidden, so Omega = 1/2 levels
-never couple radiatively): Planck spectral density, Einstein A and B
-coefficients from rigid-rotor line strengths, the rate-matrix generator,
+never couple radiatively): Einstein A coefficients from rigid-rotor line
+strengths, the rate-matrix generator with Planck photon occupations,
 population evolution, and the derived timescales (ground-state residence
 lifetime, re-thermalization time, per-cycle leave probability).  The
 generator is time independent, so no ODE is integrated: populations come
@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
 from scipy.linalg import expm
 
-from .dataio import write_table
 from .spectroscopy import (
     BOLTZMANN_K,
     KB_CM,
@@ -51,7 +50,6 @@ __all__ = [
     "EinsteinCoefficients",
     "RateMatrix",
     "PopulationTrajectory",
-    "planck_energy_density",
     "photon_occupation",
     "radiative_levels",
     "build_einstein_coefficients",
@@ -95,23 +93,6 @@ class IntegrationError(RuntimeError):
         self.last_time = last_time
 
 
-def planck_energy_density(nu: float, T: float) -> float:
-    """Spectral energy density (8 pi h nu^3 / c^3) / (exp(h nu / kT) - 1).
-
-    Units J s m^-3 (per unit ordinary frequency).  Both arguments must be
-    strictly positive.
-    """
-    if not nu > 0.0:
-        raise ValueError(f"frequency must be positive, got {nu!r}")
-    if not T > 0.0:
-        raise ValueError(f"temperature must be positive, got {T!r}")
-    x = PLANCK_H * nu / (BOLTZMANN_K * T)
-    prefactor = 8.0 * math.pi * PLANCK_H * nu**3 / LIGHT_C**3
-    if x > 700.0:  # expm1 would overflow; Wien tail underflows to zero instead
-        return prefactor * math.exp(-x)
-    return prefactor / math.expm1(x)
-
-
 def photon_occupation(nu: float, T: float) -> float:
     """Mean thermal photon number at frequency nu; zero at T = 0."""
     if not nu > 0.0:
@@ -145,17 +126,16 @@ def _honl_london_q(two_J: int, two_omega: int) -> float:
 
 @dataclass(frozen=True)
 class EinsteinCoefficients:
-    """A and B coefficients over ordered (upper, lower) level pairs.
+    """Einstein A coefficients over ordered (upper, lower) level pairs.
 
-    ``A`` holds spontaneous rates in s^-1, ``B`` the stimulated
-    coefficients with B = A c^3 / (8 pi h nu^3), and ``frequencies`` the
-    transition frequencies in Hz.  ``mu_vib`` and ``mu_rot`` are the
+    ``A`` holds spontaneous rates in s^-1 and ``frequencies`` the
+    transition frequencies in Hz; stimulated rates follow from A and the
+    photon occupation at each frequency.  ``mu_vib`` and ``mu_rot`` are the
     calibrated transition dipoles in C m.
     """
 
     levels: tuple[RoVibState, ...]
     A: Mapping[tuple[RoVibState, RoVibState], float]
-    B: Mapping[tuple[RoVibState, RoVibState], float]
     frequencies: Mapping[tuple[RoVibState, RoVibState], float]
     mu_vib: float
     mu_rot: float
@@ -200,14 +180,12 @@ def build_einstein_coefficients(c: MolecularConstants) -> EinsteinCoefficients:
     mu_rot = c.mu_rot_scale * mu_vib
 
     A: dict[tuple[RoVibState, RoVibState], float] = {}
-    B: dict[tuple[RoVibState, RoVibState], float] = {}
     freqs: dict[tuple[RoVibState, RoVibState], float] = {}
 
     def add_pair(upper: RoVibState, lower: RoVibState, strength: float, mu: float):
         nu = (level_energy(upper, c) - level_energy(lower, c)) * _HZ_PER_CM
         rate = _A_PREFACTOR * nu**3 * mu**2 * strength / degeneracy(upper)
         A[(upper, lower)] = rate
-        B[(upper, lower)] = rate * LIGHT_C**3 / (8.0 * math.pi * PLANCK_H * nu**3)
         freqs[(upper, lower)] = nu
 
     for v in range(c.v_max + 1):
@@ -230,7 +208,7 @@ def build_einstein_coefficients(c: MolecularConstants) -> EinsteinCoefficients:
                     add_pair(upper, lower, strength, mu_vib)
 
     return EinsteinCoefficients(
-        levels=tuple(levels), A=A, B=B, frequencies=freqs,
+        levels=tuple(levels), A=A, frequencies=freqs,
         mu_vib=mu_vib, mu_rot=mu_rot,
     )
 
@@ -317,28 +295,10 @@ class PopulationTrajectory:
     populations: np.ndarray  # shape (n_levels, n_times), renormalized
     norm_drift: np.ndarray  # raw snapshot sums minus one
 
-    @cached_property
-    def distributions(self) -> list[StateDistribution]:
-        return [
-            StateDistribution(
-                dict(zip(self.level_index, self.populations[:, k].tolist()))
-            )
-            for k in range(len(self.times))
-        ]
-
     def population_of(self, state: RoVibState) -> np.ndarray:
         """Population of one level at every snapshot time."""
         idx = self.level_index.index(state)
         return self.populations[idx]
-
-    def to_csv(self, path) -> None:
-        """Export as CSV: time_s then one column per tracked level."""
-        header = ["time_s"] + [state.label() for state in self.level_index]
-        rows = (
-            [float(t)] + [float(x) for x in self.populations[:, k]]
-            for k, t in enumerate(self.times)
-        )
-        write_table(path, header, rows)
 
 
 def _as_vector(init: StateDistribution, levels: Sequence[RoVibState]) -> np.ndarray:

@@ -40,6 +40,8 @@ from .dataio import (
     DataFormatError,
     _read_columns,
     config_casts,
+    config_from_mapping,
+    config_to_mapping,
     read_keyvalues,
     sha256_digest,
     write_table,
@@ -60,8 +62,6 @@ from .run_statistics import (
 from .spectroscopy import (
     ROT_GROUND,
     MolecularConstants,
-    constants_from_config,
-    constants_to_config,
     enumerate_levels,
     level_energy,
     thermal_distribution,
@@ -117,8 +117,8 @@ def load_config(
             f"{path}: unknown config keys: {', '.join(sorted(unknown))}"
         )
     try:
-        constants = constants_from_config(constant_part)
-        config = ExperimentConfig.from_mapping(experiment_part)
+        constants = config_from_mapping(MolecularConstants, constant_part)
+        config = config_from_mapping(ExperimentConfig, experiment_part)
     except (TypeError, ValueError) as exc:
         raise UsageError(f"{path}: {exc}") from exc
     return constants, config
@@ -144,8 +144,8 @@ def _write_manifest(
         "version": __version__,
         "seed": seed,
         "config": {
-            "molecular": constants_to_config(constants),
-            "experiment": config.to_mapping() if config is not None else None,
+            "molecular": config_to_mapping(constants),
+            "experiment": config_to_mapping(config) if config is not None else None,
         },
         "outputs": {name: sha256_digest(p) for name, p in sorted(outputs.items())},
     }

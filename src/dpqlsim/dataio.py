@@ -19,19 +19,16 @@ from typing import Callable, Iterable, Mapping, Sequence, get_args, get_type_hin
 
 import numpy as np
 
+# The package re-exports these; the config and formatting helpers below
+# serve the other modules and are imported from here by name.
 __all__ = [
     "DataFormatError",
     "read_keyvalues",
-    "parse_keyvalues",
     "write_keyvalues",
-    "config_casts",
-    "config_to_mapping",
-    "config_from_mapping",
     "DATASET_HEADER",
     "read_dataset_csv",
     "write_dataset_csv",
     "write_table",
-    "format_number",
     "sha256_digest",
 ]
 
@@ -169,9 +166,17 @@ def _check_header(header: list[str], source: str) -> None:
 
 def _parse_rows(path: Path, source: str) -> tuple[np.ndarray, ...]:
     """``csv.reader`` parse naming the first line of a bad record (the header is 1)."""
+    raw = path.read_bytes()
+    try:
+        text = raw.decode()
+    except UnicodeDecodeError as exc:
+        line = len(raw[: exc.start + 1].splitlines())  # the bad byte is no line break
+        raise DataFormatError(
+            f"byte 0x{raw[exc.start]:02x} is not UTF-8", source=source, line=line
+        ) from None
     columns = [], [], [], []  # index, outcome, time_s, hidden
     start = 1  # first line of the record being read
-    with path.open(newline="") as fh:
+    with io.StringIO(text, newline="") as fh:
         reader = csv.reader(fh)
         try:
             _check_header(next(reader, []), source)
@@ -247,7 +252,8 @@ def read_dataset_csv(path: str | Path) -> list[tuple[int, int, float, int | None
     Cells may be quoted or padded, blank lines are skipped and ``hidden`` is
     None for NA.  A file the columnar pass declines is parsed by the stdlib
     ``csv`` reader, naming the first line of a bad record.  Malformed
-    content, including a bad header or a csv error, raises
+    content, including a bad header, a csv error or a byte that is not
+    UTF-8, raises
     :class:`DataFormatError` with the offending line number.
     """
     columns = _read_columns(path)

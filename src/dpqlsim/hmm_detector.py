@@ -35,7 +35,6 @@ __all__ = [
     "viterbi",
     "estimate_params_supervised",
     "baum_welch",
-    "bayes_posterior",
     "evaluate",
     "write_decoded_csv",
 ]
@@ -371,21 +370,6 @@ def baum_welch(
         if len(history) >= 2 and abs(history[-1] - history[-2]) < tol:
             break
     return params, history
-
-
-def bayes_posterior(
-    p_x_given_signal: float, p_x_given_noise: float, prior_signal: float
-) -> float:
-    """Two-hypothesis Bayes rule P(signal | x)."""
-    if p_x_given_signal < 0.0 or p_x_given_noise < 0.0:
-        raise ValueError("likelihoods must be >= 0")
-    if not 0.0 <= prior_signal <= 1.0:
-        raise ValueError(f"prior must lie in [0, 1], got {prior_signal!r}")
-    numerator = p_x_given_signal * prior_signal
-    denominator = numerator + p_x_given_noise * (1.0 - prior_signal)
-    if denominator == 0.0:
-        raise ValueError("posterior undefined: both likelihood terms vanish")
-    return numerator / denominator
 
 
 def evaluate(

@@ -23,21 +23,16 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln, ndtr, ndtri, ndtri_exp, xlog1py, xlogy
+from scipy.special import gammaln, ndtri_exp, xlog1py, xlogy
 
 __all__ = [
     "NoiseSignalModel",
     "SignificanceResult",
     "BinValuePrediction",
-    "binom_noise_pmf",
-    "signal_bin_pmf",
     "noise_pmf",
     "signal_pmf",
     "bin_value_distribution",
     "longest_run_cdf",
-    "p_value",
-    "z_from_p",
-    "p_from_z",
     "significance",
     "find_longest_run",
     "observed_run_significance",
@@ -76,11 +71,6 @@ class NoiseSignalModel:
             raise ValueError(f"bin must be >= 1, got {self.bin!r}")
 
 
-def _check_k(k: int, bin_size: int) -> None:
-    if not 0 <= k <= bin_size:
-        raise ValueError(f"k must lie in [0, {bin_size}], got {k!r}")
-
-
 def _binom_pmf(k, n: int, p: float) -> np.ndarray:
     # C(n, k) p^k (1 - p)^(n - k) in log space; xlogy and xlog1py give
     # 0 log 0 = 0, so p = 0 and p = 1 need no special case.
@@ -94,12 +84,6 @@ def _binom_pmf(k, n: int, p: float) -> np.ndarray:
 def noise_pmf(model: NoiseSignalModel) -> np.ndarray:
     """Dark-count pmf of a noise-only bin, indices 0..bin."""
     return _binom_pmf(np.arange(model.bin + 1), model.bin, model.p_b)
-
-
-def binom_noise_pmf(k: int, model: NoiseSignalModel) -> float:
-    """Probability of k darks in one noise-only bin."""
-    _check_k(k, model.bin)
-    return float(_binom_pmf(k, model.bin, model.p_b))
 
 
 @lru_cache(maxsize=64)
@@ -121,12 +105,6 @@ def _signal_pmf_cached(p_b: float, p_d: float, p_s: float, bin_size: int) -> np.
 def signal_pmf(model: NoiseSignalModel) -> np.ndarray:
     """Dark-count pmf of a bin that starts in the ground level."""
     return _signal_pmf_cached(model.p_b, model.p_d, model.p_s, model.bin).copy()
-
-
-def signal_bin_pmf(k: int, model: NoiseSignalModel) -> float:
-    """Probability of k darks in one signal bin."""
-    _check_k(k, model.bin)
-    return float(signal_pmf(model)[k])
 
 
 @dataclass(frozen=True)
@@ -244,24 +222,6 @@ def longest_run_cdf(n: int, x: int, p_dark: float) -> float:
     """
     _check_run_args(n, x, p_dark)
     return -math.expm1(_log_exceedance(n, x, p_dark))
-
-
-def p_value(n: int, x: int, p_dark: float) -> float:
-    """P(longest dark run > x) in n trials, exact at any n."""
-    _check_run_args(n, x, p_dark)
-    return math.exp(_log_exceedance(n, x, p_dark))
-
-
-def z_from_p(p: float) -> float:
-    """One-sided Gaussian significance of a p-value in (0, 1)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must lie strictly inside (0, 1), got {p!r}")
-    return float(-ndtri(p))
-
-
-def p_from_z(z: float) -> float:
-    """Upper-tail Gaussian probability of a significance z."""
-    return float(ndtr(-z))
 
 
 @dataclass(frozen=True)

@@ -30,8 +30,6 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .dataio import config_from_mapping, config_to_mapping
-
 __all__ = [
     "KB_CM",
     "PARITY_DOUBLET",
@@ -47,8 +45,6 @@ __all__ = [
     "manifold_population",
     "thermal_distribution",
     "most_probable_rotational_state",
-    "constants_to_config",
-    "constants_from_config",
 ]
 
 # SI defining constants (exact since 2019), written out rather than read
@@ -118,21 +114,6 @@ class RoVibState:
         base = f"v{self.v}.O{self.two_omega}.J{self.two_J}"
         return base if self.parity is None else f"{base}.{self.parity}"
 
-    @classmethod
-    def from_label(cls, text: str) -> "RoVibState":
-        """Inverse of :meth:`label`."""
-        parts = text.strip().split(".")
-        if len(parts) not in (3, 4):
-            raise ValueError(f"malformed state label {text!r}")
-        try:
-            v = int(parts[0].removeprefix("v"))
-            two_omega = int(parts[1].removeprefix("O"))
-            two_J = int(parts[2].removeprefix("J"))
-        except ValueError as exc:
-            raise ValueError(f"malformed state label {text!r}") from exc
-        parity = parts[3] if len(parts) == 4 else None
-        return cls(v=v, two_omega=two_omega, two_J=two_J, parity=parity)
-
 
 #: Detection target of the experiment: the lowest level of the Omega = 3/2
 #: manifold, J = 3/2 in the vibrational ground state.
@@ -149,7 +130,7 @@ class MolecularConstants:
     is not a constant here: the sweep grid sets it per point.
 
     Every field is a config-file key of the same name (see
-    :func:`constants_from_config`).
+    :func:`dataio.config_from_mapping`).
 
     ``mu_vib_scale`` multiplies the vibrational transition dipole used by
     the radiative-rate builder and ``mu_rot_scale`` sets the rotational
@@ -185,19 +166,6 @@ class MolecularConstants:
     @property
     def upper_two_omega(self) -> int:
         return 3 if self.omega_half_lower else 1
-
-
-def constants_to_config(c: MolecularConstants) -> dict[str, object]:
-    """Flatten constants into a key-value mapping for config serialization."""
-    return config_to_mapping(c)
-
-
-def constants_from_config(mapping: Mapping[str, object]) -> MolecularConstants:
-    """Build constants from a key-value mapping, applying defaults.
-
-    Unknown keys raise ``ValueError`` so typos in config files fail loudly.
-    """
-    return config_from_mapping(MolecularConstants, mapping)
 
 
 @dataclass(frozen=True)
@@ -355,17 +323,6 @@ def thermal_distribution(c: MolecularConstants, T: float) -> StateDistribution:
 
 
 def most_probable_rotational_state(c: MolecularConstants, T: float) -> RoVibState:
-    """Most populated rotational level within (v = 0, lower manifold).
-
-    The doublet factor and the partition function cancel inside one
-    manifold, so the argmax needs only relative weights.
-    """
-    _check_temperature(T)
-    omega2 = c.lower_two_omega
-    best_n, best_weight = 0, -math.inf
-    for n in range(c.J_count):
-        two_J = omega2 + 2 * n
-        weight = (two_J + 1) * math.exp(-c.B_e * n * (n + 1) / (KB_CM * T))
-        if weight > best_weight:
-            best_n, best_weight = n, weight
-    return RoVibState(v=0, two_omega=omega2, two_J=omega2 + 2 * best_n)
+    """Most populated rotational level within (v = 0, lower manifold)."""
+    levels = enumerate_levels(c, two_omega=c.lower_two_omega, v=0)
+    return max(levels, key=thermal_distribution(c, T).probability)

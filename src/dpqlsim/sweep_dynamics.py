@@ -27,11 +27,9 @@ from .bbr_kinetics import IntegrationError
 
 __all__ = [
     "SweepConfig",
-    "TwoLevelAmplitudes",
     "TransferWindowMap",
     "jc_coupling_matrix",
     "evolve_sweep",
-    "evolve_sweep_amplitudes",
     "landau_zener_oracle",
     "transfer_window_map",
     "offres_carrier_excitation",
@@ -88,22 +86,6 @@ class SweepConfig:
     def omega_q(self, t: float) -> float:
         """Instantaneous trap frequency at time t into the sweep."""
         return self.omega_start + self.direction * self.ramp_rate * t
-
-
-@dataclass(frozen=True)
-class TwoLevelAmplitudes:
-    """Complex amplitudes of |f, n> and |e, n+1> for one doublet."""
-
-    amp_f_n: complex
-    amp_e_np1: complex
-
-    @property
-    def norm(self) -> float:
-        return abs(self.amp_f_n) ** 2 + abs(self.amp_e_np1) ** 2
-
-    @property
-    def transfer_probability(self) -> float:
-        return abs(self.amp_e_np1) ** 2
 
 
 def jc_coupling_matrix(omega_q: float, cfg: SweepConfig) -> np.ndarray:
@@ -166,30 +148,9 @@ def _propagate(
     return total
 
 
-def evolve_sweep_amplitudes(cfg: SweepConfig) -> TwoLevelAmplitudes:
-    """Final doublet amplitudes after the full sweep, starting in |f, 0>.
-
-    The amplitudes are given in the interaction picture of the diagonal
-    detuning term, i.e. with the accumulated phase theta = integral of
-    (omega_mol - omega_q) dt removed: exp(+-i theta / 2) on |f, 0> and
-    |e, 1>.  The transfer probability does not depend on this phase.  The
-    midpoint rule misses the dressed-state phase by O(dt^2), about 5e-6 rad
-    at the default step, while the probabilities converge as dt^4.
-    """
-    amp_f, amp_e = _propagate(cfg, np.asarray(cfg.omega_mol), np.asarray(cfg.g_q))
-    duration = cfg.duration
-    theta = (cfg.omega_mol - cfg.omega_start) * duration - (
-        0.5 * cfg.direction * cfg.ramp_rate * duration**2
-    )
-    half = np.exp(0.5j * theta)
-    return TwoLevelAmplitudes(
-        amp_f_n=complex(half * amp_f), amp_e_np1=complex(np.conj(half) * amp_e)
-    )
-
-
 def evolve_sweep(cfg: SweepConfig) -> float:
     """Transfer probability |<e,1|psi(end)>|^2 of the swept crossing."""
-    return evolve_sweep_amplitudes(cfg).transfer_probability
+    return float(abs(_propagate(cfg, np.asarray(cfg.omega_mol), np.asarray(cfg.g_q))[1]) ** 2)
 
 
 def landau_zener_oracle(g_q: float, ramp_rate: float) -> float:

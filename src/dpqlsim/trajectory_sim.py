@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -44,7 +44,6 @@ __all__ = [
     "simulate_trial",
     "simulate_hours",
     "ensemble_ground_occupancy",
-    "bin_series",
     "disjoint_bin_counts",
 ]
 
@@ -57,26 +56,16 @@ def _check_probability(name: str, value: float) -> None:
 class ExperimentConfig:
     """Knobs of the simulated experiment loop.
 
-    ``ramp_fidelity_1``, ``ramp_fidelity_2`` and ``shelving_fidelity`` are
-    optional bookkeeping; when all three are given their product must
-    reproduce ``detection_fidelity`` within 1e-6.  ``trial_duration_cap``
-    truncates a trial at a wall-clock time (molecule loss), and
-    ``thermalization_wait`` documents the equilibration pause assumed long
-    enough that each trial starts from a thermal state.
-
-    Every field is a config-file key of the same name; ``to_mapping``
-    leaves out the optional fields that are unset.
+    ``trial_duration_cap`` truncates a trial at a wall-clock time (molecule
+    loss).  Every field is a config-file key of the same name;
+    :func:`dataio.config_to_mapping` leaves the cap out when it is unset.
     """
 
     cycle: float = 0.040
     experiments_per_trial: int = 30000
     p_bright_noise: float = 0.03
     detection_fidelity: float = 0.72
-    ramp_fidelity_1: float | None = None
-    ramp_fidelity_2: float | None = None
-    shelving_fidelity: float | None = None
     collision_rate: float = 0.008
-    thermalization_wait: float = 300.0
     temperature: float = 300.0
     rng_seed: int = 0
     trial_duration_cap: float | None = None
@@ -92,30 +81,8 @@ class ExperimentConfig:
             raise ValueError(f"collision_rate must be >= 0, got {self.collision_rate!r}")
         if not self.temperature > 0.0:
             raise ValueError(f"temperature must be positive, got {self.temperature!r}")
-        if self.thermalization_wait < 0.0:
-            raise ValueError("thermalization_wait must be >= 0")
         if self.trial_duration_cap is not None and not self.trial_duration_cap > 0.0:
             raise ValueError("trial_duration_cap must be positive when set")
-        ramps = (self.ramp_fidelity_1, self.ramp_fidelity_2, self.shelving_fidelity)
-        for name, value in zip(
-            ("ramp_fidelity_1", "ramp_fidelity_2", "shelving_fidelity"), ramps
-        ):
-            if value is not None:
-                _check_probability(name, value)
-        if all(value is not None for value in ramps):
-            product = ramps[0] * ramps[1] * ramps[2]
-            if abs(product - self.detection_fidelity) > 1e-6:
-                raise ValueError(
-                    f"ramp fidelity product {product:.6f} does not match "
-                    f"detection_fidelity {self.detection_fidelity:.6f} within 1e-6"
-                )
-
-    def to_mapping(self) -> dict[str, object]:
-        return dataio.config_to_mapping(self)
-
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, object]) -> "ExperimentConfig":
-        return dataio.config_from_mapping(cls, mapping)
 
 
 class _Rows(Sequence):
@@ -331,9 +298,9 @@ def simulate_trial(
 ) -> TrialDataset:
     """Generate one labeled trial, deterministic in (config, seed).
 
-    The initial hidden state is a thermal draw (the configured
-    thermalization wait is assumed long enough to equilibrate); each cycle
-    then steps the state and emits an outcome.  A configured
+    The initial hidden state is a thermal draw, as if the molecule had
+    equilibrated with the blackbody field before the trial; each cycle then
+    steps the state and emits an outcome.  A configured
     ``trial_duration_cap`` truncates the stream at that wall-clock time.
     """
     constants = constants or MolecularConstants()
@@ -386,18 +353,6 @@ def ensemble_ground_occupancy(
         _, labels = _simulate_arrays(config, constants, rng, n_cycles)
         fractions[i] = labels.mean()
     return fractions
-
-
-def bin_series(values: Sequence[int] | np.ndarray, window: int = 20) -> np.ndarray:
-    """Moving average of a 0/1 outcome stream; empty when window > length."""
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window!r}")
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError("bin_series expects a one-dimensional sequence")
-    if window > arr.size:
-        return np.empty(0)
-    return np.convolve(arr, np.full(window, 1.0 / window), mode="valid")
 
 
 def disjoint_bin_counts(

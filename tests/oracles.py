@@ -10,17 +10,21 @@ reader and block writers against:
 - ``write_dataset_csv`` / ``write_decoded_csv``: ``csv.writer`` writers.
 - ``longest_run_cdf``: an exact-integer count of strings with a bounded
   dark run, practical for n up to a few hundred.
+- ``most_probable_rotational_state``: a loop over the relative Boltzmann
+  weights of one manifold.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from pathlib import Path
 
 import numpy as np
 
 from dpqlsim.dataio import DATASET_HEADER, DataFormatError, format_number
+from dpqlsim.spectroscopy import KB_CM, MolecularConstants, RoVibState, _check_temperature
 from dpqlsim.trajectory_sim import TrajectoryDynamics
 
 
@@ -202,3 +206,20 @@ def longest_run_cdf(n, x, p_dark):
         if count:
             total += float(count) * p_dark**k * q ** (n - k)
     return total
+
+
+def most_probable_rotational_state(c: MolecularConstants, T: float) -> RoVibState:
+    """Most populated rotational level within (v = 0, lower manifold).
+
+    The doublet factor and the partition function cancel inside one
+    manifold, so the argmax needs only relative weights.
+    """
+    _check_temperature(T)
+    omega2 = c.lower_two_omega
+    best_n, best_weight = 0, -math.inf
+    for n in range(c.J_count):
+        two_J = omega2 + 2 * n
+        weight = (two_J + 1) * math.exp(-c.B_e * n * (n + 1) / (KB_CM * T))
+        if weight > best_weight:
+            best_n, best_weight = n, weight
+    return RoVibState(v=0, two_omega=omega2, two_J=omega2 + 2 * best_n)

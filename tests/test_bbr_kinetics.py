@@ -24,7 +24,6 @@ from dpqlsim.bbr_kinetics import (
     leave_probability_per_cycle,
     lifetime_temperature_sweep,
     photon_occupation,
-    planck_energy_density,
     radiative_levels,
     restricted_boltzmann,
     rethermalization_time,
@@ -75,33 +74,14 @@ def rethermalization_oracle(T):
 
 
 class TestPlanck:
-    def test_positive_args_required(self):
-        with pytest.raises(ValueError):
-            planck_energy_density(0.0, 300.0)
-        with pytest.raises(ValueError):
-            planck_energy_density(1e12, 0.0)
-
-    def test_rayleigh_jeans_limit(self):
-        # h nu << kT: u -> 8 pi nu^2 kT / c^3.
-        nu, T = 1e9, 300.0
-        rj = 8.0 * math.pi * nu**2 * sc.k * T / sc.c**3
-        assert planck_energy_density(nu, T) == pytest.approx(rj, rel=1e-3)
-
-    def test_wien_suppression(self):
-        # Deep Wien tail is exponentially small, expm1 must not overflow.
-        assert 0.0 < planck_energy_density(4.4e15, 300.0) < 1e-300
-        assert planck_energy_density(1e16, 300.0) == 0.0
-        assert photon_occupation(1e16, 300.0) == 0.0
-
-    def test_vibrational_vs_rotational_density(self):
-        # At 300 K the density at the 19 THz vibrational gap exceeds the
-        # 11 GHz rotational-scale density by ~4.6e5 (nu^3 growth wins over
-        # the occupation drop).
-        ratio = planck_energy_density(19e12, 300.0) / planck_energy_density(11e9, 300.0)
-        assert ratio == pytest.approx(456205.24, rel=1e-6)
-
     def test_occupation_limits(self):
+        with pytest.raises(ValueError):
+            photon_occupation(0.0, 300.0)
+        with pytest.raises(ValueError):
+            photon_occupation(1e12, -1.0)
         assert photon_occupation(1e12, 0.0) == 0.0
+        # Deep Wien tail: expm1 must not overflow, the occupation underflows.
+        assert photon_occupation(1e16, 300.0) == 0.0
         # Low-frequency classical limit n_bar -> kT / h nu.
         nu, T = 11e9, 300.0
         assert photon_occupation(nu, T) == pytest.approx(sc.k * T / (sc.h * nu) - 0.5, rel=1e-3)
@@ -133,13 +113,6 @@ class TestEinsteinCoefficients:
         # Pure rotational decay of (v=0, J=5/2) has exactly one channel.
         rot = [pair for pair in co.A if pair[0] == RoVibState(0, 3, 5)]
         assert rot == [(RoVibState(0, 3, 5), RoVibState(0, 3, 3))]
-
-    def test_einstein_b_relation(self):
-        co = build_einstein_coefficients(CONSTANTS)
-        pair = (RoVibState(0, 3, 5), RoVibState(0, 3, 3))
-        nu = co.frequencies[pair]
-        expected = co.A[pair] * sc.c**3 / (8.0 * math.pi * sc.h * nu**3)
-        assert co.B[pair] == pytest.approx(expected, rel=1e-12)
 
     def test_frequencies_match_energy_gaps(self):
         co = build_einstein_coefficients(CONSTANTS)
@@ -213,11 +186,8 @@ class TestEvolvePopulations:
         init = StateDistribution({ROT_GROUND: 1.0})
         traj = evolve_populations(m, init, 1500.0, snapshots=11)
         target = restricted_boltzmann(CONSTANTS, 300.0)
-        final = traj.distributions[-1]
-        dev = max(
-            abs(final.probability(s) - target.probability(s)) for s in m.level_index
-        )
-        assert dev < 2e-3
+        expected = np.array([target.probability(s) for s in m.level_index])
+        assert np.abs(traj.populations[:, -1] - expected).max() < 2e-3
 
     def test_initial_state_outside_set_rejected(self):
         m = build_rate_matrix(CONSTANTS, 300.0)
@@ -242,16 +212,6 @@ class TestEvolvePopulations:
         times, expected = rethermalization_oracle(T)
         np.testing.assert_array_equal(traj.times, times)
         assert np.abs(traj.populations - expected).max() <= 1e-9
-
-    def test_csv_export(self, tmp_path):
-        m = build_rate_matrix(CONSTANTS, 300.0)
-        init = StateDistribution({ROT_GROUND: 1.0})
-        traj = evolve_populations(m, init, 1.0, snapshots=3)
-        path = tmp_path / "traj.csv"
-        traj.to_csv(path)
-        header = path.read_text().splitlines()[0].split(",")
-        assert header[0] == "time_s"
-        assert len(header) == 1 + len(m.level_index)
 
 
 class TestResidenceLifetime:

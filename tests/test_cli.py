@@ -11,12 +11,15 @@ import csv
 import json
 from pathlib import Path
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from dpqlsim.bbr_kinetics import leave_probability_per_cycle, lifetime_temperature_sweep
 from dpqlsim.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from dpqlsim.dataio import (
+    config_to_mapping,
     read_dataset_csv,
     sha256_digest,
     write_dataset_csv,
@@ -27,10 +30,10 @@ from dpqlsim.run_statistics import find_longest_run, observed_run_significance
 from dpqlsim.spectroscopy import (
     ROT_GROUND,
     MolecularConstants,
-    constants_to_config,
     thermal_population,
 )
 from dpqlsim.sweep_dynamics import SweepConfig, landau_zener_oracle
+from dpqlsim.trajectory_sim import ExperimentConfig
 
 # Closed-form transfer for the default coupling and ramp rate, reported by
 # the sweep command next to the integrated map.
@@ -138,6 +141,10 @@ class TestSimulate:
         assert manifest["command"] == argv
         assert manifest["seed"] == 11
         assert manifest["config"]["experiment"]["rng_seed"] == 11
+        # Every field but the unset trial_duration_cap, and nothing else.
+        fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert len(fields) == 8
+        assert set(manifest["config"]["experiment"]) == fields - {"trial_duration_cap"}
         assert manifest["outputs"]["dataset.csv"] == sha256_digest(
             tmp_path / "dataset.csv"
         )
@@ -195,6 +202,20 @@ class TestSimulate:
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert "trial_duration_cap 0.01 s" in err and "cycle (0.04 s)" in err
+        assert not (out / "dataset.csv").exists()
+        assert not (out / "manifest.json").exists()
+
+    def test_removed_experiment_keys_are_usage_errors(self, tmp_path, capsys):
+        # These four keys were validated but configured nothing, and are gone.
+        removed = ("thermalization_wait", "ramp_fidelity_1", "ramp_fidelity_2",
+                   "shelving_fidelity")
+        cfg = tmp_path / "config.txt"
+        cfg.write_text("".join(f"{key} = 0.9\n" for key in removed))
+        out = tmp_path / "out"
+        code = main(["simulate", "--config", str(cfg), "--hours", "0.01", "--out", str(out)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert all(key in err for key in removed)
         assert not (out / "dataset.csv").exists()
         assert not (out / "manifest.json").exists()
 
@@ -415,6 +436,16 @@ class TestAnalyzeErrors:
         assert code == EXIT_DATA
         assert "error:" in capsys.readouterr().err
 
+    def test_non_utf8_dataset_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"index,outcome,time_s,hidden\n0,1,0.04,NA\xff\n")
+        out = tmp_path / "out"
+        code = main(["analyze", str(bad), "--mode", "runs", "--out", str(out)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{bad}: line 2: " in err and "0xff" in err
+        assert not (out / "report.json").exists()
+
     @pytest.mark.parametrize("mode", ["bins", "runs", "hmm"])
     def test_stream_without_records_is_data_error(self, tmp_path, capsys, mode):
         data = tmp_path / "dataset.csv"
@@ -495,7 +526,7 @@ class TestConfigAndManifest:
         manifest = load_manifest(out)
         assert manifest["config"]["molecular"]["B_e"] == 0.8
         # The rest of the constants stay at their defaults.
-        defaults = constants_to_config(MolecularConstants())
+        defaults = config_to_mapping(MolecularConstants())
         assert manifest["config"]["molecular"]["omega_e"] == defaults["omega_e"]
 
     def test_unknown_config_key(self, tmp_path, capsys):
@@ -536,9 +567,7 @@ class TestConfigAndManifest:
         assert manifest["command"] == argv
         assert manifest["seed"] is None
         assert set(manifest["config"]) == {"molecular", "experiment"}
-        assert manifest["config"]["molecular"] == constants_to_config(
-            MolecularConstants()
-        )
+        assert manifest["config"]["molecular"] == config_to_mapping(MolecularConstants())
         digest = manifest["outputs"]["thermal_populations.csv"]
         assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")
 

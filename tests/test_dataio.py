@@ -148,6 +148,23 @@ class TestDatasetCsv:
         with pytest.raises(DataFormatError):
             read_dataset_csv(path)
 
+    @pytest.mark.parametrize(
+        "raw, line",
+        [
+            (b"index,outcome,time_s,hidden\n0,1,0.04,NA\xff\n", 2),
+            (b"index\xc3,outcome,time_s,hidden\n0,1,0.04,NA\n", 1),
+            (b"index,outcome,time_s,hidden\r\n0,1,0.04,NA\r1,0,0.08,0\r\n2,0,\x80,0\n", 4),
+            (b'index,outcome,time_s,hidden\n"0\n\n",1,0.04,"N\xe9"\n', 4),
+        ],
+        ids=["hidden_cell", "header", "cr_line_ends", "record_over_three_lines"],
+    )
+    def test_non_utf8_byte_is_a_data_format_error_at_its_line(self, tmp_path, raw, line):
+        path = tmp_path / "d.csv"
+        path.write_bytes(raw)
+        with pytest.raises(DataFormatError, match="is not UTF-8") as err:
+            read_dataset_csv(path)
+        assert err.value.line == line and err.value.source == str(path)
+
 
 class TestWriteTable:
     def test_floats_use_shared_format(self, tmp_path):

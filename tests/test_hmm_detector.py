@@ -23,7 +23,6 @@ from dpqlsim.hmm_detector import (
     EstimationError,
     HmmParams,
     baum_welch,
-    bayes_posterior,
     default_params,
     estimate_params_supervised,
     evaluate,
@@ -368,29 +367,6 @@ class TestBaumWelch:
         refined, history = baum_welch(obs, start, max_iter=30, tol=1e-9)
         # Started at the generating parameters: little room to move.
         assert abs(refined.emit[1, 1] - 0.7) < 0.1
-
-
-class TestBayesPosterior:
-    def test_frozen_example(self):
-        assert bayes_posterior(0.9, 1e-5, 0.0047) == pytest.approx(
-            0.9976525683185639, rel=1e-12
-        )
-
-    def test_equal_likelihoods_return_prior(self):
-        assert bayes_posterior(0.3, 0.3, 0.25) == pytest.approx(0.25, rel=1e-12)
-
-    def test_zero_prior(self):
-        assert bayes_posterior(0.9, 0.1, 0.0) == 0.0
-
-    def test_both_zero_likelihoods(self):
-        with pytest.raises(ValueError):
-            bayes_posterior(0.0, 0.0, 0.5)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            bayes_posterior(-1.0, 0.1, 0.5)
-        with pytest.raises(ValueError):
-            bayes_posterior(0.1, 0.1, 1.5)
 
 
 class TestEvaluate:

@@ -1,6 +1,7 @@
 """Import footprint of the command line tool, its literal constants and its syntax."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -15,6 +16,9 @@ from dpqlsim import bbr_kinetics, spectroscopy
 # Each costs a large share of ``import dpqlsim.cli`` and is used by no
 # module under src/ any more.
 HEAVY = ("scipy.integrate", "scipy.stats", "scipy.constants")
+
+MODULES = ("cli", "spectroscopy", "bbr_kinetics", "trajectory_sim", "dataio", "hmm_detector",
+           "run_statistics", "sweep_dynamics")
 
 
 def test_cli_import_leaves_heavy_scipy_modules_out():
@@ -37,6 +41,17 @@ def test_cli_import_leaves_heavy_scipy_modules_out():
 def test_sources_parse_as_python_3_10(path):
     # pyproject.toml declares Python >= 3.10; a 3.11-only construct fails here.
     ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_public_names_exist_and_are_exported(module):
+    # A profiler wraps each name in every module's __all__ through getattr,
+    # so a name left there after its definition is gone breaks a traced run.
+    mod = importlib.import_module(f"dpqlsim.{module}")
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    assert missing == []
+    if module != "cli":
+        assert set(mod.__all__) <= set(dpqlsim.__all__)
 
 
 def test_si_literals_equal_scipy_constants():

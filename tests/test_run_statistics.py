@@ -7,7 +7,7 @@ import numpy as np
 import oracles
 import pytest
 from scipy.special import erfc, ndtri_exp
-from scipy.stats import binom
+from scipy.stats import binom, norm
 
 from dpqlsim import run_statistics
 from dpqlsim.run_statistics import (
@@ -15,18 +15,13 @@ from dpqlsim.run_statistics import (
     NoiseSignalModel,
     SignificanceResult,
     bin_value_distribution,
-    binom_noise_pmf,
     find_longest_run,
     longest_run_cdf,
     noise_pmf,
     observed_run_significance,
-    p_from_z,
-    p_value,
     required_run_length,
-    signal_bin_pmf,
     signal_pmf,
     significance,
-    z_from_p,
 )
 
 # Frozen from independent evaluations of the exact run-length automaton.
@@ -59,19 +54,12 @@ class TestNoiseSignalModel:
 class TestBinPmfs:
     def test_noise_zero_count(self):
         m = NoiseSignalModel()
-        assert binom_noise_pmf(0, m) == pytest.approx(0.97**20, rel=1e-12)
+        assert noise_pmf(m)[0] == pytest.approx(0.97**20, rel=1e-12)
 
     def test_pmfs_normalized(self):
         m = NoiseSignalModel()
         assert noise_pmf(m).sum() == pytest.approx(1.0, abs=1e-9)
         assert signal_pmf(m).sum() == pytest.approx(1.0, abs=1e-9)
-
-    def test_k_out_of_range(self):
-        m = NoiseSignalModel()
-        with pytest.raises(ValueError):
-            binom_noise_pmf(21, m)
-        with pytest.raises(ValueError):
-            signal_bin_pmf(-1, m)
 
     def test_signal_pmf_two_cycle_hand_computation(self):
         # bin=2, p_b=0.1, p_d=0.6, p_s=0.5: residence 1 cycle w.p. 0.5
@@ -200,22 +188,14 @@ class TestLongestRunCdf:
 
 class TestGaussianConversion:
     def test_against_complementary_error_function(self):
-        for p in (0.5, 0.1, 1e-3, 1e-8):
-            z = z_from_p(p)
-            assert 0.5 * erfc(z / math.sqrt(2.0)) == pytest.approx(p, rel=1e-10)
-
-    def test_round_trip(self):
-        for z in (-2.0, 0.0, 1.0, 5.0):
-            assert z_from_p(p_from_z(z)) == pytest.approx(z, abs=1e-9)
-
-    def test_median_is_zero_sigma(self):
-        assert z_from_p(0.5) == pytest.approx(0.0, abs=1e-12)
-
-    def test_open_interval_enforced(self):
-        with pytest.raises(ValueError):
-            z_from_p(0.0)
-        with pytest.raises(ValueError):
-            z_from_p(1.0)
+        # The one-sided z of SignificanceResult, upper tail p = erfc(z / sqrt 2) / 2.
+        for n, x, p_dark in [(2, 0, 0.5), (100, 2, 0.1), (1000, 4, 0.03), (1000, 6, 0.03),
+                             (30000, 12, 0.05)]:
+            result = significance(n, x, p_dark)
+            assert 0.0 < result.p_value < 1.0
+            assert 0.5 * erfc(result.z / math.sqrt(2.0)) == pytest.approx(
+                result.p_value, rel=1e-10
+            )
 
 
 class TestSignificance:
@@ -224,7 +204,7 @@ class TestSignificance:
         assert significance(1000, 7, 0.03).z == pytest.approx(Z_1000_7, rel=1e-12)
 
     def test_p_value_consistent_with_cdf(self):
-        p = p_value(1000, 4, 0.03)
+        p = significance(1000, 4, 0.03).p_value
         assert p == pytest.approx(1.0 - longest_run_cdf(1000, 4, 0.03), rel=1e-9)
 
     def test_result_consistency_enforced(self):
@@ -332,7 +312,7 @@ class TestLogSpaceSignificance:
         for n, x, p in [(1000, 4, 0.03), (30000, 12, 0.05), (200, 0, 0.3)]:
             result = significance(n, x, p)
             assert 10.0**result.log10_p == pytest.approx(result.p_value, rel=1e-12)
-            assert result.z == pytest.approx(z_from_p(result.p_value), rel=1e-12)
+            assert result.z == pytest.approx(norm.isf(result.p_value), rel=1e-12)
 
     def test_closed_form_matches_automaton_for_long_runs(self):
         # With L = x + 1, P(longest >= L) = p^L (1 + (n - L) q) when 2L + 1 > n,
@@ -366,8 +346,12 @@ class TestLogSpaceSignificance:
                     best = max(best, run)
                 k = sum(bits)
                 exceed[:best] += p**k * (1.0 - p) ** (n - k)
-            for x in range(n + 1):
-                assert p_value(n, x, p) == pytest.approx(exceed[x], rel=1e-12, abs=0)
+            for x in range(n):
+                assert significance(n, x, p).p_value == pytest.approx(
+                    exceed[x], rel=1e-12, abs=0
+                )
+            # No run exceeds the stream, where significance has no finite log.
+            assert exceed[n] == 0.0 and longest_run_cdf(n, n, p) == 1.0
 
     def test_long_runs_skip_the_automaton(self, monkeypatch):
         # A dense (n + 1)^2 automaton here would need 7.2 GB.
@@ -408,7 +392,7 @@ class TestBinomialPmfOracle:
         np.testing.assert_allclose(
             noise_pmf(model), binom.pmf(k, model.bin, model.p_b), rtol=1e-12, atol=0
         )
-        assert binom_noise_pmf(3, model) == pytest.approx(
+        assert noise_pmf(model)[3] == pytest.approx(
             binom.pmf(3, model.bin, model.p_b), rel=1e-12
         )
         expected = np.zeros(model.bin + 1)

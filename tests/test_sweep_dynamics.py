@@ -12,10 +12,8 @@ from dpqlsim.bbr_kinetics import IntegrationError
 from dpqlsim.sweep_dynamics import (
     DEFAULT_TIME_STEP,
     SweepConfig,
-    TwoLevelAmplitudes,
     _propagate,
     evolve_sweep,
-    evolve_sweep_amplitudes,
     jc_coupling_matrix,
     landau_zener_oracle,
     offres_carrier_excitation,
@@ -138,20 +136,10 @@ class TestEvolveSweep:
         assert abs(abs(rot[1][0]) ** 2 - abs(fix[1][0]) ** 2) < 1e-8
         assert abs(evolve_sweep(cfg) - abs(fix[1][0]) ** 2) < 1e-8
 
-    def test_amplitudes_match_rotating_oracle(self):
-        # The propagator runs in the fixed frame; the reported amplitudes
-        # carry the rotating frame's phase convention.  The midpoint rule
-        # misses the dressed-state phase by O(dt^2): 5.2e-6 rad on |e, 1>
-        # at the default step, 2.1e-5 at twice the step.
-        cfg = SweepConfig()
-        amp_f, amp_e = dop853_amplitudes(cfg, [cfg.omega_mol], "rotating")
-        amp = evolve_sweep_amplitudes(cfg)
-        assert abs(amp.amp_f_n - amp_f[0]) < 1e-8
-        assert abs(amp.amp_e_np1 - amp_e[0]) < 1e-5
-
     def test_norm_conserved(self):
-        amp = evolve_sweep_amplitudes(SweepConfig())
-        assert abs(amp.norm - 1.0) < 1e-8
+        cfg = SweepConfig()
+        amp_f, amp_e = _propagate(cfg, np.asarray(cfg.omega_mol), np.asarray(cfg.g_q))
+        assert abs(abs(amp_f) ** 2 + abs(amp_e) ** 2 - 1.0) < 1e-8
 
     def test_direction_reversal_symmetric(self):
         cfg = SweepConfig()
@@ -323,8 +311,3 @@ class TestOffresCarrier:
             offres_carrier_excitation(-1.0, 1.0, 1e-6, 0.0)
         with pytest.raises(ValueError):
             offres_carrier_excitation(1.0, 1.0, 0.0, 0.0)
-
-    def test_amplitudes_container(self):
-        amp = TwoLevelAmplitudes(amp_f_n=0.6 + 0.0j, amp_e_np1=0.8j)
-        assert amp.norm == pytest.approx(1.0)
-        assert amp.transfer_probability == pytest.approx(0.64)
