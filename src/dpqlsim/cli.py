@@ -215,7 +215,7 @@ def cmd_simulate(
     path = out_dir / "dataset.csv"
     dataset.to_csv(path)
     print(
-        f"simulated {len(dataset.records)} cycles ({hours:g} h), "
+        f"simulated {dataset.outcome.size} cycles ({hours:g} h), "
         f"ground occupancy {dataset.ground_occupancy():.6f}"
     )
     labels = dataset.hidden  # a ground visit is a run of ground labels
@@ -326,7 +326,7 @@ def cmd_analyze(
             )
         decoded = forward_backward(params, outcomes)
         path = out_dir / "decoded.csv"
-        write_decoded_csv(path, outcomes, decoded, indices=index.tolist())
+        write_decoded_csv(path, outcomes, decoded, indices=index)
         outputs["decoded.csv"] = path
         report.update(
             log_likelihood=decoded.log_likelihood,

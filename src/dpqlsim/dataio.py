@@ -13,7 +13,6 @@ import hashlib
 import io
 import warnings
 from dataclasses import fields
-from itertools import islice, starmap
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, get_args, get_type_hints
 
@@ -264,30 +263,205 @@ def read_dataset_csv(path: str | Path) -> list[tuple[int, int, float, int | None
     return rows
 
 
-def _write_blocks(
-    path: str | Path, header: Sequence[str], row_format: str, rows: Iterable[Sequence[object]]
-) -> None:
-    """Write ``header``, then ``row_format.format(*row)`` per row, one write per block.
+_PAD = 0  # byte dropped from a formatted block: no cell holds a NUL
+_POW10 = np.array([float(10**k) for k in range(301)])  # correctly rounded, exact to 10**22
+_UPOW10 = np.array([10**k for k in range(20)], np.uint64)
 
-    ``{:.10g}`` renders any float as :func:`format_number` does.
+# Lookup tables of cell bytes, read as little-endian words so that one
+# ``take`` moves a whole row.  q runs over the four-digit groups 0..9999.
+_QDIGITS = np.indices((10,) * 4, np.uint8).reshape(4, -1).T + np.uint8(ord("0"))
+_QDIGITS = np.ascontiguousarray(_QDIGITS)  # row q: q as four digits
+_DIGITS4 = _QDIGITS.view("<u4").ravel()
+_TRAILING = np.logical_and.accumulate(_QDIGITS[:, ::-1] == ord("0"), axis=1).sum(axis=1)  # of q
+_PAIRS = np.full((10**4, 8), ord("."), np.uint8)  # "d.d.d.d."
+_PAIRS[:, ::2] = _QDIGITS
+_PAIRS = _PAIRS.view("<u8").ravel()
+_LAST = np.tril(np.full((33, 32), 0xFF, np.uint8), -1)[:, ::-1].copy()  # row L: last L bytes
+
+# A float cell is four words: the sign and a leading "0.000"; digits 0-3 and
+# 4-7 each followed by a point slot; digits 8, 9 with the slot between them,
+# then the exponent.  _KEEP masks the last three.
+_LEADS = np.array(
+    [sign + lead for lead in (b"", b"0.", b"0.0", b"0.00", b"0.000") for sign in (b"\0", b"-")],
+    "S8",
+).view("<u8")  # row 2 * (-e) + sign
+_TAILS = np.zeros((100, 8), np.uint8)  # "d.d" for q < 100
+_TAILS[:, [0, 2]] = _QDIGITS[:100, 2:]
+_TAILS[:, 1] = ord(".")
+_TAILS = _TAILS.view("<u8").ravel()
+_EXPONENTS = np.zeros((602, 8), np.uint8)  # row e + 301 ends in "e+XX", row 0 is empty
+_E = np.arange(-300, 301)
+_EXPONENTS[1:, 3] = ord("e")
+_EXPONENTS[1:, 4] = np.where(_E < 0, ord("-"), ord("+"))
+_EXPONENTS[1:, 5:] = _QDIGITS[np.abs(_E), 1:]
+_EXPONENTS[1:, 5] *= np.abs(_E) >= 100  # two digits at least
+_EXPONENTS = _EXPONENTS.view("<u8").ravel()
+_KEEP = np.zeros((100, 24), np.uint8)  # row 10 * k + p: digits 0..k, a point after p - 1
+for _k in range(10):
+    _KEEP[10 * _k : 10 * _k + 10, 0 : 2 * _k + 1 : 2] = 0xFF
+    _KEEP[10 * _k + np.arange(1, 10), np.arange(1, 19, 2)] = 0xFF
+_KEEP[:, 19:] = 0xFF
+_KEEP = _KEEP.view("<u8")
+_HIDDEN_CELLS = np.array([b"NA", b"0", b"1"])  # by hidden + 1
+
+
+def _splice(block: np.ndarray, rows: np.ndarray, cells: list[str]) -> np.ndarray:
+    """``block`` with ``rows`` replaced by the text ``cells``, widened to fit."""
+    if not rows.size:
+        return block
+    text = np.array([cell.encode() for cell in cells])  # NUL-padded to the longest
+    out = np.zeros((len(block), max(block.shape[1], text.itemsize)), np.uint8)
+    out[:, : block.shape[1]] = block
+    out[rows] = _PAD
+    out[rows, : text.itemsize] = text.view(np.uint8).reshape(rows.size, -1)
+    return out
+
+
+def _int_cells(values: np.ndarray) -> np.ndarray:
+    """``str(int(v))`` of each value, one row of bytes per value."""
+    fallback = np.zeros(0, np.intp)
+    if values.dtype == object:  # Python ints, some perhaps past int64
+        ints = [int(v) for v in values.tolist()]
+        big = np.array([not -(2**63) <= v < 2**63 for v in ints], bool)
+        fallback = np.flatnonzero(big)
+        values = np.array([0 if b else v for v, b in zip(ints, big)], np.int64)
+    negative = values < 0
+    magnitude = values.astype(np.uint64)
+    magnitude[negative] = ~magnitude[negative] + np.uint64(1)  # two's complement |v|
+    length = np.maximum(np.searchsorted(_UPOW10, magnitude, side="right"), 1)
+    width = int(length.max()) if values.size else 1
+    quads = -(-width // 4)
+    digits = np.empty((values.size, quads), "<u4")
+    for j in range(quads - 1, -1, -1):  # four digits at a time, from the right
+        magnitude, quad = np.divmod(magnitude, np.uint64(10**4))
+        digits[:, j] = _DIGITS4.take(quad)
+    sign = int(negative.any())
+    block = np.empty((values.size, sign + width), np.uint8)
+    block[:, :sign] = negative[:, None] * np.uint8(ord("-"))
+    np.bitwise_and(  # leading zeros become pads
+        digits.view(np.uint8)[:, 4 * quads - width :],
+        _LAST.take(length, axis=0)[:, 32 - width :],
+        out=block[:, sign:],
+    )
+    return _splice(block, fallback, [format_number(ints[k]) for k in fallback.tolist()])
+
+
+def _float_cells(values: np.ndarray) -> np.ndarray:
+    """``f"{v:.10g}"`` of each value, one row of bytes per value.
+
+    With e = floor(log10 |v|), the ten digits are m = round(|v| * 10**(9 - e)),
+    a carry to 10**10 moving to the next decade.  The product takes one
+    rounding while 10**|9 - e| is exact and two beyond, far inside the
+    1e-4 margin kept from a tie, so m is the correctly rounded mantissa.
+    Zeros, non-finite values, |v| outside [1e-290, 1e290], near-ties and
+    misjudged decades are formatted by :func:`format_number` instead.
+
+    A row holds every byte some layout may need, pads where this value's
+    layout has none: the sign, a leading ``0.000`` (fixed notation below
+    1), the digits with a point slot after each, and the exponent.  The
+    fraction's trailing zeros are pads, and so is a point with no digit
+    after it.
     """
-    rows = iter(rows)
-    with Path(path).open("w") as fh:
-        fh.write(",".join(header) + "\n")
-        while block := list(islice(rows, _BLOCK_ROWS)):
-            fh.write("".join(starmap(row_format.format, block)))
+    a = np.abs(values)
+    fast = (a >= 1e-290) & (a <= 1e290)
+    a[~fast] = 1.0
+    e = np.floor(np.log10(a)).astype(np.int64)
+    power = _POW10.take(np.abs(9 - e))
+    r = np.divide(a, power)
+    np.multiply(a, power, out=r, where=e <= 9)
+    m = np.floor(r + 0.5)
+    fast &= (r >= 1e9) & (m <= 1e10) & (np.abs(r - np.floor(r) - 0.5) >= 1e-4)
+    carry = m == 1e10
+    m[carry] = 1e9
+    e += carry
+    m[~fast] = 1e9
+    m = m.astype(np.int64)
+    head = m // 10**6  # digits 0-3
+    middle = m // 100 - head * 10**4  # digits 4-7
+    tail = m - m // 100 * 100  # digits 8-9
+    last = 3 - _TRAILING.take(head)  # the last nonzero digit
+    last = np.where(middle > 0, 7 - _TRAILING.take(middle), last)
+    last = np.where(tail > 0, 9 - _TRAILING.take(tail), last)
+    fixed = (e >= -4) & (e < 10)
+    below_one = fixed & (e < 0)
+    whole = np.where(fixed & (e > 0), e, 0)  # the last digit before the point
+    point = np.where(below_one | (last <= whole), 0, whole + 1)
+    block = np.empty((values.size, 4), "<u8")
+    block[:, 0] = _LEADS.take(2 * np.where(below_one, -e, 0) + np.signbit(values))
+    block[:, 1] = _PAIRS.take(head)
+    block[:, 2] = _PAIRS.take(middle)
+    block[:, 3] = _TAILS.take(tail) | _EXPONENTS.take(np.where(fixed, 0, e + 301))
+    block[:, 1:] &= _KEEP.take(10 * np.maximum(last, whole) + point, axis=0)
+    slow = np.flatnonzero(~fast)
+    cells = [format_number(v) for v in values[slow].tolist()]
+    return _splice(block.view(np.uint8), slow, cells)
+
+
+def _int_column(values: Iterable[int]) -> np.ndarray:
+    """An integer column: int64 where every value fits, else Python ints."""
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind in "biu":
+            return values
+        values = values.tolist()
+    values = list(values)
+    try:
+        return np.array(values, np.int64)
+    except OverflowError:
+        return np.array([int(v) for v in values], object)
+
+
+def _cells(values: np.ndarray) -> np.ndarray:
+    """A column's cells as NUL-padded rows of bytes.
+
+    Numbers are written as :func:`format_number` writes them; a bytes
+    column is written as it is.
+    """
+    if values.dtype.kind == "S":
+        return values.view(np.uint8).reshape(values.size, -1)
+    return _float_cells(values) if values.dtype.kind == "f" else _int_cells(values)
+
+
+def _write_columns(
+    path: str | Path, header: Sequence[str], columns: Sequence[np.ndarray]
+) -> None:
+    """Write ``header``, then one line per row of the equal-length ``columns``.
+
+    A block of ``_BLOCK_ROWS`` rows is formatted at once: each column becomes
+    a NUL-padded byte block (see :func:`_cells`), the blocks are laid side
+    by side between commas, and the block is written with its pads dropped.
+    """
+    n = len(columns[0])
+    with Path(path).open("wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for k in range(0, n, _BLOCK_ROWS):
+            rows = min(_BLOCK_ROWS, n - k)
+            blocks = []
+            for column in columns:
+                blocks += [_cells(column[k : k + rows]), np.full((rows, 1), ord(","), np.uint8)]
+            blocks[-1][:] = ord("\n")  # the last separator ends the line
+            data = np.hstack(blocks).ravel()
+            fh.write(data.compress(data != _PAD).tobytes())
 
 
 def write_dataset_csv(
-    path: str | Path, rows: Iterable[tuple[int, int, float, int | None]]
+    path: str | Path,
+    index: np.ndarray,
+    outcome: np.ndarray,
+    time_s: np.ndarray,
+    hidden: np.ndarray,
 ) -> None:
-    """Write a measurement stream in the shared dataset format."""
-    _write_blocks(
-        path,
-        DATASET_HEADER,
-        "{},{},{:.10g},{}\n",
-        ((i, o, t, "NA" if h is None else h) for i, o, t, h in rows),
-    )
+    """Write a measurement stream in the shared dataset format.
+
+    Takes the columns as :func:`_read_columns` returns them: a hidden -1
+    is written as NA.
+    """
+    hidden = np.asarray(hidden)
+    if not np.isin(hidden, (-1, 0, 1)).all():
+        raise ValueError("hidden values must be -1 (NA), 0 or 1")
+    columns = _int_column(index), _int_column(outcome), np.asarray(time_s, dtype=float)
+    if len({column.size for column in (*columns, hidden)}) > 1:
+        raise ValueError("dataset columns differ in length")
+    _write_columns(path, DATASET_HEADER, (*columns, _HIDDEN_CELLS[hidden.astype(np.intp) + 1]))
 
 
 def write_table(

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dataio import _write_blocks
+from .dataio import _int_column, _write_columns
 
 __all__ = [
     "STATE_NAMES",
@@ -407,7 +407,8 @@ def write_decoded_csv(
     obs = _check_observations(observations)
     if obs.size != decoded.states.size:
         raise ValueError("observations and decoded series differ in length")
-    idx = range(obs.size) if indices is None else map(int, indices)
-    rows = zip(idx, obs.tolist(), decoded.states.tolist(), decoded.posteriors.tolist())
+    idx = np.arange(obs.size) if indices is None else _int_column(indices)
+    if idx.size != obs.size:
+        raise ValueError("indices and observations differ in length")
     header = ("index", "outcome", "predicted_state", "posterior")
-    _write_blocks(path, header, "{},{},{},{:.10g}\n", rows)
+    _write_columns(path, header, (idx, obs, decoded.states, decoded.posteriors))

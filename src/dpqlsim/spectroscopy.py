@@ -323,6 +323,12 @@ def thermal_distribution(c: MolecularConstants, T: float) -> StateDistribution:
 
 
 def most_probable_rotational_state(c: MolecularConstants, T: float) -> RoVibState:
-    """Most populated rotational level within (v = 0, lower manifold)."""
-    levels = enumerate_levels(c, two_omega=c.lower_two_omega, v=0)
-    return max(levels, key=thermal_distribution(c, T).probability)
+    """Most populated rotational level within (v = 0, lower manifold).
+
+    Those are the first ``J_count`` levels of the table; the argmax keeps
+    the first of equal weights.
+    """
+    _check_temperature(T)
+    states, energies, weights = _level_table(c)
+    boltz = weights[: c.J_count] * np.exp(-energies[: c.J_count] / (KB_CM * T))
+    return states[int(np.argmax(boltz))]

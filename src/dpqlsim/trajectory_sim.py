@@ -162,7 +162,9 @@ class TrialDataset:
         return float(self.hidden.mean())
 
     def to_csv(self, path) -> None:
-        dataio.write_dataset_csv(path, self.records)
+        n = self.outcome.size
+        times = np.arange(1, n + 1) * self.config.cycle  # the times of ``records``
+        dataio.write_dataset_csv(path, np.arange(n), self.outcome, times, self.hidden)
 
 
 class TrajectoryDynamics:

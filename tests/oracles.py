@@ -2,12 +2,14 @@
 
 Each is the earlier per-cycle or per-record code, kept here only to check
 the event-driven simulator, the scalar HMM kernels and the columnar CSV
-reader and block writers against:
+reader and columnar writers against:
 
 - ``simulate_arrays``: one ``TrajectoryDynamics.step_code`` call per cycle.
 - ``smooth`` / ``forward_backward`` / ``viterbi``: numpy 2-vector loops.
 - ``read_dataset_csv``: a ``csv.reader`` row loop.
-- ``write_dataset_csv`` / ``write_decoded_csv``: ``csv.writer`` writers.
+- ``write_dataset_csv`` / ``write_decoded_csv``: ``csv.writer`` writers
+  of rows; ``dataset_columns`` turns such rows into the columns that
+  ``dataio.write_dataset_csv`` takes.
 - ``longest_run_cdf``: an exact-integer count of strings with a bounded
   dark run, practical for n up to a few hundred.
 - ``most_probable_rotational_state``: a loop over the relative Boltzmann
@@ -164,6 +166,12 @@ def write_dataset_csv(path, rows):
             for i, o, t, h in rows
         ),
     )
+
+
+def dataset_columns(rows):
+    """(index, outcome, time_s, hidden) columns of dataset rows; a None hidden is -1."""
+    index, outcome, time_s, hidden = zip(*rows) if rows else ((),) * 4
+    return index, outcome, time_s, [-1 if h is None else h for h in hidden]
 
 
 def write_decoded_csv(path, observations, decoded, *, indices=None):

@@ -14,6 +14,7 @@ from pathlib import Path
 import dataclasses
 
 import numpy as np
+import oracles
 import pytest
 
 from dpqlsim.bbr_kinetics import leave_probability_per_cycle, lifetime_temperature_sweep
@@ -299,7 +300,8 @@ class TestAnalyzeRuns:
         outcomes = (np.random.default_rng(5).random(30000) < 0.03).astype(int)
         outcomes[999:1301] = [0] + [1] * 300 + [0]
         data = tmp_path / "dataset.csv"
-        write_dataset_csv(data, [(i, int(o), 0.04 * i, None) for i, o in enumerate(outcomes)])
+        rows = [(i, int(o), 0.04 * i, None) for i, o in enumerate(outcomes)]
+        write_dataset_csv(data, *oracles.dataset_columns(rows))
         code = main(["analyze", str(data), "--mode", "runs", "--out", str(tmp_path / "runs")])
         assert code == EXIT_OK
         report = json.loads((tmp_path / "runs" / "report.json").read_text())
@@ -315,7 +317,8 @@ class TestAnalyzeRuns:
         # No dark run at all: p = 1 and z = -inf, which strict JSON has no
         # literal for; the report writes null.
         data = tmp_path / "dataset.csv"
-        write_dataset_csv(data, [(i, 0, 0.04 * (i + 1), None) for i in range(500)])
+        rows = [(i, 0, 0.04 * (i + 1), None) for i in range(500)]
+        write_dataset_csv(data, *oracles.dataset_columns(rows))
         out = tmp_path / "runs"
         assert main(["analyze", str(data), "--mode", "runs", "--out", str(out)]) == EXIT_OK
         for name in ("report.json", "manifest.json"):
@@ -375,7 +378,8 @@ class TestAnalyzeHmm:
     def test_unlabeled_dataset_skips_metrics(self, sim_dir, tmp_path):
         rows = read_dataset_csv(sim_dir / "dataset.csv")[:2000]
         unlabeled = tmp_path / "unlabeled.csv"
-        write_dataset_csv(unlabeled, [(i, o, t, None) for i, o, t, _ in rows])
+        unlabeled_rows = [(i, o, t, None) for i, o, t, _ in rows]
+        write_dataset_csv(unlabeled, *oracles.dataset_columns(unlabeled_rows))
         code = main(
             ["analyze", str(unlabeled), "--mode", "hmm", "--out", str(tmp_path)]
         )
@@ -384,13 +388,27 @@ class TestAnalyzeHmm:
         assert report["n_records"] == 2000
         assert "metrics" not in report
 
+    def test_indices_past_int64_pass_through(self, tmp_path):
+        # The reader keeps an index past int64 as a Python int; decoded.csv
+        # writes each index as the dataset holds it, on either side of 2**63.
+        data = tmp_path / "dataset.csv"
+        indices = [2**63 - 25 + k for k in range(50)]
+        rows = [(i, k % 3 // 2, 0.04 * (k + 1), None) for k, i in enumerate(indices)]
+        write_dataset_csv(data, *oracles.dataset_columns(rows))
+        assert main(["analyze", str(data), "--mode", "hmm", "--out", str(tmp_path)]) == EXIT_OK
+        _, decoded = read_csv(tmp_path / "decoded.csv")
+        assert [int(r[0]) for r in decoded] == indices
+
     def test_one_na_label_skips_metrics_and_indices_pass_through(self, sim_dir, tmp_path):
         # A single NA leaves the whole stream unlabeled; decoded.csv echoes
         # the file's own indices, which need not count from 0.
         rows = read_dataset_csv(sim_dir / "dataset.csv")[:2000]
         shifted = tmp_path / "shifted.csv"
         write_dataset_csv(
-            shifted, [(i + 7, o, t, None if i == 1234 else h) for i, o, t, h in rows]
+            shifted,
+            *oracles.dataset_columns(
+                [(i + 7, o, t, None if i == 1234 else h) for i, o, t, h in rows]
+            ),
         )
         assert main(["analyze", str(shifted), "--mode", "hmm", "--out", str(tmp_path)]) == EXIT_OK
         report = json.loads((tmp_path / "report.json").read_text())
@@ -449,7 +467,7 @@ class TestAnalyzeErrors:
     @pytest.mark.parametrize("mode", ["bins", "runs", "hmm"])
     def test_stream_without_records_is_data_error(self, tmp_path, capsys, mode):
         data = tmp_path / "dataset.csv"
-        write_dataset_csv(data, [])
+        write_dataset_csv(data, *oracles.dataset_columns([]))
         assert read_dataset_csv(data) == []
         out = tmp_path / mode
         code = main(["analyze", str(data), "--mode", mode, "--out", str(out)])

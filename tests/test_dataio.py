@@ -30,6 +30,7 @@ from dpqlsim.dataio import (
     write_table,
 )
 from dpqlsim.hmm_detector import DecodedSeries, write_decoded_csv
+from dpqlsim.trajectory_sim import ExperimentConfig, simulate_hours
 
 
 class TestKeyValues:
@@ -106,13 +107,22 @@ class TestDatasetCsv:
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "d.csv"
-        write_dataset_csv(path, self.ROWS)
+        write_dataset_csv(path, *oracles.dataset_columns(self.ROWS))
         assert read_dataset_csv(path) == self.ROWS
 
     def test_header_written(self, tmp_path):
         path = tmp_path / "d.csv"
-        write_dataset_csv(path, self.ROWS)
+        write_dataset_csv(path, *oracles.dataset_columns(self.ROWS))
         assert path.read_text().splitlines()[0] == ",".join(DATASET_HEADER)
+
+    def test_columns_are_checked(self, tmp_path):
+        with pytest.raises(ValueError, match="hidden"):
+            write_dataset_csv(tmp_path / "d.csv", [0], [1], [0.04], [2])
+        with pytest.raises(ValueError, match="length"):
+            write_dataset_csv(tmp_path / "d.csv", [0, 1], [1], [0.04], [0])
+        decoded = DecodedSeries(np.zeros(2, np.int8), np.zeros(2), 0.0)
+        with pytest.raises(ValueError, match="length"):
+            write_decoded_csv(tmp_path / "x.csv", [0, 1], decoded, indices=[5])
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -394,14 +404,14 @@ _ints = st.integers(-(2**70), 2**70)
 
 
 class TestBlockWritersAgainstOracle:
-    """The block writers against the csv.writer writers they replaced."""
+    """The columnar writers against the csv.writer writers they replaced."""
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.lists(st.tuples(_ints, st.sampled_from([0, 1]), _times,
                               st.sampled_from([0, 1, None])), max_size=40))
     def test_dataset_bytes(self, tmp_path_factory, rows):
         out = tmp_path_factory.mktemp("w")
-        write_dataset_csv(out / "new.csv", rows)
+        write_dataset_csv(out / "new.csv", *oracles.dataset_columns(rows))
         oracles.write_dataset_csv(out / "old.csv", rows)
         assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
 
@@ -413,7 +423,7 @@ class TestBlockWritersAgainstOracle:
             (k, int(o), t, None if h == 2 else h)
             for k, o, t, h in zip(range(n), rng.integers(0, 2, n), rng.random(n) * 1e4, hidden)
         ]
-        write_dataset_csv(tmp_path / "new.csv", iter(rows))
+        write_dataset_csv(tmp_path / "new.csv", *oracles.dataset_columns(rows))
         oracles.write_dataset_csv(tmp_path / "old.csv", rows)
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
@@ -432,3 +442,79 @@ class TestBlockWritersAgainstOracle:
         write_decoded_csv(out / "new.csv", obs, decoded, indices=indices)
         oracles.write_decoded_csv(out / "old.csv", obs, decoded, indices=indices)
         assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
+
+
+def _formatted(column):
+    """The column formatter's cells as text, its pads dropped."""
+    block = dataio._cells(column)
+    lines = np.hstack([block, np.full((len(block), 1), ord("\n"), np.uint8)]).ravel()
+    return lines.compress(lines != dataio._PAD).tobytes().decode().split("\n")[:-1]
+
+
+def _decades():
+    """Every 10**e a float holds, with both neighbours."""
+    for e in range(-323, 309):
+        x = float(f"1e{e}")
+        yield from (np.nextafter(x, 0.0), x, np.nextafter(x, math.inf))
+
+
+_EDGE_FLOATS = [
+    *_decades(),
+    9.9999999995e-5, 99999.999995, 9999999999.5,  # round into the next decade
+    1e-5, 1e-4, 9999999999.0, 1e10,  # either side of a switch of notation
+    1e-290, 1e290, 9.999999999e-291, 1.000000001e290,  # either side of the fallback range
+]
+
+
+class TestColumnFormatterAgainstFormatNumber:
+    """dataio._cells, the CSV writers' numeric kernel, against format_number."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.floats(), max_size=60))
+    def test_floats(self, values):
+        column = np.array(values, dtype=float)
+        assert _formatted(column) == [format_number(v) for v in values]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(_ints, max_size=60))
+    def test_integers(self, values):
+        column = dataio._int_column(values)  # int64, or Python ints past its range
+        assert _formatted(column) == [format_number(v) for v in values]
+
+    def test_integer_extremes(self):
+        fits = [-(2**63), 2**63 - 1, 0, -1, 9, 10, -10]
+        assert _formatted(np.array(fits, np.int64)) == [str(v) for v in fits]
+        values = fits + [-(2**63) - 1, 2**63]
+        assert _formatted(dataio._int_column(values)) == [str(v) for v in values]
+        assert _formatted(np.array([0, 2**64 - 1], np.uint64)) == ["0", str(2**64 - 1)]
+
+    def test_edge_floats(self):
+        values = np.array(_EDGE_FLOATS + [-x for x in _EDGE_FLOATS])
+        assert _formatted(values) == [format_number(v) for v in values.tolist()]
+
+    def test_ties_round_half_even(self):
+        values = np.array([1234567890.5, 123456789.25, 123456789.75])
+        expected = ["1234567890", "123456789.2", "123456789.8"]
+        assert _formatted(values) == [format_number(v) for v in values.tolist()] == expected
+
+    @pytest.mark.parametrize("cycle", [0.04, 0.001, 0.1, 1 / 3])
+    def test_two_hour_time_column(self, cycle):
+        # The dataset's time cells are (k + 1) * cycle for every cycle of 2 h.
+        n = round(7200 / cycle)
+        for k in range(0, n, dataio._BLOCK_ROWS):
+            times = np.arange(k + 1, min(k + dataio._BLOCK_ROWS, n) + 1) * cycle
+            assert _formatted(times) == [format_number(t) for t in times.tolist()]
+
+
+def test_written_stream_reads_back_exactly(tmp_path):
+    dataset = simulate_hours(ExperimentConfig(rng_seed=12345), 2.0)
+    path = tmp_path / "dataset.csv"
+    dataset.to_csv(path)
+    index, outcome, time_s, hidden = dataio._read_columns(path)
+    n = dataset.outcome.size
+    assert n == 180000
+    assert index.dtype == np.int64 and np.array_equal(index, np.arange(n))
+    assert outcome.dtype == np.int8 and np.array_equal(outcome, dataset.outcome)
+    assert np.array_equal(hidden, dataset.hidden)
+    times = np.arange(1, n + 1) * dataset.config.cycle
+    assert time_s.tolist() == [float(f"{t:.10g}") for t in times.tolist()]
