@@ -379,33 +379,22 @@ def ground_state_residence_lifetime(c: MolecularConstants, T: float) -> float:
     return float(1.0 / gamma)
 
 
-def rethermalization_time(
-    c: MolecularConstants,
-    T: float,
-    start: RoVibState | None = None,
-    *,
-    target_fraction: float = 0.63,
-    duration: float = 600.0,
-) -> float:
-    """Time for the ground-level population to reach a fraction of thermal.
+def rethermalization_time(c: MolecularConstants, T: float) -> float:
+    """Time for the ground-level population to reach 63 % of thermal.
 
-    Starting from unit occupation of ``start`` (default: the most probable
-    rotational level at T), evolves the full generator and returns the
-    first time the (v = 0, J = 3/2) population crosses ``target_fraction``
-    of its stationary value within the radiative set.
+    Starting from unit occupation of the most probable rotational level at
+    T, evolves the full generator over 600 s on a 1 s grid and returns the
+    first time the (v = 0, J = 3/2) population crosses 0.63 of its
+    stationary value within the radiative set.
     """
-    if start is None:
-        start = most_probable_rotational_state(c, T)
     m = build_rate_matrix(c, T)
-    init = StateDistribution({start: 1.0})
-    traj = evolve_populations(m, init, duration, snapshots=601)
-    target = target_fraction * restricted_boltzmann(c, T).probability(ROT_GROUND)
+    init = StateDistribution({most_probable_rotational_state(c, T): 1.0})
+    traj = evolve_populations(m, init, 600.0, snapshots=601)
+    target = 0.63 * restricted_boltzmann(c, T).probability(ROT_GROUND)
     pg = traj.population_of(ROT_GROUND)
     above = np.nonzero(pg >= target)[0]
     if above.size == 0:
-        raise ValueError(
-            f"ground population did not reach {target:.3e} within {duration} s"
-        )
+        raise ValueError(f"ground population did not reach {target:.3e} within 600 s")
     k = int(above[0])
     if k == 0:
         return 0.0

@@ -206,6 +206,8 @@ def cmd_simulate(
     """Labeled Monte Carlo stream covering ``hours`` of wall-clock time."""
     if not hours > 0.0:
         raise UsageError(f"--hours must be positive, got {hours!r}")
+    if round(hours * 3600.0 / config.cycle) < 1:  # simulate_hours rounds to whole cycles
+        raise UsageError(f"--hours {hours:g} rounds to zero cycles of {config.cycle:g} s")
     cap = config.trial_duration_cap
     if cap is not None and cap < config.cycle:
         raise UsageError(
@@ -263,6 +265,10 @@ def cmd_analyze(
         p_g, p_s = _detector_rates(constants, config)
         observed = disjoint_bin_counts(outcomes, window)
         n_bins = outcomes.size // window
+        if n_bins < 1:
+            raise UsageError(
+                f"--window {window} is longer than the stream ({outcomes.size} records)"
+            )
         model = NoiseSignalModel(
             p_b=config.p_bright_noise,
             p_d=config.detection_fidelity,

@@ -89,16 +89,7 @@ def write_keyvalues(
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _parse_bool(raw: object) -> bool:
-    if not isinstance(raw, str):
-        return bool(raw)
-    lowered = raw.strip().lower()
-    if lowered not in ("true", "false", "0", "1"):
-        raise ValueError(f"expected a boolean, got {raw!r}")
-    return lowered in ("true", "1")
-
-
-_CASTS: dict[type, Callable[[object], object]] = {float: float, int: int, bool: _parse_bool}
+_CASTS: dict[type, Callable[[object], object]] = {float: float, int: int}
 
 
 def config_casts(cls: type) -> dict[str, Callable[[object], object]]:

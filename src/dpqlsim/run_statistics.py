@@ -311,14 +311,14 @@ def observed_run_significance(
     return replace(inner, x=x_obs)
 
 
-def required_run_length(
-    n: int, p_dark: float, z_target: float, *, max_x: int = 200
-) -> SignificanceResult:
-    """Smallest x whose exceedance reaches ``z_target`` sigmas at size n."""
-    for x in range(min(n, max_x) + 1):
+def required_run_length(n: int, p_dark: float, z_target: float) -> SignificanceResult:
+    """Smallest x up to 200 whose exceedance reaches ``z_target`` sigmas at size n.
+
+    No run can exceed x = n, so the search stops at n - 1.
+    """
+    top = min(n - 1, 200)
+    for x in range(top + 1):
         result = significance(n, x, p_dark)
         if result.z >= z_target:
             return result
-    raise ValueError(
-        f"no run length up to {max_x} reaches Z = {z_target} at n = {n}"
-    )
+    raise ValueError(f"no run length up to {top} reaches Z = {z_target} at n = {n}")

@@ -5,7 +5,7 @@ into Omega = 3/2 and Omega = 1/2 fine-structure manifolds, each carrying a
 harmonic vibrational ladder and a rigid-rotor rotational ladder.  Energies
 are expressed in cm^-1 as
 
-    E(v, Omega, n) = omega_e * v + A_so * [Omega in upper manifold]
+    E(v, Omega, n) = omega_e * v + A_so * [Omega = 1/2]
                      + B_e * n * (n + 1)
 
 where ``n`` counts rotational quanta above the floor of a manifold; the
@@ -134,9 +134,8 @@ class MolecularConstants:
 
     ``mu_vib_scale`` multiplies the vibrational transition dipole used by
     the radiative-rate builder and ``mu_rot_scale`` sets the rotational
-    dipole relative to the vibrational one.  ``omega_half_lower`` inverts
-    the fine-structure ordering; by default Omega = 3/2 is the lower
-    manifold.
+    dipole relative to the vibrational one.  Omega = 3/2 is always the
+    lower manifold; the upper one sits ``A_so`` above it.
     """
 
     omega_e: float = 634.0
@@ -147,7 +146,6 @@ class MolecularConstants:
     J_count: int = 70
     mu_vib_scale: float = 1.0
     mu_rot_scale: float = 10.0
-    omega_half_lower: bool = False
 
     def __post_init__(self) -> None:
         if self.omega_e <= 0 or self.A_so <= 0 or self.B_e <= 0:
@@ -158,14 +156,6 @@ class MolecularConstants:
             raise ValueError(f"J_count must be >= 1, got {self.J_count}")
         if self.mu_vib_scale <= 0 or self.mu_rot_scale <= 0:
             raise ValueError("dipole scale factors must be positive")
-
-    @property
-    def lower_two_omega(self) -> int:
-        return 1 if self.omega_half_lower else 3
-
-    @property
-    def upper_two_omega(self) -> int:
-        return 3 if self.omega_half_lower else 1
 
 
 @dataclass(frozen=True)
@@ -231,7 +221,7 @@ def level_energy(state: RoVibState, c: MolecularConstants) -> float:
     """
     _check_in_truncation(state, c)
     n = state.rotational_quanta
-    fine = c.A_so if state.two_omega == c.upper_two_omega else 0.0
+    fine = c.A_so if state.two_omega == 1 else 0.0
     return c.omega_e * state.v + fine + c.B_e * n * (n + 1)
 
 
@@ -246,14 +236,14 @@ def enumerate_levels(
     two_omega: int | None = None,
     v: int | None = None,
 ) -> list[RoVibState]:
-    """All levels of the truncated set, lower fine-structure manifold first.
+    """All levels of the truncated set, the lower Omega = 3/2 manifold first.
 
     Within each manifold the order is v ascending, then rotational quanta
     ascending, so a single-manifold listing indexes as ``v * J_count + n``.
     Optional filters restrict the listing to one manifold or one vibrational
     level.
     """
-    manifolds: Iterable[int] = (c.lower_two_omega, c.upper_two_omega)
+    manifolds: Iterable[int] = (3, 1)
     if two_omega is not None:
         if two_omega not in (1, 3):
             raise ValueError(f"two_omega must be 1 or 3, got {two_omega}")
@@ -323,7 +313,7 @@ def thermal_distribution(c: MolecularConstants, T: float) -> StateDistribution:
 
 
 def most_probable_rotational_state(c: MolecularConstants, T: float) -> RoVibState:
-    """Most populated rotational level within (v = 0, lower manifold).
+    """Most populated rotational level within (v = 0, Omega = 3/2).
 
     Those are the first ``J_count`` levels of the table; the argmax keeps
     the first of equal weights.

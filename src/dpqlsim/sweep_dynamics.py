@@ -5,8 +5,8 @@ Jaynes-Cummings interaction suffices for a ground-state-cooled mode: the
 2x2 Hamiltonian carries detuning +-(omega_mol - omega_q)/2 on the
 diagonal and g_q/2 off the diagonal.  A linear sweep of the trap
 frequency omega_q through resonance transfers population between the
-diabatic states.  One batched propagator evolves every point of an
-(omega_mol, g_q) grid at once with the exponential midpoint (second-order
+diabatic states.  One batched propagator evolves every point of a
+molecular-frequency grid at once with the exponential midpoint (second-order
 Magnus) rule, whose 2x2 step matrices have a closed form (Blanes et al.,
 Phys. Rep. 470:151, 2009); the analytic Landau-Zener formula serves as an
 independent oracle for it.
@@ -37,9 +37,9 @@ __all__ = [
 
 _TWO_PI = 2.0 * math.pi
 
-#: Propagator step, s, when ``SweepConfig.time_step`` is unset.  On the
-#: 410-490 kHz window grid, halving it moves no transfer by more than
-#: 3.4e-10 (the error falls as dt^4 there).
+#: Largest propagator step, s; the sweep is split into equal steps no
+#: longer.  On the 410-490 kHz window grid, halving it moves no transfer by
+#: more than 3.4e-10 (the error falls as dt^4 there).
 DEFAULT_TIME_STEP = 1e-6
 
 # Time steps per tree product: bounds the scratch arrays at _BLOCK times
@@ -53,9 +53,7 @@ class SweepConfig:
 
     Defaults: sweep from 2 pi x 492 kHz down to 2 pi x 410 kHz at
     2 pi x 10 kHz per ms, with the molecular resonance at 2 pi x 450 kHz
-    and a vacuum Rabi coupling of 2 pi x 2.6 kHz.  ``time_step`` (s) caps
-    the propagator step, which divides the sweep evenly; None uses
-    ``DEFAULT_TIME_STEP``.
+    and a vacuum Rabi coupling of 2 pi x 2.6 kHz.
     """
 
     omega_start: float = _TWO_PI * 492e3
@@ -63,7 +61,6 @@ class SweepConfig:
     ramp_rate: float = _TWO_PI * 10e3 / 1e-3
     omega_mol: float = _TWO_PI * 450e3
     g_q: float = _TWO_PI * 2.6e3
-    time_step: float | None = None
 
     def __post_init__(self) -> None:
         if not self.ramp_rate > 0.0:
@@ -72,8 +69,6 @@ class SweepConfig:
             raise ValueError("omega_start and omega_end must differ")
         if self.g_q < 0.0:
             raise ValueError(f"g_q must be >= 0, got {self.g_q!r}")
-        if self.time_step is not None and not self.time_step > 0.0:
-            raise ValueError("time_step must be positive when set")
 
     @property
     def duration(self) -> float:
@@ -121,8 +116,7 @@ def _propagate(
     propagator's first column, the final amplitudes of |f, 0> and |e, 1>.
     """
     omega_mol, g_q = np.broadcast_arrays(omega_mol, g_q)
-    step = cfg.time_step if cfg.time_step is not None else DEFAULT_TIME_STEP
-    n_steps = max(1, math.ceil(cfg.duration / step))
+    n_steps = max(1, math.ceil(cfg.duration / DEFAULT_TIME_STEP))
     dt = cfg.duration / n_steps
     slope = cfg.direction * cfg.ramp_rate
     d0 = omega_mol - cfg.omega_start
@@ -164,57 +158,43 @@ def landau_zener_oracle(g_q: float, ramp_rate: float) -> float:
 
 @dataclass(frozen=True)
 class TransferWindowMap:
-    """Transfer probabilities over (omega_mol, g_q) grids.
+    """Transfer probabilities over an omega_mol grid at the configured coupling.
 
-    ``transfer[i, j]`` is the probability at ``omega_mol_values[i]`` and
-    ``g_q_values[j]``.  ``window`` is the contiguous omega_mol interval
-    with transfer above the threshold at the g_q column closest to the
-    configured coupling, or None when no grid point clears it.
+    ``transfer[i]`` is the probability at ``omega_mol_values[i]``.
+    ``window`` is the omega_mol interval from the first to the last grid
+    point with transfer above the threshold, or None when none clears it.
     """
 
     omega_mol_values: np.ndarray
-    g_q_values: np.ndarray
+    g_q: float
     transfer: np.ndarray
     threshold: float
     window: tuple[float, float] | None
 
     def rows(self):
         """(omega_mol_Hz, g_q_Hz, transfer) rows for CSV export."""
-        for i, wm in enumerate(self.omega_mol_values):
-            for j, gq in enumerate(self.g_q_values):
-                yield (float(wm) / _TWO_PI, float(gq) / _TWO_PI, float(self.transfer[i, j]))
+        for wm, p in zip(self.omega_mol_values.tolist(), self.transfer.tolist()):
+            yield (wm / _TWO_PI, self.g_q / _TWO_PI, p)
 
 
 def transfer_window_map(
-    cfg: SweepConfig,
-    omega_mol_values: Sequence[float],
-    g_q_values: Sequence[float] | None = None,
-    *,
-    threshold: float = 0.99,
+    cfg: SweepConfig, omega_mol_values: Sequence[float], *, threshold: float = 0.99
 ) -> TransferWindowMap:
     """Evaluate the sweep over a grid and report the high-fidelity window.
 
-    ``omega_mol_values`` and ``g_q_values`` are angular frequencies; the
-    g_q grid defaults to the configured coupling alone.
+    ``omega_mol_values`` are angular frequencies; the coupling is ``cfg.g_q``.
     """
     wm = np.asarray(list(omega_mol_values), dtype=float)
-    gq = np.asarray(
-        list(g_q_values) if g_q_values is not None else [cfg.g_q], dtype=float
-    )
-    if wm.size == 0 or gq.size == 0:
-        raise ValueError("omega_mol and g_q grids must be nonempty")
-    _, amp_e = _propagate(cfg, wm[:, None], gq[None, :])
+    if wm.size == 0:
+        raise ValueError("the omega_mol grid must be nonempty")
+    _, amp_e = _propagate(cfg, wm, np.asarray(cfg.g_q))
     transfer = np.abs(amp_e) ** 2
-    ref_col = int(np.argmin(np.abs(gq - cfg.g_q)))
-    above = np.nonzero(transfer[:, ref_col] > threshold)[0]
+    above = np.nonzero(transfer > threshold)[0]
     window = None
     if above.size:
         window = (float(wm[above[0]]), float(wm[above[-1]]))
     return TransferWindowMap(
-        omega_mol_values=wm,
-        g_q_values=gq,
-        transfer=transfer,
-        threshold=threshold,
+        omega_mol_values=wm, g_q=cfg.g_q, transfer=transfer, threshold=threshold,
         window=window,
     )
 

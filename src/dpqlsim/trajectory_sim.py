@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -56,13 +56,15 @@ def _check_probability(name: str, value: float) -> None:
 class ExperimentConfig:
     """Knobs of the simulated experiment loop.
 
-    ``trial_duration_cap`` truncates a trial at a wall-clock time (molecule
-    loss).  Every field is a config-file key of the same name;
-    :func:`dataio.config_to_mapping` leaves the cap out when it is unset.
+    The length of a stream is not a knob here: :func:`simulate_trial`
+    takes it as a cycle count and :func:`simulate_hours` (``dpqlsim
+    simulate --hours``) as a wall-clock time.  ``trial_duration_cap``
+    truncates a trial at a wall-clock time (molecule loss).  Every field is
+    a config-file key of the same name; :func:`dataio.config_to_mapping`
+    leaves the cap out when it is unset.
     """
 
     cycle: float = 0.040
-    experiments_per_trial: int = 30000
     p_bright_noise: float = 0.03
     detection_fidelity: float = 0.72
     collision_rate: float = 0.008
@@ -73,8 +75,6 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not self.cycle > 0.0:
             raise ValueError(f"cycle must be positive, got {self.cycle!r}")
-        if self.experiments_per_trial < 1:
-            raise ValueError("experiments_per_trial must be >= 1")
         _check_probability("p_bright_noise", self.p_bright_noise)
         _check_probability("detection_fidelity", self.detection_fidelity)
         if self.collision_rate < 0.0:
@@ -139,12 +139,6 @@ class TrialDataset:
             raise ValueError(
                 f"{self.outcome.size} outcomes but {self.hidden.size} hidden labels"
             )
-        if self.config.trial_duration_cap is None:
-            if self.outcome.size != self.config.experiments_per_trial:
-                raise ValueError(
-                    f"{self.outcome.size} records for "
-                    f"{self.config.experiments_per_trial} configured experiments"
-                )
 
     @property
     def records(self) -> _Rows:
@@ -296,17 +290,18 @@ def _simulate_arrays(config: ExperimentConfig, constants: MolecularConstants,
 
 
 def simulate_trial(
-    config: ExperimentConfig, constants: MolecularConstants | None = None
+    config: ExperimentConfig, n_cycles: int, constants: MolecularConstants | None = None
 ) -> TrialDataset:
-    """Generate one labeled trial, deterministic in (config, seed).
+    """One labeled trial of ``n_cycles`` cycles, deterministic in (config, seed).
 
     The initial hidden state is a thermal draw, as if the molecule had
     equilibrated with the blackbody field before the trial; each cycle then
     steps the state and emits an outcome.  A configured
     ``trial_duration_cap`` truncates the stream at that wall-clock time.
     """
+    if n_cycles < 1:
+        raise ValueError(f"n_cycles must be >= 1, got {n_cycles!r}")
     constants = constants or MolecularConstants()
-    n_cycles = config.experiments_per_trial
     cap = config.trial_duration_cap
     if cap is not None:
         # Count the cycles whose end time (k + 1) * cycle lies within the
@@ -326,10 +321,7 @@ def simulate_hours(
     """Convenience wrapper sizing one trial to a wall-clock duration."""
     if not hours > 0.0:
         raise ValueError(f"hours must be positive, got {hours!r}")
-    n_cycles = int(round(hours * 3600.0 / config.cycle))
-    return simulate_trial(
-        replace(config, experiments_per_trial=n_cycles), constants
-    )
+    return simulate_trial(config, int(round(hours * 3600.0 / config.cycle)), constants)
 
 
 def ensemble_ground_occupancy(

@@ -223,7 +223,7 @@ def most_probable_rotational_state(c: MolecularConstants, T: float) -> RoVibStat
     manifold, so the argmax needs only relative weights.
     """
     _check_temperature(T)
-    omega2 = c.lower_two_omega
+    omega2 = 3  # Omega = 3/2, the lower manifold
     best_n, best_weight = 0, -math.inf
     for n in range(c.J_count):
         two_J = omega2 + 2 * n

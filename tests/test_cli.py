@@ -20,6 +20,7 @@ import pytest
 from dpqlsim.bbr_kinetics import leave_probability_per_cycle, lifetime_temperature_sweep
 from dpqlsim.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from dpqlsim.dataio import (
+    config_casts,
     config_to_mapping,
     read_dataset_csv,
     sha256_digest,
@@ -144,7 +145,7 @@ class TestSimulate:
         assert manifest["config"]["experiment"]["rng_seed"] == 11
         # Every field but the unset trial_duration_cap, and nothing else.
         fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        assert len(fields) == 8
+        assert len(fields) == 7
         assert set(manifest["config"]["experiment"]) == fields - {"trial_duration_cap"}
         assert manifest["outputs"]["dataset.csv"] == sha256_digest(
             tmp_path / "dataset.csv"
@@ -194,6 +195,23 @@ class TestSimulate:
         assert code == EXIT_USAGE
         assert "--hours" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("hours", ["1e-9", "5.5e-6"])
+    def test_hours_below_one_cycle_is_usage_error(self, tmp_path, capsys, hours):
+        # 3.6 us and 19.8 ms both round to no 40 ms cycle: refused before
+        # an empty stream is written.
+        code = main(["simulate", "--hours", hours, "--out", str(tmp_path)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"--hours {float(hours):g} rounds to zero cycles of 0.04 s" in err
+        assert not (tmp_path / "dataset.csv").exists()
+        assert not (tmp_path / "manifest.json").exists()
+
+    def test_hours_rounding_to_one_cycle_simulates_it(self, tmp_path, capsys):
+        # 0.0252 s is nearer one 40 ms cycle than none.
+        assert main(["simulate", "--hours", "7e-6", "--out", str(tmp_path)]) == EXIT_OK
+        assert "simulated 1 cycles" in capsys.readouterr().out
+        assert len(read_dataset_csv(tmp_path / "dataset.csv")) == 1
+
     def test_cap_shorter_than_a_cycle_is_usage_error(self, tmp_path, capsys):
         # A 0.01 s cap holds no 40 ms cycle: refused before any file is written.
         cfg = tmp_path / "config.txt"
@@ -206,10 +224,11 @@ class TestSimulate:
         assert not (out / "dataset.csv").exists()
         assert not (out / "manifest.json").exists()
 
-    def test_removed_experiment_keys_are_usage_errors(self, tmp_path, capsys):
-        # These four keys were validated but configured nothing, and are gone.
+    def test_removed_config_keys_are_usage_errors(self, tmp_path, capsys):
+        # The first four keys were validated but configured nothing; the
+        # stream length comes from --hours; Omega = 3/2 is the lower manifold.
         removed = ("thermalization_wait", "ramp_fidelity_1", "ramp_fidelity_2",
-                   "shelving_fidelity")
+                   "shelving_fidelity", "experiments_per_trial", "omega_half_lower")
         cfg = tmp_path / "config.txt"
         cfg.write_text("".join(f"{key} = 0.9\n" for key in removed))
         out = tmp_path / "out"
@@ -271,6 +290,21 @@ class TestAnalyzeBins:
         _, rows = read_csv(tmp_path / "bins.csv")
         assert len(rows) == 11
         assert json.loads((tmp_path / "report.json").read_text())["window"] == 10
+
+    def test_window_longer_than_stream_is_usage_error(self, tmp_path, capsys):
+        data = tmp_path / "dataset.csv"
+        write_dataset_csv(data, *oracles.dataset_columns(
+            [(k, k % 2, 0.04 * (k + 1), 0) for k in range(19)]
+        ))
+        argv = ["analyze", str(data), "--mode", "bins"]
+        out = tmp_path / "out"
+        assert main([*argv, "--out", str(out)]) == EXIT_USAGE
+        assert "--window 20 is longer than the stream (19 records)" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+        assert not (out / "manifest.json").exists()
+        # A window that fits once is one bin.
+        assert main([*argv, "--window", "19", "--out", str(out)]) == EXIT_OK
+        assert json.loads((out / "report.json").read_text())["n_bins"] == 1
 
 
 class TestAnalyzeRuns:
@@ -576,6 +610,51 @@ class TestConfigAndManifest:
             ["thermal", "--config", str(cfg), "--paper-defaults", "--out", str(tmp_path)]
         )
         assert code == EXIT_OK
+
+    # A non-default value for every config key.  Seed 416 enters the ground
+    # level within 0.01 h, so the detection fidelity shows in the stream.
+    BASE = {"rng_seed": 416}
+    NON_DEFAULT = {
+        "cycle": 0.05, "p_bright_noise": 0.2, "detection_fidelity": 0.4,
+        "collision_rate": 1.0, "temperature": 450.0, "rng_seed": 417,
+        "trial_duration_cap": 10.0, "omega_e": 600.0, "A_so": 100.0, "B_e": 0.4,
+        "g_q_ground": 1e4, "v_max": 0, "J_count": 20, "mu_vib_scale": 2.0,
+        "mu_rot_scale": 5.0,
+    }
+    RUNS = (
+        ["simulate", "--hours", "0.01"],
+        ["thermal"],
+        ["lifetime", "--t-points", "2"],
+        ["sweep", "--omega-min-khz", "440", "--omega-max-khz", "460", "--omega-points", "3"],
+    )
+
+    @classmethod
+    def output_digests(cls, out: Path, config: dict) -> dict:
+        """Digests of every output of the four commands run on ``config``."""
+        path = out / "config.txt"
+        write_keyvalues(path, config)
+        digests = {}
+        for argv in cls.RUNS:
+            assert main([*argv, "--config", str(path), "--out", str(out / argv[0])]) == EXIT_OK
+            for name, digest in load_manifest(out / argv[0])["outputs"].items():
+                digests[f"{argv[0]}/{name}"] = digest
+        return digests
+
+    @pytest.fixture(scope="class")
+    def base_digests(self, tmp_path_factory):
+        return self.output_digests(tmp_path_factory.mktemp("base"), self.BASE)
+
+    @pytest.mark.parametrize(
+        "key", [*config_casts(ExperimentConfig), *config_casts(MolecularConstants)]
+    )
+    def test_every_config_key_reaches_an_output(self, tmp_path, base_digests, key):
+        # A key that changes no output byte configures nothing and should go.
+        value = self.NON_DEFAULT[key]
+        cls = ExperimentConfig if key in config_casts(ExperimentConfig) else MolecularConstants
+        assert self.BASE.get(key, getattr(cls(), key)) != value
+        digests = self.output_digests(tmp_path, {**self.BASE, key: value})
+        assert digests.keys() == base_digests.keys()
+        assert [name for name in digests if digests[name] != base_digests[name]]
 
     def test_manifest_structure(self, tmp_path):
         argv = ["thermal", "-T", "300", "--out", str(tmp_path)]

@@ -65,28 +65,23 @@ class TestKeyValues:
 class _Knobs:
     rate: float = 1.0
     count: int = 2
-    flag: bool = False
     cap: float | None = None
 
 
 class TestConfigSchema:
     def test_keys_and_casts_follow_the_fields(self):
-        assert list(config_casts(_Knobs)) == ["rate", "count", "flag", "cap"]
-        knobs = config_from_mapping(
-            _Knobs, {"rate": "0.5", "count": "7", "flag": " True ", "cap": "3"}
-        )
-        assert knobs == _Knobs(rate=0.5, count=7, flag=True, cap=3.0)
+        assert list(config_casts(_Knobs)) == ["rate", "count", "cap"]
+        knobs = config_from_mapping(_Knobs, {"rate": "0.5", "count": "7", "cap": "3"})
+        assert knobs == _Knobs(rate=0.5, count=7, cap=3.0)
 
     def test_unset_optionals_left_out(self):
-        assert config_to_mapping(_Knobs()) == {"rate": 1.0, "count": 2, "flag": False}
+        assert config_to_mapping(_Knobs()) == {"rate": 1.0, "count": 2}
         knobs = _Knobs(cap=0.25)
         assert config_from_mapping(_Knobs, config_to_mapping(knobs)) == knobs
 
     def test_errors_name_the_key(self):
         with pytest.raises(ValueError, match="'rtae'"):
             config_from_mapping(_Knobs, {"rtae": "1"})
-        with pytest.raises(ValueError, match="'flag'.*boolean"):
-            config_from_mapping(_Knobs, {"flag": "maybe"})
         with pytest.raises(ValueError, match="'count'"):
             config_from_mapping(_Knobs, {"count": "2.5"})
 

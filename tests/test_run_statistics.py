@@ -420,8 +420,9 @@ class TestRequiredRunLength:
         assert modest.x < required_run_length(10**6, 0.03, 4.1).x
 
     def test_unreachable_target(self):
-        with pytest.raises(ValueError):
-            required_run_length(100, 0.03, 40.0, max_x=5)
+        # Even 100 darks in 100 trials stay below 40 sigma.
+        with pytest.raises(ValueError, match="up to 99 reaches Z = 40"):
+            required_run_length(100, 0.03, 40.0)
 
 
 class TestPredictionContainer:

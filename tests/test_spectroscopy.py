@@ -212,8 +212,8 @@ class TestThermalDistribution:
 
     @pytest.mark.parametrize(
         "constants",
-        [C, MolecularConstants(omega_half_lower=True), MolecularConstants(J_count=1)],
-        ids=["default", "omega_half_lower", "J_count_1"],
+        [C, MolecularConstants(J_count=1)],
+        ids=["default", "J_count_1"],
     )
     @pytest.mark.parametrize("T", [1.0, 50.0, 300.0, 600.0, 2000.0])
     def test_argmax_matches_weight_loop_oracle(self, constants, T):
@@ -251,10 +251,12 @@ class TestConfigRoundTrip:
         assert config_from_mapping(MolecularConstants, strings) == custom
 
     def test_unknown_key_rejected(self):
-        mapping = config_to_mapping(C)
-        mapping["bogus"] = 1.0
-        with pytest.raises(ValueError):
-            config_from_mapping(MolecularConstants, mapping)
+        # A typo, and omega_half_lower: Omega = 3/2 is always the lower manifold.
+        for key in ("bogus", "omega_half_lower"):
+            mapping = config_to_mapping(C)
+            mapping[key] = 1.0
+            with pytest.raises(ValueError, match=key):
+                config_from_mapping(MolecularConstants, mapping)
 
     def test_invalid_constants_rejected(self):
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
+from dpqlsim import sweep_dynamics
 from dpqlsim.bbr_kinetics import IntegrationError
 from dpqlsim.sweep_dynamics import (
     DEFAULT_TIME_STEP,
@@ -95,7 +96,6 @@ class TestSweepConfig:
             {"ramp_rate": 0.0},
             {"omega_end": TWO_PI * 492e3},
             {"g_q": -1.0},
-            {"time_step": 0.0},
         ],
     )
     def test_validation(self, kwargs):
@@ -178,10 +178,6 @@ class TestEvolveSweep:
         p = evolve_sweep(replace(SweepConfig(), omega_mol=TWO_PI * 550e3))
         assert p < 0.01
 
-    def test_time_step_cap_consistent(self):
-        cfg = replace(SweepConfig(), time_step=1e-6)
-        assert evolve_sweep(cfg) == pytest.approx(TRANSFER_DEFAULT, rel=1e-7)
-
     def test_non_finite_input_trips_norm_check(self):
         with pytest.raises(IntegrationError), np.errstate(invalid="ignore"):
             evolve_sweep(replace(SweepConfig(), omega_mol=math.inf))
@@ -208,10 +204,10 @@ class TestTransferWindowMap:
         lo, hi = m.window
         assert lo == pytest.approx(TWO_PI * 440e3)
         assert hi == pytest.approx(TWO_PI * 475e3)
+        assert m.transfer.shape == (4,)
         assert np.all((m.transfer >= 0.0) & (m.transfer <= 1.0))
-        col = m.transfer[:, 0]
-        assert col[1] > 0.99 and col[2] > 0.99
-        assert col[0] < 0.99 and col[3] < 0.99
+        assert m.transfer[1] > 0.99 and m.transfer[2] > 0.99
+        assert m.transfer[0] < 0.99 and m.transfer[3] < 0.99
 
     def test_rows_are_plain_frequencies(self):
         m = transfer_window_map(SweepConfig(), self.grid()[:2])
@@ -230,39 +226,28 @@ class TestTransferWindowMap:
         with pytest.raises(ValueError):
             transfer_window_map(SweepConfig(), [])
 
-    def test_g_q_grid_column(self):
-        m = transfer_window_map(
-            SweepConfig(),
-            [TWO_PI * 450e3],
-            [TWO_PI * 400.0, TWO_PI * 2.6e3],
-        )
-        assert m.transfer.shape == (1, 2)
-        assert m.transfer[0, 0] < m.transfer[0, 1]
-        # Window is read at the column nearest the configured coupling.
-        assert m.window is not None
-
 
 class TestPropagator:
     def test_matches_dop853_oracle_on_maps_grid(self):
         _, amp_e = dop853_amplitudes(SweepConfig(), MAPS_GRID)
         m = transfer_window_map(SweepConfig(), MAPS_GRID)
-        assert np.max(np.abs(m.transfer[:, 0] - np.abs(amp_e) ** 2)) <= 1e-8
+        assert np.max(np.abs(m.transfer - np.abs(amp_e) ** 2)) <= 1e-8
 
-    def test_step_doubling(self):
+    def test_step_doubling(self, monkeypatch):
         # DEFAULT_TIME_STEP is converged: halving it moves no point of the
         # criterion 5 grid (a superset of MAPS_GRID) by more than 1e-9.
         cfg = SweepConfig()
         coarse = transfer_window_map(cfg, CRITERION_5_GRID).transfer
-        fine = transfer_window_map(
-            replace(cfg, time_step=0.5 * DEFAULT_TIME_STEP), CRITERION_5_GRID
-        ).transfer
+        monkeypatch.setattr(sweep_dynamics, "DEFAULT_TIME_STEP", 0.5 * DEFAULT_TIME_STEP)
+        fine = transfer_window_map(cfg, CRITERION_5_GRID).transfer
         assert np.max(np.abs(coarse - fine)) <= 1e-9
 
-    def test_partial_block_matches_sequential_product(self):
+    def test_partial_block_matches_sequential_product(self, monkeypatch):
         # 1000 steps is not a multiple of the block size; the oracle
         # multiplies exp(-i H(t_mid) dt) from scipy one step at a time.
-        cfg = replace(SweepConfig(), time_step=SweepConfig().duration / 999.5)
-        n = math.ceil(cfg.duration / cfg.time_step)
+        cfg = SweepConfig()
+        monkeypatch.setattr(sweep_dynamics, "DEFAULT_TIME_STEP", cfg.duration / 999.5)
+        n = math.ceil(cfg.duration / sweep_dynamics.DEFAULT_TIME_STEP)
         assert n == 1000
         dt = cfg.duration / n
         omega_mol = TWO_PI * 1e3 * np.array([430.0, 450.0, 470.0])
@@ -282,11 +267,14 @@ class TestPropagator:
         cfg = SweepConfig()
         omega_mol = TWO_PI * 1e3 * np.array([420.0, 450.0, 480.0])
         g_q = TWO_PI * np.array([400.0, 1.0e3, 2.6e3])
-        m = transfer_window_map(cfg, omega_mol, g_q)
+        transfer = np.abs(_propagate(cfg, omega_mol[:, None], g_q[None, :])[1]) ** 2
         for i, wm in enumerate(omega_mol):
             for j, g in enumerate(g_q):
                 single = evolve_sweep(replace(cfg, omega_mol=float(wm), g_q=float(g)))
-                assert abs(m.transfer[i, j] - single) <= 1e-14
+                assert abs(transfer[i, j] - single) <= 1e-14
+        # The window map evolves the same points at the configured coupling.
+        m = transfer_window_map(replace(cfg, g_q=float(g_q[1])), omega_mol)
+        assert np.array_equal(m.transfer, transfer[:, 1])
 
 
 class TestOffresCarrier:

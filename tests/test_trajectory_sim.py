@@ -40,7 +40,6 @@ class TestExperimentConfig:
     def test_defaults_valid(self):
         cfg = ExperimentConfig()
         assert cfg.cycle == 0.040
-        assert cfg.experiments_per_trial == 30000
         assert cfg.p_bright_noise == 0.03
         assert cfg.detection_fidelity == 0.72
 
@@ -48,7 +47,6 @@ class TestExperimentConfig:
         "kwargs",
         [
             {"cycle": 0.0},
-            {"experiments_per_trial": 0},
             {"p_bright_noise": -0.1},
             {"detection_fidelity": 1.5},
             {"collision_rate": -1.0},
@@ -61,33 +59,30 @@ class TestExperimentConfig:
             ExperimentConfig(**kwargs)
 
     def test_mapping_round_trip(self):
-        cfg = ExperimentConfig(
-            cycle=0.05, experiments_per_trial=10, rng_seed=3,
-            trial_duration_cap=2.0,
-        )
+        cfg = ExperimentConfig(cycle=0.05, rng_seed=3, trial_duration_cap=2.0)
         back = config_from_mapping(ExperimentConfig, config_to_mapping(cfg))
         assert back == cfg
         assert "trial_duration_cap" not in config_to_mapping(ExperimentConfig())
 
     def test_mapping_casts_strings(self):
         cfg = config_from_mapping(
-            ExperimentConfig, {"cycle": "0.04", "experiments_per_trial": "5", "rng_seed": "9"}
+            ExperimentConfig, {"cycle": "0.04", "rng_seed": "9"}
         )
         assert cfg.cycle == 0.04
-        assert cfg.experiments_per_trial == 5
         assert cfg.rng_seed == 9
 
     def test_unknown_key_rejected(self):
-        # A typo, and the four keys that configured nothing and were removed.
+        # A typo; four keys that configured nothing; and experiments_per_trial,
+        # which simulate ignored, as the stream length comes from --hours.
         for key in ("cyclee", "thermalization_wait", "ramp_fidelity_1", "ramp_fidelity_2",
-                    "shelving_fidelity"):
+                    "shelving_fidelity", "experiments_per_trial"):
             with pytest.raises(ValueError, match=key):
                 config_from_mapping(ExperimentConfig, {key: "0.5"})
 
 
 class TestRecordsAndDatasets:
     def test_record_validation(self):
-        cfg = ExperimentConfig(experiments_per_trial=2)
+        cfg = ExperimentConfig()
         ok = np.zeros(2, dtype=np.int8)
         with pytest.raises(ValueError):
             TrialDataset(np.array([0, 2]), ok, cfg, 0)
@@ -96,19 +91,14 @@ class TestRecordsAndDatasets:
         with pytest.raises(ValueError):
             TrialDataset(ok.reshape(1, 2), ok, cfg, 0)
 
-    def test_record_count_enforced(self):
-        cfg = ExperimentConfig(experiments_per_trial=3)
-        with pytest.raises(ValueError):
-            TrialDataset(np.zeros(1), np.zeros(1), cfg, 0)
+    def test_columns_must_match_in_length(self):
+        cfg = ExperimentConfig()
         with pytest.raises(ValueError):
             TrialDataset(np.zeros(3), np.zeros(2), cfg, 0)
-        capped = replace(cfg, trial_duration_cap=1.0)
-        with pytest.raises(ValueError):
-            TrialDataset(np.zeros(3), np.zeros(2), capped, 0)
-        assert len(TrialDataset(np.zeros(1), np.zeros(1), capped, 0).records) == 1
+        assert len(TrialDataset(np.zeros(1), np.zeros(1), cfg, 0).records) == 1
 
     def test_csv_round_trip(self, tmp_path):
-        ds = simulate_trial(ExperimentConfig(experiments_per_trial=50, rng_seed=4))
+        ds = simulate_trial(ExperimentConfig(rng_seed=4), 50)
         path = tmp_path / "trial.csv"
         ds.to_csv(path)
         back = read_dataset_csv(path)
@@ -118,7 +108,7 @@ class TestRecordsAndDatasets:
             # Timestamps round through the shared 10-digit float format.
             assert a[2] == pytest.approx(b[2], rel=1e-9)
 
-    # (experiments_per_trial, trial_duration_cap, seed): short, long,
+    # (n_cycles, trial_duration_cap, seed): short, long,
     # one-cycle and capped streams, at seeds drawn once and frozen here.
     ROUND_TRIP_CASES = [
         (1, None, 0), (1, None, 91), (2, None, 5), (3, None, 17),
@@ -132,12 +122,12 @@ class TestRecordsAndDatasets:
     @pytest.mark.parametrize("n, cap, seed", ROUND_TRIP_CASES)
     def test_randomized_round_trip(self, tmp_path, n, cap, seed):
         cfg = ExperimentConfig(
-            experiments_per_trial=n, trial_duration_cap=cap, rng_seed=seed,
+            trial_duration_cap=cap, rng_seed=seed,
             # A cold bath with fast collisions puts ~42 % of cycles in the
             # ground level, so even short streams carry both labels.
             temperature=2.0, collision_rate=25.0,
         )
-        ds = simulate_trial(cfg)
+        ds = simulate_trial(cfg, n)
         rows = list(ds.records)
         size = ds.outcomes().size
         assert len(ds.records) == len(rows) == size == ds.hidden_labels().size
@@ -165,32 +155,29 @@ class TestRecordsAndDatasets:
 
 class TestSimulateTrial:
     def test_deterministic_in_seed(self):
-        cfg = ExperimentConfig(experiments_per_trial=2000, rng_seed=11)
-        a, b = simulate_trial(cfg), simulate_trial(cfg)
+        cfg = ExperimentConfig(rng_seed=11)
+        a, b = simulate_trial(cfg, 2000), simulate_trial(cfg, 2000)
         assert np.array_equal(a.outcomes(), b.outcomes())
         assert np.array_equal(a.hidden_labels(), b.hidden_labels())
-        c = simulate_trial(replace(cfg, rng_seed=12))
+        c = simulate_trial(replace(cfg, rng_seed=12), 2000)
         assert not np.array_equal(a.outcomes(), c.outcomes())
 
     def test_record_times_and_indices(self):
-        cfg = ExperimentConfig(experiments_per_trial=5, rng_seed=0)
-        ds = simulate_trial(cfg)
+        ds = simulate_trial(ExperimentConfig(rng_seed=0), 5)
         assert [index for index, _, _, _ in ds.records] == [0, 1, 2, 3, 4]
         times = [time_s for _, _, time_s, _ in ds.records]
         assert times == [(k + 1) * 0.04 for k in range(5)]
         assert [ds.records[k][2] for k in range(5)] == times
 
     def test_duration_cap_truncates(self):
-        cfg = ExperimentConfig(experiments_per_trial=30000, trial_duration_cap=1.0)
-        ds = simulate_trial(cfg)
+        ds = simulate_trial(ExperimentConfig(trial_duration_cap=1.0), 30000)
         assert len(ds.records) == 25
         assert ds.records[-1][2] <= 1.0
 
     def test_duration_cap_keeps_cycle_ending_on_cap(self):
         # 1.16 / 0.04 evaluates to 28.999999999999996, but cycle 29 ends at
         # 29 * 0.04 == 1.16 exactly, inside the cap.
-        cfg = ExperimentConfig(experiments_per_trial=30000, trial_duration_cap=1.16)
-        ds = simulate_trial(cfg)
+        ds = simulate_trial(ExperimentConfig(trial_duration_cap=1.16), 30000)
         assert len(ds.records) == 29
         assert ds.records[-1][2] == 1.16
 
@@ -200,6 +187,12 @@ class TestSimulateTrial:
         assert ds.records[-1][2] == pytest.approx(360.0)
         with pytest.raises(ValueError):
             simulate_hours(ExperimentConfig(), 0.0)
+
+    def test_stream_needs_a_cycle(self):
+        with pytest.raises(ValueError, match="n_cycles must be >= 1"):
+            simulate_trial(ExperimentConfig(), 0)
+        with pytest.raises(ValueError, match="n_cycles must be >= 1"):
+            simulate_hours(ExperimentConfig(), 0.4 * 0.04 / 3600.0)  # rounds to 0 cycles
 
     def test_room_temperature_statistics(self):
         # 0.5 h at the default operating point; frozen-seed stream, windows
@@ -216,23 +209,22 @@ class TestSimulateTrial:
         # to an iid draw of the 2 K thermal ground weight (0.4159), giving
         # both emission branches tens of thousands of samples.
         cfg = ExperimentConfig(
-            temperature=2.0, collision_rate=25.0,
-            experiments_per_trial=100000, rng_seed=7,
+            temperature=2.0, collision_rate=25.0, rng_seed=7,
         )
-        ds = simulate_trial(cfg)
+        ds = simulate_trial(cfg, 100000)
         labels, outcomes = ds.hidden_labels(), ds.outcomes()
         assert abs(ds.ground_occupancy() - 0.4159) < 0.01
         assert abs(outcomes[labels == 1].mean() - 0.72) < 0.01
         assert abs(outcomes[labels == 0].mean() - 0.03) < 0.003
 
     def test_degenerate_emission_probabilities(self):
-        base = ExperimentConfig(experiments_per_trial=500, rng_seed=3)
+        base = ExperimentConfig(rng_seed=3)
         dark_never = simulate_trial(
-            replace(base, p_bright_noise=0.0, detection_fidelity=0.0)
+            replace(base, p_bright_noise=0.0, detection_fidelity=0.0), 500
         )
         assert not dark_never.outcomes().any()
         dark_always = simulate_trial(
-            replace(base, p_bright_noise=1.0, detection_fidelity=1.0)
+            replace(base, p_bright_noise=1.0, detection_fidelity=1.0), 500
         )
         assert dark_always.outcomes().all()
 
@@ -513,10 +505,10 @@ class TestEventDrivenAgainstOracle:
     def test_duration_cap_and_ensemble(self, monkeypatch):
         capped = ExperimentConfig(rng_seed=17, trial_duration_cap=123.45, temperature=450.0)
         ensemble = ExperimentConfig(rng_seed=18, temperature=450.0)
-        new_trial = simulate_trial(capped)
+        new_trial = simulate_trial(capped, 30000)
         new_fractions = ensemble_ground_occupancy(ensemble, 4, 0.25)
         monkeypatch.setattr(trajectory_sim, "_simulate_arrays", oracles.simulate_arrays)
-        old_trial = simulate_trial(capped)
+        old_trial = simulate_trial(capped, 30000)
         old_fractions = ensemble_ground_occupancy(ensemble, 4, 0.25)
         assert new_trial.outcome.size == 3086  # cycles ending within 123.45 s
         assert np.array_equal(new_trial.outcome, old_trial.outcome)
