@@ -7,8 +7,9 @@ strengths, the rate-matrix generator with Planck photon occupations,
 population evolution, and the derived timescales (ground-state residence
 lifetime, re-thermalization time, per-cycle leave probability).  The
 generator is time independent, so no ODE is integrated: populations come
-from its matrix exponential (Moler & Van Loan, SIAM Rev. 45:3, 2003) and
-the residence lifetime from its ground-level diagonal entry.
+from its matrix exponential, a numpy degree-13 Pade approximant with
+scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26:1179, 2005),
+and the residence lifetime from its ground-level diagonal entry.
 
 Line strengths use the Hoenl-London factors of a Pi-state branch with
 fixed Omega.  Absolute rates hinge on two dipole scales that are not
@@ -26,7 +27,6 @@ from functools import lru_cache
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .spectroscopy import (
     BOLTZMANN_K,
@@ -77,6 +77,15 @@ _A_PREFACTOR = 16.0 * math.pi**3 / (3.0 * _EPSILON_0 * PLANCK_H * LIGHT_C**3)
 
 # cm^-1 to Hz.
 _HZ_PER_CM = LIGHT_C * 100.0
+
+# Numerator coefficients of the degree-13 Pade approximant to exp, and the
+# largest 1-norm it takes at double precision (Higham 2005).
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0, 1187353796428800.0,
+    129060195264000.0, 10559470521600.0, 670442572800.0, 33522128640.0, 1323241920.0,
+    40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
 
 
 class IntegrationError(RuntimeError):
@@ -301,6 +310,30 @@ class PopulationTrajectory:
         return self.populations[idx]
 
 
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a) by degree-13 Pade scaling and squaring (Higham 2005).
+
+    General in ``a``: no symmetry or detailed balance is assumed.
+    """
+    norm = np.abs(a).sum(axis=0).max()
+    s = max(0, math.ceil(math.log2(norm / _THETA13))) if norm > 0.0 else 0
+    a = a / 2.0**s
+    b = _PADE13
+    ident = np.eye(a.shape[0])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+    # (v - u)^-1 (v + u), written so that u = 0 gives the identity exactly.
+    r = ident + 2.0 * np.linalg.solve(v - u, u)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
 def _as_vector(init: StateDistribution, levels: Sequence[RoVibState]) -> np.ndarray:
     index = {state: i for i, state in enumerate(levels)}
     p0 = np.zeros(len(levels))
@@ -326,8 +359,9 @@ def evolve_populations(
     """Propagate dp/dt = G p from ``init`` over ``duration`` seconds.
 
     The generator is time independent, so each snapshot follows from the
-    last through the exact propagator ``expm(G dt)`` of the uniform grid
-    step; it needs no detailed-balance weights, so T = 0 works too.  The
+    last through the propagator exp(G dt) of the uniform grid step, taken
+    as a numpy degree-13 Pade approximant with scaling and squaring; it
+    needs no detailed-balance weights, so T = 0 works too.  The
     result is checked as an invariant: :class:`IntegrationError` is raised
     if a snapshot sum drifts from one by more than ``tol`` or a population
     falls below -tol.
@@ -335,7 +369,7 @@ def evolve_populations(
     if duration < 0.0:
         raise ValueError(f"duration must be >= 0, got {duration!r}")
     times = np.linspace(0.0, duration, snapshots)
-    step = expm(m.generator * (duration / max(snapshots - 1, 1)))
+    step = _expm(m.generator * (duration / max(snapshots - 1, 1)))
     raw = np.empty((len(m.level_index), snapshots))
     p = _as_vector(init, m.level_index)
     for k in range(snapshots):

@@ -12,7 +12,9 @@ a run-length automaton raised to the n-th power (exact at any practical
 n), or for long runs the closed form of the union bound over where the
 run starts.  Exceedance probabilities are carried as logarithms, so a
 p-value below the float range still gives a finite one-sided Gaussian
-sigma through the inverse normal quantile of its logarithm.
+sigma through the inverse normal quantile of its logarithm.  No scipy is
+needed: log-factorials come from ``math.lgamma`` and the quantile from
+Newton's method on the log upper tail.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
-from scipy.special import gammaln, ndtri_exp, xlog1py, xlogy
 
 __all__ = [
     "NoiseSignalModel",
@@ -40,6 +41,8 @@ __all__ = [
 ]
 
 _LN10 = math.log(10.0)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_SQRT2 = math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -71,14 +74,31 @@ class NoiseSignalModel:
             raise ValueError(f"bin must be >= 1, got {self.bin!r}")
 
 
+@lru_cache(maxsize=None)
+def _log_factorials(size: int) -> np.ndarray:
+    """log j! for j < size, read-only since every caller shares it."""
+    table = np.array([math.lgamma(j + 1.0) for j in range(size)])
+    table.setflags(write=False)
+    return table
+
+
 def _binom_pmf(k, n: int, p: float) -> np.ndarray:
-    # C(n, k) p^k (1 - p)^(n - k) in log space; xlogy and xlog1py give
-    # 0 log 0 = 0, so p = 0 and p = 1 need no special case.
+    # C(n, k) p^k (1 - p)^(n - k) in log space, with 0 log 0 = 0 where
+    # k = 0 or k = n.  Each factorial table is a prefix of the next, and
+    # their sizes are powers of two, so the n = 0..bin calls of one signal
+    # pmf build O(bin) entries in all.
     k = np.asarray(k)
-    return np.exp(
-        gammaln(n + 1) - gammaln(k + 1) - gammaln(n - k + 1)
-        + xlogy(k, p) + xlog1py(n - k, -p)
-    )
+    log_fact = _log_factorials(1 << (n + 1).bit_length())
+    log_pmf = log_fact[n] - log_fact[k] - log_fact[n - k]
+    if p > 0.0:
+        log_pmf = log_pmf + k * math.log(p)
+    else:
+        log_pmf = np.where(k == 0, log_pmf, -np.inf)
+    if p < 1.0:
+        log_pmf = log_pmf + (n - k) * math.log1p(-p)
+    else:
+        log_pmf = np.where(k == n, log_pmf, -np.inf)
+    return np.exp(log_pmf)
 
 
 def noise_pmf(model: NoiseSignalModel) -> np.ndarray:
@@ -167,6 +187,49 @@ def bin_value_distribution(
     )
 
 
+def _log_upper_tail(z: float) -> tuple[float, float]:
+    """(log Q(z), phi(z) / Q(z)) for z >= 0, Q the standard normal upper tail."""
+    if z < 26.0:
+        q = 0.5 * math.erfc(z / _SQRT2)
+        return math.log(q), math.exp(-0.5 * z * z - _LOG_SQRT_2PI) / q
+    # Mills-ratio series Q(z) = phi(z) / z * (1 + sum_k (-1)^k (2k - 1)!! / z^2k);
+    # at z >= 26 its 11th term is below 1e-20.
+    inv_z2 = 1.0 / (z * z)
+    term, series = 1.0, 0.0
+    for k in range(1, 12):
+        term *= -(2 * k - 1) * inv_z2
+        series += term
+    log_q = -0.5 * z * z - math.log(z) - _LOG_SQRT_2PI + math.log1p(series)
+    return log_q, z / (1.0 + series)
+
+
+def _z_from_log_p(log_p: float) -> float:
+    """One-sided Gaussian z whose upper tail is exp(log_p); log_p <= 0.
+
+    Solves log Q(z) = log_p by Newton's method, which converges from the
+    right on this concave, decreasing function; p > 1/2 is mirrored to
+    -z of 1 - p, so the solve always has z >= 0.
+    """
+    if log_p == 0.0:
+        return -math.inf
+    if log_p == -math.inf:
+        return math.inf
+    if log_p > -math.log(2.0):
+        return -_z_from_log_p(math.log(-math.expm1(log_p)))
+    # Start from log Q(z) ~ -z^2 / 2 - log(z sqrt(2 pi)) with z^2 ~ -2 log_p,
+    # arranged so that no intermediate overflows.
+    z = _SQRT2 * math.sqrt(
+        max(0.0, -log_p - 0.5 * math.log(-log_p) - math.log(2.0 * math.sqrt(math.pi)))
+    )
+    for _ in range(100):
+        log_q, hazard = _log_upper_tail(z)
+        step = (log_q - log_p) / hazard  # d log Q / dz = -hazard
+        z += step
+        if abs(step) <= 2.0**-52 * z:
+            break
+    return z
+
+
 def _check_run_args(n: int, x: int, p_dark: float) -> None:
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n!r}")
@@ -230,7 +293,8 @@ class SignificanceResult:
 
     ``log10_p`` is the decimal logarithm of the p-value and defaults to
     the one of ``p_value``; set it when the p-value lies below the float
-    range, where ``p_value`` reads 0.0 and ``z`` stays finite.
+    range, where ``p_value`` reads 0.0 and ``z`` stays finite.  An
+    impossible event has p_value 0.0, log10_p -inf and z +inf.
     """
 
     n: int
@@ -246,24 +310,24 @@ class SignificanceResult:
                 raise ValueError(f"p_value must lie in (0, 1], got {self.p_value!r}")
             object.__setattr__(self, "log10_p", math.log10(self.p_value))
         elif not (
-            -math.inf < self.log10_p <= 0.0
+            self.log10_p <= 0.0
             and math.isclose(self.p_value, 10.0**self.log10_p, rel_tol=1e-9, abs_tol=1e-300)
         ):
             raise ValueError(
                 f"p_value={self.p_value!r} inconsistent with log10_p={self.log10_p!r}"
             )
-        expected = -float(ndtri_exp(self.log10_p * _LN10))
+        expected = _z_from_log_p(self.log10_p * _LN10)
         if not (self.z == expected or abs(self.z - expected) <= 1e-9):
             raise ValueError(f"z={self.z!r} inconsistent with p={self.p_value!r}")
 
     def to_json_dict(self) -> dict[str, object]:
-        """Fields for a JSON report; an infinite ``z`` (p = 1) becomes None (null)."""
+        """Fields for a JSON report; an infinite ``z`` or ``log10_p`` becomes None (null)."""
         return {
             "n": self.n,
             "x": self.x,
             "p_dark": self.p_dark,
             "p_value": self.p_value,
-            "log10_p": self.log10_p,
+            "log10_p": self.log10_p if math.isfinite(self.log10_p) else None,
             "z": self.z if math.isfinite(self.z) else None,
         }
 
@@ -273,7 +337,7 @@ def significance(n: int, x: int, p_dark: float) -> SignificanceResult:
     _check_run_args(n, x, p_dark)
     log_p = _log_exceedance(n, x, p_dark)
     return SignificanceResult(
-        n=n, x=x, p_dark=p_dark, p_value=math.exp(log_p), z=-float(ndtri_exp(log_p)),
+        n=n, x=x, p_dark=p_dark, p_value=math.exp(log_p), z=_z_from_log_p(log_p),
         log10_p=log_p / _LN10,
     )
 

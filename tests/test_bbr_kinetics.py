@@ -2,8 +2,9 @@
 
 Lifetime anchors were computed independently (direct eigen-decomposition of
 the ground-level survival problem and closed-form two-level checks) before
-being frozen here.  The module propagates populations with matrix
-exponentials; the adaptive DOP853 solves it replaced stay here as oracles.
+being frozen here.  The module propagates populations with its own numpy
+matrix exponential; scipy.linalg.expm and the adaptive DOP853 solves it
+replaced stay here as oracles.
 """
 
 import math
@@ -11,9 +12,14 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import constants as sc
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
+from dpqlsim import bbr_kinetics
 from dpqlsim.bbr_kinetics import (
     VIB_DECAY_TARGET,
     IntegrationError,
@@ -157,6 +163,50 @@ class TestRateMatrix:
             build_rate_matrix(CONSTANTS, -1.0)
 
 
+def as_generator(rates):
+    """Keep the off-diagonal rates; each diagonal entry balances its column."""
+    off = rates - np.diag(np.diag(rates))
+    return off - np.diag(off.sum(axis=0))
+
+
+def generators(max_levels=6):
+    """Small master-equation generators with rates in [0, 50]."""
+    return st.integers(1, max_levels).flatmap(
+        lambda n: arrays(np.float64, (n, n), elements=st.floats(0.0, 50.0))
+    ).map(as_generator)
+
+
+class TestMatrixExponential:
+    # bbr_kinetics._expm replaced scipy.linalg.expm, which stays the oracle.
+    @pytest.mark.parametrize("T", [0.0, 200.0, 300.0, 600.0])
+    @pytest.mark.parametrize("dt", [1.0, 3.0])
+    def test_matches_scipy_on_the_rate_matrix(self, T, dt):
+        # dt = 1 s is the rethermalization grid, 3 s the default 201-point
+        # grid over 600 s.
+        gen = build_rate_matrix(CONSTANTS, T).generator * dt
+        assert np.abs(bbr_kinetics._expm(gen) - expm(gen)).max() <= 1e-13
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(generators())
+    def test_matches_scipy_on_small_generators(self, gen):
+        step = bbr_kinetics._expm(gen)
+        assert np.abs(step - expm(gen)).max() <= 1e-13
+        # A stochastic matrix: columns keep their sum of one.
+        assert np.abs(step.sum(axis=0) - 1.0).max() <= 1e-13
+
+    def test_zero_matrix_gives_the_identity_exactly(self):
+        for n in (1, 5, 140):
+            np.testing.assert_array_equal(bbr_kinetics._expm(np.zeros((n, n))), np.eye(n))
+        gen = build_rate_matrix(CONSTANTS, 300.0).generator
+        np.testing.assert_array_equal(bbr_kinetics._expm(gen * 0.0), np.eye(len(gen)))
+
+    def test_rethermalization_matches_the_scipy_path(self, monkeypatch):
+        new = {T: rethermalization_time(CONSTANTS, T) for T in range(200, 601, 50)}
+        monkeypatch.setattr(bbr_kinetics, "_expm", expm)
+        for T, t63 in new.items():
+            assert t63 == pytest.approx(rethermalization_time(CONSTANTS, T), rel=1e-12)
+
+
 class TestEvolvePopulations:
     def test_stationary_state_is_fixed(self):
         m = build_rate_matrix(CONSTANTS, 300.0)
@@ -201,6 +251,20 @@ class TestEvolvePopulations:
         init = StateDistribution({ROT_GROUND: 1.0})
         with pytest.raises((IntegrationError, ValueError)):
             evolve_populations(m, init, 10.0, tol=1e-60)
+
+    def test_zero_temperature_cascade(self):
+        # At T = 0 only spontaneous decay acts: no detailed balance, and the
+        # rotational ground level only fills.
+        m = build_rate_matrix(CONSTANTS, 0.0)
+        start = StateDistribution({RoVibState(1, 3, 11): 1.0})
+        traj = evolve_populations(m, start, 100.0, snapshots=51)
+        ground = traj.population_of(ROT_GROUND)
+        assert ground[0] == 0.0 and np.all(np.diff(ground) >= 0.0) and ground[-1] > 0.0
+        assert np.abs(traj.norm_drift).max() < 1e-12
+        p0 = np.zeros(len(m.level_index))
+        p0[m.index_of(RoVibState(1, 3, 11))] = 1.0
+        expected = dop853_populations(m.generator, p0, traj.times)
+        assert np.abs(traj.populations - expected).max() <= 1e-9
 
     @pytest.mark.parametrize("T", [300.0, 450.0, 500.0])
     def test_matches_dop853_oracle(self, T):

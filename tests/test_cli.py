@@ -162,21 +162,33 @@ class TestSimulate:
         assert digests[0] == digests[1]
         assert digests[0] != digests[2]
 
-    def test_golden_digests(self, tmp_path):
-        # Seeded outputs are a contract: a faster simulator or decoder must
-        # reproduce these bytes.  Digests recorded with the per-record
-        # dataset implementation that preceded the columnar one.
-        sim, hmm = tmp_path / "sim", tmp_path / "hmm"
+    def test_golden_digests(self, tmp_path, monkeypatch):
+        # Seeded outputs are a contract: a faster simulator, decoder, pmf or
+        # quantile must reproduce these bytes.  The dataset and decoded
+        # digests were recorded with the per-record dataset implementation
+        # that preceded the columnar one; the bins, runs and lifetime ones
+        # with scipy's gammaln, ndtri_exp and expm.  The reports name the
+        # dataset, so the commands run with relative paths.
+        monkeypatch.chdir(tmp_path)
         argv = ["simulate", "--paper-defaults", "--hours", "0.05", "--seed", "7"]
-        assert main([*argv, "--out", str(sim)]) == EXIT_OK
-        dataset = sim / "dataset.csv"
-        assert main(["analyze", str(dataset), "--mode", "hmm", "--out", str(hmm)]) == EXIT_OK
-        assert sha256_digest(dataset) == (
-            "50c1d1ef538d76dbb7eb2c66c025c0ea58237c0952b34967a12f66cabe72393b"
-        )
-        assert sha256_digest(hmm / "decoded.csv") == (
-            "0682161c783c95143352717daa7109df2910e5a51e1d0ad12997c819cf9a9347"
-        )
+        assert main([*argv, "--out", "sim"]) == EXIT_OK
+        dataset = Path("sim", "dataset.csv")
+        for mode in ("hmm", "bins", "runs"):
+            assert main(["analyze", str(dataset), "--mode", mode, "--out", mode]) == EXIT_OK
+        assert main(["lifetime", "--paper-defaults", "--out", "lifetime"]) == EXIT_OK
+        digests = {
+            "sim/dataset.csv":
+                "50c1d1ef538d76dbb7eb2c66c025c0ea58237c0952b34967a12f66cabe72393b",
+            "hmm/decoded.csv":
+                "0682161c783c95143352717daa7109df2910e5a51e1d0ad12997c819cf9a9347",
+            "bins/bins.csv":
+                "8acb1eb94cc78dfa335f81d43ff955d74d22e9de4f6467f29aae0efedc2df9d9",
+            "runs/report.json":
+                "fe37900f616be8769f7712887afb0e6e5c0d6e56da7884a9b8dd4e604c6fa737",
+            "lifetime/lifetime_vs_temperature.csv":
+                "6344fd223a83274de7033479183bb36a479008199c5683ee1f1f7e9510773455",
+        }
+        assert {name: sha256_digest(Path(name)) for name in digests} == digests
 
     @pytest.mark.parametrize("seed, visits", [("416", 5), ("7", 0)])
     def test_manifest_counts_match_dataset(self, tmp_path, seed, visits):
@@ -291,6 +303,19 @@ class TestAnalyzeBins:
         assert len(rows) == 11
         assert json.loads((tmp_path / "report.json").read_text())["window"] == 10
 
+    def test_window_2000_gives_finite_predictions(self, sim_dir, tmp_path):
+        # C(2000, k) overflows a float for most k: the pmfs stay in log space.
+        code = main(
+            ["analyze", str(sim_dir / "dataset.csv"), "--mode", "bins",
+             "--window", "2000", "--out", str(tmp_path)]
+        )
+        assert code == EXIT_OK
+        _, rows = read_csv(tmp_path / "bins.csv")
+        assert len(rows) == 2001
+        predicted = np.array([[float(v) for v in r[2:]] for r in rows])
+        assert np.isfinite(predicted).all() and predicted.min() >= 0.0
+        assert predicted[:, 0].sum() == pytest.approx(90000 // 2000, rel=1e-9)
+
     def test_window_longer_than_stream_is_usage_error(self, tmp_path, capsys):
         data = tmp_path / "dataset.csv"
         write_dataset_csv(data, *oracles.dataset_columns(
@@ -360,6 +385,23 @@ class TestAnalyzeRuns:
         report = strict_load(out / "report.json")
         assert report["x"] == 0 and report["p_value"] == 1.0
         assert report["z"] is None
+
+    def test_noise_free_model_reports_null_log10_p(self, tmp_path):
+        # With p_bright_noise = 0 no dark run can come from noise: p = 0
+        # exactly, and strict JSON writes its log10 p and z as null.
+        data = tmp_path / "dataset.csv"
+        rows = [(i, int(i in (40, 41)), 0.04 * (i + 1), None) for i in range(100)]
+        write_dataset_csv(data, *oracles.dataset_columns(rows))
+        cfg = tmp_path / "config.txt"
+        cfg.write_text("p_bright_noise = 0\n")
+        out = tmp_path / "runs"
+        argv = ["analyze", str(data), "--mode", "runs", "--config", str(cfg)]
+        assert main([*argv, "--out", str(out)]) == EXIT_OK
+        for name in ("report.json", "manifest.json"):
+            strict_load(out / name)
+        report = strict_load(out / "report.json")
+        assert report["x"] == 2 and report["p_value"] == 0.0
+        assert report["log10_p"] is None and report["z"] is None
 
 
 class TestAnalyzeHmm:

@@ -1,11 +1,15 @@
 """Bin-count models and exact longest-run significance."""
 
 import itertools
+import json
 import math
+import sys
 
 import numpy as np
 import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erfc, ndtri_exp
 from scipy.stats import binom, norm
 
@@ -221,6 +225,26 @@ class TestSignificance:
         assert set(d) == {"n", "x", "p_dark", "p_value", "log10_p", "z"}
         assert d["log10_p"] == pytest.approx(math.log10(d["p_value"]), rel=1e-12)
 
+    @pytest.mark.parametrize("n, x, p_dark", [(100, 100, 0.03), (5, 3, 0.0)])
+    def test_zero_exceedance(self, n, x, p_dark):
+        # No run can pass the whole stream, and p_dark = 0 allows no dark:
+        # either way the exceedance is exactly 0.
+        result = significance(n, x, p_dark)
+        assert (result.p_value, result.log10_p, result.z) == (0.0, -math.inf, math.inf)
+        d = result.to_json_dict()
+        assert d["p_value"] == 0.0 and d["log10_p"] is None and d["z"] is None
+        json.dumps(d, allow_nan=False)
+
+    def test_zero_p_value_needs_the_whole_triple(self):
+        ok = SignificanceResult(n=5, x=3, p_dark=0.0, p_value=0.0, z=math.inf,
+                                log10_p=-math.inf)
+        assert ok.log10_p == -math.inf
+        with pytest.raises(ValueError, match="z="):
+            SignificanceResult(n=5, x=3, p_dark=0.0, p_value=0.0, z=40.0, log10_p=-math.inf)
+        with pytest.raises(ValueError, match="log10_p=-inf"):
+            SignificanceResult(n=5, x=3, p_dark=0.0, p_value=1e-200, z=math.inf,
+                               log10_p=-math.inf)
+
 
 def loop_longest_run(outcomes):
     """Per-record walk: the reference for the run-length pass."""
@@ -370,21 +394,30 @@ class TestLogSpaceSignificance:
         result = observed_run_significance(long_run, 0.05)
         assert result.log10_p == pytest.approx(union_log10(30000, 10000, 0.05), rel=1e-12)
 
-    def test_impossible_run_still_rejected(self):
-        # p_dark = 0 makes any dark run impossible under noise: no finite z.
-        with pytest.raises(ValueError):
-            observed_run_significance([0, 1, 0], 0.0)
+    def test_impossible_run_has_zero_p_value(self):
+        # p_dark = 0 makes any dark run impossible under noise: p = 0, z = inf.
+        result = observed_run_significance([0, 1, 0], 0.0)
+        assert result.x == 1
+        assert (result.p_value, result.log10_p, result.z) == (0.0, -math.inf, math.inf)
 
 
 class TestBinomialPmfOracle:
-    # The pmfs are built from scipy.special; scipy.stats is the oracle.
-    @pytest.mark.parametrize("n", [0, 1, 7, 20, 60])
+    # The pmfs are built from math.lgamma in log space; scipy.stats is the oracle.
+    @pytest.mark.parametrize("n", [0, 1, 7, 20, 60, 500, 2000])
     @pytest.mark.parametrize("p", [0.0, 0.03, 0.5, 0.72, 1.0])
     def test_matches_scipy_stats(self, n, p):
+        # The pmf inherits the rounding of log n! (a few ulp), so its
+        # relative error grows with log n!; 1e-12 covers n <= 60.
         k = np.arange(n + 1)
+        rtol = max(1e-12, 8.0 * sys.float_info.epsilon * math.lgamma(n + 1.0))
         np.testing.assert_allclose(
-            run_statistics._binom_pmf(k, n, p), binom.pmf(k, n, p), rtol=1e-12, atol=0
+            run_statistics._binom_pmf(k, n, p), binom.pmf(k, n, p), rtol=rtol, atol=0
         )
+
+    def test_degenerate_p_puts_all_mass_on_one_count(self):
+        # 0 log 0 = 0: exact zeros and ones, no NaN.
+        assert run_statistics._binom_pmf(np.arange(6), 5, 0.0).tolist() == [1, 0, 0, 0, 0, 0]
+        assert run_statistics._binom_pmf(np.arange(6), 5, 1.0).tolist() == [0, 0, 0, 0, 0, 1]
 
     def test_bin_pmfs_match_scipy_stats(self):
         model = NoiseSignalModel()
@@ -403,6 +436,54 @@ class TestBinomialPmfOracle:
                 binom.pmf(np.arange(model.bin - i + 1), model.bin - i, model.p_b),
             )
         np.testing.assert_allclose(signal_pmf(model), expected, rtol=1e-12, atol=0)
+
+
+class TestNormalQuantileOracle:
+    # _z_from_log_p replaced scipy.special.ndtri_exp, which stays the oracle.
+    @staticmethod
+    def check(log_p):
+        z = run_statistics._z_from_log_p(log_p)
+        expected = -float(ndtri_exp(log_p))
+        # Absolute slack only where z crosses 0, near log_p = -log 2.
+        assert abs(z - expected) <= 1e-12 * abs(expected) + 1e-15, (log_p, z, expected)
+
+    def test_matches_ndtri_exp_on_a_grid(self):
+        for log_p in np.concatenate([-np.logspace(-12, 5, 600), -np.linspace(0.01, 40, 400)]):
+            self.check(float(log_p))
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(st.floats(min_value=-1e5, max_value=0.0, exclude_max=True))
+    def test_matches_ndtri_exp(self, log_p):
+        self.check(log_p)
+
+    def test_near_the_median_and_near_one(self):
+        ln2 = math.log(2.0)
+        for log_p in (-ln2, math.nextafter(-ln2, 0.0), math.nextafter(-ln2, -1.0),
+                      -ln2 * (1 + 1e-9), -ln2 * (1 - 1e-9), -1e-300, -5e-324):
+            self.check(log_p)
+        assert run_statistics._z_from_log_p(-ln2 * (1 + 1e-9)) > 0.0
+        assert run_statistics._z_from_log_p(-ln2 * (1 - 1e-9)) < 0.0
+        # p = 1 - 1e-300: the mirror through log(-expm1(y)) keeps the tail.
+        assert run_statistics._z_from_log_p(-1e-300) == pytest.approx(-37.0470962993612,
+                                                                       rel=1e-13)
+
+    def test_limits(self):
+        assert run_statistics._z_from_log_p(0.0) == -math.inf
+        assert run_statistics._z_from_log_p(-math.inf) == math.inf
+        # No intermediate overflows at the bottom of the float range.
+        assert run_statistics._z_from_log_p(-1.7e308) == pytest.approx(
+            math.sqrt(2.0) * math.sqrt(1.7e308), rel=1e-12
+        )
+
+    def test_round_trip_through_erfc(self):
+        # Wherever exp(log_p) does not underflow.
+        for log_p in np.concatenate([-np.logspace(-12, math.log10(700.0), 500),
+                                     -np.linspace(0.5, 1.0, 101)]):
+            z = run_statistics._z_from_log_p(float(log_p))
+            p = math.exp(log_p)
+            # A relative error e in z moves Q(z) by about z^2 e relatively.
+            slack = 4e-16 * max(1.0, z * z)
+            assert 0.5 * math.erfc(z / math.sqrt(2.0)) == pytest.approx(p, rel=slack)
 
 
 class TestRequiredRunLength:
