@@ -6,10 +6,11 @@ never couple radiatively): Einstein A coefficients from rigid-rotor line
 strengths, the rate-matrix generator with Planck photon occupations,
 population evolution, and the derived timescales (ground-state residence
 lifetime, re-thermalization time, per-cycle leave probability).  The
-generator is time independent, so no ODE is integrated: populations come
-from its matrix exponential, a numpy degree-13 Pade approximant with
-scaling and squaring (Higham, SIAM J. Matrix Anal. Appl. 26:1179, 2005),
-and the residence lifetime from its ground-level diagonal entry.
+generator, filled from cached per-pair arrays, is time independent, so no
+ODE is integrated: populations come from the matrix exponential of one
+grid step, a numpy degree-13 Pade approximant with scaling and squaring
+(Higham, SIAM J. Matrix Anal. Appl. 26:1179, 2005), and the residence
+lifetime from its ground-level diagonal entry.
 
 Line strengths use the Hoenl-London factors of a Pi-state branch with
 fixed Omega.  Absolute rates hinge on two dipole scales that are not
@@ -24,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .spectroscopy import (
     MolecularConstants,
     RoVibState,
     StateDistribution,
+    _check_temperature,
     degeneracy,
     enumerate_levels,
     level_energy,
@@ -87,6 +89,9 @@ _PADE13 = (
 )
 _THETA13 = 5.371920351148152
 
+# Rethermalization snapshots per block; the crossing is at 55-362 s at 200-600 K.
+_RETHERM_BLOCK = 64
+
 
 class IntegrationError(RuntimeError):
     """A numerical result failed a check; carries the last trusted time.
@@ -106,8 +111,7 @@ def photon_occupation(nu: float, T: float) -> float:
     """Mean thermal photon number at frequency nu; zero at T = 0."""
     if not nu > 0.0:
         raise ValueError(f"frequency must be positive, got {nu!r}")
-    if T < 0.0:
-        raise ValueError(f"temperature must be >= 0, got {T!r}")
+    _check_temperature(T, zero_ok=True)
     if T == 0.0:
         return 0.0
     x = PLANCK_H * nu / (BOLTZMANN_K * T)
@@ -222,6 +226,22 @@ def build_einstein_coefficients(c: MolecularConstants) -> EinsteinCoefficients:
     )
 
 
+@lru_cache(maxsize=16)
+def _rate_table(c: MolecularConstants):
+    """(levels, energies, 2J+1, then per pair: upper, lower, A, frequencies)."""
+    co = build_einstein_coefficients(c)
+    index = {state: i for i, state in enumerate(co.levels)}
+    return (
+        co.levels,
+        np.array([level_energy(s, c) for s in co.levels]),
+        np.array([float(degeneracy(s)) for s in co.levels]),
+        np.array([index[u] for u, _ in co.A], dtype=np.intp),
+        np.array([index[l] for _, l in co.A], dtype=np.intp),
+        np.array(list(co.A.values())),
+        tuple(co.frequencies[pair] for pair in co.A),
+    )
+
+
 @dataclass(frozen=True)
 class RateMatrix:
     """Master-equation generator dp/dt = G p over the radiative level set.
@@ -240,21 +260,21 @@ class RateMatrix:
         n = len(self.level_index)
         if gen.shape != (n, n):
             raise ValueError(f"generator shape {gen.shape} does not match {n} levels")
-        off = gen - np.diag(np.diag(gen))
+        if not np.isfinite(gen).all():
+            raise ValueError("generator has non-finite entries")
+        off = gen.copy()
+        np.fill_diagonal(off, 0.0)
         if off.min() < 0.0:
             raise ValueError("negative off-diagonal rate in generator")
         scale = np.abs(np.diag(gen)).max() or 1.0
         residual = np.abs(gen.sum(axis=0)).max() / scale
         if residual > 1e-12:
             raise ValueError(f"generator columns sum to {residual:.3e} relative, expected 0")
-        object.__setattr__(
-            self, "_index", {state: i for i, state in enumerate(self.level_index)}
-        )
 
     def index_of(self, state: RoVibState) -> int:
         try:
-            return self._index[state]
-        except KeyError:
+            return self.level_index.index(state)
+        except ValueError:
             raise ValueError(f"{state.label()} is not in the radiative level set") from None
 
 
@@ -263,33 +283,27 @@ def build_rate_matrix(c: MolecularConstants, T: float) -> RateMatrix:
 
     For each allowed pair the downward rate is A (1 + n_bar) and the upward
     rate A n_bar g_u / g_l, with n_bar the Planck occupation at the pair
-    frequency; T = 0 leaves only spontaneous decay.
+    frequency; T = 0 leaves only spontaneous decay.  T must be finite.
     """
-    if T < 0.0:
-        raise ValueError(f"temperature must be >= 0, got {T!r}")
-    coeffs = build_einstein_coefficients(c)
-    levels = coeffs.levels
-    index = {state: i for i, state in enumerate(levels)}
+    _check_temperature(T, zero_ok=True)
+    levels, _, g, upper, lower, A, freqs = _rate_table(c)
+    # Scalar occupations: np.expm1 differs from math.expm1 in the last bit.
+    n_bar = np.array([photon_occupation(nu, T) for nu in freqs])
     gen = np.zeros((len(levels), len(levels)))
-    for (upper, lower), rate in coeffs.A.items():
-        n_bar = photon_occupation(coeffs.frequencies[(upper, lower)], T)
-        iu, il = index[upper], index[lower]
-        gen[il, iu] += rate * (1.0 + n_bar)
-        gen[iu, il] += rate * n_bar * degeneracy(upper) / degeneracy(lower)
-    np.fill_diagonal(gen, 0.0)
+    gen[lower, upper] = A * (1.0 + n_bar)
+    gen[upper, lower] = A * n_bar * g[upper] / g[lower]
     np.fill_diagonal(gen, -gen.sum(axis=0))
-    return RateMatrix(generator=gen, level_index=tuple(levels), temperature=T)
+    return RateMatrix(generator=gen, level_index=levels, temperature=T)
 
 
 def restricted_boltzmann(c: MolecularConstants, T: float) -> StateDistribution:
     """Boltzmann distribution conditioned on the radiative level set.
 
     This is the exact stationary vector of :func:`build_rate_matrix` at the
-    same temperature.
+    same temperature.  T must be finite and positive.
     """
-    levels = radiative_levels(c)
-    energies = np.array([level_energy(s, c) for s in levels])
-    weights = np.array([float(degeneracy(s)) for s in levels])
+    _check_temperature(T)
+    levels, energies, weights = _rate_table(c)[:3]
     boltz = weights * np.exp(-energies / (KB_CM * T))
     boltz /= boltz.sum()
     return StateDistribution(dict(zip(levels, boltz.tolist())), temperature=T)
@@ -348,6 +362,36 @@ def _as_vector(init: StateDistribution, levels: Sequence[RoVibState]) -> np.ndar
     return p0
 
 
+def _checked_blocks(
+    m: RateMatrix, init: StateDistribution, times: np.ndarray, dt: float, tol: float, block: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Propagate ``init`` by exp(G dt) over ``times``, ``block`` snapshots at a time.
+
+    Yields (renormalized populations, raw sums minus one) per block once the
+    checks of :func:`evolve_populations` pass on it; no block runs ahead.
+    """
+    p = _as_vector(init, m.level_index)
+    step = _expm(m.generator * dt)
+    for k0 in range(0, len(times), block):
+        raw = np.empty((len(p), min(block, len(times) - k0)))
+        for k in range(raw.shape[1]):
+            raw[:, k] = p
+            p = step @ p
+        drift = raw.sum(axis=0) - 1.0
+        worst = int(np.abs(drift).argmax())
+        if abs(drift[worst]) > tol:
+            raise IntegrationError(f"normalization drifted by {drift[worst]:.3e}",
+                                   last_time=float(times[k0 + worst]))
+        if raw.min() < -tol:
+            k = int(np.unravel_index(raw.argmin(), raw.shape)[1])
+            raise IntegrationError(
+                f"population dipped to {raw.min():.3e}", last_time=float(times[k0 + k])
+            )
+        cleaned = np.clip(raw, 0.0, None)
+        cleaned /= cleaned.sum(axis=0, keepdims=True)
+        yield cleaned, drift
+
+
 def evolve_populations(
     m: RateMatrix,
     init: StateDistribution,
@@ -369,29 +413,13 @@ def evolve_populations(
     if duration < 0.0:
         raise ValueError(f"duration must be >= 0, got {duration!r}")
     times = np.linspace(0.0, duration, snapshots)
-    step = _expm(m.generator * (duration / max(snapshots - 1, 1)))
-    raw = np.empty((len(m.level_index), snapshots))
-    p = _as_vector(init, m.level_index)
-    for k in range(snapshots):
-        raw[:, k] = p
-        p = step @ p
-    drift = raw.sum(axis=0) - 1.0
-    worst = int(np.abs(drift).argmax())
-    if abs(drift[worst]) > tol:
-        raise IntegrationError(
-            f"normalization drifted by {drift[worst]:.3e}", last_time=float(times[worst])
-        )
-    if raw.min() < -tol:
-        k = int(np.unravel_index(raw.argmin(), raw.shape)[1])
-        raise IntegrationError(
-            f"population dipped to {raw.min():.3e}", last_time=float(times[k])
-        )
-    cleaned = np.clip(raw, 0.0, None)
-    cleaned /= cleaned.sum(axis=0, keepdims=True)
+    dt = duration / max(snapshots - 1, 1)
+    # One block: every snapshot is checked before any is returned.
+    [(populations, drift)] = _checked_blocks(m, init, times, dt, tol, max(snapshots, 1))
     return PopulationTrajectory(
         times=times,
         level_index=m.level_index,
-        populations=cleaned,
+        populations=populations,
         norm_drift=drift,
     )
 
@@ -417,23 +445,29 @@ def rethermalization_time(c: MolecularConstants, T: float) -> float:
     """Time for the ground-level population to reach 63 % of thermal.
 
     Starting from unit occupation of the most probable rotational level at
-    T, evolves the full generator over 600 s on a 1 s grid and returns the
-    first time the (v = 0, J = 3/2) population crosses 0.63 of its
-    stationary value within the radiative set.
+    T, evolves the full generator on a 1 s grid and returns the first time
+    the (v = 0, J = 3/2) population crosses 0.63 of its stationary value
+    within the radiative set, or raises ValueError if that takes over 600 s.
+    Snapshots are propagated and checked 64 at a time up to the block that
+    crosses; later ones are not computed, so they are not checked either.
     """
     m = build_rate_matrix(c, T)
     init = StateDistribution({most_probable_rotational_state(c, T): 1.0})
-    traj = evolve_populations(m, init, 600.0, snapshots=601)
     target = 0.63 * restricted_boltzmann(c, T).probability(ROT_GROUND)
-    pg = traj.population_of(ROT_GROUND)
-    above = np.nonzero(pg >= target)[0]
-    if above.size == 0:
+    times = np.linspace(0.0, 600.0, 601)
+    pg = np.empty(0)
+    for pops, _ in _checked_blocks(m, init, times, 1.0, 1e-8, _RETHERM_BLOCK):
+        pg = np.append(pg, pops[m.index_of(ROT_GROUND)])
+        above = np.nonzero(pg >= target)[0]
+        if above.size:
+            break
+    else:
         raise ValueError(f"ground population did not reach {target:.3e} within 600 s")
     k = int(above[0])
     if k == 0:
         return 0.0
     # Linear interpolation between the bracketing snapshots.
-    t0, t1 = traj.times[k - 1], traj.times[k]
+    t0, t1 = times[k - 1], times[k]
     f0, f1 = pg[k - 1], pg[k]
     return float(t0 + (target - f0) / (f1 - f0) * (t1 - t0))
 

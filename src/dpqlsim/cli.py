@@ -457,8 +457,12 @@ def _run(args: argparse.Namespace, argv: Sequence[str]) -> int:
         temperatures = args.temperature or [config.temperature]
         outputs, extra = cmd_thermal(constants, temperatures, out_dir)
     elif args.command == "lifetime":
-        if args.t_points < 1 or args.t_min <= 0 or args.t_max < args.t_min:
-            raise UsageError("lifetime needs t-min > 0, t-max >= t-min, t-points >= 1")
+        # The chain is False for a NaN bound, so NaN never reaches linspace.
+        if not 0 < args.t_min <= args.t_max < math.inf or args.t_points < 1:
+            raise UsageError(
+                "lifetime needs finite 0 < t-min <= t-max and t-points >= 1, got "
+                f"t-min={args.t_min!r}, t-max={args.t_max!r}, t-points={args.t_points}"
+            )
         temperatures = np.linspace(args.t_min, args.t_max, args.t_points)
         outputs, extra = cmd_lifetime(constants, temperatures, out_dir)
     elif args.command == "simulate":

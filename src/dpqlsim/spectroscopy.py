@@ -197,9 +197,11 @@ class StateDistribution:
         return max(self.populations, key=self.populations.__getitem__)
 
 
-def _check_temperature(T: float) -> None:
-    if not (isinstance(T, (int, float)) and math.isfinite(T)) or T <= 0.0:
-        raise ValueError(f"temperature must be a positive finite number, got {T!r}")
+def _check_temperature(T: float, *, zero_ok: bool = False) -> None:
+    """Reject T unless it is a finite number > 0, or >= 0 with ``zero_ok``."""
+    if not (isinstance(T, (int, float)) and 0.0 <= T < math.inf and (T > 0.0 or zero_ok)):
+        bound = ">=" if zero_ok else ">"
+        raise ValueError(f"temperature must be a finite number {bound} 0, got {T!r}")
 
 
 def _check_in_truncation(state: RoVibState, c: MolecularConstants) -> None:

@@ -14,6 +14,11 @@ reader and columnar writers against:
   dark run, practical for n up to a few hundred.
 - ``most_probable_rotational_state``: a loop over the relative Boltzmann
   weights of one manifold.
+- ``rate_generator``: the rate-matrix generator from a loop over the
+  (upper, lower) level pairs with dict lookups.
+- ``evolve_populations``: every snapshot propagated and checked at once.
+- ``rethermalization_time``: the full 600 s horizon, then the first
+  crossing; built on the two above.
 """
 
 from __future__ import annotations
@@ -25,8 +30,23 @@ from pathlib import Path
 
 import numpy as np
 
+from dpqlsim.bbr_kinetics import (
+    IntegrationError,
+    _expm,
+    build_einstein_coefficients,
+    photon_occupation,
+    radiative_levels,
+)
 from dpqlsim.dataio import DATASET_HEADER, DataFormatError, format_number
-from dpqlsim.spectroscopy import KB_CM, MolecularConstants, RoVibState, _check_temperature
+from dpqlsim.spectroscopy import (
+    KB_CM,
+    ROT_GROUND,
+    MolecularConstants,
+    RoVibState,
+    _check_temperature,
+    degeneracy,
+    level_energy,
+)
 from dpqlsim.trajectory_sim import TrajectoryDynamics
 
 
@@ -231,3 +251,69 @@ def most_probable_rotational_state(c: MolecularConstants, T: float) -> RoVibStat
         if weight > best_weight:
             best_n, best_weight = n, weight
     return RoVibState(v=0, two_omega=omega2, two_J=omega2 + 2 * best_n)
+
+
+def rate_generator(c: MolecularConstants, T: float) -> np.ndarray:
+    """Rate-matrix generator at T, one pair of entries per (upper, lower) pair."""
+    coeffs = build_einstein_coefficients(c)
+    levels = coeffs.levels
+    index = {state: i for i, state in enumerate(levels)}
+    gen = np.zeros((len(levels), len(levels)))
+    for (upper, lower), rate in coeffs.A.items():
+        n_bar = photon_occupation(coeffs.frequencies[(upper, lower)], T)
+        iu, il = index[upper], index[lower]
+        gen[il, iu] += rate * (1.0 + n_bar)
+        gen[iu, il] += rate * n_bar * degeneracy(upper) / degeneracy(lower)
+    np.fill_diagonal(gen, 0.0)
+    np.fill_diagonal(gen, -gen.sum(axis=0))
+    return gen
+
+
+def evolve_populations(gen, p0, duration, snapshots, tol=1e-8):
+    """(times, renormalized populations, norm drift) with every snapshot kept."""
+    times = np.linspace(0.0, duration, snapshots)
+    step = _expm(gen * (duration / max(snapshots - 1, 1)))
+    raw = np.empty((len(p0), snapshots))
+    p = p0
+    for k in range(snapshots):
+        raw[:, k] = p
+        p = step @ p
+    drift = raw.sum(axis=0) - 1.0
+    worst = int(np.abs(drift).argmax())
+    if abs(drift[worst]) > tol:
+        raise IntegrationError(
+            f"normalization drifted by {drift[worst]:.3e}", last_time=float(times[worst])
+        )
+    if raw.min() < -tol:
+        k = int(np.unravel_index(raw.argmin(), raw.shape)[1])
+        raise IntegrationError(
+            f"population dipped to {raw.min():.3e}", last_time=float(times[k])
+        )
+    cleaned = np.clip(raw, 0.0, None)
+    cleaned /= cleaned.sum(axis=0, keepdims=True)
+    return times, cleaned, drift
+
+
+def rethermalization_time(c: MolecularConstants, T: float) -> float:
+    """63 % ground-level crossing from all 601 snapshots of a 600 s run."""
+    levels = radiative_levels(c)
+    start = most_probable_rotational_state(c, T)
+    p0 = np.zeros(len(levels))
+    p0[levels.index(start)] = 1.0
+    times, pops, _ = evolve_populations(rate_generator(c, T), p0, 600.0, 601)
+    energies = np.array([level_energy(s, c) for s in levels])
+    weights = np.array([float(degeneracy(s)) for s in levels])
+    boltz = weights * np.exp(-energies / (KB_CM * T))
+    boltz /= boltz.sum()
+    g = levels.index(ROT_GROUND)
+    target = 0.63 * boltz.tolist()[g]
+    pg = pops[g]
+    above = np.nonzero(pg >= target)[0]
+    if above.size == 0:
+        raise ValueError(f"ground population did not reach {target:.3e} within 600 s")
+    k = int(above[0])
+    if k == 0:
+        return 0.0
+    t0, t1 = times[k - 1], times[k]
+    f0, f1 = pg[k - 1], pg[k]
+    return float(t0 + (target - f0) / (f1 - f0) * (t1 - t0))

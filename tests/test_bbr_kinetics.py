@@ -4,13 +4,16 @@ Lifetime anchors were computed independently (direct eigen-decomposition of
 the ground-level survival problem and closed-form two-level checks) before
 being frozen here.  The module propagates populations with its own numpy
 matrix exponential; scipy.linalg.expm and the adaptive DOP853 solves it
-replaced stay here as oracles.
+replaced stay here as oracles.  The per-pair generator loop and the
+full-horizon propagation the array build and the early-stopping
+rethermalization replaced are in ``oracles`` and must agree bit for bit.
 """
 
 import math
 from functools import lru_cache
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,6 +61,16 @@ DEBYE = 1e-21 / sc.c
 ORACLE_RTOL, ORACLE_ATOL = 1e-12, 1e-15
 RETHERM_DURATION, RETHERM_SNAPSHOTS = 600.0, 601
 
+NON_FINITE = [math.nan, math.inf, -math.inf]
+# Temperatures at which the array-built generator must equal the per-pair
+# loop bit for bit.
+BIT_GRID = [0.0, 1.0, 4.0, 10.0, 50.0, *np.arange(100.0, 601.0, 5.0).tolist(), 1e4]
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
 
 def dop853_populations(gen, p0, times):
     """Populations at ``times`` from an adaptive solve of dp/dt = gen p."""
@@ -91,6 +104,11 @@ class TestPlanck:
         # Low-frequency classical limit n_bar -> kT / h nu.
         nu, T = 11e9, 300.0
         assert photon_occupation(nu, T) == pytest.approx(sc.k * T / (sc.h * nu) - 0.5, rel=1e-3)
+
+    @pytest.mark.parametrize("T", NON_FINITE)
+    def test_non_finite_temperature_rejected(self, T):
+        with pytest.raises(ValueError, match="temperature must be a finite number >= 0"):
+            photon_occupation(1e12, T)
 
 
 class TestEinsteinCoefficients:
@@ -161,6 +179,28 @@ class TestRateMatrix:
     def test_negative_temperature_rejected(self):
         with pytest.raises(ValueError):
             build_rate_matrix(CONSTANTS, -1.0)
+
+    @pytest.mark.parametrize("T", NON_FINITE)
+    def test_non_finite_temperature_rejected(self, T):
+        with pytest.raises(ValueError, match="temperature must be a finite number >= 0"):
+            build_rate_matrix(CONSTANTS, T)
+
+    @pytest.mark.parametrize("bad", NON_FINITE)
+    def test_non_finite_entry_rejected(self, bad):
+        m = build_rate_matrix(CONSTANTS, 300.0)
+        gen = m.generator.copy()
+        gen[0, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            bbr_kinetics.RateMatrix(gen, m.level_index, 300.0)
+
+    @pytest.mark.parametrize(
+        "c",
+        [CONSTANTS, MolecularConstants(mu_vib_scale=1.7), MolecularConstants(mu_rot_scale=3.0)],
+        ids=["default", "mu_vib_scale", "mu_rot_scale"],
+    )
+    def test_array_build_matches_pair_loop_bit_for_bit(self, c):
+        for T in BIT_GRID:
+            assert same_bits(build_rate_matrix(c, T).generator, oracles.rate_generator(c, T)), T
 
 
 def as_generator(rates):
@@ -266,6 +306,18 @@ class TestEvolvePopulations:
         expected = dop853_populations(m.generator, p0, traj.times)
         assert np.abs(traj.populations - expected).max() <= 1e-9
 
+    def test_matches_full_propagation_bit_for_bit(self):
+        # The demo's run: J = 11/2 at 300 K over 200 s in 401 snapshots.
+        m = build_rate_matrix(CONSTANTS, 300.0)
+        start = RoVibState(0, 3, 11)
+        traj = evolve_populations(m, StateDistribution({start: 1.0}), 200.0, snapshots=401)
+        p0 = np.zeros(len(m.level_index))
+        p0[m.index_of(start)] = 1.0
+        times, pops, drift = oracles.evolve_populations(m.generator, p0, 200.0, 401)
+        assert same_bits(traj.times, times)
+        assert same_bits(traj.populations, pops)
+        assert same_bits(traj.norm_drift, drift)
+
     @pytest.mark.parametrize("T", [300.0, 450.0, 500.0])
     def test_matches_dop853_oracle(self, T):
         m = build_rate_matrix(CONSTANTS, T)
@@ -306,6 +358,11 @@ class TestResidenceLifetime:
         times = np.linspace(0.0, 5.0 * tau, 161)
         survival = dop853_populations(gen, p0, times)[g]
         assert np.abs(survival - np.exp(-times / tau)).max() <= 1e-9
+
+    @pytest.mark.parametrize("T", NON_FINITE)
+    def test_non_finite_temperature_rejected(self, T):
+        with pytest.raises(ValueError, match="temperature must be a finite number >= 0"):
+            ground_state_residence_lifetime(CONSTANTS, T)
 
     def test_temperature_sweep(self):
         rows = lifetime_temperature_sweep(CONSTANTS, sorted(TAU_SWEEP))
@@ -352,6 +409,43 @@ class TestRethermalization:
         pg = restricted_boltzmann(CONSTANTS, 300.0).probability(ROT_GROUND)
         assert pg == pytest.approx(PG_RESTRICTED_300, rel=1e-9)
 
+    @pytest.mark.parametrize("T", [0.0, *NON_FINITE])
+    def test_restricted_boltzmann_needs_finite_positive_temperature(self, T):
+        with pytest.raises(ValueError, match="temperature must be a finite number > 0"):
+            restricted_boltzmann(CONSTANTS, T)
+
+    @pytest.mark.parametrize("T", NON_FINITE)
+    def test_non_finite_temperature_rejected(self, T):
+        with pytest.raises(ValueError, match="temperature must be a finite number"):
+            rethermalization_time(CONSTANTS, T)
+
+    def test_early_stop_matches_full_horizon_bit_for_bit(self):
+        for T in range(190, 601, 25):
+            t63 = rethermalization_time(CONSTANTS, float(T))
+            assert same_bits(t63, oracles.rethermalization_time(CONSTANTS, float(T))), T
+
+    @pytest.mark.parametrize("T", [150.0, 175.0])
+    def test_no_crossing_within_horizon(self, T):
+        with pytest.raises(ValueError, match=r"did not reach .* within 600 s"):
+            rethermalization_time(CONSTANTS, T)
+
+    def test_norm_leak_before_the_crossing_raises(self, monkeypatch):
+        # Losing 2e-10 of the norm per 1 s step breaks the 1e-8 tolerance
+        # after 50 steps, in the first block and long before the crossing.
+        exact = bbr_kinetics._expm
+        monkeypatch.setattr(bbr_kinetics, "_expm", lambda a: (1.0 - 2e-10) * exact(a))
+        with pytest.raises(IntegrationError, match="normalization drifted") as info:
+            rethermalization_time(CONSTANTS, 300.0)
+        assert 50.0 <= info.value.last_time < 141.77
+
+    def test_norm_leak_after_the_crossing_is_not_seen(self, monkeypatch):
+        # Snapshots after the crossing block are never computed, so a leak
+        # that breaks the tolerance only at 500 s no longer raises.
+        t63 = rethermalization_time(CONSTANTS, 300.0)
+        exact = bbr_kinetics._expm
+        monkeypatch.setattr(bbr_kinetics, "_expm", lambda a: (1.0 - 2e-11) * exact(a))
+        assert rethermalization_time(CONSTANTS, 300.0) == pytest.approx(t63, rel=1e-9)
+
 
 class TestLeaveProbability:
     def test_radiative_only_matches_lifetime(self):
@@ -373,6 +467,11 @@ class TestLeaveProbability:
         p450 = leave_probability_per_cycle(CONSTANTS, 450.0, 0.040, collision_rate=0.008)
         assert p450 == pytest.approx(0.03025002198900763, rel=1e-9)
         assert p450 > 2.5 * p300
+
+    @pytest.mark.parametrize("T", NON_FINITE)
+    def test_non_finite_temperature_rejected(self, T):
+        with pytest.raises(ValueError, match="temperature must be a finite number >= 0"):
+            leave_probability_per_cycle(CONSTANTS, T, 0.04)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):

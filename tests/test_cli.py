@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import dataclasses
@@ -129,6 +130,18 @@ class TestLifetime:
     def test_bad_range_is_usage_error(self, extra, tmp_path, capsys):
         assert main(["lifetime", *extra, "--out", str(tmp_path)]) == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--t-min", "--t-max"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_bound_is_usage_error(self, flag, value, tmp_path, capsys):
+        # Rejected before np.linspace, which warns on an infinite span.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["lifetime", flag, value, "--out", str(tmp_path)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{flag[2:]}={value}," in err
+        assert "np.float64" not in err
 
 
 class TestSimulate:
