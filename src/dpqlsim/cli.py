@@ -68,7 +68,7 @@ from .spectroscopy import (
     thermal_population,
 )
 from .sweep_dynamics import SweepConfig, landau_zener_oracle, transfer_window_map
-from .trajectory_sim import ExperimentConfig, disjoint_bin_counts, simulate_hours
+from .trajectory_sim import ExperimentConfig, _cycles_in, disjoint_bin_counts, simulate_hours
 
 __all__ = [
     "UsageError",
@@ -204,10 +204,10 @@ def cmd_simulate(
     out_dir: Path,
 ) -> tuple[dict[str, Path], dict[str, object]]:
     """Labeled Monte Carlo stream covering ``hours`` of wall-clock time."""
-    if not hours > 0.0:
-        raise UsageError(f"--hours must be positive, got {hours!r}")
-    if round(hours * 3600.0 / config.cycle) < 1:  # simulate_hours rounds to whole cycles
-        raise UsageError(f"--hours {hours:g} rounds to zero cycles of {config.cycle:g} s")
+    try:
+        _cycles_in(hours, config.cycle)
+    except ValueError as exc:  # its message starts with the argument, "hours"
+        raise UsageError(f"--{exc}") from None
     cap = config.trial_duration_cap
     if cap is not None and cap < config.cycle:
         raise UsageError(
@@ -478,11 +478,13 @@ def _run(args: argparse.Namespace, argv: Sequence[str]) -> int:
             window=args.window,
         )
     elif args.command == "sweep":
-        if args.omega_points < 1 or args.omega_max_khz <= args.omega_min_khz:
-            raise UsageError("sweep needs omega-max > omega-min and points >= 1")
-        grid = _TWO_PI * 1e3 * np.linspace(
-            args.omega_min_khz, args.omega_max_khz, args.omega_points
-        )
+        lo, hi, points = args.omega_min_khz, args.omega_max_khz, args.omega_points
+        if not 0 < lo < hi < math.inf or points < 1:  # False for a NaN bound, as in lifetime
+            raise UsageError(
+                "sweep needs finite 0 < omega-min-khz < omega-max-khz and omega-points >= 1, "
+                f"got omega-min-khz={lo!r}, omega-max-khz={hi!r}, omega-points={points}"
+            )
+        grid = _TWO_PI * 1e3 * np.linspace(lo, hi, points)
         sweep_cfg = SweepConfig(g_q=constants.g_q_ground)
         outputs, extra = cmd_sweep(sweep_cfg, grid, out_dir, threshold=args.threshold)
     else:  # pragma: no cover - argparse enforces the choices

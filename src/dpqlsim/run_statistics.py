@@ -4,7 +4,10 @@ Two bin-level models describe the dark-count distribution of 20-cycle
 windows: a pure-noise binomial and a signal model in which the molecule
 starts a bin in the rotational ground level, survives there for a
 geometric number of cycles, and emits darks at the detection fidelity
-while present and at the noise floor afterwards.
+while present and at the noise floor afterwards.  Both pmfs come from one
+forward pass over (start level, current level, darks so far), the
+finite-Markov-chain imbedding of Fu and Koutras (1994): O(bin^2) work and
+no factorials.
 
 Significance of an observed run of consecutive darks uses the exact
 distribution of the longest success run in independent Bernoulli trials:
@@ -13,8 +16,7 @@ n), or for long runs the closed form of the union bound over where the
 run starts.  Exceedance probabilities are carried as logarithms, so a
 p-value below the float range still gives a finite one-sided Gaussian
 sigma through the inverse normal quantile of its logarithm.  No scipy is
-needed: log-factorials come from ``math.lgamma`` and the quantile from
-Newton's method on the log upper tail.
+needed: the quantile comes from Newton's method on the log upper tail.
 """
 
 from __future__ import annotations
@@ -74,57 +76,38 @@ class NoiseSignalModel:
             raise ValueError(f"bin must be >= 1, got {self.bin!r}")
 
 
-@lru_cache(maxsize=None)
-def _log_factorials(size: int) -> np.ndarray:
-    """log j! for j < size, read-only since every caller shares it."""
-    table = np.array([math.lgamma(j + 1.0) for j in range(size)])
-    table.setflags(write=False)
-    return table
+@lru_cache(maxsize=64)
+def _bin_pmfs(p_b: float, p_d: float, p_s: float, bin_size: int) -> np.ndarray:
+    """Read-only rows (noise pmf, signal pmf) of the dark count in one bin.
 
-
-def _binom_pmf(k, n: int, p: float) -> np.ndarray:
-    # C(n, k) p^k (1 - p)^(n - k) in log space, with 0 log 0 = 0 where
-    # k = 0 or k = n.  Each factorial table is a prefix of the next, and
-    # their sizes are powers of two, so the n = 0..bin calls of one signal
-    # pmf build O(bin) entries in all.
-    k = np.asarray(k)
-    log_fact = _log_factorials(1 << (n + 1).bit_length())
-    log_pmf = log_fact[n] - log_fact[k] - log_fact[n - k]
-    if p > 0.0:
-        log_pmf = log_pmf + k * math.log(p)
-    else:
-        log_pmf = np.where(k == 0, log_pmf, -np.inf)
-    if p < 1.0:
-        log_pmf = log_pmf + (n - k) * math.log1p(-p)
-    else:
-        log_pmf = np.where(k == n, log_pmf, -np.inf)
-    return np.exp(log_pmf)
+    One forward pass over (start level, current level, darks so far).  The
+    rows of ``mass`` are outside from outside, outside from ground and
+    ground from ground.  Each cycle the current level emits, a dark at p_b
+    outside and at p_d in the ground level, and then the ground level is
+    left at p_s; outside absorbs.
+    """
+    mass = np.zeros((3, bin_size + 1))
+    mass[:, 0] = (1.0, 0.0, 1.0)
+    p_dark = np.array([[p_b], [p_b], [p_d]])
+    for _ in range(bin_size):
+        dark = mass * p_dark
+        mass *= 1.0 - p_dark
+        mass[:, 1:] += dark[:, :-1]
+        mass[1] += p_s * mass[2]
+        mass[2] *= 1.0 - p_s
+    pmfs = np.stack((mass[0], mass[1] + mass[2]))
+    pmfs.setflags(write=False)
+    return pmfs
 
 
 def noise_pmf(model: NoiseSignalModel) -> np.ndarray:
     """Dark-count pmf of a noise-only bin, indices 0..bin."""
-    return _binom_pmf(np.arange(model.bin + 1), model.bin, model.p_b)
-
-
-@lru_cache(maxsize=64)
-def _signal_pmf_cached(p_b: float, p_d: float, p_s: float, bin_size: int) -> np.ndarray:
-    # Residence time in the ground level: i signal cycles with probability
-    # (1-p_s)^(i-1) p_s for i < bin, all remaining mass on a full bin.
-    pmf = np.zeros(bin_size + 1)
-    for i in range(1, bin_size + 1):
-        if i < bin_size:
-            weight = (1.0 - p_s) ** (i - 1) * p_s
-        else:
-            weight = (1.0 - p_s) ** (bin_size - 1)
-        signal = _binom_pmf(np.arange(i + 1), i, p_d)
-        noise = _binom_pmf(np.arange(bin_size - i + 1), bin_size - i, p_b)
-        pmf += weight * np.convolve(signal, noise)
-    return pmf
+    return _bin_pmfs(model.p_b, model.p_d, model.p_s, model.bin)[0].copy()
 
 
 def signal_pmf(model: NoiseSignalModel) -> np.ndarray:
     """Dark-count pmf of a bin that starts in the ground level."""
-    return _signal_pmf_cached(model.p_b, model.p_d, model.p_s, model.bin).copy()
+    return _bin_pmfs(model.p_b, model.p_d, model.p_s, model.bin)[1].copy()
 
 
 @dataclass(frozen=True)

@@ -315,13 +315,22 @@ def simulate_trial(
     return TrialDataset(outcomes, labels, config, config.rng_seed)
 
 
+def _cycles_in(hours: float, cycle: float) -> int:
+    """Whole cycles of ``cycle`` seconds in ``hours``; ValueError below one."""
+    cycles = hours * 3600.0 / cycle
+    if not 0.0 < cycles < math.inf:  # False for a NaN too
+        raise ValueError(f"hours must be finite and positive, got {hours!r}")
+    n_cycles = round(cycles)
+    if n_cycles < 1:
+        raise ValueError(f"hours {hours:g} rounds to zero cycles of {cycle:g} s")
+    return n_cycles
+
+
 def simulate_hours(
     config: ExperimentConfig, hours: float, constants: MolecularConstants | None = None
 ) -> TrialDataset:
     """Convenience wrapper sizing one trial to a wall-clock duration."""
-    if not hours > 0.0:
-        raise ValueError(f"hours must be positive, got {hours!r}")
-    return simulate_trial(config, int(round(hours * 3600.0 / config.cycle)), constants)
+    return simulate_trial(config, _cycles_in(hours, config.cycle), constants)
 
 
 def ensemble_ground_occupancy(
@@ -338,8 +347,8 @@ def ensemble_ground_occupancy(
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
+    n_cycles = _cycles_in(hours, config.cycle)
     constants = constants or MolecularConstants()
-    n_cycles = int(round(hours * 3600.0 / config.cycle))
     children = np.random.SeedSequence(config.rng_seed).spawn(n_trials)
     fractions = np.empty(n_trials)
     for i, child in enumerate(children):

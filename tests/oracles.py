@@ -10,6 +10,8 @@ reader and columnar writers against:
 - ``write_dataset_csv`` / ``write_decoded_csv``: ``csv.writer`` writers
   of rows; ``dataset_columns`` turns such rows into the columns that
   ``dataio.write_dataset_csv`` takes.
+- ``residence_pmfs``: the dark-count pmf of a bin as a sum over ground
+  residence lengths, one convolution of two scipy binomials per length.
 - ``longest_run_cdf``: an exact-integer count of strings with a bounded
   dark run, practical for n up to a few hundred.
 - ``most_probable_rotational_state``: a loop over the relative Boltzmann
@@ -29,6 +31,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+from scipy.stats import binom
 
 from dpqlsim.bbr_kinetics import (
     IntegrationError,
@@ -205,6 +208,24 @@ def write_decoded_csv(path, observations, decoded, *, indices=None):
             for i, o, s, p in zip(idx, obs, decoded.states, decoded.posteriors)
         ),
     )
+
+
+def residence_pmfs(p_b, p_d, p_s_values, bin_size):
+    """Darks in a bin that starts in the ground level, one row per p_s.
+
+    The molecule stays i cycles with probability (1 - p_s)^(i-1) p_s for
+    i < bin, else the whole bin, and emits i cycles at p_d, then the rest
+    at p_b; p_d = p_b gives the noise pmf.
+    """
+    p_s = np.asarray(p_s_values, dtype=float)[:, None]
+    pmfs = np.zeros((p_s.shape[0], bin_size + 1))
+    for i in range(1, bin_size + 1):
+        weight = (1.0 - p_s) ** (i - 1) * (p_s if i < bin_size else 1.0)
+        pmfs += weight * np.convolve(
+            binom.pmf(np.arange(i + 1), i, p_d),
+            binom.pmf(np.arange(bin_size - i + 1), bin_size - i, p_b),
+        )
+    return pmfs
 
 
 def _recursion_counts(n, x):

@@ -220,6 +220,17 @@ class TestSimulate:
         assert code == EXIT_USAGE
         assert "--hours" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("hours", ["inf", "nan", "-inf"])
+    def test_non_finite_hours_is_usage_error(self, tmp_path, capsys, hours):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # "--hours=-inf": argparse reads a bare "-inf" as an option.
+            code = main(["simulate", f"--hours={hours}", "--out", str(tmp_path)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"--hours must be finite and positive, got {hours}" in err
+        assert not (tmp_path / "dataset.csv").exists()
+
     @pytest.mark.parametrize("hours", ["1e-9", "5.5e-6"])
     def test_hours_below_one_cycle_is_usage_error(self, tmp_path, capsys, hours):
         # 3.6 us and 19.8 ms both round to no 40 ms cycle: refused before
@@ -611,6 +622,18 @@ class TestSweep:
         code = main(["sweep", "--omega-points", "0", "--out", str(tmp_path)])
         assert code == EXIT_USAGE
         assert "sweep needs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--omega-min-khz", "--omega-max-khz"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_bound_is_usage_error(self, flag, value, tmp_path, capsys):
+        # Rejected before np.linspace, which warns on an infinite span.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["sweep", f"{flag}={value}", "--omega-points", "3", "--out", str(tmp_path)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{flag[2:]}={value}," in err
+        assert not (tmp_path / "transfer_map.csv").exists()
 
 
 class TestConfigAndManifest:

@@ -402,40 +402,67 @@ class TestLogSpaceSignificance:
 
 
 class TestBinomialPmfOracle:
-    # The pmfs are built from math.lgamma in log space; scipy.stats is the oracle.
-    @pytest.mark.parametrize("n", [0, 1, 7, 20, 60, 500, 2000])
-    @pytest.mark.parametrize("p", [0.0, 0.03, 0.5, 0.72, 1.0])
-    def test_matches_scipy_stats(self, n, p):
-        # The pmf inherits the rounding of log n! (a few ulp), so its
-        # relative error grows with log n!; 1e-12 covers n <= 60.
-        k = np.arange(n + 1)
-        rtol = max(1e-12, 8.0 * sys.float_info.epsilon * math.lgamma(n + 1.0))
+    # One forward pass over (level, darks) yields both pmfs; scipy's
+    # binomial and the residence sum over binomial convolutions are the
+    # oracles.  A subnormal entry keeps fewer bits than a normal float, so
+    # below 2.2e-308 only an absolute bound holds: at most 2.3e-321 was
+    # seen at bin 2000, and SUBNORMAL_ATOL leaves four times that.
+    SUBNORMAL_ATOL = 1e-320
+
+    @classmethod
+    def check(cls, got, expected):
+        normal = expected >= sys.float_info.min
+        np.testing.assert_allclose(got[normal], expected[normal], rtol=1e-12, atol=0)
         np.testing.assert_allclose(
-            run_statistics._binom_pmf(k, n, p), binom.pmf(k, n, p), rtol=rtol, atol=0
+            got[~normal], expected[~normal], rtol=0, atol=cls.SUBNORMAL_ATOL
         )
+
+    @pytest.mark.parametrize("bin_size", [1, 2, 20, 200, 2000])
+    @pytest.mark.parametrize(("p_b", "p_d"), [(0.03, 0.72), (0.0, 1.0)])
+    def test_pmfs_match_residence_sum(self, bin_size, p_b, p_d):
+        p_s_values = (0.0, 0.0103, 1.0)
+        binomial = binom.pmf(np.arange(bin_size + 1), bin_size, p_b)
+        signals = oracles.residence_pmfs(p_b, p_d, p_s_values, bin_size)
+        noises = oracles.residence_pmfs(p_b, p_b, p_s_values, bin_size)
+        for p_s, expected_signal, expected_noise in zip(p_s_values, signals, noises):
+            model = NoiseSignalModel(p_b=p_b, p_d=p_d, p_s=p_s, bin=bin_size)
+            self.check(noise_pmf(model), binomial)
+            self.check(noise_pmf(model), expected_noise)
+            self.check(signal_pmf(model), expected_signal)
+            if p_b == 0.0:  # every zero is structural, not an underflow
+                assert np.array_equal(noise_pmf(model) == 0, binomial == 0)
+                assert np.array_equal(signal_pmf(model) == 0, expected_signal == 0)
+
+    @pytest.mark.parametrize("n", [1, 7, 20, 60, 500, 2000])
+    @pytest.mark.parametrize("p", [0.0, 0.03, 0.5, 0.72])
+    def test_noise_matches_scipy_binomial(self, n, p):
+        model = NoiseSignalModel(p_b=p, p_d=1.0, bin=n)
+        self.check(noise_pmf(model), binom.pmf(np.arange(n + 1), n, p))
+
+    def test_noise_matches_exact_rationals(self):
+        # C(n, k) m^k (D - m)^(n - k) / D^n in integers, with p_b = m / D
+        # exactly; int / int rounds correctly.
+        n = 2000
+        m, d = (0.03).as_integer_ratio()
+        numerator, exact = (d - m) ** n, []
+        for k in range(200):
+            exact.append(numerator / d**n)
+            numerator = numerator * (n - k) * m // ((k + 1) * (d - m))
+        got = noise_pmf(NoiseSignalModel(bin=n))[:200]
+        np.testing.assert_allclose(got, exact, rtol=1e-12, atol=0)
 
     def test_degenerate_p_puts_all_mass_on_one_count(self):
-        # 0 log 0 = 0: exact zeros and ones, no NaN.
-        assert run_statistics._binom_pmf(np.arange(6), 5, 0.0).tolist() == [1, 0, 0, 0, 0, 0]
-        assert run_statistics._binom_pmf(np.arange(6), 5, 1.0).tolist() == [0, 0, 0, 0, 0, 1]
+        # Exact zeros and ones, no NaN.
+        assert noise_pmf(NoiseSignalModel(p_b=0.0, bin=5)).tolist() == [1, 0, 0, 0, 0, 0]
+        pinned = NoiseSignalModel(p_b=0.0, p_d=1.0, p_s=0.0, bin=5)
+        assert signal_pmf(pinned).tolist() == [0, 0, 0, 0, 0, 1]
 
-    def test_bin_pmfs_match_scipy_stats(self):
+    def test_returns_copies_of_the_cached_rows(self):
         model = NoiseSignalModel()
-        k = np.arange(model.bin + 1)
-        np.testing.assert_allclose(
-            noise_pmf(model), binom.pmf(k, model.bin, model.p_b), rtol=1e-12, atol=0
-        )
-        assert noise_pmf(model)[3] == pytest.approx(
-            binom.pmf(3, model.bin, model.p_b), rel=1e-12
-        )
-        expected = np.zeros(model.bin + 1)
-        for i in range(1, model.bin + 1):
-            weight = (1.0 - model.p_s) ** (i - 1) * (model.p_s if i < model.bin else 1.0)
-            expected += weight * np.convolve(
-                binom.pmf(np.arange(i + 1), i, model.p_d),
-                binom.pmf(np.arange(model.bin - i + 1), model.bin - i, model.p_b),
-            )
-        np.testing.assert_allclose(signal_pmf(model), expected, rtol=1e-12, atol=0)
+        noise_pmf(model)[:] = 0.0
+        signal_pmf(model)[:] = 0.0
+        assert noise_pmf(model).sum() == pytest.approx(1.0)
+        assert signal_pmf(model).sum() == pytest.approx(1.0)
 
 
 class TestNormalQuantileOracle:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -191,8 +192,8 @@ class TestSimulateTrial:
     def test_stream_needs_a_cycle(self):
         with pytest.raises(ValueError, match="n_cycles must be >= 1"):
             simulate_trial(ExperimentConfig(), 0)
-        with pytest.raises(ValueError, match="n_cycles must be >= 1"):
-            simulate_hours(ExperimentConfig(), 0.4 * 0.04 / 3600.0)  # rounds to 0 cycles
+        with pytest.raises(ValueError, match="rounds to zero cycles of 0.04 s"):
+            simulate_hours(ExperimentConfig(), 0.4 * 0.04 / 3600.0)
 
     def test_room_temperature_statistics(self):
         # 0.5 h at the default operating point; frozen-seed stream, windows
@@ -530,6 +531,30 @@ class TestEnsemble:
     def test_requires_trials(self):
         with pytest.raises(ValueError):
             ensemble_ground_occupancy(ExperimentConfig(), 0, 1.0)
+
+    @pytest.mark.parametrize(
+        ("hours", "match"),
+        [
+            (0.0, "finite and positive"),
+            (-1.0, "finite and positive"),
+            (math.nan, "finite and positive"),
+            (math.inf, "finite and positive"),
+            (0.4 * 0.04 / 3600.0, "rounds to zero cycles"),
+        ],
+    )
+    def test_requires_at_least_one_cycle(self, hours, match):
+        # Checked before any stream is drawn: no NaN fractions, no numpy warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                ensemble_ground_occupancy(ExperimentConfig(), 2, hours)
+            with pytest.raises(ValueError, match=match):
+                simulate_hours(ExperimentConfig(), hours)
+
+    def test_one_cycle_trials(self):
+        fractions = ensemble_ground_occupancy(ExperimentConfig(), 3, 0.6 * 0.04 / 3600.0)
+        assert fractions.shape == (3,)
+        assert set(fractions.tolist()) <= {0.0, 1.0}
 
 
 class TestBinning:
