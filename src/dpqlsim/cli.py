@@ -10,9 +10,11 @@ sweep      trap-frequency sweep transfer map and high-fidelity window
 
 Every command writes flat CSV/JSON files into --out plus a manifest.json
 recording the command line, the full config snapshot, the seed, the tool
-version, and a sha256 digest of every output, so a rerun can be checked
+version, the environment (Python and numpy versions, platform, machine and
+CPU count) and a sha256 digest of every output, so a rerun can be checked
 for byte-identical results.  Each ``cmd_*`` function returns its outputs
-and its added manifest fields (``simulate`` adds ``counts``).  Exit codes:
+and its added manifest fields (``simulate`` and ``analyze --mode hmm`` add
+``counts``).  Exit codes:
 0 success, 2 usage or config errors, 3 data-format errors (a dataset with
 no records is one), 4 numerical failures.  JSON files are strict RFC 8259:
 an infinite run z-score is written as null.
@@ -23,6 +25,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
+import platform
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -148,6 +152,15 @@ def _write_manifest(
             "experiment": config_to_mapping(config) if config is not None else None,
         },
         "outputs": {name: sha256_digest(p) for name, p in sorted(outputs.items())},
+        # No platform.platform(): it scans the interpreter binary for a libc
+        # version, milliseconds per call.
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "platform": sys.platform,
+            "machine": platform.machine(),
+            "cpu_count": os.cpu_count(),
+        },
     }
     if extra:
         manifest.update(extra)
@@ -256,6 +269,7 @@ def cmd_analyze(
         raise DataFormatError("dataset holds no records", source=str(dataset_path))
     labels = None if (hidden < 0).any() else hidden
     outputs: dict[str, Path] = {}
+    extra: dict[str, object] = {}
     report: dict[str, object] = {
         "mode": mode,
         "dataset": str(dataset_path),
@@ -338,6 +352,10 @@ def cmd_analyze(
             log_likelihood=decoded.log_likelihood,
             predicted_signal_records=int(decoded.states.sum()),
         )
+        # An episode is a run of predicted signal records.
+        states = decoded.states
+        episodes = int(states[0]) + int(np.count_nonzero(states[1:] > states[:-1]))
+        extra["counts"] = {"decoded_episodes": episodes}
         if labels is not None:
             metrics = evaluate(decoded.states, labels)
             report["metrics"] = asdict(metrics)
@@ -350,7 +368,7 @@ def cmd_analyze(
     report_path = out_dir / "report.json"
     report_path.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
     outputs["report.json"] = report_path
-    return outputs, {}
+    return outputs, extra
 
 
 def cmd_sweep(

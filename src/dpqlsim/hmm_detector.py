@@ -16,8 +16,8 @@ unlabeled streams.
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
+from math import copysign, isqrt
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -175,43 +175,140 @@ def _check_observations(observations: Sequence[int] | np.ndarray) -> np.ndarray:
     return obs.astype(np.int8)
 
 
-def _smooth(
-    params: HmmParams, obs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scaled forward and backward passes over a nonempty stream.
+# Records each speculative filter runs before its chunk, so that it enters
+# the chunk already bit-equal to the true filter in the common case: a
+# normalized 2-state filter forgets its start within a few dozen records.
+_WARMUP = 64
 
-    ``alpha[t]`` is the filtered state distribution after record t and
-    ``scale[t]`` the predictive probability of that record, so the
-    log-likelihood is ``log(scale).sum()``; ``beta`` carries the matching
-    scaled backward messages.  The passes are scalar IEEE float loops in a
-    fixed operation order with no fused multiply-add, so their bits do not
-    depend on the BLAS build.
+
+def _filter(
+    trans: np.ndarray, emit: np.ndarray, start: Sequence[float], obs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized 2-state filter ``p_t = normalize((p_{t-1} trans) * emit[:, o_t])``.
+
+    ``p_0`` is ``normalize(start * emit[:, o_0])``.  Returns the states as
+    rows, ``p[i, t]`` of shape (2, n), and the normalizers ``scale`` (n,).
+    Every record takes the IEEE operations of the scalar step in the repair
+    loop, in its order (no fused multiply-add), so the bits do not depend on
+    how the stream is cut:
+
+    1. Records 1..n-1 are cut into chunks of ``b = ceil(sqrt(n))``.
+    2. All chunks step side by side, one numpy step per record offset, in
+       the scalar step's operation order.  Chunk 0 starts from ``p_0``,
+       every other chunk from the guess ``start``, ``_WARMUP`` records (at
+       most ``b``) before the chunk.
+    3. The seams are walked in order.  Each chunk is redone with scalar
+       steps from the true end state of the chunk before it, until its
+       state equals the speculative one bit for bit; from there on the
+       speculative records are exact.
+    4. A filter that never forgets (``trans`` the identity) is redone to
+       the end of every chunk: still exact, only slower.
     """
-    (t00, t01), (t10, t11) = params.trans.tolist()
-    em = tuple(zip(*params.emit.tolist()))  # em[o] = (emit[0, o], emit[1, o])
-    seq = obs.tolist()
-    n = len(seq)
-    alpha, beta, scale = (array("d", [0.0]) * (k * n) for k in (2, 2, 1))
+    n = obs.size
+    states, scale = np.empty((2, n)), np.empty(n)
+    (t00, t01), (t10, t11) = trans.tolist()
+    em = tuple(zip(*emit.tolist()))  # em[o] = (emit[0, o], emit[1, o])
+    seq, flat, sc = memoryview(obs), memoryview(states.reshape(-1)), memoryview(scale)
     x0, x1 = em[seq[0]]
-    p0, p1 = params.initial.tolist()
+    p0, p1 = start
     a0, a1 = p0 * x0, p1 * x1
-    for t in range(n):
-        if t:
+    s = a0 + a1
+    if s == 0.0:
+        raise ValueError("observation sequence impossible under the model")
+    sc[0], flat[0], flat[n] = s, a0 / s, a1 / s
+    if n == 1:
+        return states, scale
+    b = isqrt(n - 1) + 1
+    k = -(-(n - 1) // b)
+    e0, e1 = emit[0].copy(), emit[1].copy()
+    tmp, x0, x1 = np.empty(k), np.empty(k), np.empty(k)
+
+    def step(p0, p1, o, a0, a1, s):
+        m = o.size
+        e0.take(o, out=x0[:m], mode="clip")
+        e1.take(o, out=x1[:m], mode="clip")
+        np.multiply(p0, t00, a0)
+        np.multiply(p1, t10, tmp[:m])
+        np.add(a0, tmp[:m], a0)
+        np.multiply(a0, x0[:m], a0)
+        np.multiply(p0, t01, a1)
+        np.multiply(p1, t11, tmp[:m])
+        np.add(a1, tmp[:m], a1)
+        np.multiply(a1, x1[:m], a1)
+        np.add(a0, a1, s)
+        np.divide(a0, s, a0)
+        np.divide(a1, s, a1)
+
+    # Chunk c holds records 1 + c b .. min(1 + (c + 1) b, n) - 1.
+    p0, p1 = np.full(k, start[0]), np.full(k, start[1])
+    q0, q1, qs = np.empty(k - 1), np.empty(k - 1), np.empty(k - 1)
+    row0, row1 = states
+    # A speculative chunk from a wrong start may divide 0 by 0; its records
+    # are redone below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(-min(_WARMUP, b), 0):
+            step(p0[1:], p1[1:], obs[1 + b + j :: b][: k - 1], q0, q1, qs)
+            p0[1:], p1[1:] = q0, q1
+        p0[0], p1[0] = flat[0], flat[n]
+        for j in range(b):
+            o = obs[1 + j :: b]
+            a0, a1, m = row0[1 + j :: b], row1[1 + j :: b], o.size
+            step(p0[:m], p1[:m], o, a0, a1, scale[1 + j :: b])
+            p0, p1 = a0, a1
+    for lo in range(1 + b, n, b):
+        p0, p1 = flat[lo - 1], flat[n + lo - 1]
+        for t in range(lo, min(lo + b, n)):
             x0, x1 = em[seq[t]]
             a0, a1 = (p0 * t00 + p1 * t10) * x0, (p0 * t01 + p1 * t11) * x1
-        s = a0 + a1
-        if s == 0.0:
-            raise ValueError("observation sequence impossible under the model")
-        p0, p1 = a0 / s, a1 / s
-        scale[t], alpha[2 * t], alpha[2 * t + 1] = s, p0, p1
-    b0 = b1 = beta[-1] = beta[-2] = 1.0
-    for t in range(n - 2, -1, -1):
-        x0, x1 = em[seq[t + 1]]
-        v0, v1, s = x0 * b0, x1 * b1, scale[t + 1]
-        b0, b1 = (t00 * v0 + t01 * v1) / s, (t10 * v0 + t11 * v1) / s
-        beta[2 * t], beta[2 * t + 1] = b0, b1
-    alpha, beta = (np.frombuffer(buf).reshape(n, 2) for buf in (alpha, beta))
-    return alpha, beta, np.frombuffer(scale)
+            s = a0 + a1
+            if s == 0.0:
+                raise ValueError("observation sequence impossible under the model")
+            p0, p1 = a0 / s, a1 / s
+            sc[t] = s
+            q0, q1 = flat[t], flat[n + t]
+            if (
+                p0 == q0 and p1 == q1
+                and copysign(1.0, p0) == copysign(1.0, q0)
+                and copysign(1.0, p1) == copysign(1.0, q1)
+            ):
+                break
+            flat[t], flat[n + t] = p0, p1
+    if not scale.all():
+        raise ValueError("observation sequence impossible under the model")
+    return states, scale
+
+
+def _smooth(
+    params: HmmParams, obs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Forward and backward passes over a nonempty stream, both by :func:`_filter`.
+
+    The state arrays are rows, shape (2, n).  ``alpha[:, t]`` is the
+    filtered state distribution after record t and ``scale[t]`` the
+    predictive probability of that record, so the log-likelihood is
+    ``log(scale).sum()``.  ``r[:, t]`` is the self-normalized backward
+    message ``normalize(emit[:, o_t] * (trans @ r[:, t + 1]))``: the same
+    filter on the reversed stream with ``trans`` transposed.  ``w[:, t] =
+    alpha[:, t] * (trans @ r[:, t + 1])`` (``alpha[:, -1]`` for the last
+    record) is proportional to the posterior state distribution.  ``alpha``
+    and ``scale`` carry the bits of the scalar loop
+    ``tests/oracles.py::smooth_scalar``, and ``r`` those of
+    ``tests/oracles.py::backward_scalar``.
+    """
+    alpha, scale = _filter(params.trans, params.emit, params.initial.tolist(), obs)
+    r = _filter(params.trans.T, params.emit, (1.0, 1.0), obs[::-1])[0][:, ::-1]
+    (t00, t01), (t10, t11) = params.trans.tolist()
+    # w[:, :-1] = trans @ r[:, 1:] in elementwise steps (no BLAS, so no FMA),
+    # with one temporary, then times alpha.
+    w = np.ones_like(alpha)
+    tmp = r[1, 1:] * t01
+    np.multiply(r[0, 1:], t00, w[0, :-1])
+    w[0, :-1] += tmp
+    np.multiply(r[1, 1:], t11, tmp)
+    np.multiply(r[0, 1:], t10, w[1, :-1])
+    w[1, :-1] += tmp
+    w *= alpha
+    return alpha, scale, r, w
 
 
 def forward_backward(
@@ -231,10 +328,8 @@ def forward_backward(
             posteriors=np.empty(0),
             log_likelihood=0.0,
         )
-    alpha, beta, scale = _smooth(params, obs)
-    gamma = alpha * beta
-    gamma /= gamma.sum(axis=1, keepdims=True)
-    posteriors = gamma[:, 1]
+    _, scale, _, w = _smooth(params, obs)
+    posteriors = w[1] / (w[0] + w[1])
     states = (posteriors > 0.5).astype(np.int8)
     return DecodedSeries(
         states=states,
@@ -347,21 +442,19 @@ def baum_welch(
     params = initial_params
     history: list[float] = []
     for _ in range(max_iter):
-        alpha, beta, scale = _smooth(params, obs)
+        alpha, scale, r, w = _smooth(params, obs)
         history.append(float(np.log(scale).sum()))
-        gamma = alpha * beta
-        gamma /= gamma.sum(axis=1, keepdims=True)
-        # Sum over t of xi_t[i, j] = alpha[t, i] trans[i, j] emit[j, o_t+1]
-        # beta[t+1, j] / scale[t+1], contracted over t in one product.
-        xi_sum = params.trans * (
-            alpha[:-1].T @ (params.emit[:, obs[1:]].T * beta[1:] / scale[1:, None])
-        )
-        new_trans = xi_sum / gamma[:-1].sum(axis=0)[:, None]
+        norm = w[0] + w[1]
+        gamma = w / norm
+        # Sum over t of xi_t[i, j] = alpha[i, t] trans[i, j] r[j, t+1] / norm[t],
+        # contracted over t in one product.
+        xi_sum = params.trans * (alpha[:, :-1] @ (r[:, 1:] / norm[:-1]).T)
+        new_trans = xi_sum / gamma[:, :-1].sum(axis=1)[:, None]
         emit_num = np.zeros((2, 2))
         for o in (0, 1):
-            emit_num[:, o] = gamma[obs == o].sum(axis=0)
-        new_emit = emit_num / gamma.sum(axis=0)[:, None]
-        new_initial = gamma[0]
+            emit_num[:, o] = gamma[:, obs == o].sum(axis=1)
+        new_emit = emit_num / gamma.sum(axis=1)[:, None]
+        new_initial = gamma[:, 0]
         params = HmmParams(
             trans=new_trans / new_trans.sum(axis=1, keepdims=True),
             emit=new_emit / new_emit.sum(axis=1, keepdims=True),

@@ -6,6 +6,10 @@ reader and columnar writers against:
 
 - ``simulate_arrays``: one ``TrajectoryDynamics.step_code`` call per cycle.
 - ``smooth`` / ``forward_backward`` / ``viterbi``: numpy 2-vector loops.
+- ``smooth_scalar``: the scalar-float forward and backward loops that the
+  chunked filter replaced; ``backward_scalar``: a scalar loop of the
+  self-normalized backward recursion; ``posteriors_scalar``: posteriors
+  from the former.
 - ``read_dataset_csv``: a ``csv.reader`` row loop.
 - ``write_dataset_csv`` / ``write_decoded_csv``: ``csv.writer`` writers
   of rows; ``dataset_columns`` turns such rows into the columns that
@@ -28,6 +32,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -95,6 +100,78 @@ def smooth(params, obs):
     for t in range(n - 2, -1, -1):
         beta[t] = trans @ (emit[:, obs[t + 1]] * beta[t + 1]) / scale[t + 1]
     return alpha, beta, scale
+
+
+def smooth_scalar(params, obs):
+    """Scaled forward and backward passes over a nonempty stream, one
+    scalar step per record: the smoother that the chunked filter replaced.
+
+    ``alpha[t]`` is the filtered state distribution after record t and
+    ``scale[t]`` the predictive probability of that record, so the
+    log-likelihood is ``log(scale).sum()``; ``beta`` carries the matching
+    scaled backward messages.  The passes are scalar IEEE float loops in a
+    fixed operation order with no fused multiply-add, so their bits do not
+    depend on the BLAS build.
+    """
+    (t00, t01), (t10, t11) = params.trans.tolist()
+    em = tuple(zip(*params.emit.tolist()))  # em[o] = (emit[0, o], emit[1, o])
+    seq = obs.tolist()
+    n = len(seq)
+    alpha, beta, scale = (array("d", [0.0]) * (k * n) for k in (2, 2, 1))
+    x0, x1 = em[seq[0]]
+    p0, p1 = params.initial.tolist()
+    a0, a1 = p0 * x0, p1 * x1
+    for t in range(n):
+        if t:
+            x0, x1 = em[seq[t]]
+            a0, a1 = (p0 * t00 + p1 * t10) * x0, (p0 * t01 + p1 * t11) * x1
+        s = a0 + a1
+        if s == 0.0:
+            raise ValueError("observation sequence impossible under the model")
+        p0, p1 = a0 / s, a1 / s
+        scale[t], alpha[2 * t], alpha[2 * t + 1] = s, p0, p1
+    b0 = b1 = beta[-1] = beta[-2] = 1.0
+    for t in range(n - 2, -1, -1):
+        x0, x1 = em[seq[t + 1]]
+        v0, v1, s = x0 * b0, x1 * b1, scale[t + 1]
+        b0, b1 = (t00 * v0 + t01 * v1) / s, (t10 * v0 + t11 * v1) / s
+        beta[2 * t], beta[2 * t + 1] = b0, b1
+    alpha, beta = (np.frombuffer(buf).reshape(n, 2) for buf in (alpha, beta))
+    return alpha, beta, np.frombuffer(scale)
+
+
+def backward_scalar(params, obs):
+    """Self-normalized backward messages, one scalar step per record.
+
+    ``r[t] = normalize(emit[:, o_t] * (trans @ r[t + 1]))`` from
+    ``r[n - 1] = normalize(emit[:, o_{n-1}])``; returns ``r`` (n, 2) and the
+    normalizers (n,).
+    """
+    (t00, t01), (t10, t11) = params.trans.tolist()
+    em = tuple(zip(*params.emit.tolist()))  # em[o] = (emit[0, o], emit[1, o])
+    seq = np.asarray(obs).tolist()
+    n = len(seq)
+    r, norm = np.empty((n, 2)), np.empty(n)
+    b0 = b1 = 1.0
+    for t in range(n - 1, -1, -1):
+        x0, x1 = em[seq[t]]
+        if t < n - 1:
+            b0, b1 = t00 * b0 + t01 * b1, t10 * b0 + t11 * b1
+        v0, v1 = b0 * x0, b1 * x1
+        s = v0 + v1
+        if s == 0.0:
+            raise ValueError("observation sequence impossible under the model")
+        b0, b1 = v0 / s, v1 / s
+        r[t], norm[t] = (b0, b1), s
+    return r, norm
+
+
+def posteriors_scalar(params, obs):
+    """Posteriors of state 1 through :func:`smooth_scalar`."""
+    alpha, beta, _ = smooth_scalar(params, obs)
+    gamma = alpha * beta
+    gamma /= gamma.sum(axis=1, keepdims=True)
+    return gamma[:, 1]
 
 
 def forward_backward(params, obs):

@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import platform
+import sys
 import warnings
 from pathlib import Path
 
@@ -23,6 +26,7 @@ from dpqlsim.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from dpqlsim.dataio import (
     config_casts,
     config_to_mapping,
+    format_number,
     read_dataset_csv,
     sha256_digest,
     write_dataset_csv,
@@ -448,6 +452,43 @@ class TestAnalyzeHmm:
         }
         assert 0.0 <= metrics["f1"] <= 1.0
 
+    def test_decoded_episodes_count_runs(self, tmp_path):
+        # Two dark runs long enough to decode as signal, one from record 0.
+        data = tmp_path / "dataset.csv"
+        outcome = [1] * 30 + [0] * 300 + [1] * 30 + [0] * 300
+        rows = [(i, o, 0.04 * (i + 1), None) for i, o in enumerate(outcome)]
+        write_dataset_csv(data, *oracles.dataset_columns(rows))
+        out = tmp_path / "hmm"
+        assert main(["analyze", str(data), "--mode", "hmm", "--out", str(out)]) == EXIT_OK
+        _, decoded = read_csv(out / "decoded.csv")
+        assert decoded[0][2] == "1" and decoded[-1][2] == "0"
+        assert load_manifest(out)["counts"] == {"decoded_episodes": 2}
+
+    def test_two_hour_posteriors_match_scalar_oracle(self, tmp_path):
+        # The chunked smoother against the scalar loops it replaced, on the
+        # 2 h seed-7 stream: every 10-digit posterior cell is the same.
+        argv = ["simulate", "--paper-defaults", "--hours", "2", "--seed", "7"]
+        assert main([*argv, "--out", str(tmp_path / "sim")]) == EXIT_OK
+        dataset = str(tmp_path / "sim" / "dataset.csv")
+        assert main(["analyze", dataset, "--mode", "hmm", "--out", str(tmp_path)]) == EXIT_OK
+        _, rows = read_csv(tmp_path / "decoded.csv")
+        constants = MolecularConstants()
+        params = default_params(
+            p_b=0.03,
+            p_d=0.72,
+            p_s=leave_probability_per_cycle(constants, 300.0, 0.04, collision_rate=0.008),
+            p_g=thermal_population(ROT_GROUND, constants, 300.0),
+        )
+        obs = np.array([int(r[1]) for r in rows], dtype=np.int8)
+        assert obs.size == 180000
+        expected = oracles.posteriors_scalar(params, obs).tolist()
+        differ = [
+            (k, row[3], format_number(x))
+            for k, (row, x) in enumerate(zip(rows, expected))
+            if row[3] != format_number(x)
+        ]
+        assert not differ
+
     def test_params_file_matches_default_decode(self, sim_dir, tmp_path):
         constants = MolecularConstants()
         params = default_params(
@@ -738,13 +779,26 @@ class TestConfigAndManifest:
         argv = ["thermal", "-T", "300", "--out", str(tmp_path)]
         assert main(argv) == EXIT_OK
         manifest = load_manifest(tmp_path)
-        assert set(manifest) == {"command", "version", "seed", "config", "outputs"}
+        assert set(manifest) == {
+            "command", "version", "seed", "config", "outputs", "environment",
+        }
         assert manifest["command"] == argv
         assert manifest["seed"] is None
         assert set(manifest["config"]) == {"molecular", "experiment"}
         assert manifest["config"]["molecular"] == config_to_mapping(MolecularConstants())
         digest = manifest["outputs"]["thermal_populations.csv"]
         assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")
+
+    def test_manifest_environment(self, tmp_path):
+        assert main(["thermal", "-T", "300", "--out", str(tmp_path)]) == EXIT_OK
+        env = load_manifest(tmp_path)["environment"]
+        assert env == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "platform": sys.platform,
+            "machine": platform.machine(),
+            "cpu_count": os.cpu_count(),
+        }
 
 
 class TestParser:

@@ -6,6 +6,7 @@ which is exact for a two-state chain on short streams.
 
 import itertools
 import math
+import warnings
 from dataclasses import replace
 from fractions import Fraction
 
@@ -29,6 +30,8 @@ from dpqlsim.hmm_detector import (
     forward_backward,
     viterbi,
     write_decoded_csv,
+    _filter,
+    _smooth,
 )
 from dpqlsim.trajectory_sim import ExperimentConfig, simulate_hours
 
@@ -514,3 +517,102 @@ class TestScalarKernelsAgainstOracle:
         exact_ll = math.log(total.numerator) - math.log(total.denominator)
         got = forward_backward(params, obs).log_likelihood
         assert got == pytest.approx(exact_ll, rel=1e-12, abs=1e-12)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _chunked_or_error(params, obs):
+    """The chunked passes as (alpha, scale, r, backward scale), or the
+    ValueError message; numpy warnings are errors."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            alpha, scale, r, _ = _smooth(params, obs)
+            back_scale = _filter(params.trans.T, params.emit, (1.0, 1.0), obs[::-1])[1]
+        except ValueError as exc:
+            return str(exc)
+    return alpha.T, scale, r.T, back_scale[::-1]
+
+
+def _scalar_or_error(params, obs):
+    try:
+        alpha, _, scale = oracles.smooth_scalar(params, obs)
+        r, back_scale = oracles.backward_scalar(params, obs)
+    except ValueError as exc:
+        return str(exc)
+    return alpha, scale, r, back_scale
+
+
+def _assert_bit_identical(params, obs):
+    expected = _scalar_or_error(params, obs)
+    got = _chunked_or_error(params, obs)
+    if isinstance(expected, str) or isinstance(got, str):
+        assert got == expected  # the same "impossible" error
+        return
+    for name, want, have in zip(("alpha", "scale", "r", "back_scale"), expected, got):
+        assert np.array_equal(_bits(have), _bits(want)), name
+
+
+@st.composite
+def chunked_streams(draw):
+    """Lengths 1-5, where the chunking degenerates, up to many chunks."""
+    n = draw(st.sampled_from([1, 2, 3, 4, 5]) | st.integers(6, 6000))
+    p_dark = draw(_prob)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return (rng.random(n) < p_dark).astype(np.int8)
+
+
+class TestChunkedFilterBitExact:
+    """The chunked forward and backward passes against the scalar loops, bit for bit."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(hmm_params(), chunked_streams())
+    def test_matches_scalar_loops(self, params, obs):
+        _assert_bit_identical(params, obs)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 10, 4097, 20000])
+    def test_lengths(self, n):
+        obs = (np.random.default_rng(n).random(n) < 0.1).astype(np.int8)
+        _assert_bit_identical(default_params(), obs)
+
+    @pytest.mark.parametrize("p_dark", [0.0, 0.3, 1.0])
+    def test_identity_transitions_never_forget(self, p_dark):
+        # The state never coalesces, so every chunk is redone to its end.
+        params = HmmParams(
+            trans=np.eye(2), emit=np.array([[0.97, 0.03], [0.28, 0.72]]),
+            initial=np.array([0.6, 0.4]),
+        )
+        obs = (np.random.default_rng(5).random(3000) < p_dark).astype(np.int8)
+        _assert_bit_identical(params, obs)
+
+    def test_zero_entries(self):
+        # State 0 never emits a dark and state 1 never a bright, so every
+        # speculative chunk that starts from the wrong state divides 0 by 0.
+        params = HmmParams(
+            trans=np.array([[0.9, 0.1], [0.0, 1.0]]),
+            emit=np.array([[1.0, 0.0], [0.0, 1.0]]),
+            initial=np.array([1.0, 0.0]),
+        )
+        obs = np.r_[np.zeros(1500, np.int8), np.ones(2500, np.int8)]
+        _assert_bit_identical(params, obs)
+        assert np.array_equal(forward_backward(params, obs).states, obs)
+
+    @pytest.mark.parametrize("where", [0, 1, 56, 2999])
+    def test_impossible_sequence_raises_scalar_message(self, where):
+        # A dark from a model that never emits one: in record 0, in chunk 0,
+        # at the first seam (chunks of 55 records start at 1 + 55 c) and in
+        # the last record.
+        params = HmmParams(
+            trans=np.array([[0.99, 0.01], [0.02, 0.98]]),
+            emit=np.array([[1.0, 0.0], [1.0, 0.0]]),
+            initial=np.array([0.5, 0.5]),
+        )
+        obs = np.zeros(3000, np.int8)
+        obs[where] = 1
+        expected = _scalar_or_error(params, obs)
+        assert expected == "observation sequence impossible under the model"
+        _assert_bit_identical(params, obs)
+        with pytest.raises(ValueError, match="^observation sequence impossible"):
+            forward_backward(params, obs)
