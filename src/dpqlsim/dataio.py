@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import warnings
 from dataclasses import fields
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence, get_args, get_type_hints
@@ -134,15 +133,9 @@ def format_number(x: float) -> str:
     return str(x) if isinstance(x, int) else f"{x:.10g}"
 
 
-_ROW_DTYPE = np.dtype(
-    [("index", np.int64), ("outcome", np.int8), ("time_s", np.float64), ("hidden", "U3")]
-)
 _HIDDEN = {"0": 0, "1": 1, "NA": -1}  # hidden cell -> column code
-# Bodies made only of these bytes take the columnar parse: on them
-# np.loadtxt splits quoted cells as csv does and converts a cell exactly
-# when int() / float() would, to the same value.
-_SAFE = b'0123456789eE+-.naiftyNAIFTY", \t\n'
 _BLOCK_ROWS = 1 << 14  # rows converted, or formatted and written, per block
+_PARSE_BYTES = 1 << 18  # body bytes parsed per block, cut at a line end
 
 
 def _check_header(header: list[str], source: str) -> None:
@@ -194,56 +187,187 @@ def _parse_rows(path: Path, source: str) -> tuple[np.ndarray, ...]:
                 raise DataFormatError(error, source=source, line=lineno)
         except csv.Error as exc:
             raise DataFormatError(str(exc), source=source, line=start) from None
-    # object indices: the parse takes integers beyond int64
-    return tuple(map(np.array, columns, (object, np.int8, float, np.int8)))
+    index, *rest = columns
+    return (_int_column(index), *map(np.array, rest, (np.int8, float, np.int8)))
 
 
-def _read_table(path: Path, source: str) -> np.ndarray | None:
-    """Check the header, then parse the body in one columnar pass.
+# The byte parse reads a cell as the little-endian words of text that end
+# where the cell ends: a cell of w <= 8 bytes fills the last w bytes of its
+# low word, a longer one goes on in its high word, and the bytes before the
+# cell are set to "0", which leaves its value as it is.
+_U = np.uint64
+_EACH = 0x0101010101010101  # one in each byte of a word
+_ZEROS = _U(ord("0") * _EACH)
+_SIXES = _U(6 * _EACH)
+_POINTS = _U(ord(".") * _EACH)
+_LOW7 = _U(0x7F * _EACH)
+_HIGH1 = _U(0x80 * _EACH)
+_HIGH4 = _U(0xF0 * _EACH)
+_BEFORE = np.array([(1 << 8 * (8 - w)) - 1 for w in range(9)], _U)  # w: all but the last w bytes
+_ROW_SEPARATORS = int.from_bytes(b",,,\n", "little")
+_LEAD = 16  # "0" bytes ahead of a block, so that every cell has two whole words
+_NO_ROWS = (np.zeros(0, np.int64), np.zeros(0, np.int8), np.zeros(0), np.zeros(0, np.int8))
 
-    Returns None when that pass does not take the file: a CR, a non-ASCII
-    header or one longer than csv's field limit, a body character outside
-    the safe set, a malformed row or padding around ``hidden``.  The stdlib
-    ``csv`` reader then parses it, naming the first line of a bad record.
+
+def _cell_words(words: np.ndarray, ends: np.ndarray, widths: np.ndarray):
+    """(high, low) words of the cells of ``widths`` <= 16 bytes that end at
+    ``ends``; high is None where every cell fits in its low word."""
+    low = words[ends - 8]
+    low ^= (low ^ _ZEROS) & _BEFORE.take(np.minimum(widths, 8))
+    if widths.max() <= 8:
+        return None, low
+    high = words[ends - 16]
+    high ^= (high ^ _ZEROS) & _BEFORE.take(np.clip(widths - 8, 0, 8))
+    return high, low
+
+
+def _all_digits(x: np.ndarray) -> np.ndarray:
+    """Whether each byte of each word is an ASCII digit."""
+    return ((x & _HIGH4) == _ZEROS) & (((x + _SIXES) & _HIGH4) == _ZEROS)
+
+
+def _digit_value(x: np.ndarray) -> np.ndarray:
+    """The number each word's eight ASCII digits spell, its first byte leading."""
+    x = x - _ZEROS
+    x = (x * _U(10) + (x >> _U(8))) & _U(0x00FF00FF00FF00FF)
+    x = (x * _U(100) + (x >> _U(16))) & _U(0x0000FFFF0000FFFF)
+    return (x * _U(10000) + (x >> _U(32))) & _U(0xFFFFFFFF)
+
+
+def _cell_values(high: np.ndarray | None, low: np.ndarray) -> np.ndarray:
+    value = _digit_value(low)
+    return value if high is None else _digit_value(high) * _U(10**8) + value
+
+
+def _point_to_zero(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read each word's "." bytes as "0", in place.
+
+    Returns whether a word held one "." at most, and the number of bytes
+    after it in the word, -1 where there is none.
+    """
+    t = x ^ _POINTS
+    marks = ~(((t & _LOW7) + _LOW7) | t) & _HIGH1  # 0x80 in each "." byte
+    x += marks >> _U(6)  # ord(".") + 2 == ord("0")
+    after = (64 - np.frexp(marks.astype(float))[1]) // 8  # 0x80 << 8j -> 7 - j
+    return (marks & (marks - _U(1))) == 0, np.where(marks != 0, after, -1)
+
+
+def _parse_block(b: np.ndarray) -> tuple[np.ndarray, ...] | None:
+    """The columns of rows ``b[_LEAD:]``, each ending in a line feed, or None
+    unless every row is ``digits,0|1,time,0|1|NA``.
+
+    A time cell ``[-]digits[.digits]`` of at most 16 bytes, its sign aside,
+    is N / 10**f with N its digits read as one integer.  With a point N has
+    15 digits at most, so it and 10**f are exact floats and the division
+    rounds once, as ``float()`` does (Clinger's fast path); without one,
+    N / 1 rounds once too.  Any other time cell goes to ``float()``.
+    """
+    sep = np.flatnonzero(b <= ord(","))
+    if sep.size % 4 or not (b[sep].view("<u4") == _ROW_SEPARATORS).all():
+        return None
+    s0, s1, s2, s3 = sep.reshape(-1, 4).T
+    words = np.ndarray((b.size - 7,), "<u8", b, 0, (1,))  # the word at each byte
+    outcome = b[s0 + 1] - np.uint8(ord("0"))
+    width = s3 - s2 - 1
+    first = b[s2 + 1]
+    na = (width == 2) & (first == ord("N")) & (b[s3 - 1] == ord("A"))
+    hidden = first - np.uint8(ord("0"))
+    if not ((s1 - s0 == 2) & (outcome <= 1) & (na | (width == 1) & (hidden <= 1))).all():
+        return None
+    hidden = np.where(na, np.int8(-1), hidden.view(np.int8))
+    width = np.empty_like(s0)
+    width[0] = s0[0] - _LEAD
+    np.subtract(s0[1:], s3[:-1] + 1, out=width[1:])
+    if not 1 <= width.min() <= width.max() <= 16:
+        return None
+    high, low = _cell_words(words, s0, width)
+    if not (_all_digits(low).all() and (high is None or _all_digits(high).all())):
+        return None
+    index = _cell_values(high, low).view(np.int64)
+
+    negative = b[s1 + 1] == ord("-")
+    width = s2 - s1 - 1 - negative
+    high, low = _cell_words(words, s2, np.minimum(width, 16))
+    ok, after = _point_to_zero(low)
+    ok &= _all_digits(low)
+    if high is not None:
+        high_ok, high_after = _point_to_zero(high)
+        ok &= high_ok & _all_digits(high) & ((after < 0) | (high_after < 0))
+        after = np.where(high_after < 0, after, high_after + 8)
+    point = after >= 0
+    after = np.maximum(after, 0)
+    digits = _cell_values(high, low)  # the point read as a 0
+    right = digits % _UPOW10.take(after)
+    digits = np.where(point, right + (digits - right) // _U(10), digits)  # that 0 dropped
+    ok &= (width > point) & (width <= 16)
+    time_s = digits / _POW10.take(after)
+    np.negative(time_s, out=time_s, where=negative)
+    for k in np.flatnonzero(~ok).tolist():
+        cell = b[s1[k] + 1 : s2[k]].tobytes()
+        try:
+            if len(cell) > csv.field_size_limit():
+                return None
+            time_s[k] = float(cell.decode())
+        except ValueError:
+            return None
+    return index, outcome.view(np.int8), time_s, hidden
+
+
+def _read_table(path: Path, source: str) -> tuple[np.ndarray, ...] | None:
+    """Check the header, then parse the body as bytes, a block of rows at a time.
+
+    Returns None unless every body line is ``digits,0|1,time,0|1|NA`` (the
+    layout the writers emit, its last line break optional), or when the
+    header holds a CR, a non-ASCII byte, an open quote or more than csv's
+    field limit.  A quote, padding, a CR, a blank line or a ``+`` in the
+    body declines it, and so does a time cell ``float()`` refuses.  The
+    stdlib ``csv`` reader then parses the file, naming the first line of a
+    bad record.
     """
     raw = path.read_bytes()
     if not raw:
         raise DataFormatError("empty dataset file", source=source, line=1)
-    fh = io.BytesIO(raw)
-    head = fh.readline()
-    unsafe = len(raw.translate(None, _SAFE)) - len(head.translate(None, _SAFE))
-    if unsafe or b"\r" in raw or not head.isascii() or len(head) > csv.field_size_limit():
+    start = raw.find(b"\n") + 1 or len(raw)
+    head = raw[:start]
+    if b"\r" in head or not head.isascii() or len(head) > csv.field_size_limit():
         return None
-    _check_header(next(csv.reader([head.decode()]), []), source)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # a body without rows warns
-        try:
-            table = np.loadtxt(fh, _ROW_DTYPE, delimiter=",", quotechar='"', comments=None,
-                               ndmin=1, encoding="ascii")
-        except ValueError:
+    header = next(csv.reader([head.decode()]), [])
+    if any("\n" in cell for cell in header):  # a quote left open: the record goes on
+        return None
+    _check_header(header, source)
+    blocks = [_NO_ROWS]
+    while start < len(raw):
+        stop = raw.find(b"\n", start + _PARSE_BYTES - 1) + 1 or len(raw)
+        block = np.empty(_LEAD + stop - start + 1, np.uint8)
+        block[:_LEAD] = ord("0")
+        block[_LEAD:-1] = np.frombuffer(raw, np.uint8, stop - start, start)
+        block[-1] = ord("\n")  # ends a last line that has no line break
+        columns = _parse_block(block[:-1] if raw[stop - 1] == ord("\n") else block)
+        if columns is None:
             return None
-    valid = np.isin(table["outcome"], (0, 1)) & np.isin(table["hidden"], tuple(_HIDDEN))
-    return table if valid.all() else None
+        blocks.append(columns)
+        start = stop
+    return tuple(map(np.concatenate, zip(*blocks)))
 
 
 def _read_columns(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """A dataset file's (index, outcome, time_s, hidden) columns; NA reads as -1."""
+    """A dataset file's (index, outcome, time_s, hidden) columns; NA reads as -1.
+
+    The index is int64 where every value fits, else Python ints.
+    """
     path = Path(path)
-    table = _read_table(path, str(path))
-    if table is None:
-        return _parse_rows(path, str(path))
-    hidden = np.select([table["hidden"] == "1", table["hidden"] == "NA"], [1, -1]).astype(np.int8)
-    return table["index"].copy(), table["outcome"].copy(), table["time_s"].copy(), hidden
+    columns = _read_table(path, str(path))
+    return _parse_rows(path, str(path)) if columns is None else columns
 
 
 def read_dataset_csv(path: str | Path) -> list[tuple[int, int, float, int | None]]:
     """Read a measurement stream; returns (index, outcome, time_s, hidden) rows.
 
     Cells may be quoted or padded, blank lines are skipped and ``hidden`` is
-    None for NA.  A file the columnar pass declines is parsed by the stdlib
-    ``csv`` reader, naming the first line of a bad record.  Malformed
-    content, including a bad header, a csv error or a byte that is not
-    UTF-8, raises
+    None for NA.  A body in the layout the writers emit is parsed as numpy
+    bytes, a block of rows at a time; any other file by the stdlib ``csv``
+    reader, naming the first line of a bad record.  Malformed content,
+    including a bad header, a csv error or a byte that is not UTF-8, raises
     :class:`DataFormatError` with the offending line number.
     """
     columns = _read_columns(path)
@@ -310,6 +434,8 @@ def _splice(block: np.ndarray, rows: np.ndarray, cells: list[str]) -> np.ndarray
 
 def _int_cells(values: np.ndarray) -> np.ndarray:
     """``str(int(v))`` of each value, one row of bytes per value."""
+    if values.dtype != object and values.size and 0 <= values.min() <= values.max() <= 9:
+        return (values.astype(np.uint8) + np.uint8(ord("0")))[:, None]  # one digit
     fallback = np.zeros(0, np.intp)
     if values.dtype == object:  # Python ints, some perhaps past int64
         ints = [int(v) for v in values.tolist()]

@@ -46,9 +46,16 @@ class EstimationError(RuntimeError):
     """Parameter estimation failed (e.g. a hidden state never observed)."""
 
 
+def _check_finite(name: str, values: np.ndarray) -> None:
+    # The range checks below are comparisons, which a NaN passes.
+    if not np.isfinite(values).all():
+        raise ValueError(f"{name} entries must be finite")
+
+
 def _check_stochastic(name: str, matrix: np.ndarray, rows: int, cols: int) -> None:
     if matrix.shape != (rows, cols):
         raise ValueError(f"{name} must have shape {(rows, cols)}, got {matrix.shape}")
+    _check_finite(name, matrix)
     if matrix.min() < 0.0:
         raise ValueError(f"{name} entries must be >= 0")
     residual = np.abs(matrix.sum(axis=1) - 1.0).max()
@@ -77,6 +84,7 @@ class HmmParams:
         _check_stochastic("emit", self.emit, 2, 2)
         if self.initial.shape != (2,):
             raise ValueError(f"initial must have shape (2,), got {self.initial.shape}")
+        _check_finite("initial", self.initial)
         if self.initial.min() < 0.0 or abs(self.initial.sum() - 1.0) > 1e-12:
             raise ValueError("initial must be a probability vector within 1e-12")
 

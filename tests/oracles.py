@@ -296,13 +296,21 @@ def residence_pmfs(p_b, p_d, p_s_values, bin_size):
     """
     p_s = np.asarray(p_s_values, dtype=float)[:, None]
     pmfs = np.zeros((p_s.shape[0], bin_size + 1))
-    for i in range(1, bin_size + 1):
+    stays = np.arange(1, bin_size + 1)
+    dark, bright = _binom_rows(stays, p_d), _binom_rows(bin_size - stays, p_b)
+    for i, in_ground, after in zip(stays.tolist(), dark, bright):
         weight = (1.0 - p_s) ** (i - 1) * (p_s if i < bin_size else 1.0)
-        pmfs += weight * np.convolve(
-            binom.pmf(np.arange(i + 1), i, p_d),
-            binom.pmf(np.arange(bin_size - i + 1), bin_size - i, p_b),
-        )
+        pmfs += weight * np.convolve(in_ground, after)
     return pmfs
+
+
+def _binom_rows(trials, p):
+    """``binom.pmf(np.arange(n + 1), n, p)`` for each n of ``trials``, from
+    one elementwise call over all the (count, n) pairs."""
+    sizes = trials + 1
+    ends = np.cumsum(sizes)
+    counts = np.arange(ends[-1]) - np.repeat(ends - sizes, sizes)
+    return np.split(binom.pmf(counts, np.repeat(trials, sizes), p), ends[:-1])
 
 
 def _recursion_counts(n, x):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import platform
 import sys
@@ -567,6 +568,20 @@ class TestAnalyzeHmm:
         assert code == EXIT_USAGE
         assert "bad_params.txt" in capsys.readouterr().err
 
+
+    def test_nan_params_file_exits_before_writing(self, sim_dir, tmp_path, capsys):
+        params = tmp_path / "nan_params.txt"
+        mapping = default_params().to_mapping()
+        mapping["trans_00"] = math.nan
+        write_keyvalues(params, mapping)
+        out = tmp_path / "out"
+        code = main(
+            ["analyze", str(sim_dir / "dataset.csv"), "--mode", "hmm",
+             "--params", str(params), "--out", str(out)]
+        )
+        assert code == EXIT_USAGE
+        assert "trans entries must be finite" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
 
 class TestAnalyzeErrors:
     def test_missing_dataset_file(self, tmp_path, capsys):

@@ -4,8 +4,10 @@ import csv
 import hashlib
 import math
 import random
+import re
 import time
 from dataclasses import dataclass
+from unittest.mock import patch
 
 import numpy as np
 import oracles
@@ -202,15 +204,18 @@ _times = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
     [0.04, 7200.0, -0.0, 1e-300, 5e-324]
 )
 _PADS = ["", " ", "  ", "\t", " \t "]
+# A body line in the layout the writers emit; the byte parse takes a body of
+# these alone, its last line break optional.
+_WRITER_LINE = re.compile(r"[0-9]{1,16},[01],[^\x00-,]+,(0|1|NA)")
 _SPECIAL_TIMES = [0.0, -0.0, 0.04, 1e-300, 5e-324, 1e300, math.inf, -math.inf, math.nan]
 
 
 @st.composite
 def dataset_texts(draw, breaks=False):
-    """(file text, whether the columnar pass should take it): a random valid
+    """(file text, whether the byte parse should take it): a random valid
     dataset file with quoted and padded cells, blank lines, CRLF and NA.
     With ``breaks`` a quoted cell may end in a line break, so its record
-    spans lines; the columnar flag is then not predicted.
+    spans lines; the flag is then not predicted.
 
     Hypothesis draws the shape and the rates; a seeded generator fills the
     cells, which keeps each example cheap to draw.
@@ -221,7 +226,6 @@ def dataset_texts(draw, breaks=False):
     p_break = draw(st.sampled_from([0.1, 0.5])) if breaks else 0.0
     header = draw(st.sampled_from([DATASET_HEADER, ('"index"', " outcome ", "time_s", "hidden\t")]))
     lines = [",".join(header)]
-    hidden_padded = False
     for _ in range(draw(st.integers(0, 200))):
         if rng.random() < p_blank:
             lines.append("")
@@ -238,14 +242,14 @@ def dataset_texts(draw, breaks=False):
         for j, cell in enumerate(cells):
             if rng.random() < p_pad:
                 cells[j] = rng.choice(_PADS) + cell + rng.choice(_PADS)
-                hidden_padded |= j == 3 and cells[j] != cell
             if rng.random() < p_quote:
                 cells[j] = f'"{cells[j]}"'
                 if p_break and rng.random() < p_break:
                     cells[j] = cells[j][:-1] + newline * rng.randint(1, 2) + '"'
         lines.append(",".join(cells))
     text = newline.join(lines) + draw(st.sampled_from(["", newline, newline * 2]))
-    return text, "\r" not in text and not hidden_padded
+    body = text.partition("\n")[2].splitlines()
+    return text, "\r" not in text and all(map(_WRITER_LINE.fullmatch, body))
 
 
 _JUNK = ["", " ", "x", "2", "-1", "1.5", "0x1", "NA", "nan", "1e3", "1_0", "00", "+1",
@@ -395,6 +399,165 @@ class TestColumnarReaderAgainstOracle:
             read_dataset_csv(path)
 
 
+def _bit_equal(columns, expected):
+    """Columns equal in dtype and bytes; time_s compared as its uint64 bits."""
+    columns, expected = list(columns), list(expected)
+    columns[2], expected[2] = columns[2].view(np.uint64), expected[2].view(np.uint64)
+    return all(
+        a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(columns, expected)
+    )
+
+
+def _parsed(path):
+    """(byte parse, csv.reader parse) of a file; an error stands as its message."""
+    out = []
+    for parse in (dataio._read_table, dataio._parse_rows):
+        try:
+            out.append(parse(path, str(path)))
+        except DataFormatError as exc:
+            out.append(str(exc))
+    return out
+
+
+_WRITER_TIMES = st.floats() | st.sampled_from(
+    [-0.0, 5e-324, 2.2250738585072014e-308, 1e300, 1e-300, math.inf, -math.inf, math.nan,
+     1e-5, 9999999999.0, 1e10, 7200.0, 0.04, 2.0**53, 2.0**53 + 2]
+)
+_DIGITS = st.text("0123456789", max_size=18)
+_EDGE_TIME_CELLS = [
+    "9007199254740992", "9007199254740993", "-0", "-.5", "5.", ".", "-", "", "1.2.3", "--1",
+    "1-2", "0.0000", "nan", "-inf", "1e-05", "5e-324", "1E5", "0x10", "1.2345678.9",
+    "9.513282814504773",  # 17 bytes: its digits past 2**53 would round twice
+]
+_NON_ASCII = ["\xa0", "\u0663", "\xe9", "\u2028"]  # float() strips, reads, refuses, strips
+
+
+class TestByteParseAgainstCsvReader:
+    """The block byte parse against the csv.reader parse, bit for bit."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.tuples(st.integers(0, 10**17), st.sampled_from([0, 1]), _WRITER_TIMES,
+                           st.sampled_from([-1, 0, 1])), max_size=60),
+        st.sampled_from([8, 64, 1 << 18]),
+        st.data(),
+    )
+    def test_written_columns(self, tmp_path_factory, rows, block, data):
+        path = tmp_path_factory.mktemp("d") / "d.csv"
+        write_dataset_csv(path, *(np.array(c) for c in zip(*rows)) if rows else [[]] * 4)
+        lines = path.read_text().split("\n")
+        edits = data.draw(st.sets(st.sampled_from(["repr", "no_final_break", "blank",
+                                                   "non_ascii"])))
+        for k in range(1, len(lines) - 1):
+            if "repr" in edits and data.draw(st.booleans()):  # 16 digits and more
+                index, outcome, _, hidden = lines[k].split(",")
+                lines[k] = f"{index},{outcome},{rows[k - 1][2]!r},{hidden}"
+            if "non_ascii" in edits and data.draw(st.booleans()):
+                cells = lines[k].split(",")
+                cells[2] = data.draw(st.sampled_from(_NON_ASCII)) + cells[2]
+                lines[k] = ",".join(cells)
+        if "blank" in edits:
+            lines.insert(data.draw(st.integers(1, len(lines))), "")
+        text = "\n".join(lines)
+        if "no_final_break" in edits:
+            text = text.removesuffix("\n")
+        path.write_text(text)
+        with patch.object(dataio, "_PARSE_BYTES", block):
+            fast, expected = _parsed(path)
+        body = text.partition("\n")[2]
+        try:
+            [float(line.split(",")[2]) for line in body.split("\n") if line]
+        except ValueError:
+            body = None  # a time cell float() refuses
+        takes = body is not None and "+" not in body and "\n\n" not in text and all(
+            index < 10**16 for index, *_ in rows
+        )
+        assert (fast is not None) == takes
+        if fast is not None:
+            assert _bit_equal(fast, expected)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.sampled_from(["", "-"]), _DIGITS, st.sampled_from(["", "."]),
+                              _DIGITS).map("".join)
+                    | st.sampled_from(_EDGE_TIME_CELLS),
+                    min_size=1, max_size=20))
+    def test_time_cells_read_as_float(self, tmp_path_factory, cells):
+        path = tmp_path_factory.mktemp("d") / "d.csv"
+        body = "".join(f"{k},0,{cell},NA\n" for k, cell in enumerate(cells))
+        path.write_text(",".join(DATASET_HEADER) + "\n" + body)
+        try:
+            expected = np.array([float(cell) for cell in cells])
+        except ValueError:
+            expected = None
+        columns = dataio._read_table(path, str(path))
+        if expected is None:
+            assert columns is None
+        else:
+            assert np.array_equal(columns[2].view(np.uint64), expected.view(np.uint64))
+
+    def test_edge_bodies(self, tmp_path):
+        # (body, whether the byte parse takes it)
+        cases = [
+            ("", True),
+            ("\n", False),
+            ("0,1,0.04,NA", True),
+            ("0,1,0.04,NA\n\n", False),
+            ("0,1,0.04,NA\r\n", False),
+            ('0,1,"0.04",NA\n', False),
+            ("0,1,0.04, NA\n", False),
+            ("0,1,+0.04,NA\n", False),
+            ("0,1,0.04,NA\x00\n", False),
+            ("-1,1,0.04,NA\n", False),
+            ("00,1,0.04,NA\n", True),
+            ("1234567890123456,1,0.04,NA\n", True),
+            ("12345678901234567,1,0.04,NA\n", False),
+            ("0,1,0.04,NA,\n", False),
+            ("0,1,0.04\n", False),
+            ("0,2,0.04,NA\n", False),
+            ("0,1,0.04,na\n", False),
+            ("0,1,0.04,NB\n", False),
+            ("0,1,0.04,XA\n", False),
+            ("0,1,0.04,2\n", False),
+            ("1a,1,0.04,NA\n", False),
+            ("1a345678901,1,0.04,NA\n", False),
+            ("0,1,-0.04,1\n", True),
+            ("0,1,-12345678.12345678,0\n", True),
+            ("0,1,x,NA\n", False),
+            (f"0,1,{'1' * 200000},NA\n", False),  # past csv's field limit
+        ]
+        for body, takes in cases:
+            path = tmp_path / "d.csv"
+            path.write_text(",".join(DATASET_HEADER) + "\n" + body)
+            fast, expected = _parsed(path)
+            assert (fast is not None) == takes, body
+            if takes:
+                assert _bit_equal(fast, expected), body
+
+    def test_open_quote_in_header_goes_to_the_csv_reader(self, tmp_path):
+        # The header record runs on into the next line, as csv reads it.
+        path = tmp_path / "d.csv"
+        path.write_text('"index\n",outcome,time_s,hidden\n0,1,0.04,NA\n')
+        assert dataio._read_table(path, str(path)) is None
+        assert _same(read_dataset_csv(path), oracles.read_dataset_csv(path))
+
+    def test_two_hour_stream_takes_the_byte_parse(self, tmp_path):
+        # A tripwire: the simulator's own file must not drop to csv.reader.
+        path = tmp_path / "dataset.csv"
+        simulate_hours(ExperimentConfig(rng_seed=7), 2.0).to_csv(path)
+        fast, expected = _parsed(path)
+        assert fast is not None and fast[0].size == 180000
+        assert _bit_equal(fast, expected)
+
+    def test_index_is_int64_on_either_path(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("index,outcome,time_s,hidden\n 0 ,1,0.04,NA\n1,0,0.08, 1\n")
+        assert dataio._read_table(path, str(path)) is None
+        index = dataio._read_columns(path)[0]
+        assert index.dtype == np.int64 and index.tolist() == [0, 1]
+        path.write_text(f"index,outcome,time_s,hidden\n {2**63} ,1,0.04,NA\n")
+        assert dataio._read_columns(path)[0].tolist() == [2**63]
+
+
 _ints = st.integers(-(2**70), 2**70)
 
 
@@ -482,6 +645,16 @@ class TestColumnFormatterAgainstFormatNumber:
         values = fits + [-(2**63) - 1, 2**63]
         assert _formatted(dataio._int_column(values)) == [str(v) for v in values]
         assert _formatted(np.array([0, 2**64 - 1], np.uint64)) == ["0", str(2**64 - 1)]
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(0, 1), max_size=40), st.lists(st.integers(-1, 10), max_size=40))
+    def test_single_digit_columns(self, flags, digits):
+        # Outcome and predicted-state columns are int8 0/1; the one-digit
+        # branch takes 0..9, anything past it goes the general way.
+        for values in (flags, digits, list(range(10))):
+            for dtype in (np.int8, np.int64):
+                column = np.array(values, dtype)
+                assert _formatted(column) == [format_number(v) for v in values]
 
     def test_edge_floats(self):
         values = np.array(_EDGE_FLOATS + [-x for x in _EDGE_FLOATS])

@@ -99,6 +99,20 @@ class TestHmmParams:
         with pytest.raises(ValueError):
             HmmParams.from_mapping(m)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("key", ["trans_00", "emit_11", "initial_1"])
+    def test_non_finite_entries_rejected(self, key, value):
+        name = key.split("_")[0]
+        m = default_params().to_mapping()
+        m[key] = value
+        with pytest.raises(ValueError, match=f"^{name} "):
+            HmmParams.from_mapping(m)
+        p = default_params()
+        arrays = {"trans": p.trans.copy(), "emit": p.emit.copy(), "initial": p.initial.copy()}
+        arrays[name].flat[-1 if key.endswith("1") else 0] = value
+        with pytest.raises(ValueError, match=f"^{name} entries must be finite$"):
+            HmmParams(**arrays)
+
     def test_keyvalue_file_round_trip(self, tmp_path):
         path = tmp_path / "hmm.kv"
         p = default_params()
