@@ -134,6 +134,12 @@ def _ensure_out(out: str | Path) -> Path:
     return out_dir
 
 
+def _write_json(path: Path, obj: Mapping[str, object]) -> Path:
+    """Write ``obj`` as strict RFC 8259 JSON, keys sorted, two-space indent."""
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    return path
+
+
 def _write_manifest(
     out_dir: Path,
     argv: Sequence[str],
@@ -164,9 +170,7 @@ def _write_manifest(
     }
     if extra:
         manifest.update(extra)
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
-    return path
+    return _write_json(out_dir / "manifest.json", manifest)
 
 
 def cmd_thermal(
@@ -180,13 +184,14 @@ def cmd_thermal(
     header = ["state", "v", "two_omega", "two_J", "energy_percm"] + [
         f"population_{T:g}K" for T in temperatures
     ]
-    rows = (
-        [s.label(), s.v, s.two_omega, s.two_J, level_energy(s, constants)]
-        + [d.probability(s) for d in dists]
-        for s in levels
-    )
+    columns = [
+        np.array([s.label() for s in levels], "S"),
+        *np.array([(s.v, s.two_omega, s.two_J) for s in levels]).T,
+        np.array([level_energy(s, constants) for s in levels]),
+        *(np.array([d.probability(s) for s in levels]) for d in dists),
+    ]
     path = out_dir / "thermal_populations.csv"
-    write_table(path, header, rows)
+    write_table(path, header, columns)
     for T, d in zip(temperatures, dists):
         print(f"T={T:g} K: P(ground rotational) = {d.probability(ROT_GROUND):.6f}")
     return {"thermal_populations.csv": path}, {}
@@ -200,11 +205,8 @@ def cmd_lifetime(
         raise UsageError("lifetime needs a nonempty temperature range")
     rows = lifetime_temperature_sweep(constants, temperatures)
     path = out_dir / "lifetime_vs_temperature.csv"
-    write_table(
-        path,
-        ("temperature_K", "residence_lifetime_s", "thermal_ground_population"),
-        rows,
-    )
+    header = ("temperature_K", "residence_lifetime_s", "thermal_ground_population")
+    write_table(path, header, np.array(rows).T)
     for T, tau, pop in rows:
         print(f"T={T:g} K: lifetime = {tau:.3f} s, thermal ground population = {pop:.6f}")
     return {"lifetime_vs_temperature.csv": path}, {}
@@ -293,28 +295,11 @@ def cmd_analyze(
         prediction = bin_value_distribution(n_bins, model)
         noise_only = bin_value_distribution(n_bins, model, p_g=0.0)
         path = out_dir / "bins.csv"
-        write_table(
-            path,
-            (
-                "dark_count",
-                "observed_bins",
-                "predicted_bins",
-                "predicted_band_low",
-                "predicted_band_high",
-                "noise_only_bins",
-            ),
-            (
-                (
-                    int(k),
-                    float(observed[k]),
-                    float(prediction.counts[k]),
-                    float(prediction.band_low[k]),
-                    float(prediction.band_high[k]),
-                    float(noise_only.counts[k]),
-                )
-                for k in range(window + 1)
-            ),
-        )
+        header = ("dark_count", "observed_bins", "predicted_bins", "predicted_band_low",
+                  "predicted_band_high", "noise_only_bins")
+        columns = (prediction.k, observed, prediction.counts, prediction.band_low,
+                   prediction.band_high, noise_only.counts)
+        write_table(path, header, columns)
         outputs["bins.csv"] = path
         report.update(
             window=window, n_bins=n_bins, p_ground=p_g, p_leave=p_s,
@@ -365,9 +350,7 @@ def cmd_analyze(
             )
     else:
         raise UsageError(f"unknown analyze mode {mode!r}")
-    report_path = out_dir / "report.json"
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
-    outputs["report.json"] = report_path
+    outputs["report.json"] = _write_json(out_dir / "report.json", report)
     return outputs, extra
 
 
@@ -381,9 +364,9 @@ def cmd_sweep(
     """Transfer map over molecular frequencies plus the window report."""
     window_map = transfer_window_map(cfg, omega_mol_values, threshold=threshold)
     path = out_dir / "transfer_map.csv"
-    write_table(
-        path, ("omega_mol_Hz", "g_q_Hz", "transfer_probability"), window_map.rows()
-    )
+    omega_hz = window_map.omega_mol_values / _TWO_PI
+    columns = omega_hz, np.full_like(omega_hz, window_map.g_q / _TWO_PI), window_map.transfer
+    write_table(path, ("omega_mol_Hz", "g_q_Hz", "transfer_probability"), columns)
     report = {
         "threshold": threshold,
         "window_Hz": (
@@ -393,8 +376,7 @@ def cmd_sweep(
         ),
         "landau_zener_transfer": landau_zener_oracle(cfg.g_q, cfg.ramp_rate),
     }
-    report_path = out_dir / "report.json"
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    report_path = _write_json(out_dir / "report.json", report)
     if window_map.window is None:
         print("no grid point clears the transfer threshold")
     else:
@@ -486,6 +468,8 @@ def _run(args: argparse.Namespace, argv: Sequence[str]) -> int:
     elif args.command == "simulate":
         outputs, extra = cmd_simulate(constants, config, args.hours, out_dir)
     elif args.command == "analyze":
+        if args.window < 1:
+            raise UsageError(f"analyze needs --window >= 1, got --window={args.window}")
         outputs, extra = cmd_analyze(
             constants,
             config,
@@ -497,14 +481,17 @@ def _run(args: argparse.Namespace, argv: Sequence[str]) -> int:
         )
     elif args.command == "sweep":
         lo, hi, points = args.omega_min_khz, args.omega_max_khz, args.omega_points
-        if not 0 < lo < hi < math.inf or points < 1:  # False for a NaN bound, as in lifetime
+        threshold = args.threshold
+        # Each chain is False for a NaN, as in lifetime.
+        if not (0 < lo < hi < math.inf and points >= 1 and 0 <= threshold <= 1):
             raise UsageError(
-                "sweep needs finite 0 < omega-min-khz < omega-max-khz and omega-points >= 1, "
-                f"got omega-min-khz={lo!r}, omega-max-khz={hi!r}, omega-points={points}"
+                "sweep needs finite 0 < omega-min-khz < omega-max-khz, omega-points >= 1 "
+                f"and 0 <= threshold <= 1, got omega-min-khz={lo!r}, omega-max-khz={hi!r}, "
+                f"omega-points={points}, threshold={threshold!r}"
             )
         grid = _TWO_PI * 1e3 * np.linspace(lo, hi, points)
         sweep_cfg = SweepConfig(g_q=constants.g_q_ground)
-        outputs, extra = cmd_sweep(sweep_cfg, grid, out_dir, threshold=args.threshold)
+        outputs, extra = cmd_sweep(sweep_cfg, grid, out_dir, threshold=threshold)
     else:  # pragma: no cover - argparse enforces the choices
         raise UsageError(f"unknown command {args.command!r}")
 

@@ -418,6 +418,7 @@ for _k in range(10):
 _KEEP[:, 19:] = 0xFF
 _KEEP = _KEEP.view("<u8")
 _HIDDEN_CELLS = np.array([b"NA", b"0", b"1"])  # by hidden + 1
+_UNSAFE = np.frombuffer(b',"\r\n', np.uint8)  # text cell bytes the unquoted writer refuses
 
 
 def _splice(block: np.ndarray, rows: np.ndarray, cells: list[str]) -> np.ndarray:
@@ -534,19 +535,30 @@ def _cells(values: np.ndarray) -> np.ndarray:
     column is written as it is.
     """
     if values.dtype.kind == "S":
-        return values.view(np.uint8).reshape(values.size, -1)
+        return values.view(np.uint8).reshape(values.size, values.itemsize)
     return _float_cells(values) if values.dtype.kind == "f" else _int_cells(values)
 
 
-def _write_columns(
+def write_table(
     path: str | Path, header: Sequence[str], columns: Sequence[np.ndarray]
 ) -> None:
     """Write ``header``, then one line per row of the equal-length ``columns``.
 
-    A block of ``_BLOCK_ROWS`` rows is formatted at once: each column becomes
-    a NUL-padded byte block (see :func:`_cells`), the blocks are laid side
-    by side between commas, and the block is written with its pads dropped.
+    Numbers are written as :func:`format_number` writes them and a bytes
+    (``S``) column as it is, unquoted.  A block of ``_BLOCK_ROWS`` rows is
+    formatted at once: each column becomes a NUL-padded byte block (see
+    :func:`_cells`), the blocks are laid side by side between commas, and
+    the block is written with its pads dropped.  No columns, columns of
+    unequal length, or a bytes cell that would need quoting (a comma, a
+    quote, a CR, a LF or an interior NUL) raise ``ValueError``.
     """
+    lengths = {len(column) for column in columns}
+    if len(lengths) != 1:
+        raise ValueError(f"a table needs one or more columns of one length, got {sorted(lengths)}")
+    for cells in (_cells(column) for column in columns if column.dtype.kind == "S"):
+        pads = cells == _PAD
+        if np.isin(cells, _UNSAFE).any() or (pads[:, :-1] > pads[:, 1:]).any():
+            raise ValueError("text cells may not hold a comma, quote, CR, LF or NUL")
     n = len(columns[0])
     with Path(path).open("wb") as fh:
         fh.write((",".join(header) + "\n").encode())
@@ -576,23 +588,7 @@ def write_dataset_csv(
     if not np.isin(hidden, (-1, 0, 1)).all():
         raise ValueError("hidden values must be -1 (NA), 0 or 1")
     columns = _int_column(index), _int_column(outcome), np.asarray(time_s, dtype=float)
-    if len({column.size for column in (*columns, hidden)}) > 1:
-        raise ValueError("dataset columns differ in length")
-    _write_columns(path, DATASET_HEADER, (*columns, _HIDDEN_CELLS[hidden.astype(np.intp) + 1]))
-
-
-def write_table(
-    path: str | Path, header: Sequence[str], rows: Iterable[Sequence[object]]
-) -> None:
-    """Write a generic numeric CSV with the shared number formatting."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(list(header))
-    for row in rows:
-        writer.writerow(
-            [format_number(x) if isinstance(x, float) else x for x in row]
-        )
-    Path(path).write_text(buf.getvalue())
+    write_table(path, DATASET_HEADER, (*columns, _HIDDEN_CELLS[hidden.astype(np.intp) + 1]))
 
 
 def sha256_digest(path: str | Path) -> str:

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dataio import _int_column, _write_columns
+from .dataio import _int_column, write_table
 
 __all__ = [
     "STATE_NAMES",
@@ -506,10 +506,6 @@ def write_decoded_csv(
 ) -> None:
     """Export decoding as CSV: index, outcome, predicted_state, posterior."""
     obs = _check_observations(observations)
-    if obs.size != decoded.states.size:
-        raise ValueError("observations and decoded series differ in length")
     idx = np.arange(obs.size) if indices is None else _int_column(indices)
-    if idx.size != obs.size:
-        raise ValueError("indices and observations differ in length")
     header = ("index", "outcome", "predicted_state", "posterior")
-    _write_columns(path, header, (idx, obs, decoded.states, decoded.posteriors))
+    write_table(path, header, (idx, obs, decoded.states, decoded.posteriors))

@@ -121,15 +121,6 @@ class BinValuePrediction:
     n_bins: int
     p_g: float
 
-    def rows(self):
-        for i in range(self.k.size):
-            yield (
-                int(self.k[i]),
-                float(self.counts[i]),
-                float(self.band_low[i]),
-                float(self.band_high[i]),
-            )
-
 
 def bin_value_distribution(
     n_bins: int,

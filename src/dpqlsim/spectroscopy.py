@@ -148,14 +148,17 @@ class MolecularConstants:
     mu_rot_scale: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.omega_e <= 0 or self.A_so <= 0 or self.B_e <= 0:
-            raise ValueError("omega_e, A_so and B_e must all be positive")
+        # Each check is a chain of comparisons, all False for a NaN.
+        for name in ("omega_e", "A_so", "B_e", "mu_vib_scale", "mu_rot_scale"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        if not 0.0 <= self.g_q_ground < math.inf:
+            raise ValueError(f"g_q_ground must be finite and >= 0, got {self.g_q_ground!r}")
         if self.v_max < 0:
             raise ValueError(f"v_max must be >= 0, got {self.v_max}")
         if self.J_count < 1:
             raise ValueError(f"J_count must be >= 1, got {self.J_count}")
-        if self.mu_vib_scale <= 0 or self.mu_rot_scale <= 0:
-            raise ValueError("dipole scale factors must be positive")
 
 
 @dataclass(frozen=True)

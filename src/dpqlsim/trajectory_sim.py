@@ -47,11 +47,6 @@ __all__ = [
     "disjoint_bin_counts",
 ]
 
-def _check_probability(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Knobs of the simulated experiment loop.
@@ -73,16 +68,18 @@ class ExperimentConfig:
     trial_duration_cap: float | None = None
 
     def __post_init__(self) -> None:
-        if not self.cycle > 0.0:
-            raise ValueError(f"cycle must be positive, got {self.cycle!r}")
-        _check_probability("p_bright_noise", self.p_bright_noise)
-        _check_probability("detection_fidelity", self.detection_fidelity)
-        if self.collision_rate < 0.0:
-            raise ValueError(f"collision_rate must be >= 0, got {self.collision_rate!r}")
-        if not self.temperature > 0.0:
-            raise ValueError(f"temperature must be positive, got {self.temperature!r}")
-        if self.trial_duration_cap is not None and not self.trial_duration_cap > 0.0:
-            raise ValueError("trial_duration_cap must be positive when set")
+        # Each check is a chain of comparisons, all False for a NaN.
+        for name in ("cycle", "temperature", "trial_duration_cap"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and positive, got {value!r}")
+        rate = self.collision_rate
+        if not 0.0 <= rate < math.inf:
+            raise ValueError(f"collision_rate must be finite and >= 0, got {rate!r}")
+        for name in ("p_bright_noise", "detection_fidelity"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 
 class _Rows(Sequence):
@@ -110,7 +107,7 @@ class _Rows(Sequence):
 
 @dataclass(frozen=True, eq=False)
 class TrialDataset:
-    """Labeled measurement stream plus the config and seed that made it.
+    """Labeled measurement stream plus the config that made it.
 
     ``outcome[k]`` is 0 (bright) or 1 (dark) for cycle k, which ends at
     ``(k + 1) * config.cycle`` seconds.  ``hidden[k]`` is 1 when the
@@ -123,7 +120,6 @@ class TrialDataset:
     outcome: np.ndarray
     hidden: np.ndarray
     config: ExperimentConfig
-    seed: int
 
     def __post_init__(self) -> None:
         for name in ("outcome", "hidden"):
@@ -312,7 +308,7 @@ def simulate_trial(
         n_cycles = min(n_cycles, n_capped)
     rng = np.random.default_rng(config.rng_seed)
     outcomes, labels = _simulate_arrays(config, constants, rng, n_cycles)
-    return TrialDataset(outcomes, labels, config, config.rng_seed)
+    return TrialDataset(outcomes, labels, config)
 
 
 def _cycles_in(hours: float, cycle: float) -> int:

@@ -67,6 +67,10 @@ def load_manifest(out_dir: Path) -> dict:
     return json.loads((out_dir / "manifest.json").read_text())
 
 
+def assert_no_output(out_dir: Path) -> None:
+    assert not out_dir.exists() or not any(out_dir.iterdir())
+
+
 @pytest.fixture(scope="module")
 def sim_dir(tmp_path_factory) -> Path:
     """One hour of labeled default-condition data, shared by analyze tests."""
@@ -185,7 +189,8 @@ class TestSimulate:
         # quantile must reproduce these bytes.  The dataset and decoded
         # digests were recorded with the per-record dataset implementation
         # that preceded the columnar one; the bins, runs and lifetime ones
-        # with scipy's gammaln, ndtri_exp and expm.  The reports name the
+        # with scipy's gammaln, ndtri_exp and expm; the thermal and sweep ones
+        # with the csv.writer table writer.  The reports name the
         # dataset, so the commands run with relative paths.
         monkeypatch.chdir(tmp_path)
         argv = ["simulate", "--paper-defaults", "--hours", "0.05", "--seed", "7"]
@@ -194,6 +199,9 @@ class TestSimulate:
         for mode in ("hmm", "bins", "runs"):
             assert main(["analyze", str(dataset), "--mode", mode, "--out", mode]) == EXIT_OK
         assert main(["lifetime", "--paper-defaults", "--out", "lifetime"]) == EXIT_OK
+        thermal = ["thermal", "--paper-defaults", "-T", "1", "-T", "300", "-T", "450"]
+        assert main([*thermal, "--out", "thermal"]) == EXIT_OK
+        assert main(["sweep", "--paper-defaults", "--out", "sweep"]) == EXIT_OK
         digests = {
             "sim/dataset.csv":
                 "50c1d1ef538d76dbb7eb2c66c025c0ea58237c0952b34967a12f66cabe72393b",
@@ -205,6 +213,10 @@ class TestSimulate:
                 "fe37900f616be8769f7712887afb0e6e5c0d6e56da7884a9b8dd4e604c6fa737",
             "lifetime/lifetime_vs_temperature.csv":
                 "6344fd223a83274de7033479183bb36a479008199c5683ee1f1f7e9510773455",
+            "thermal/thermal_populations.csv":
+                "739c15e64945d80409eb99da8d4297299a1a2f1d514b3e5af2c91c4e8f05888e",
+            "sweep/transfer_map.csv":
+                "72acbb4ff46eb839aa61bdc70d673fd664ad2e72dbeb7a9e5454d4eb935528a5",
         }
         assert {name: sha256_digest(Path(name)) for name in digests} == digests
 
@@ -359,6 +371,14 @@ class TestAnalyzeBins:
         # A window that fits once is one bin.
         assert main([*argv, "--window", "19", "--out", str(out)]) == EXIT_OK
         assert json.loads((out / "report.json").read_text())["n_bins"] == 1
+
+    @pytest.mark.parametrize("window", ["0", "-3"])
+    def test_window_below_one_is_usage_error(self, sim_dir, tmp_path, capsys, window):
+        # Refused before the dataset is read, naming the flag.
+        argv = ["analyze", str(sim_dir / "dataset.csv"), "--mode", "bins", f"--window={window}"]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        assert f"--window >= 1, got --window={window}" in capsys.readouterr().err
+        assert_no_output(tmp_path / "out")
 
 
 class TestAnalyzeRuns:
@@ -691,6 +711,15 @@ class TestSweep:
         assert f"{flag[2:]}={value}," in err
         assert not (tmp_path / "transfer_map.csv").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.5", "1.5"])
+    def test_threshold_outside_unit_interval_is_usage_error(self, tmp_path, capsys, value):
+        # Refused before the sweep runs: no transfer map, no manifest.
+        argv = ["sweep", f"--threshold={value}", "--omega-points", "3"]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "0 <= threshold <= 1" in err and f"threshold={value}" in err
+        assert_no_output(tmp_path / "out")
+
 
 class TestConfigAndManifest:
     def test_config_file_honored(self, tmp_path):
@@ -736,6 +765,24 @@ class TestConfigAndManifest:
         cfg.write_text("temperature = -5\n")
         assert main(["thermal", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("collision_rate", "nan"), ("collision_rate", "inf"), ("cycle", "inf"),
+         ("cycle", "nan"), ("temperature", "inf"), ("trial_duration_cap", "inf"),
+         ("p_bright_noise", "nan"), ("B_e", "nan"), ("omega_e", "inf"), ("A_so", "nan"),
+         ("g_q_ground", "inf"), ("g_q_ground", "nan"), ("mu_vib_scale", "inf"),
+         ("mu_rot_scale", "nan")],
+    )
+    def test_non_finite_config_value_is_usage_error(self, tmp_path, capsys, key, value):
+        # Refused when the config is read: nothing is simulated or written.
+        cfg = tmp_path / "config.txt"
+        cfg.write_text(f"{key} = {value}\n")
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", str(cfg), "--hours", "0.01", "--out", str(out)]
+        assert main(argv) == EXIT_USAGE
+        assert f"{key} must " in capsys.readouterr().err
+        assert_no_output(out)
 
     def test_paper_defaults_ignores_config(self, tmp_path):
         cfg = tmp_path / "config.txt"

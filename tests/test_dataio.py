@@ -176,8 +176,25 @@ class TestDatasetCsv:
 class TestWriteTable:
     def test_floats_use_shared_format(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_table(path, ("a", "b"), [(1, 0.5), (2, 1.0)])
+        write_table(path, ("a", "b"), (np.array([1, 2]), np.array([0.5, 1.0])))
         assert path.read_text() == "a,b\n1,0.5\n2,1\n"
+
+    @pytest.mark.parametrize("cell", [b"a,b", b'say "hi"', b"a\rb", b"a\nb", b"a\0b", b"\0a"])
+    def test_text_cells_that_need_quoting_are_refused(self, tmp_path, cell):
+        # The writer does not quote: a cell that csv would quote, or one
+        # holding a NUL that the writer would drop as a pad, is refused.
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match="may not hold"):
+            write_table(path, ("n", "s"), (np.arange(2), np.array([b"ok", cell])))
+        assert not path.exists()
+
+    def test_unequal_or_missing_columns_are_refused(self, tmp_path):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError, match=r"one length, got \[2, 3\]"):
+            write_table(path, ("a", "b"), (np.arange(2), np.arange(3.0)))
+        with pytest.raises(ValueError, match=r"one length, got \[\]"):
+            write_table(path, (), ())
+        assert not path.exists()
 
 
 class TestDigest:
@@ -561,6 +578,28 @@ class TestByteParseAgainstCsvReader:
 _ints = st.integers(-(2**70), 2**70)
 
 
+_TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126, exclude_characters=',"'),
+                min_size=1)  # csv.writer quotes a lone empty cell
+_TABLE_COLUMNS = {  # kind: (values, column of them, oracle cell of a column item)
+    "i": (st.integers(-(2**63), 2**63 - 1), lambda v: np.array(v, np.int64), int),
+    "f": (_times | st.sampled_from([-5e-324, 2.2e-308, -1e300]),
+          lambda v: np.array(v, float), format_number),
+    "S": (_TEXT, lambda v: np.array([x.encode() for x in v], "S"), bytes.decode),
+}
+
+
+@st.composite
+def tables(draw):
+    """(columns, oracle cells per column): int64, float and ASCII text columns."""
+    n = draw(st.integers(0, 30))
+    columns, cells = [], []
+    for kind in draw(st.lists(st.sampled_from("ifS"), min_size=1, max_size=5)):
+        values, build, cell = _TABLE_COLUMNS[kind]
+        columns.append(build(draw(st.lists(values, min_size=n, max_size=n))))
+        cells.append([cell(x) for x in columns[-1].tolist()])
+    return columns, cells
+
+
 class TestBlockWritersAgainstOracle:
     """The columnar writers against the csv.writer writers they replaced."""
 
@@ -599,6 +638,16 @@ class TestBlockWritersAgainstOracle:
         out = tmp_path_factory.mktemp("w")
         write_decoded_csv(out / "new.csv", obs, decoded, indices=indices)
         oracles.write_decoded_csv(out / "old.csv", obs, decoded, indices=indices)
+        assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(tables())
+    def test_table_bytes(self, tmp_path_factory, table):
+        columns, cells = table
+        header = [f"c{j}" for j in range(len(columns))]
+        out = tmp_path_factory.mktemp("w")
+        write_table(out / "new.csv", header, columns)
+        oracles._write_csv(out / "old.csv", header, zip(*cells))
         assert (out / "new.csv").read_bytes() == (out / "old.csv").read_bytes()
 
 

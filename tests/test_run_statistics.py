@@ -130,12 +130,10 @@ class TestBinValueDistribution:
         with pytest.raises(ValueError):
             bin_value_distribution(10, m, p_g_sigma=-0.1)
 
-    def test_rows_shape(self):
+    def test_column_shapes(self):
         pred = bin_value_distribution(100, NoiseSignalModel(), p_g=0.004)
-        rows = list(pred.rows())
-        assert len(rows) == 21
-        assert rows[0][0] == 0
-        assert all(len(r) == 4 for r in rows)
+        assert pred.k.tolist() == list(range(21))
+        assert pred.counts.shape == pred.band_low.shape == pred.band_high.shape == (21,)
 
 
 def brute_force_run_cdf(n: int, x: int, p: float) -> float:
@@ -543,8 +541,5 @@ class TestPredictionContainer:
             n_bins=6,
             p_g=0.1,
         )
-        assert list(pred.rows()) == [
-            (0, 1.0, 0.0, 4.0),
-            (1, 2.0, 0.0, 4.0),
-            (2, 3.0, 0.0, 4.0),
-        ]
+        columns = pred.k, pred.counts, pred.band_low, pred.band_high
+        assert [c.tolist() for c in columns] == [[0, 1, 2], [1.0, 2.0, 3.0], [0.0] * 3, [4.0] * 3]

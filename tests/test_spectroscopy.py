@@ -263,3 +263,11 @@ class TestConfigRoundTrip:
             MolecularConstants(B_e=-0.1)
         with pytest.raises(ValueError):
             MolecularConstants(J_count=0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "key", ["omega_e", "A_so", "B_e", "g_q_ground", "mu_vib_scale", "mu_rot_scale"]
+    )
+    def test_non_finite_constants_rejected(self, key, value):
+        with pytest.raises(ValueError, match=f"^{key} must"):
+            MolecularConstants(**{key: value})

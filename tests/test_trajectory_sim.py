@@ -53,10 +53,14 @@ class TestExperimentConfig:
             {"collision_rate": -1.0},
             {"temperature": 0.0},
             {"trial_duration_cap": 0.0},
+            # A NaN passes any check written as a comparison it must fail.
+            *({key: value} for value in (math.nan, math.inf, -math.inf)
+              for key in ("cycle", "p_bright_noise", "detection_fidelity", "collision_rate",
+                          "temperature", "trial_duration_cap")),
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^{next(iter(kwargs))} must"):
             ExperimentConfig(**kwargs)
 
     def test_mapping_round_trip(self):
@@ -86,17 +90,17 @@ class TestRecordsAndDatasets:
         cfg = ExperimentConfig()
         ok = np.zeros(2, dtype=np.int8)
         with pytest.raises(ValueError):
-            TrialDataset(np.array([0, 2]), ok, cfg, 0)
+            TrialDataset(np.array([0, 2]), ok, cfg)
         with pytest.raises(ValueError):
-            TrialDataset(ok, np.array([5, 0]), cfg, 0)
+            TrialDataset(ok, np.array([5, 0]), cfg)
         with pytest.raises(ValueError):
-            TrialDataset(ok.reshape(1, 2), ok, cfg, 0)
+            TrialDataset(ok.reshape(1, 2), ok, cfg)
 
     def test_columns_must_match_in_length(self):
         cfg = ExperimentConfig()
         with pytest.raises(ValueError):
-            TrialDataset(np.zeros(3), np.zeros(2), cfg, 0)
-        assert len(TrialDataset(np.zeros(1), np.zeros(1), cfg, 0).records) == 1
+            TrialDataset(np.zeros(3), np.zeros(2), cfg)
+        assert len(TrialDataset(np.zeros(1), np.zeros(1), cfg).records) == 1
 
     def test_csv_round_trip(self, tmp_path):
         ds = simulate_trial(ExperimentConfig(rng_seed=4), 50)
