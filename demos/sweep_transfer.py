@@ -48,9 +48,9 @@ for g_khz in (0.4, 1.0, 2.6):
 grid = TWO_PI * 1e3 * np.arange(412.0, 489.0, 4.0)
 wm = transfer_window_map(cfg, grid, threshold=0.99)
 print("\nomega_mol (kHz)  transfer")
-for omega_hz, _, p in wm.rows():
-    marker = " <- window" if wm.window and wm.window[0] <= TWO_PI * omega_hz <= wm.window[1] else ""
-    print(f"  {omega_hz / 1e3:7.0f}       {p:.4f}{marker}")
+for omega, p in zip(wm.omega_mol_values, wm.transfer):
+    marker = " <- window" if wm.window and wm.window[0] <= omega <= wm.window[1] else ""
+    print(f"  {omega / TWO_PI / 1e3:7.0f}       {p:.4f}{marker}")
 if wm.window:
     lo, hi = (w / TWO_PI / 1e3 for w in wm.window)
     print(f"transfer > 0.99 window: [{lo:.0f}, {hi:.0f}] kHz on this grid")

@@ -25,23 +25,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .spectroscopy import (
     BOLTZMANN_K,
-    KB_CM,
     LIGHT_C,
     PLANCK_H,
     ROT_GROUND,
     MolecularConstants,
     RoVibState,
     StateDistribution,
+    _boltzmann,
     _check_temperature,
+    _level_code,
+    _level_table,
     degeneracy,
-    enumerate_levels,
-    level_energy,
     most_probable_rotational_state,
     thermal_population,
 )
@@ -121,8 +121,19 @@ def photon_occupation(nu: float, T: float) -> float:
 
 
 def radiative_levels(c: MolecularConstants) -> list[RoVibState]:
-    """The radiatively coupled basis: all Omega = 3/2 levels, v then n order."""
-    return enumerate_levels(c, two_omega=_RADIATIVE_TWO_OMEGA)
+    """The radiatively coupled basis: all Omega = 3/2 levels, v then n order.
+
+    These are the first ``(v_max + 1) * J_count`` level codes, so a level's
+    code is also its index in the rate matrix.
+    """
+    return list(_level_table(c)[0][: (c.v_max + 1) * c.J_count])
+
+
+def _radiative_code(state: RoVibState, c: MolecularConstants) -> int:
+    """Rate-matrix index of a level; ValueError outside the radiative set."""
+    if state.two_omega != _RADIATIVE_TWO_OMEGA:
+        raise ValueError(f"{state.label()} is not in the radiative level set")
+    return _level_code(state, c)
 
 
 def _honl_london_pair(two_J_hi: int, two_omega: int) -> float:
@@ -137,25 +148,29 @@ def _honl_london_q(two_J: int, two_omega: int) -> float:
     return (2.0 * J + 1.0) * O * O / (J * (J + 1.0))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EinsteinCoefficients:
-    """Einstein A coefficients over ordered (upper, lower) level pairs.
+    """Einstein A coefficients of the radiative pairs, one array entry per pair.
 
-    ``A`` holds spontaneous rates in s^-1 and ``frequencies`` the
-    transition frequencies in Hz; stimulated rates follow from A and the
+    ``upper`` and ``lower`` hold the level codes of each (upper, lower)
+    pair, ``A`` its spontaneous rate in s^-1 and ``frequencies`` its
+    transition frequency in Hz; stimulated rates follow from A and the
     photon occupation at each frequency.  ``mu_vib`` and ``mu_rot`` are the
     calibrated transition dipoles in C m.
     """
 
-    levels: tuple[RoVibState, ...]
-    A: Mapping[tuple[RoVibState, RoVibState], float]
-    frequencies: Mapping[tuple[RoVibState, RoVibState], float]
+    constants: MolecularConstants
+    upper: np.ndarray
+    lower: np.ndarray
+    A: np.ndarray
+    frequencies: np.ndarray
     mu_vib: float
     mu_rot: float
 
     def total_decay_rate(self, upper: RoVibState) -> float:
         """Sum of spontaneous rates out of one level."""
-        return sum(rate for (u, _), rate in self.A.items() if u == upper)
+        code = _level_code(upper, self.constants)
+        return sum(self.A[self.upper == code].tolist())
 
 
 def _vibrational_channels(n_upper: int, J_count: int) -> list[tuple[int, float]]:
@@ -181,8 +196,6 @@ def build_einstein_coefficients(c: MolecularConstants) -> EinsteinCoefficients:
     ``mu_rot_scale`` times the vibrational one.  Both knobs default to the
     anchored calibration.
     """
-    levels = radiative_levels(c)
-
     # Calibration: decay channels of (v=1, n=0) depend only on omega_e, B_e.
     base_rate = 0.0
     for n_low, strength in _vibrational_channels(0, c.J_count):
@@ -192,53 +205,34 @@ def build_einstein_coefficients(c: MolecularConstants) -> EinsteinCoefficients:
     mu_vib = math.sqrt(VIB_DECAY_TARGET / base_rate) * c.mu_vib_scale
     mu_rot = c.mu_rot_scale * mu_vib
 
-    A: dict[tuple[RoVibState, RoVibState], float] = {}
-    freqs: dict[tuple[RoVibState, RoVibState], float] = {}
+    states, energies = _level_table(c)[:2]
+    energies = energies.tolist()  # Python floats keep nu**3 a scalar power
+    pairs = []  # (upper code, lower code, A, frequency)
 
-    def add_pair(upper: RoVibState, lower: RoVibState, strength: float, mu: float):
-        nu = (level_energy(upper, c) - level_energy(lower, c)) * _HZ_PER_CM
-        rate = _A_PREFACTOR * nu**3 * mu**2 * strength / degeneracy(upper)
-        A[(upper, lower)] = rate
-        freqs[(upper, lower)] = nu
+    def code(v: int, n: int) -> int:
+        return _level_code(RoVibState(v, _RADIATIVE_TWO_OMEGA, _RADIATIVE_TWO_OMEGA + 2 * n), c)
+
+    def add_pair(u: int, l: int, strength: float, mu: float):
+        nu = (energies[u] - energies[l]) * _HZ_PER_CM
+        pairs.append((u, l, _A_PREFACTOR * nu**3 * mu**2 * strength / degeneracy(states[u]), nu))
 
     for v in range(c.v_max + 1):
         # Pure rotational lines within one vibrational level, Delta J = -1.
         for n in range(1, c.J_count):
-            upper = RoVibState(v=v, two_omega=_RADIATIVE_TWO_OMEGA,
-                               two_J=_RADIATIVE_TWO_OMEGA + 2 * n)
-            lower = RoVibState(v=v, two_omega=_RADIATIVE_TWO_OMEGA,
-                               two_J=_RADIATIVE_TWO_OMEGA + 2 * (n - 1))
-            add_pair(upper, lower,
-                     _honl_london_pair(upper.two_J, _RADIATIVE_TWO_OMEGA), mu_rot)
+            upper = code(v, n)
+            strength = _honl_london_pair(states[upper].two_J, _RADIATIVE_TWO_OMEGA)
+            add_pair(upper, code(v, n - 1), strength, mu_rot)
         # Vibrational band v -> v-1 with P, Q, R rotational structure.
         if v >= 1:
             for n_u in range(c.J_count):
-                upper = RoVibState(v=v, two_omega=_RADIATIVE_TWO_OMEGA,
-                                   two_J=_RADIATIVE_TWO_OMEGA + 2 * n_u)
                 for n_l, strength in _vibrational_channels(n_u, c.J_count):
-                    lower = RoVibState(v=v - 1, two_omega=_RADIATIVE_TWO_OMEGA,
-                                       two_J=_RADIATIVE_TWO_OMEGA + 2 * n_l)
-                    add_pair(upper, lower, strength, mu_vib)
+                    add_pair(code(v, n_u), code(v - 1, n_l), strength, mu_vib)
 
+    table = np.array(pairs, dtype=float).reshape(-1, 4)
+    upper, lower = table[:, :2].T.astype(np.intp)
     return EinsteinCoefficients(
-        levels=tuple(levels), A=A, frequencies=freqs,
-        mu_vib=mu_vib, mu_rot=mu_rot,
-    )
-
-
-@lru_cache(maxsize=16)
-def _rate_table(c: MolecularConstants):
-    """(levels, energies, 2J+1, then per pair: upper, lower, A, frequencies)."""
-    co = build_einstein_coefficients(c)
-    index = {state: i for i, state in enumerate(co.levels)}
-    return (
-        co.levels,
-        np.array([level_energy(s, c) for s in co.levels]),
-        np.array([float(degeneracy(s)) for s in co.levels]),
-        np.array([index[u] for u, _ in co.A], dtype=np.intp),
-        np.array([index[l] for _, l in co.A], dtype=np.intp),
-        np.array(list(co.A.values())),
-        tuple(co.frequencies[pair] for pair in co.A),
+        constants=c, upper=upper, lower=lower, A=table[:, 2].copy(),
+        frequencies=table[:, 3].copy(), mu_vib=mu_vib, mu_rot=mu_rot,
     )
 
 
@@ -252,12 +246,12 @@ class RateMatrix:
     """
 
     generator: np.ndarray
-    level_index: tuple[RoVibState, ...]
+    constants: MolecularConstants
     temperature: float
 
     def __post_init__(self) -> None:
         gen = self.generator
-        n = len(self.level_index)
+        n = len(radiative_levels(self.constants))
         if gen.shape != (n, n):
             raise ValueError(f"generator shape {gen.shape} does not match {n} levels")
         if not np.isfinite(gen).all():
@@ -272,10 +266,7 @@ class RateMatrix:
             raise ValueError(f"generator columns sum to {residual:.3e} relative, expected 0")
 
     def index_of(self, state: RoVibState) -> int:
-        try:
-            return self.level_index.index(state)
-        except ValueError:
-            raise ValueError(f"{state.label()} is not in the radiative level set") from None
+        return _radiative_code(state, self.constants)
 
 
 def build_rate_matrix(c: MolecularConstants, T: float) -> RateMatrix:
@@ -286,14 +277,17 @@ def build_rate_matrix(c: MolecularConstants, T: float) -> RateMatrix:
     frequency; T = 0 leaves only spontaneous decay.  T must be finite.
     """
     _check_temperature(T, zero_ok=True)
-    levels, _, g, upper, lower, A, freqs = _rate_table(c)
+    co = build_einstein_coefficients(c)
+    upper, lower, A = co.upper, co.lower, co.A
+    g = _level_table(c)[2]  # the doublet factor cancels in g_u / g_l
     # Scalar occupations: np.expm1 differs from math.expm1 in the last bit.
-    n_bar = np.array([photon_occupation(nu, T) for nu in freqs])
-    gen = np.zeros((len(levels), len(levels)))
+    n_bar = np.array([photon_occupation(nu, T) for nu in co.frequencies.tolist()])
+    n = len(radiative_levels(c))
+    gen = np.zeros((n, n))
     gen[lower, upper] = A * (1.0 + n_bar)
     gen[upper, lower] = A * n_bar * g[upper] / g[lower]
     np.fill_diagonal(gen, -gen.sum(axis=0))
-    return RateMatrix(generator=gen, level_index=levels, temperature=T)
+    return RateMatrix(generator=gen, constants=c, temperature=T)
 
 
 def restricted_boltzmann(c: MolecularConstants, T: float) -> StateDistribution:
@@ -302,9 +296,8 @@ def restricted_boltzmann(c: MolecularConstants, T: float) -> StateDistribution:
     This is the exact stationary vector of :func:`build_rate_matrix` at the
     same temperature.  T must be finite and positive.
     """
-    _check_temperature(T)
-    levels, energies, weights = _rate_table(c)[:3]
-    boltz = weights * np.exp(-energies / (KB_CM * T))
+    levels = radiative_levels(c)
+    boltz = _boltzmann(c, T)[: len(levels)]
     boltz /= boltz.sum()
     return StateDistribution(dict(zip(levels, boltz.tolist())), temperature=T)
 
@@ -314,14 +307,13 @@ class PopulationTrajectory:
     """Time-resolved populations over the radiative level set."""
 
     times: np.ndarray
-    level_index: tuple[RoVibState, ...]
+    constants: MolecularConstants
     populations: np.ndarray  # shape (n_levels, n_times), renormalized
     norm_drift: np.ndarray  # raw snapshot sums minus one
 
     def population_of(self, state: RoVibState) -> np.ndarray:
         """Population of one level at every snapshot time."""
-        idx = self.level_index.index(state)
-        return self.populations[idx]
+        return self.populations[_radiative_code(state, self.constants)]
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -348,17 +340,11 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _as_vector(init: StateDistribution, levels: Sequence[RoVibState]) -> np.ndarray:
-    index = {state: i for i, state in enumerate(levels)}
-    p0 = np.zeros(len(levels))
+def _as_vector(init: StateDistribution, m: RateMatrix) -> np.ndarray:
+    p0 = np.zeros(len(m.generator))
     for state, p in init.populations.items():
-        key = state if state.parity is None else RoVibState(state.v, state.two_omega, state.two_J)
-        if key in index:
-            p0[index[key]] += p
-        elif p > 0.0:
-            raise ValueError(
-                f"initial population on {state.label()} which is outside the level set"
-            )
+        if p > 0.0:  # a level outside the radiative set may be listed at zero
+            p0[m.index_of(state)] += p
     return p0
 
 
@@ -370,7 +356,7 @@ def _checked_blocks(
     Yields (renormalized populations, raw sums minus one) per block once the
     checks of :func:`evolve_populations` pass on it; no block runs ahead.
     """
-    p = _as_vector(init, m.level_index)
+    p = _as_vector(init, m)
     step = _expm(m.generator * dt)
     for k0 in range(0, len(times), block):
         raw = np.empty((len(p), min(block, len(times) - k0)))
@@ -418,7 +404,7 @@ def evolve_populations(
     [(populations, drift)] = _checked_blocks(m, init, times, dt, tol, max(snapshots, 1))
     return PopulationTrajectory(
         times=times,
-        level_index=m.level_index,
+        constants=m.constants,
         populations=populations,
         norm_drift=drift,
     )
@@ -437,7 +423,7 @@ def ground_state_residence_lifetime(c: MolecularConstants, T: float) -> float:
     g = m.index_of(ROT_GROUND)
     gamma = -m.generator[g, g]
     if gamma <= 0.0:
-        raise ValueError("ground level has no departure channels at this temperature")
+        raise ValueError(f"ground level has no departure channels at T = {T:g} K")
     return float(1.0 / gamma)
 
 

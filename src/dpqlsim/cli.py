@@ -66,9 +66,9 @@ from .run_statistics import (
 from .spectroscopy import (
     ROT_GROUND,
     MolecularConstants,
-    enumerate_levels,
-    level_energy,
-    thermal_distribution,
+    _boltzmann,
+    _level_code,
+    _level_table,
     thermal_population,
 )
 from .sweep_dynamics import SweepConfig, landau_zener_oracle, transfer_window_map
@@ -179,21 +179,22 @@ def cmd_thermal(
     """Thermal population table: one row per level, one column per T."""
     if not temperatures:
         raise UsageError("thermal needs at least one --temperature")
-    levels = enumerate_levels(constants)
-    dists = [thermal_distribution(constants, T) for T in temperatures]
+    states, energies = _level_table(constants)[:2]
+    populations = [b / b.sum() for b in (_boltzmann(constants, T) for T in temperatures)]
     header = ["state", "v", "two_omega", "two_J", "energy_percm"] + [
         f"population_{T:g}K" for T in temperatures
     ]
     columns = [
-        np.array([s.label() for s in levels], "S"),
-        *np.array([(s.v, s.two_omega, s.two_J) for s in levels]).T,
-        np.array([level_energy(s, constants) for s in levels]),
-        *(np.array([d.probability(s) for s in levels]) for d in dists),
+        np.array([s.label() for s in states], "S"),
+        *np.array([(s.v, s.two_omega, s.two_J) for s in states]).T,
+        energies,
+        *populations,
     ]
     path = out_dir / "thermal_populations.csv"
     write_table(path, header, columns)
-    for T, d in zip(temperatures, dists):
-        print(f"T={T:g} K: P(ground rotational) = {d.probability(ROT_GROUND):.6f}")
+    ground = _level_code(ROT_GROUND, constants)
+    for T, p in zip(temperatures, populations):
+        print(f"T={T:g} K: P(ground rotational) = {p[ground]:.6f}")
     return {"thermal_populations.csv": path}, {}
 
 

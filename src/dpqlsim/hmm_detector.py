@@ -106,8 +106,12 @@ class HmmParams:
 
         Serialized parameters carry 10 significant digits, so row sums can
         be off by ~1e-10; anything worse than 1e-6 is treated as a broken
-        file rather than rounding.
+        file rather than rounding.  A key outside the set raises ValueError.
         """
+        known = {f"{name}_{i}{j}" for name in ("trans", "emit") for i in (0, 1) for j in (0, 1)}
+        unknown = sorted(set(mapping) - known - {"initial_0", "initial_1"})
+        if unknown:
+            raise ValueError(f"unknown HMM parameter keys: {', '.join(unknown)}")
 
         def grab(key: str) -> float:
             if key not in mapping:

@@ -17,6 +17,12 @@ orders of magnitude below k_B T and is dropped from thermal energies; the
 two parity components instead contribute a uniform statistical factor of
 two that cancels in every population ratio.
 
+A level's integer code is its position in :func:`enumerate_levels`:
+Omega = 3/2 first, then v, then n, so the radiatively coupled Omega = 3/2
+manifold is the prefix of the first ``(v_max + 1) * J_count`` codes and
+(v = 0, Omega = 3/2) the first ``J_count``.  Only this module maps a level
+to its code; the kinetics and the simulator index their arrays by it.
+
 Half-integer angular momenta are stored doubled (``two_J`` = 2J,
 ``two_omega`` = 2*Omega) so quantum-number arithmetic stays exact.
 """
@@ -63,7 +69,7 @@ PARITY_DOUBLET = 2
 
 @dataclass(frozen=True)
 class RoVibState:
-    """One rovibrational level (v, Omega, J), optionally parity-resolved.
+    """One rovibrational level (v, Omega, J), both parity components.
 
     Parameters
     ----------
@@ -73,16 +79,11 @@ class RoVibState:
         Doubled fine-structure projection; 1 or 3 for Omega = 1/2 or 3/2.
     two_J : int
         Doubled total angular momentum; odd and >= two_omega.
-    parity : str, optional
-        'e' or 'f' to pick one component of the parity doublet.  Leave unset
-        to address the full doublet (the thermal model treats the two
-        components as exactly degenerate).
     """
 
     v: int
     two_omega: int
     two_J: int
-    parity: str | None = None
 
     def __post_init__(self) -> None:
         if self.v < 0:
@@ -93,8 +94,6 @@ class RoVibState:
             raise ValueError(
                 f"two_J must be an odd integer >= two_omega, got two_J={self.two_J}"
             )
-        if self.parity not in (None, "e", "f"):
-            raise ValueError(f"parity must be 'e' or 'f', got {self.parity!r}")
 
     @property
     def J(self) -> float:
@@ -111,8 +110,7 @@ class RoVibState:
 
     def label(self) -> str:
         """Compact text key with doubled half-integers, e.g. ``v0.O3.J35``."""
-        base = f"v{self.v}.O{self.two_omega}.J{self.two_J}"
-        return base if self.parity is None else f"{base}.{self.parity}"
+        return f"v{self.v}.O{self.two_omega}.J{self.two_J}"
 
 
 #: Detection target of the experiment: the lowest level of the Omega = 3/2
@@ -264,32 +262,45 @@ def enumerate_levels(
 
 @lru_cache(maxsize=32)
 def _level_table(c: MolecularConstants):
-    """Cached (states, energies, weights) arrays for the full truncated set."""
+    """Cached (states, energies, weights, code of each state) of the full set.
+
+    The arrays are indexed by level code; ``weights`` holds the doublet
+    weight ``PARITY_DOUBLET * (2J + 1)``.
+    """
     states = tuple(enumerate_levels(c))
     energies = np.array([level_energy(s, c) for s in states])
     weights = np.array([PARITY_DOUBLET * degeneracy(s) for s in states], dtype=float)
-    return states, energies, weights
+    return states, energies, weights, dict(zip(states, range(len(states))))
+
+
+def _level_code(state: RoVibState, c: MolecularConstants) -> int:
+    """Code of a level; ValueError for a level outside the truncation."""
+    code = _level_table(c)[3].get(state)
+    if code is None:
+        _check_in_truncation(state, c)  # every level inside it has a code
+    return code
+
+
+def _boltzmann(c: MolecularConstants, T: float) -> np.ndarray:
+    """Unnormalized Boltzmann factors g_i exp(-E_i / k_B T), by level code."""
+    _check_temperature(T)
+    _, energies, weights, _ = _level_table(c)
+    return weights * np.exp(-energies / (KB_CM * T))
 
 
 def partition_function(c: MolecularConstants, T: float) -> float:
     """Z = sum of g_i exp(-E_i / k_B T) over the truncated level set."""
-    _check_temperature(T)
-    _, energies, weights = _level_table(c)
-    return float(np.sum(weights * np.exp(-energies / (KB_CM * T))))
+    return float(np.sum(_boltzmann(c, T)))
 
 
 def thermal_population(state: RoVibState, c: MolecularConstants, T: float) -> float:
-    """Boltzmann probability of one level at temperature T.
-
-    A state without a parity label addresses the whole doublet; with a
-    parity label it receives half the doublet weight.
-    """
+    """Boltzmann probability of one level (both parity components) at T."""
     _check_temperature(T)
-    weight = degeneracy(state)
-    if state.parity is None:
-        weight *= PARITY_DOUBLET
-    boltzmann = math.exp(-level_energy(state, c) / (KB_CM * T))
-    return weight * boltzmann / partition_function(c, T)
+    code = _level_code(state, c)
+    _, energies, weights, _ = _level_table(c)
+    # A scalar exp: np.exp can differ from math.exp in the last bit.
+    boltzmann = math.exp(-energies[code] / (KB_CM * T))
+    return float(weights[code] * boltzmann / partition_function(c, T))
 
 
 def manifold_population(
@@ -310,20 +321,15 @@ def manifold_population(
 
 def thermal_distribution(c: MolecularConstants, T: float) -> StateDistribution:
     """Full Boltzmann distribution over the truncated level set."""
-    _check_temperature(T)
-    states, energies, weights = _level_table(c)
-    boltz = weights * np.exp(-energies / (KB_CM * T))
+    boltz = _boltzmann(c, T)
     boltz /= boltz.sum()
-    return StateDistribution(dict(zip(states, boltz.tolist())), temperature=T)
+    return StateDistribution(dict(zip(_level_table(c)[0], boltz.tolist())), temperature=T)
 
 
 def most_probable_rotational_state(c: MolecularConstants, T: float) -> RoVibState:
     """Most populated rotational level within (v = 0, Omega = 3/2).
 
-    Those are the first ``J_count`` levels of the table; the argmax keeps
-    the first of equal weights.
+    Those are the first ``J_count`` level codes; the argmax keeps the first
+    of equal weights.
     """
-    _check_temperature(T)
-    states, energies, weights = _level_table(c)
-    boltz = weights[: c.J_count] * np.exp(-energies[: c.J_count] / (KB_CM * T))
-    return states[int(np.argmax(boltz))]
+    return _level_table(c)[0][int(np.argmax(_boltzmann(c, T)[: c.J_count]))]

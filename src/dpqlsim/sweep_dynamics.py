@@ -171,11 +171,6 @@ class TransferWindowMap:
     threshold: float
     window: tuple[float, float] | None
 
-    def rows(self):
-        """(omega_mol_Hz, g_q_Hz, transfer) rows, those of ``transfer_map.csv``."""
-        for wm, p in zip(self.omega_mol_values.tolist(), self.transfer.tolist()):
-            yield (wm / _TWO_PI, self.g_q / _TWO_PI, p)
-
 
 def transfer_window_map(
     cfg: SweepConfig, omega_mol_values: Sequence[float], *, threshold: float = 0.99

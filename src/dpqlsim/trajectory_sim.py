@@ -33,8 +33,9 @@ from .spectroscopy import (
     ROT_GROUND,
     MolecularConstants,
     RoVibState,
-    enumerate_levels,
-    thermal_distribution,
+    _boltzmann,
+    _level_code,
+    _level_table,
 )
 
 __all__ = [
@@ -76,6 +77,8 @@ class ExperimentConfig:
         rate = self.collision_rate
         if not 0.0 <= rate < math.inf:
             raise ValueError(f"collision_rate must be finite and >= 0, got {rate!r}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed!r}")
         for name in ("p_bright_noise", "detection_fidelity"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -160,7 +163,7 @@ class TrialDataset:
 class TrajectoryDynamics:
     """Precomputed stochastic-step tables for one (constants, config) pair.
 
-    Encodes every level of the full two-manifold set as an integer; the
+    Indexes every level of the full two-manifold set by its level code; the
     radiative levels carry one-jump-per-cycle transition tables derived
     from the exponentiated generator column (stay probability
     exp(G_ii dt), targets weighted by their off-diagonal rates); the
@@ -177,34 +180,31 @@ class TrajectoryDynamics:
                  cycle: float, collision_rate: float):
         self.collision_prob = -math.expm1(-collision_rate * cycle)
 
-        self.states: tuple[RoVibState, ...] = tuple(enumerate_levels(constants))
-        self._code_of = {state: i for i, state in enumerate(self.states)}
-        self.ground_code = self._code_of[ROT_GROUND]
+        self.constants = constants
+        self.states: tuple[RoVibState, ...] = _level_table(constants)[0]
+        self.ground_code = _level_code(ROT_GROUND, constants)
 
-        dist = thermal_distribution(constants, temperature)
-        probs = np.array([dist.probability(s) for s in self.states])
-        self.thermal_cum = np.cumsum(probs)
+        boltz = _boltzmann(constants, temperature)
+        self.thermal_cum = np.cumsum(boltz / boltz.sum())
         self.thermal_cum[-1] = 1.0  # guard the top edge against roundoff
 
-        m = build_rate_matrix(constants, temperature)
+        # Radiative level i is level code i: the generator's columns are
+        # the first codes' jump tables.
         n_states = len(self.states)
         self.stay_prob = np.ones(n_states)
         self.jump_codes: list[np.ndarray | None] = [None] * n_states
         self.jump_cum: list[np.ndarray | None] = [None] * n_states
-        for i, state in enumerate(m.level_index):
-            code = self._code_of[state]
-            out_rate = -m.generator[i, i]
+        generator = build_rate_matrix(constants, temperature).generator
+        for code, column in enumerate(generator.T):
+            out_rate = -column[code]
             self.stay_prob[code] = math.exp(-out_rate * cycle)
-            column = m.generator[:, i].copy()
-            column[i] = 0.0
+            column = column.copy()
+            column[code] = 0.0
             targets = np.nonzero(column > 0.0)[0]
             if targets.size and out_rate > 0.0:
-                weights = column[targets] / out_rate
-                cum = np.cumsum(weights)
+                cum = np.cumsum(column[targets] / out_rate)
                 cum[-1] = 1.0
-                self.jump_codes[code] = np.array(
-                    [self._code_of[m.level_index[k]] for k in targets]
-                )
+                self.jump_codes[code] = targets
                 self.jump_cum[code] = cum
 
     @classmethod
@@ -219,7 +219,7 @@ class TrajectoryDynamics:
         )
 
     def code_of(self, state: RoVibState) -> int:
-        return self._code_of[state]
+        return _level_code(state, self.constants)
 
     def sample_thermal_code(self, u: float) -> int:
         return int(np.searchsorted(self.thermal_cum, u, side="right"))

@@ -21,7 +21,10 @@ reader and columnar writers against:
 - ``most_probable_rotational_state``: a loop over the relative Boltzmann
   weights of one manifold.
 - ``rate_generator``: the rate-matrix generator from a loop over the
-  (upper, lower) level pairs with dict lookups.
+  (upper, lower) level pairs, one scalar pair of entries each.
+- ``dynamics_tables``: the simulator's jump and thermal tables keyed
+  through a state-to-code dict and a ``StateDistribution``, as built before
+  the generator columns were read by level code.
 - ``evolve_populations``: every snapshot propagated and checked at once.
 - ``rethermalization_time``: the full 600 s horizon, then the first
   crossing; built on the two above.
@@ -42,6 +45,7 @@ from dpqlsim.bbr_kinetics import (
     IntegrationError,
     _expm,
     build_einstein_coefficients,
+    build_rate_matrix,
     photon_occupation,
     radiative_levels,
 )
@@ -53,7 +57,9 @@ from dpqlsim.spectroscopy import (
     RoVibState,
     _check_temperature,
     degeneracy,
+    enumerate_levels,
     level_energy,
+    thermal_distribution,
 )
 from dpqlsim.trajectory_sim import TrajectoryDynamics
 
@@ -362,17 +368,44 @@ def most_probable_rotational_state(c: MolecularConstants, T: float) -> RoVibStat
 def rate_generator(c: MolecularConstants, T: float) -> np.ndarray:
     """Rate-matrix generator at T, one pair of entries per (upper, lower) pair."""
     coeffs = build_einstein_coefficients(c)
-    levels = coeffs.levels
-    index = {state: i for i, state in enumerate(levels)}
+    levels = radiative_levels(c)  # level codes index the radiative set
     gen = np.zeros((len(levels), len(levels)))
-    for (upper, lower), rate in coeffs.A.items():
-        n_bar = photon_occupation(coeffs.frequencies[(upper, lower)], T)
-        iu, il = index[upper], index[lower]
+    pairs = zip(coeffs.upper.tolist(), coeffs.lower.tolist(), coeffs.A.tolist(),
+                coeffs.frequencies.tolist())
+    for iu, il, rate, nu in pairs:
+        n_bar = photon_occupation(nu, T)
         gen[il, iu] += rate * (1.0 + n_bar)
-        gen[iu, il] += rate * n_bar * degeneracy(upper) / degeneracy(lower)
+        gen[iu, il] += rate * n_bar * degeneracy(levels[iu]) / degeneracy(levels[il])
     np.fill_diagonal(gen, 0.0)
     np.fill_diagonal(gen, -gen.sum(axis=0))
     return gen
+
+
+def dynamics_tables(c: MolecularConstants, T: float, cycle: float):
+    """(stay_prob, jump_codes, jump_cum, thermal_cum) through state lookups."""
+    states = enumerate_levels(c)
+    code_of = {state: i for i, state in enumerate(states)}
+    dist = thermal_distribution(c, T)
+    thermal_cum = np.cumsum(np.array([dist.probability(s) for s in states]))
+    thermal_cum[-1] = 1.0
+    m = build_rate_matrix(c, T)
+    levels = radiative_levels(c)
+    stay_prob = np.ones(len(states))
+    jump_codes = [None] * len(states)
+    jump_cum = [None] * len(states)
+    for i, state in enumerate(levels):
+        code = code_of[state]
+        out_rate = -m.generator[i, i]
+        stay_prob[code] = math.exp(-out_rate * cycle)
+        column = m.generator[:, i].copy()
+        column[i] = 0.0
+        targets = np.nonzero(column > 0.0)[0]
+        if targets.size and out_rate > 0.0:
+            cum = np.cumsum(column[targets] / out_rate)
+            cum[-1] = 1.0
+            jump_codes[code] = np.array([code_of[levels[k]] for k in targets])
+            jump_cum[code] = cum
+    return stay_prob, jump_codes, jump_cum, thermal_cum
 
 
 def evolve_populations(gen, p0, duration, snapshots, tol=1e-8):

@@ -189,8 +189,8 @@ def test_criterion_5_sweep_anchors():
     duration = (cfg.omega_start - cfg.omega_end) / cfg.ramp_rate
     margin = 2e-3
     lz_dev = 0.0
-    for omega_hz, _, mapped in wm.rows():
-        t_cross = (cfg.omega_start - TWO_PI * omega_hz) / cfg.ramp_rate
+    for omega, mapped in zip(wm.omega_mol_values.tolist(), wm.transfer.tolist()):
+        t_cross = (cfg.omega_start - omega) / cfg.ramp_rate
         if margin <= t_cross <= duration - margin:
             lz_dev = max(lz_dev, abs(mapped - lz))
 

@@ -42,7 +42,9 @@ from dpqlsim.spectroscopy import (
     MolecularConstants,
     RoVibState,
     StateDistribution,
+    _level_code,
     degeneracy,
+    enumerate_levels,
     level_energy,
     most_probable_rotational_state,
     thermal_population,
@@ -86,7 +88,7 @@ def dop853_populations(gen, p0, times):
 def rethermalization_oracle(T):
     """DOP853 populations from the argmax level on the rethermalization grid."""
     m = build_rate_matrix(CONSTANTS, T)
-    p0 = np.zeros(len(m.level_index))
+    p0 = np.zeros(len(m.generator))
     p0[m.index_of(most_probable_rotational_state(CONSTANTS, T))] = 1.0
     times = np.linspace(0.0, RETHERM_DURATION, RETHERM_SNAPSHOTS)
     return times, dop853_populations(m.generator, p0, times)
@@ -117,6 +119,24 @@ class TestEinsteinCoefficients:
         assert len(levels) == 140
         assert all(s.two_omega == 3 for s in levels)
 
+    @pytest.mark.parametrize(
+        "c", [CONSTANTS, MolecularConstants(v_max=2, J_count=5)],
+        ids=["default", "v_max=2,J_count=5"],
+    )
+    def test_radiative_levels_are_the_first_codes(self, c):
+        levels = enumerate_levels(c)
+        radiative = radiative_levels(c)
+        assert radiative == levels[: (c.v_max + 1) * c.J_count]
+        assert radiative == enumerate_levels(c, two_omega=3)
+        assert [_level_code(s, c) for s in levels] == list(range(len(levels)))
+        m = build_rate_matrix(c, 300.0)
+        assert [m.index_of(s) for s in radiative] == list(range(len(radiative)))
+        co = build_einstein_coefficients(c)
+        assert max(co.upper.max(), co.lower.max()) == len(radiative) - 1
+        # Pair order: the v = 0 rotational lines (n -> n - 1) come first.
+        assert co.upper[: c.J_count - 1].tolist() == list(range(1, c.J_count))
+        assert co.lower[: c.J_count - 1].tolist() == list(range(c.J_count - 1))
+
     def test_calibration_anchor_exact(self):
         co = build_einstein_coefficients(CONSTANTS)
         total = co.total_decay_rate(RoVibState(1, 3, 3))
@@ -129,19 +149,22 @@ class TestEinsteinCoefficients:
 
     def test_channel_structure(self):
         co = build_einstein_coefficients(CONSTANTS)
+        levels = radiative_levels(CONSTANTS)
+        pairs = [(levels[u], levels[l]) for u, l in zip(co.upper.tolist(), co.lower.tolist())]
         # (v=1, n=0) decays via Q and R-type branches only: two channels.
-        channels = [pair for pair in co.A if pair[0] == RoVibState(1, 3, 3)]
+        channels = [pair for pair in pairs if pair[0] == RoVibState(1, 3, 3)]
         lowers = sorted(p[1].two_J for p in channels)
         assert lowers == [3, 5]
         assert all(p[1].v == 0 for p in channels)
         # Pure rotational decay of (v=0, J=5/2) has exactly one channel.
-        rot = [pair for pair in co.A if pair[0] == RoVibState(0, 3, 5)]
+        rot = [pair for pair in pairs if pair[0] == RoVibState(0, 3, 5)]
         assert rot == [(RoVibState(0, 3, 5), RoVibState(0, 3, 3))]
 
     def test_frequencies_match_energy_gaps(self):
         co = build_einstein_coefficients(CONSTANTS)
-        for pair, nu in list(co.frequencies.items())[:50]:
-            gap_cm = level_energy(pair[0], CONSTANTS) - level_energy(pair[1], CONSTANTS)
+        levels = radiative_levels(CONSTANTS)
+        for u, l, nu in zip(co.upper[:50], co.lower[:50], co.frequencies[:50].tolist()):
+            gap_cm = level_energy(levels[u], CONSTANTS) - level_energy(levels[l], CONSTANTS)
             assert nu == pytest.approx(gap_cm * sc.c * 100.0, rel=1e-12)
             assert nu > 0.0
 
@@ -159,7 +182,7 @@ class TestRateMatrix:
     def test_detailed_balance(self):
         m = build_rate_matrix(CONSTANTS, 300.0)
         pi = restricted_boltzmann(CONSTANTS, 300.0)
-        p = np.array([pi.probability(s) for s in m.level_index])
+        p = np.array([pi.probability(s) for s in radiative_levels(CONSTANTS)])
         flux = m.generator @ p
         assert np.abs(flux).max() / np.abs(m.generator).max() < 1e-12
 
@@ -173,8 +196,10 @@ class TestRateMatrix:
 
     def test_index_of_unknown_state(self):
         m = build_rate_matrix(CONSTANTS, 300.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not in the radiative level set"):
             m.index_of(RoVibState(0, 1, 1))
+        with pytest.raises(ValueError, match="exceeds the truncation"):
+            m.index_of(RoVibState(2, 3, 3))
 
     def test_negative_temperature_rejected(self):
         with pytest.raises(ValueError):
@@ -191,12 +216,13 @@ class TestRateMatrix:
         gen = m.generator.copy()
         gen[0, 1] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            bbr_kinetics.RateMatrix(gen, m.level_index, 300.0)
+            bbr_kinetics.RateMatrix(gen, m.constants, 300.0)
 
     @pytest.mark.parametrize(
         "c",
-        [CONSTANTS, MolecularConstants(mu_vib_scale=1.7), MolecularConstants(mu_rot_scale=3.0)],
-        ids=["default", "mu_vib_scale", "mu_rot_scale"],
+        [CONSTANTS, MolecularConstants(mu_vib_scale=1.7), MolecularConstants(mu_rot_scale=3.0),
+         MolecularConstants(v_max=2, J_count=5)],
+        ids=["default", "mu_vib_scale", "mu_rot_scale", "v_max=2,J_count=5"],
     )
     def test_array_build_matches_pair_loop_bit_for_bit(self, c):
         for T in BIT_GRID:
@@ -276,14 +302,21 @@ class TestEvolvePopulations:
         init = StateDistribution({ROT_GROUND: 1.0})
         traj = evolve_populations(m, init, 1500.0, snapshots=11)
         target = restricted_boltzmann(CONSTANTS, 300.0)
-        expected = np.array([target.probability(s) for s in m.level_index])
+        expected = np.array([target.probability(s) for s in radiative_levels(CONSTANTS)])
         assert np.abs(traj.populations[:, -1] - expected).max() < 2e-3
 
     def test_initial_state_outside_set_rejected(self):
         m = build_rate_matrix(CONSTANTS, 300.0)
-        init = StateDistribution({RoVibState(0, 1, 1): 1.0})
-        with pytest.raises(ValueError):
+        lower = RoVibState(0, 1, 1)  # Omega = 1/2, radiatively closed
+        init = StateDistribution({lower: 1.0})
+        with pytest.raises(ValueError, match="v0.O1.J1 is not in the radiative level set"):
             evolve_populations(m, init, 1.0)
+        # A level outside the set may be listed with zero population.
+        traj = evolve_populations(m, StateDistribution({ROT_GROUND: 1.0, lower: 0.0}), 0.0,
+                                  snapshots=2)
+        assert traj.population_of(ROT_GROUND).tolist() == [1.0, 1.0]
+        with pytest.raises(ValueError, match="not in the radiative level set"):
+            traj.population_of(lower)
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_impossible_tolerance_raises(self):
@@ -301,7 +334,7 @@ class TestEvolvePopulations:
         ground = traj.population_of(ROT_GROUND)
         assert ground[0] == 0.0 and np.all(np.diff(ground) >= 0.0) and ground[-1] > 0.0
         assert np.abs(traj.norm_drift).max() < 1e-12
-        p0 = np.zeros(len(m.level_index))
+        p0 = np.zeros(len(m.generator))
         p0[m.index_of(RoVibState(1, 3, 11))] = 1.0
         expected = dop853_populations(m.generator, p0, traj.times)
         assert np.abs(traj.populations - expected).max() <= 1e-9
@@ -311,7 +344,7 @@ class TestEvolvePopulations:
         m = build_rate_matrix(CONSTANTS, 300.0)
         start = RoVibState(0, 3, 11)
         traj = evolve_populations(m, StateDistribution({start: 1.0}), 200.0, snapshots=401)
-        p0 = np.zeros(len(m.level_index))
+        p0 = np.zeros(len(m.generator))
         p0[m.index_of(start)] = 1.0
         times, pops, drift = oracles.evolve_populations(m.generator, p0, 200.0, 401)
         assert same_bits(traj.times, times)
@@ -352,7 +385,7 @@ class TestResidenceLifetime:
         gen = m.generator.copy()
         gen[g, :] = 0.0
         gen[g, g] = m.generator[g, g]
-        p0 = np.zeros(len(m.level_index))
+        p0 = np.zeros(len(m.generator))
         p0[g] = 1.0
         tau = ground_state_residence_lifetime(CONSTANTS, 300.0)
         times = np.linspace(0.0, 5.0 * tau, 161)
@@ -362,6 +395,12 @@ class TestResidenceLifetime:
     @pytest.mark.parametrize("T", NON_FINITE)
     def test_non_finite_temperature_rejected(self, T):
         with pytest.raises(ValueError, match="temperature must be a finite number >= 0"):
+            ground_state_residence_lifetime(CONSTANTS, T)
+
+    @pytest.mark.parametrize("T", [0.0, 1e-3])
+    def test_no_departure_channels_names_the_temperature(self, T):
+        # Without photons the lowest level is neither pumped nor able to decay.
+        with pytest.raises(ValueError, match=f"no departure channels at T = {T:g} K$"):
             ground_state_residence_lifetime(CONSTANTS, T)
 
     def test_temperature_sweep(self):

@@ -152,6 +152,13 @@ class TestLifetime:
         assert f"{flag[2:]}={value}," in err
         assert "np.float64" not in err
 
+    def test_no_departure_channels_names_the_temperature(self, tmp_path, capsys):
+        # At 1 mK no photon pumps the lowest level and it cannot decay.
+        argv = ["lifetime", "--t-min", "1e-3", "--t-max", "1", "--t-points", "2",
+                "--out", str(tmp_path)]
+        assert main(argv) == EXIT_USAGE
+        assert "no departure channels at T = 0.001 K" in capsys.readouterr().err
+
 
 class TestSimulate:
     def test_dataset_and_manifest(self, tmp_path):
@@ -231,6 +238,15 @@ class TestSimulate:
         assert rises == visits and hidden[0] == (seed == "416")
         counts = load_manifest(tmp_path)["counts"]
         assert counts == {"cycles": 900, "ground_cycles": sum(hidden), "ground_visits": visits}
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        # Refused by ExperimentConfig before --out is created; numpy's own
+        # message named neither the flag nor the value.
+        out = tmp_path / "out"
+        argv = ["simulate", "--hours", "0.01", "--seed", "-1", "--out", str(out)]
+        assert main(argv) == EXIT_USAGE
+        assert "rng_seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_hours_rejected(self, tmp_path, capsys):
         code = main(["simulate", "--hours", "0", "--out", str(tmp_path)])
@@ -603,6 +619,20 @@ class TestAnalyzeHmm:
         assert "trans entries must be finite" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
 
+    def test_unknown_params_key_exits_before_writing(self, sim_dir, tmp_path, capsys):
+        # Config files already refuse an unknown key; a params file does too.
+        params = tmp_path / "params.txt"
+        write_keyvalues(params, {**default_params().to_mapping(), "trans_02": 5})
+        out = tmp_path / "out"
+        code = main(
+            ["analyze", str(sim_dir / "dataset.csv"), "--mode", "hmm",
+             "--params", str(params), "--out", str(out)]
+        )
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "params.txt" in err and "unknown HMM parameter keys: trans_02" in err
+        assert not (out / "decoded.csv").exists()
+
 class TestAnalyzeErrors:
     def test_missing_dataset_file(self, tmp_path, capsys):
         code = main(
@@ -772,7 +802,7 @@ class TestConfigAndManifest:
          ("cycle", "nan"), ("temperature", "inf"), ("trial_duration_cap", "inf"),
          ("p_bright_noise", "nan"), ("B_e", "nan"), ("omega_e", "inf"), ("A_so", "nan"),
          ("g_q_ground", "inf"), ("g_q_ground", "nan"), ("mu_vib_scale", "inf"),
-         ("mu_rot_scale", "nan")],
+         ("mu_rot_scale", "nan"), ("rng_seed", "-2")],
     )
     def test_non_finite_config_value_is_usage_error(self, tmp_path, capsys, key, value):
         # Refused when the config is read: nothing is simulated or written.

@@ -93,6 +93,13 @@ class TestHmmParams:
         with pytest.raises(ValueError):
             HmmParams.from_mapping(m)
 
+    @pytest.mark.parametrize("extra", [["trans_02"], ["initial_2", "emit"]])
+    def test_mapping_rejects_unknown_keys(self, extra):
+        m = {**default_params().to_mapping(), **dict.fromkeys(extra, 0.0)}
+        keys = ", ".join(sorted(extra))
+        with pytest.raises(ValueError, match=f"^unknown HMM parameter keys: {keys}$"):
+            HmmParams.from_mapping(m)
+
     def test_mapping_rejects_broken_rows(self):
         m = default_params().to_mapping()
         m["emit_10"] = 0.5  # row now sums to 1.22

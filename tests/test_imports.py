@@ -1,4 +1,5 @@
-"""Import footprint of the command line tool, its literal constants and its syntax."""
+"""Import footprint of the command line tool, its literal constants, its syntax
+and the names the benchmark under ``perfbench/`` reads."""
 
 import ast
 import importlib
@@ -12,9 +13,47 @@ import scipy.constants
 
 import dpqlsim
 from dpqlsim import bbr_kinetics, spectroscopy
+from dpqlsim.dataio import read_dataset_csv
+from dpqlsim.trajectory_sim import ExperimentConfig, TrajectoryDynamics, simulate_trial
 
 MODULES = ("cli", "spectroscopy", "bbr_kinetics", "trajectory_sim", "dataio", "hmm_detector",
            "run_statistics", "sweep_dynamics")
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _dpqlsim_names(tree: ast.AST) -> set[str]:
+    """Dotted ``dpqlsim...`` names in a module: imports, attribute chains on
+    ``dpqlsim`` and on ``sys.modules["dpqlsim.x"]``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module and node.level == 0:
+            names.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, (ast.Attribute, ast.Subscript)):
+            parts = []
+            while isinstance(node, ast.Attribute):
+                parts.append(node.attr)
+                node = node.value
+            if isinstance(node, ast.Name):
+                parts.append(node.id)
+            elif isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Constant):
+                parts.append(str(node.slice.value))
+            names.add(".".join(reversed(parts)))
+    return {name for name in names if name.split(".")[0] == "dpqlsim"}
+
+
+def _resolves(dotted: str) -> bool:
+    parts = dotted.split(".")
+    obj = dpqlsim
+    for i, part in enumerate(parts[1:], start=2):
+        if not hasattr(obj, part):
+            try:
+                importlib.import_module(".".join(parts[:i]))
+            except ImportError:
+                return False
+        obj = getattr(obj, part)
+    return True
 
 
 def test_cli_import_leaves_heavy_scipy_modules_out():
@@ -32,6 +71,26 @@ def test_cli_import_leaves_heavy_scipy_modules_out():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == ""
+
+
+def test_benchmark_names_exist(tmp_path):
+    # perfbench/ belongs to the benchmark and is read, never edited, here:
+    # a clean-up that drops a name it reaches breaks the benchmark run.
+    sources = sorted(PERFBENCH.glob("*.py"))
+    assert sources
+    reached = set()
+    for path in sources:
+        reached |= _dpqlsim_names(ast.parse(path.read_text(), filename=str(path)))
+    assert "dpqlsim.cli.main" in reached  # the parse follows attribute chains
+    assert sorted(name for name in reached if not _resolves(name)) == []
+    # What the tracer and the stream check read off the results.
+    assert callable(TrajectoryDynamics.for_config)
+    assert callable(bbr_kinetics.ground_state_residence_lifetime.cache_info)
+    dataset = simulate_trial(ExperimentConfig(rng_seed=1), 5)
+    assert len(dataset.records) == 5
+    dataset.to_csv(tmp_path / "dataset.csv")
+    rows = read_dataset_csv(tmp_path / "dataset.csv")
+    assert len(rows) == 5 and all(isinstance(r, tuple) and len(r) == 4 for r in rows)
 
 
 @pytest.mark.parametrize(

@@ -45,7 +45,7 @@ class TestRoVibState:
         assert ROT_GROUND.omega == 1.5
         assert ROT_GROUND.rotational_quanta == 0
         assert ROT_GROUND.label() == "v0.O3.J3"
-        assert RoVibState(0, 3, 35, parity="e").label() == "v0.O3.J35.e"
+        assert RoVibState(0, 3, 35).label() == "v0.O3.J35"
 
     def test_rotational_quanta_counts_above_manifold_floor(self):
         assert RoVibState(0, 3, 9).rotational_quanta == 3
@@ -60,8 +60,6 @@ class TestRoVibState:
             RoVibState(v=0, two_omega=3, two_J=4)  # even two_J
         with pytest.raises(ValueError):
             RoVibState(v=0, two_omega=3, two_J=1)  # J below Omega
-        with pytest.raises(ValueError):
-            RoVibState(v=0, two_omega=3, two_J=3, parity="x")
 
 
 class TestEnergyLadder:
@@ -153,13 +151,6 @@ class TestThermalPopulation:
 
     def test_ground_anchor_450(self):
         assert thermal_population(ROT_GROUND, C, 450.0) == pytest.approx(PG_450, rel=1e-4)
-
-    def test_parity_resolved_is_half(self):
-        full = thermal_population(ROT_GROUND, C, 300.0)
-        e = thermal_population(RoVibState(0, 3, 3, parity="e"), C, 300.0)
-        f = thermal_population(RoVibState(0, 3, 3, parity="f"), C, 300.0)
-        assert e == pytest.approx(full / 2)
-        assert e == f
 
     def test_boltzmann_ratio(self):
         a, b = ROT_GROUND, RoVibState(0, 3, 5)

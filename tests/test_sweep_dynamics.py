@@ -209,13 +209,12 @@ class TestTransferWindowMap:
         assert m.transfer[1] > 0.99 and m.transfer[2] > 0.99
         assert m.transfer[0] < 0.99 and m.transfer[3] < 0.99
 
-    def test_rows_are_plain_frequencies(self):
+    def test_columns_are_angular_frequencies(self):
         m = transfer_window_map(SweepConfig(), self.grid()[:2])
-        rows = list(m.rows())
-        assert rows[0][0] == pytest.approx(410e3)
-        assert rows[0][1] == pytest.approx(2.6e3)
-        assert 0.0 <= rows[0][2] <= 1.0
-        assert len(rows) == 2
+        assert m.omega_mol_values / TWO_PI == pytest.approx([410e3, 440e3])
+        assert m.g_q / TWO_PI == pytest.approx(2.6e3)
+        assert np.all((m.transfer >= 0.0) & (m.transfer <= 1.0))
+        assert m.transfer.shape == (2,)
 
     def test_no_window_without_coupling(self):
         m = transfer_window_map(replace(SweepConfig(), g_q=0.0), self.grid()[:2])

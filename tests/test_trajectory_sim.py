@@ -11,7 +11,7 @@ import pytest
 from scipy import stats
 
 from dpqlsim import trajectory_sim
-from dpqlsim.bbr_kinetics import build_rate_matrix
+from dpqlsim.bbr_kinetics import build_rate_matrix, radiative_levels
 from dpqlsim.dataio import (
     DATASET_HEADER,
     config_from_mapping,
@@ -53,6 +53,7 @@ class TestExperimentConfig:
             {"collision_rate": -1.0},
             {"temperature": 0.0},
             {"trial_duration_cap": 0.0},
+            {"rng_seed": -1},
             # A NaN passes any check written as a comparison it must fail.
             *({key: value} for value in (math.nan, math.inf, -math.inf)
               for key in ("cycle", "p_bright_noise", "detection_fidelity", "collision_rate",
@@ -248,6 +249,29 @@ class TestDynamics:
             math.exp(-0.040 / tau), rel=1e-6
         )
 
+    @pytest.mark.parametrize(
+        "c, T, cycle",
+        [(CONSTANTS, 300.0, 0.040), (CONSTANTS, 450.0, 0.1),
+         (MolecularConstants(v_max=2, J_count=5), 300.0, 0.040)],
+        ids=["300K", "450K", "v_max=2,J_count=5"],
+    )
+    def test_tables_match_state_keyed_build_bit_for_bit(self, c, T, cycle):
+        dyn = TrajectoryDynamics(c, temperature=T, cycle=cycle, collision_rate=0.008)
+        stay_prob, jump_codes, jump_cum, thermal_cum = oracles.dynamics_tables(c, T, cycle)
+        assert dyn.stay_prob.tobytes() == stay_prob.tobytes()
+        assert dyn.thermal_cum.tobytes() == thermal_cum.tobytes()
+        for got, want in zip(dyn.jump_codes + dyn.jump_cum, jump_codes + jump_cum):
+            assert (got is None and want is None) or (
+                got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            )
+        assert dyn.states[dyn.ground_code] == ROT_GROUND
+
+    def test_code_of_outside_the_truncation_rejected(self):
+        dyn = TrajectoryDynamics.for_config(ExperimentConfig())
+        assert dyn.code_of(RoVibState(1, 1, 1)) == 210  # Omega = 3/2 levels come first
+        with pytest.raises(ValueError, match="exceeds the truncation"):
+            dyn.code_of(RoVibState(2, 3, 3))
+
     def test_lower_manifold_frozen_without_collisions(self):
         # The fine-structure gap is radiatively closed, so without
         # collisions an Omega = 1/2 state cannot move at all.
@@ -319,11 +343,12 @@ def _table_weights(dyn: TrajectoryDynamics, code: int) -> np.ndarray:
 def _oracle_weights(dyn: TrajectoryDynamics, state: RoVibState) -> np.ndarray:
     """Jump-target weights from the 300 K generator column, in dyn's codes."""
     m = build_rate_matrix(CONSTANTS, 300.0)
-    i = m.level_index.index(state)
+    levels = radiative_levels(CONSTANTS)
+    i = levels.index(state)
     column = m.generator[:, i].copy()
     column[i] = 0.0
     weights = np.zeros(len(dyn.states))
-    for k, level in enumerate(m.level_index):
+    for k, level in enumerate(levels):
         weights[dyn.code_of(level)] = column[k] / -m.generator[i, i]
     return weights
 
