@@ -224,11 +224,6 @@ def cmd_simulate(
         _cycles_in(hours, config.cycle)
     except ValueError as exc:  # its message starts with the argument, "hours"
         raise UsageError(f"--{exc}") from None
-    cap = config.trial_duration_cap
-    if cap is not None and cap < config.cycle:
-        raise UsageError(
-            f"trial_duration_cap {cap:g} s is shorter than one cycle ({config.cycle:g} s)"
-        )
     dataset = simulate_hours(config, hours, constants)
     path = out_dir / "dataset.csv"
     dataset.to_csv(path)

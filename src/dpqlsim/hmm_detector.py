@@ -178,13 +178,15 @@ class DetectionMetrics:
     incorrect_negative: int
 
 
-def _check_observations(observations: Sequence[int] | np.ndarray) -> np.ndarray:
-    obs = np.asarray(observations)
-    if obs.ndim != 1:
-        raise ValueError("observations must be one-dimensional")
-    if obs.size and not np.isin(obs, (0, 1)).all():
-        raise ValueError("observations must be 0 (bright) or 1 (dark)")
-    return obs.astype(np.int8)
+def _check_binary(values: Sequence[int] | np.ndarray, name: str = "observations") -> np.ndarray:
+    """``values`` as int8; ValueError naming ``name`` unless 1-d and all 0 or 1."""
+    column = np.asarray(values)
+    if column.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional")
+    bad = (column != 0) & (column != 1)
+    if bad.any():
+        raise ValueError(f"{name} must be 0 or 1, got {column[bad][0].item()!r}")
+    return column.astype(np.int8)
 
 
 # Records each speculative filter runs before its chunk, so that it enters
@@ -332,7 +334,7 @@ def forward_backward(
     labels (ties to the non-signal state), and the total log-likelihood
     accumulated from the per-step scaling factors.
     """
-    obs = _check_observations(observations)
+    obs = _check_binary(observations)
     n = obs.size
     if n == 0:
         return DecodedSeries(
@@ -357,7 +359,7 @@ def viterbi(params: HmmParams, observations: Sequence[int] | np.ndarray) -> np.n
     order; ``back[t]`` packs the best source of state 0 in bit 0 and that
     of state 1 in bit 1, a source switching to 1 only when strictly better.
     """
-    obs = _check_observations(observations)
+    obs = _check_binary(observations)
     n = obs.size
     if n == 0:
         return np.empty(0, dtype=np.int8)
@@ -391,18 +393,18 @@ def _labeled_pairs(
             obs, labels = item.outcomes(), item.hidden_labels()
         else:
             obs, labels = item
-            obs = np.asarray(obs)
-            labels = np.asarray(labels)
+        obs, labels = _check_binary(obs), _check_binary(labels, "labels")
         if obs.shape != labels.shape:
             raise ValueError("observations and labels must have equal length")
-        pairs.append((obs.astype(np.int8), labels.astype(np.int8)))
+        pairs.append((obs, labels))
     return pairs
 
 
 def estimate_params_supervised(datasets: Iterable) -> HmmParams:
     """Maximum-likelihood counting on labeled streams, add-one smoothed.
 
-    Accepts labeled trial datasets or plain (observations, labels) pairs.
+    Accepts labeled trial datasets or plain (observations, labels) pairs of
+    0/1 values; any other value, such as the NA label -1, is a ValueError.
     Raises :class:`EstimationError` naming any hidden state that never
     appears in the labels, before smoothing would mask its absence.
     """
@@ -448,7 +450,7 @@ def baum_welch(
     and iterates until the log-likelihood gain drops below ``tol``.
     Returns the refined parameters and the log-likelihood trace.
     """
-    obs = _check_observations(observations)
+    obs = _check_binary(observations)
     if obs.size < 2:
         raise ValueError("baum_welch needs at least two observations")
     params = initial_params
@@ -480,11 +482,11 @@ def baum_welch(
 def evaluate(
     predictions: Sequence[int] | np.ndarray, truth: Sequence[int] | np.ndarray
 ) -> DetectionMetrics:
-    """Per-record precision, recall and F1 of predicted signal states."""
-    pred = np.asarray(predictions)
-    true = np.asarray(truth)
-    if pred.shape != true.shape or pred.ndim != 1:
-        raise ValueError("predictions and truth must be 1-d sequences of equal length")
+    """Per-record precision, recall and F1 of predicted signal states;
+    both must be 1-d 0/1 arrays, so an NA label (-1) is a ValueError."""
+    pred, true = _check_binary(predictions, "predictions"), _check_binary(truth, "truth")
+    if pred.shape != true.shape:
+        raise ValueError("predictions and truth must have equal length")
     cp = int(np.sum((pred == 1) & (true == 1)))
     ip = int(np.sum((pred == 1) & (true == 0)))
     inn = int(np.sum((pred == 0) & (true == 1)))
@@ -509,7 +511,7 @@ def write_decoded_csv(
     indices: Iterable[int] | None = None,
 ) -> None:
     """Export decoding as CSV: index, outcome, predicted_state, posterior."""
-    obs = _check_observations(observations)
+    obs = _check_binary(observations)
     idx = np.arange(obs.size) if indices is None else _int_column(indices)
     header = ("index", "outcome", "predicted_state", "posterior")
     write_table(path, header, (idx, obs, decoded.states, decoded.posteriors))

@@ -1,11 +1,10 @@
 """Monte Carlo simulation of the experiment loop.
 
-Each cycle the hidden rovibrational state takes one stochastic step
-(collisional re-thermalization, else a blackbody-driven jump if the state
-sits in the radiative Omega = 3/2 manifold), then a bright/dark outcome is
-emitted: dark with the detection fidelity when the molecule occupies the
-rotational ground level, dark with the noise floor otherwise.  Measurement
-never alters the hidden state.
+Each cycle the hidden rovibrational state takes one exact stochastic step
+(collisional re-thermalization, else a draw from the one-cycle blackbody
+propagator), then a bright/dark outcome is emitted: dark with the
+detection fidelity when the molecule occupies the rotational ground level,
+dark with the noise floor otherwise.  Measurement never alters the state.
 
 Exactly four uniform variates are drawn per cycle in a fixed order
 (collision gate, jump gate / collision resample, jump target, emission),
@@ -28,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import dataio
-from .bbr_kinetics import build_rate_matrix
+from .bbr_kinetics import _expm, build_rate_matrix
 from .spectroscopy import (
     ROT_GROUND,
     MolecularConstants,
@@ -163,17 +162,16 @@ class TrialDataset:
 class TrajectoryDynamics:
     """Precomputed stochastic-step tables for one (constants, config) pair.
 
-    Indexes every level of the full two-manifold set by its level code; the
-    radiative levels carry one-jump-per-cycle transition tables derived
-    from the exponentiated generator column (stay probability
-    exp(G_ii dt), targets weighted by their off-diagonal rates); the
-    simulator applies the rule of :meth:`step_code` at events only, the next
-    jump being the first cycle whose gate clears the stay probability.  The
-    one-jump restriction is accurate to O((rate * dt)^2).  The fastest
-    levels are those of v = 1: at 300 K their out-rates reach 6.4 /s
-    (5.25 /s for v = 1, J = 3/2), up to 0.26 per 40 ms cycle.  At most one
-    jump fires per cycle, so a leave-and-return inside one cycle, such as
-    ground -> v = 1 -> ground, is not represented.
+    Levels are indexed by level code.  The radiative generator R (zero on
+    the Omega = 1/2 levels) has R pi = 0 and zero column sums, so it
+    commutes with collisions at rate gamma and the exact propagator of a
+    cycle dt is exp(-gamma dt) exp(R dt) + (1 - exp(-gamma dt)) pi 1^T: a
+    collision gate, then a draw from the level's column of exp(R dt), whose
+    diagonal is ``stay_prob`` and the rest the dense ``jump_cum`` row.  So
+    in-cycle round trips such as ground -> v = 1 -> ground count; at 300 K
+    the v = 1 levels leave at up to 6.4 /s (5.25 /s for v = 1, J = 3/2), up
+    to 0.26 per 40 ms cycle.  The simulator applies :meth:`step_code` at
+    events only, a jump at the first cycle whose gate clears ``stay_prob``.
     """
 
     def __init__(self, constants: MolecularConstants, *, temperature: float,
@@ -188,34 +186,29 @@ class TrajectoryDynamics:
         self.thermal_cum = np.cumsum(boltz / boltz.sum())
         self.thermal_cum[-1] = 1.0  # guard the top edge against roundoff
 
-        # Radiative level i is level code i: the generator's columns are
-        # the first codes' jump tables.
+        # Radiative level i is level code i, so a draw from a jump row (its
+        # column clipped at 0 against Pade roundoff) is the target code.
         n_states = len(self.states)
         self.stay_prob = np.ones(n_states)
-        self.jump_codes: list[np.ndarray | None] = [None] * n_states
-        self.jump_cum: list[np.ndarray | None] = [None] * n_states
+        self.jump_cum: list[list[float] | None] = [None] * n_states
         generator = build_rate_matrix(constants, temperature).generator
-        for code, column in enumerate(generator.T):
-            out_rate = -column[code]
-            self.stay_prob[code] = math.exp(-out_rate * cycle)
-            column = column.copy()
-            column[code] = 0.0
-            targets = np.nonzero(column > 0.0)[0]
-            if targets.size and out_rate > 0.0:
-                cum = np.cumsum(column[targets] / out_rate)
-                cum[-1] = 1.0
-                self.jump_codes[code] = targets
-                self.jump_cum[code] = cum
+        for code, column in enumerate(_expm(generator * cycle).T):
+            self.stay_prob[code] = column[code]
+            weights = np.clip(column, 0.0, None)
+            weights[code] = 0.0
+            targets = np.flatnonzero(weights)
+            if targets.size:
+                cum = np.cumsum(weights / weights.sum())
+                cum[targets[-1]:] = 1.0  # no draw lands past the last target
+                self.jump_cum[code] = cum.tolist()
 
     @classmethod
     def for_config(
         cls, config: ExperimentConfig, constants: MolecularConstants | None = None
     ) -> "TrajectoryDynamics":
         return _dynamics_cached(
-            constants or MolecularConstants(),
-            config.temperature,
-            config.cycle,
-            config.collision_rate,
+            constants or MolecularConstants(), temperature=config.temperature,
+            cycle=config.cycle, collision_rate=config.collision_rate,
         )
 
     def code_of(self, state: RoVibState) -> int:
@@ -232,17 +225,10 @@ class TrajectoryDynamics:
         cum = self.jump_cum[code]
         if cum is None or u_gate < self.stay_prob[code]:
             return code
-        codes = self.jump_codes[code]
-        return int(codes[np.searchsorted(cum, u_target, side="right")])
+        return bisect_right(cum, u_target)
 
 
-@lru_cache(maxsize=16)
-def _dynamics_cached(
-    constants: MolecularConstants, temperature: float, cycle: float, collision_rate: float
-) -> TrajectoryDynamics:
-    return TrajectoryDynamics(
-        constants, temperature=temperature, cycle=cycle, collision_rate=collision_rate
-    )
+_dynamics_cached = lru_cache(maxsize=16)(TrajectoryDynamics)
 
 
 def _simulate_arrays(config: ExperimentConfig, constants: MolecularConstants,
@@ -254,8 +240,7 @@ def _simulate_arrays(config: ExperimentConfig, constants: MolecularConstants,
     gate = u[:, 1]
     stops = iter(np.flatnonzero(u[:, 0] < dyn.collision_prob).tolist() + [n_cycles])
     stop = next(stops)  # the next collision, or the end of the stream
-    cums, targets = ([None if c is None else c.tolist() for c in t]
-                     for t in (dyn.jump_cum, dyn.jump_codes))
+    cums = dyn.jump_cum
     labels = np.zeros(n_cycles, dtype=np.int8)
     k = start = 0  # labels are written below k, the gate is searched from start
     while True:
@@ -277,7 +262,7 @@ def _simulate_arrays(config: ExperimentConfig, constants: MolecularConstants,
             stop = next(stops)
             code = dyn.sample_thermal_code(gate[event])
         else:
-            code = targets[code][bisect_right(cums[code], u[event, 2])]
+            code = bisect_right(cums[code], u[event, 2])
         k, start = event, event + 1
     dark = u[:, 3] < config.p_bright_noise
     in_ground = np.flatnonzero(labels)
@@ -297,15 +282,8 @@ def simulate_trial(
     """
     if n_cycles < 1:
         raise ValueError(f"n_cycles must be >= 1, got {n_cycles!r}")
+    n_cycles = _capped_cycles(config, n_cycles)
     constants = constants or MolecularConstants()
-    cap = config.trial_duration_cap
-    if cap is not None:
-        # Count the cycles whose end time (k + 1) * cycle lies within the
-        # cap; int(cap / cycle) alone can round one cycle short.
-        n_capped = int(cap / config.cycle) + 1
-        while n_capped * config.cycle > cap:
-            n_capped -= 1
-        n_cycles = min(n_cycles, n_capped)
     rng = np.random.default_rng(config.rng_seed)
     outcomes, labels = _simulate_arrays(config, constants, rng, n_cycles)
     return TrialDataset(outcomes, labels, config)
@@ -320,6 +298,22 @@ def _cycles_in(hours: float, cycle: float) -> int:
     if n_cycles < 1:
         raise ValueError(f"hours {hours:g} rounds to zero cycles of {cycle:g} s")
     return n_cycles
+
+
+def _capped_cycles(config: ExperimentConfig, n_cycles: int) -> int:
+    """``n_cycles`` cut to those ending within the cap; ValueError at zero."""
+    cap = config.trial_duration_cap
+    if cap is None:
+        return n_cycles
+    # Count the cycles whose end time (k + 1) * cycle lies within the cap;
+    # int(cap / cycle) alone can round one cycle short.
+    n_capped = int(cap / config.cycle) + 1
+    while n_capped * config.cycle > cap:
+        n_capped -= 1
+    if n_capped < 1:
+        raise ValueError(f"trial_duration_cap {cap:g} s is shorter than one cycle "
+                         f"({config.cycle:g} s)")
+    return min(n_cycles, n_capped)
 
 
 def simulate_hours(
@@ -337,13 +331,14 @@ def ensemble_ground_occupancy(
 ) -> np.ndarray:
     """Ground-level occupancy fraction of ``n_trials`` independent runs.
 
-    Each run covers ``hours`` of wall-clock time with its own RNG stream
-    spawned from the config seed, so the ensemble is reproducible yet the
-    streams are statistically independent.
+    Each run covers ``hours`` of wall-clock time, or the configured
+    ``trial_duration_cap`` if shorter, with its own RNG stream spawned
+    from the config seed, so the ensemble is reproducible yet the streams
+    are statistically independent.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    n_cycles = _cycles_in(hours, config.cycle)
+    n_cycles = _capped_cycles(config, _cycles_in(hours, config.cycle))
     constants = constants or MolecularConstants()
     children = np.random.SeedSequence(config.rng_seed).spawn(n_trials)
     fractions = np.empty(n_trials)

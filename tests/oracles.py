@@ -22,9 +22,9 @@ reader and columnar writers against:
   weights of one manifold.
 - ``rate_generator``: the rate-matrix generator from a loop over the
   (upper, lower) level pairs, one scalar pair of entries each.
-- ``dynamics_tables``: the simulator's jump and thermal tables keyed
-  through a state-to-code dict and a ``StateDistribution``, as built before
-  the generator columns were read by level code.
+- ``dynamics_tables``: the simulator's jump and thermal tables, read
+  from the one-cycle propagator's columns through a state-to-code dict and
+  a ``StateDistribution`` rather than by level code.
 - ``evolve_populations``: every snapshot propagated and checked at once.
 - ``rethermalization_time``: the full 600 s horizon, then the first
   crossing; built on the two above.
@@ -382,30 +382,29 @@ def rate_generator(c: MolecularConstants, T: float) -> np.ndarray:
 
 
 def dynamics_tables(c: MolecularConstants, T: float, cycle: float):
-    """(stay_prob, jump_codes, jump_cum, thermal_cum) through state lookups."""
+    """(stay_prob, jump_cum, thermal_cum) through state lookups."""
     states = enumerate_levels(c)
     code_of = {state: i for i, state in enumerate(states)}
     dist = thermal_distribution(c, T)
     thermal_cum = np.cumsum(np.array([dist.probability(s) for s in states]))
     thermal_cum[-1] = 1.0
-    m = build_rate_matrix(c, T)
     levels = radiative_levels(c)
+    step = _expm(build_rate_matrix(c, T).generator * cycle)
     stay_prob = np.ones(len(states))
-    jump_codes = [None] * len(states)
     jump_cum = [None] * len(states)
     for i, state in enumerate(levels):
         code = code_of[state]
-        out_rate = -m.generator[i, i]
-        stay_prob[code] = math.exp(-out_rate * cycle)
-        column = m.generator[:, i].copy()
-        column[i] = 0.0
-        targets = np.nonzero(column > 0.0)[0]
-        if targets.size and out_rate > 0.0:
-            cum = np.cumsum(column[targets] / out_rate)
-            cum[-1] = 1.0
-            jump_codes[code] = np.array([code_of[levels[k]] for k in targets])
-            jump_cum[code] = cum
-    return stay_prob, jump_codes, jump_cum, thermal_cum
+        stay_prob[code] = step[i, i]
+        weights = np.zeros(len(levels))
+        for k, target in enumerate(levels):
+            if k != i and step[k, i] > 0.0:
+                weights[code_of[target]] = step[k, i]
+        last = max((k for k in range(len(levels)) if weights[k] > 0.0), default=None)
+        if last is not None:
+            cum = np.cumsum(weights / weights.sum())
+            cum[last:] = 1.0
+            jump_cum[code] = cum.tolist()
+    return stay_prob, jump_cum, thermal_cum
 
 
 def evolve_populations(gen, p0, duration, snapshots, tol=1e-8):

@@ -227,6 +227,15 @@ class TestSimulate:
         }
         assert {name: sha256_digest(Path(name)) for name in digests} == digests
 
+    def test_golden_digest_two_hours(self, tmp_path):
+        # The 0.05 h stream above comes out the same under a kernel that
+        # fires one jump per cycle at most; this 2 h stream does not.
+        argv = ["simulate", "--paper-defaults", "--hours", "2", "--seed", "7"]
+        assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+        assert sha256_digest(tmp_path / "dataset.csv") == (
+            "d60ae809ed39b003808ca7395c46921ab454ca3bbb68d76a80f0d64f5215cf17"
+        )
+
     @pytest.mark.parametrize("seed, visits", [("416", 5), ("7", 0)])
     def test_manifest_counts_match_dataset(self, tmp_path, seed, visits):
         # Seed 416 starts in the ground level, which counts as a visit, and

@@ -280,6 +280,16 @@ class TestSupervisedEstimation:
         with pytest.raises(ValueError):
             estimate_params_supervised([(np.zeros(3, dtype=int), np.zeros(4, dtype=int))])
 
+    def test_na_and_out_of_range_values_rejected(self):
+        # A dataset's NA label reads as -1; np.add.at would wrap it to the
+        # signal row, and an outcome of 2 would fail as an IndexError.
+        obs = [0, 1, 1, 0, 0, 1, 0, 0]
+        labels = [0, -1, -1, 0, 0, 1, 0, 0]
+        with pytest.raises(ValueError, match="^labels must be 0 or 1, got -1$"):
+            estimate_params_supervised([(obs, labels)])
+        with pytest.raises(ValueError, match="^observations must be 0 or 1, got 2$"):
+            estimate_params_supervised([([0, 2, 1, 0], [0, 1, 1, 0])])
+
     def test_error_shrinks_with_more_data(self):
         # Deterministic seeds; the 8x larger corpus must estimate the
         # emission rates more accurately on average.
@@ -425,6 +435,15 @@ class TestEvaluate:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             evaluate([0, 1], [0, 1, 0])
+
+    def test_na_and_out_of_range_values_rejected(self):
+        # An NA truth label (-1) would drop its record from every count.
+        with pytest.raises(ValueError, match="^truth must be 0 or 1, got -1$"):
+            evaluate([1, 1, 0], [-1, 1, 0])
+        with pytest.raises(ValueError, match="^predictions must be 0 or 1, got 2$"):
+            evaluate([2, 1, 0], [1, 1, 0])
+        with pytest.raises(ValueError, match="^predictions must be one-dimensional$"):
+            evaluate([[1, 0]], [1, 0])
 
 
 class TestDecodedCsv:

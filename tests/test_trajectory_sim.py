@@ -8,12 +8,12 @@ from dataclasses import replace
 import numpy as np
 import oracles
 import pytest
+import scipy.linalg
 from scipy import stats
 
 from dpqlsim import trajectory_sim
 from dpqlsim.bbr_kinetics import build_rate_matrix, radiative_levels
 from dpqlsim.dataio import (
-    DATASET_HEADER,
     config_from_mapping,
     config_to_mapping,
     read_dataset_csv,
@@ -133,20 +133,21 @@ class TestRecordsAndDatasets:
             # ground level, so even short streams carry both labels.
             temperature=2.0, collision_rate=25.0,
         )
+        if cap is not None and cap < cfg.cycle:  # the 0.039 s cap holds no 40 ms cycle
+            with pytest.raises(ValueError, match="shorter than one cycle"):
+                simulate_trial(cfg, n)
+            return
         ds = simulate_trial(cfg, n)
         rows = list(ds.records)
         size = ds.outcomes().size
         assert len(ds.records) == len(rows) == size == ds.hidden_labels().size
-        if size:
-            assert ds.records[-1] == rows[-1]
-            assert ds.records[-size] == rows[0]
-            assert rows[-1][0] == size - 1
+        assert ds.records[-1] == rows[-1]
+        assert ds.records[-size] == rows[0]
+        assert rows[-1][0] == size - 1
         with pytest.raises(IndexError):
             ds.records[size]
         path = tmp_path / "trial.csv"
         ds.to_csv(path)
-        if not size:  # the 0.039 s cap holds no 40 ms cycle: header only
-            assert path.read_text() == ",".join(DATASET_HEADER) + "\n"
         back = read_dataset_csv(path)
         assert [(i, o, h) for i, o, _, h in back] == [(i, o, h) for i, o, _, h in rows]
         assert [f"{t:.10g}" for _, _, t, _ in back] == [f"{t:.10g}" for _, _, t, _ in rows]
@@ -186,6 +187,14 @@ class TestSimulateTrial:
         ds = simulate_trial(ExperimentConfig(trial_duration_cap=1.16), 30000)
         assert len(ds.records) == 29
         assert ds.records[-1][2] == 1.16
+
+    def test_cap_shorter_than_a_cycle_rejected(self):
+        # Both entry points go through one capped-cycle count.
+        cfg = ExperimentConfig(trial_duration_cap=0.01)
+        with pytest.raises(ValueError, match=r"trial_duration_cap 0.01 s .* \(0.04 s\)"):
+            simulate_trial(cfg, 100)
+        with pytest.raises(ValueError, match="shorter than one cycle"):
+            ensemble_ground_occupancy(cfg, 2, 0.5)
 
     def test_simulate_hours_sizes_trial(self):
         ds = simulate_hours(ExperimentConfig(rng_seed=2), 0.1)
@@ -241,13 +250,17 @@ class TestDynamics:
         assert dyn.collision_prob == pytest.approx(-math.expm1(-0.008 * 0.040), rel=1e-12)
 
     def test_ground_stay_probability_matches_lifetime(self):
+        # The stay probability is the propagator's diagonal entry.  It is
+        # above the survival exp(-dt / tau) because leave-and-return paths
+        # inside the cycle only add to it.
         from dpqlsim.bbr_kinetics import ground_state_residence_lifetime
 
         dyn = TrajectoryDynamics.for_config(ExperimentConfig())
+        g = dyn.ground_code
+        exact = _radiative_step(300.0)[g, g]
+        assert dyn.stay_prob[g] == pytest.approx(exact, rel=0.0, abs=1e-12)
         tau = ground_state_residence_lifetime(CONSTANTS, 300.0)
-        assert dyn.stay_prob[dyn.ground_code] == pytest.approx(
-            math.exp(-0.040 / tau), rel=1e-6
-        )
+        assert dyn.stay_prob[g] >= math.exp(-0.040 / tau)
 
     @pytest.mark.parametrize(
         "c, T, cycle",
@@ -257,14 +270,30 @@ class TestDynamics:
     )
     def test_tables_match_state_keyed_build_bit_for_bit(self, c, T, cycle):
         dyn = TrajectoryDynamics(c, temperature=T, cycle=cycle, collision_rate=0.008)
-        stay_prob, jump_codes, jump_cum, thermal_cum = oracles.dynamics_tables(c, T, cycle)
+        stay_prob, jump_cum, thermal_cum = oracles.dynamics_tables(c, T, cycle)
         assert dyn.stay_prob.tobytes() == stay_prob.tobytes()
         assert dyn.thermal_cum.tobytes() == thermal_cum.tobytes()
-        for got, want in zip(dyn.jump_codes + dyn.jump_cum, jump_codes + jump_cum):
+        assert len(dyn.jump_cum) == len(jump_cum)
+        for got, want in zip(dyn.jump_cum, jump_cum):
             assert (got is None and want is None) or (
-                got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                np.array(got).tobytes() == np.array(want).tobytes()
             )
         assert dyn.states[dyn.ground_code] == ROT_GROUND
+
+    @pytest.mark.parametrize(
+        "c, T",
+        [(CONSTANTS, 200.0), (CONSTANTS, 300.0), (CONSTANTS, 450.0), (CONSTANTS, 600.0),
+         (MolecularConstants(v_max=2, J_count=5), 300.0)],
+        ids=["200K", "300K", "450K", "600K", "v_max=2,J_count=5"],
+    )
+    def test_one_cycle_matrix_is_the_exact_propagator(self, c, T):
+        # The simulator's one-cycle matrix (collision gate, then a table
+        # draw) against scipy's expm of the full generator.
+        dyn = TrajectoryDynamics(c, temperature=T, cycle=0.040, collision_rate=0.008)
+        step = _per_cycle_matrix(dyn)
+        pi, exact = _exact_kernel(dyn, T, collision_rate=0.008, cycle=0.040)
+        assert np.abs(step - exact).max() <= 1e-12
+        assert np.abs(pi @ step - pi).max() <= 1e-14
 
     def test_code_of_outside_the_truncation_rejected(self):
         dyn = TrajectoryDynamics.for_config(ExperimentConfig())
@@ -310,9 +339,7 @@ class TestDynamics:
                     continue
                 mask = rest & (codes == code) & (u[:, 1] >= dyn.stay_prob[code])
                 if mask.any():
-                    new[mask] = dyn.jump_codes[code][
-                        np.searchsorted(cum, u[mask, 2], side="right")
-                    ]
+                    new[mask] = np.searchsorted(cum, u[mask, 2], side="right")
             codes = new
 
         counts = np.bincount(codes, minlength=len(dyn.states))
@@ -334,9 +361,27 @@ class TestDynamics:
 
 
 def _table_weights(dyn: TrajectoryDynamics, code: int) -> np.ndarray:
-    """Jump-target weights of one level, read back from the cumulative table."""
+    """Jump-target weights of one level, read back from its dense cumulative row."""
     weights = np.zeros(len(dyn.states))
-    weights[dyn.jump_codes[code]] = np.diff(dyn.jump_cum[code], prepend=0.0)
+    cum = dyn.jump_cum[code]
+    weights[: len(cum)] = np.diff(cum, prepend=0.0)
+    return weights
+
+
+def _radiative_step(T: float) -> np.ndarray:
+    """scipy's exp(G * 40 ms) of the radiative generator, column-stochastic."""
+    return scipy.linalg.expm(build_rate_matrix(CONSTANTS, T).generator * 0.040)
+
+
+def _step_weights(dyn: TrajectoryDynamics, state: RoVibState) -> np.ndarray:
+    """Normalized off-diagonal 300 K propagator column of one level, in dyn's codes."""
+    levels = radiative_levels(CONSTANTS)
+    i = levels.index(state)
+    column = _radiative_step(300.0)[:, i].copy()
+    column[i] = 0.0
+    weights = np.zeros(len(dyn.states))
+    for k, level in enumerate(levels):
+        weights[dyn.code_of(level)] = column[k] / column.sum()
     return weights
 
 
@@ -351,6 +396,20 @@ def _oracle_weights(dyn: TrajectoryDynamics, state: RoVibState) -> np.ndarray:
     for k, level in enumerate(levels):
         weights[dyn.code_of(level)] = column[k] / -m.generator[i, i]
     return weights
+
+
+def _exact_kernel(dyn: TrajectoryDynamics, T: float, collision_rate: float,
+                  cycle: float) -> tuple[np.ndarray, np.ndarray]:
+    """(thermal pi, row-stochastic scipy expm(Q cycle)) in dyn's level codes,
+    Q being the radiative rates on the Omega = 3/2 levels plus collisions
+    that re-thermalize at ``collision_rate``."""
+    n = len(dyn.states)
+    dist = thermal_distribution(dyn.constants, T)
+    pi = np.array([dist.probability(s) for s in dyn.states])
+    codes = [dyn.code_of(s) for s in radiative_levels(dyn.constants)]
+    gen = collision_rate * (np.outer(pi, np.ones(n)) - np.eye(n))
+    gen[np.ix_(codes, codes)] += build_rate_matrix(dyn.constants, T).generator
+    return pi, scipy.linalg.expm(gen * cycle).T
 
 
 def _per_cycle_matrix(dyn: TrajectoryDynamics) -> np.ndarray:
@@ -380,28 +439,27 @@ class TestReturnChannel:
     V1_J32 = RoVibState(1, 3, 3)
 
     def test_ground_jumps_land_in_v1(self):
+        # The table is the exact one-cycle row; the first jump out of the
+        # ground level follows the generator's rate ratios.
         dyn = TrajectoryDynamics.for_config(ExperimentConfig())
-        oracle = _oracle_weights(dyn, ROT_GROUND)
         table = _table_weights(dyn, dyn.ground_code)
-        assert np.allclose(table, oracle, rtol=0.0, atol=1e-12)
+        assert np.allclose(table, _step_weights(dyn, ROT_GROUND), rtol=0.0, atol=1e-12)
         v1 = np.array([s.v == 1 for s in dyn.states])
-        assert table[v1].sum() >= 0.99
+        assert _oracle_weights(dyn, ROT_GROUND)[v1].sum() >= 0.99
 
     def test_v1_j32_returns_to_ground(self):
         dyn = TrajectoryDynamics.for_config(ExperimentConfig())
-        code = dyn.code_of(self.V1_J32)
+        table = _table_weights(dyn, dyn.code_of(self.V1_J32))
+        assert np.allclose(table, _step_weights(dyn, self.V1_J32), rtol=0.0, atol=1e-12)
         oracle = _oracle_weights(dyn, self.V1_J32)
-        table = _table_weights(dyn, code)
-        assert np.allclose(table, oracle, rtol=0.0, atol=1e-12)
-        assert table[dyn.ground_code] == pytest.approx(0.60, abs=0.005)
+        assert oracle[dyn.ground_code] == pytest.approx(0.60, abs=0.005)
 
     def test_out_rates_within_docstring_bound(self):
-        # The bound quoted in the TrajectoryDynamics docstring.
-        dyn = TrajectoryDynamics.for_config(ExperimentConfig())
-        assert -np.log(dyn.stay_prob).max() <= 0.26
-        assert -math.log(dyn.stay_prob[dyn.code_of(self.V1_J32)]) == pytest.approx(
-            0.21, abs=0.005
-        )
+        # The out-rates quoted in the TrajectoryDynamics docstring, per cycle.
+        out_rates = -np.diag(build_rate_matrix(CONSTANTS, 300.0).generator) * 0.040
+        assert out_rates.max() <= 0.26
+        v1_j32 = radiative_levels(CONSTANTS).index(self.V1_J32)
+        assert out_rates[v1_j32] == pytest.approx(0.21, abs=0.005)
 
     def test_quick_return_share_matches_absorbing_chain(self):
         # Exact share of departures from the ground level that are back
@@ -430,6 +488,30 @@ class TestReturnChannel:
         se = math.sqrt(expected * (1.0 - expected) / len(back))
         assert 0.35 <= expected <= 0.45
         assert abs(share - expected) <= 3.0 * se
+
+
+def _share_central_moments(step: np.ndarray, pi: np.ndarray, g: int, n: int) -> list[float]:
+    """Exact central moments 0-4 of the ground share over n stationary steps.
+
+    With S the ground count, E[exp(t (S - n pi_g))] = pi^T (P D(t))^n 1,
+    D(t) = diag(exp(t h)) and h = 1{ground} - pi_g; the power is taken by
+    squaring on its Taylor coefficients in t, truncated after t^4.
+    """
+    h = -pi[g] * np.ones(len(pi))
+    h[g] += 1.0
+    base = [step * h**k / math.factorial(k) for k in range(5)]
+
+    def times(x, y):
+        return [sum(x[i] @ y[k - i] for i in range(k + 1)) for k in range(5)]
+
+    power, m = None, n
+    while m:
+        if m & 1:
+            power = base if power is None else times(power, base)
+        m >>= 1
+        if m:
+            base = times(base, base)
+    return [math.factorial(k) * float(pi @ power[k].sum(axis=1)) / n**k for k in range(5)]
 
 
 def _run_both(config: ExperimentConfig, n: int, seed: int):
@@ -579,6 +661,46 @@ class TestEnsemble:
                 ensemble_ground_occupancy(ExperimentConfig(), 2, hours)
             with pytest.raises(ValueError, match=match):
                 simulate_hours(ExperimentConfig(), hours)
+
+    def test_duration_cap_applies(self):
+        # A 1 s cap leaves 25 cycles of each 0.5 h stream: the same fractions
+        # as uncapped 1 s streams, all multiples of 1/25.
+        cfg = ExperimentConfig(rng_seed=3, temperature=450.0)
+        capped = ensemble_ground_occupancy(replace(cfg, trial_duration_cap=1.0), 3, 0.5)
+        assert np.array_equal(capped, ensemble_ground_occupancy(cfg, 3, 1.0 / 3600.0))
+        assert np.array_equal(capped * 25, np.round(capped * 25))
+        assert not np.array_equal(capped, ensemble_ground_occupancy(cfg, 3, 0.5))
+
+    @pytest.mark.parametrize("temperature", [300.0, 450.0])
+    def test_ground_share_mean_and_sd_match_the_kernel(self, temperature):
+        # 100 streams of 2 h against the exact moments of an n-cycle ground
+        # share under the kernel P = expm(Q dt), row-stochastic, with
+        # A = P - 1 pi^T and the fundamental matrix Z = (I - A)^-1: the mean
+        # is pi_g, and with C(k) = pi_g (A^k)_gg the variance is
+        # (n pi_g (1 - pi_g) + 2 sum_{k<n} (n - k) C(k)) / n^2, where
+        # sum_{k=1}^{n-1} (n - k) A^k = n (Z - I) - A (I - A^n) Z^2.
+        cfg = ExperimentConfig(rng_seed=60, temperature=temperature)
+        dyn = TrajectoryDynamics.for_config(cfg)
+        n_states, g, n = len(dyn.states), dyn.ground_code, 180000
+        pi, step = _exact_kernel(dyn, temperature, cfg.collision_rate, cfg.cycle)
+        a = step - np.outer(np.ones(n_states), pi)
+        ident = np.eye(n_states)
+        z = np.linalg.inv(ident - a)
+        lagged = n * (z - ident) - a @ (ident - np.linalg.matrix_power(a, n)) @ z @ z
+        mean = pi[g]
+        var = (n * mean * (1.0 - mean) + 2.0 * mean * lagged[g, g]) / n**2
+        moments = _share_central_moments(step, pi, g, n)
+        assert moments[2] == pytest.approx(var, rel=1e-9)
+
+        shares = ensemble_ground_occupancy(cfg, 100, 2.0)
+        size = shares.size
+        assert abs(shares.mean() - mean) <= 3.0 * math.sqrt(var / size)
+        # The sample variance's standard error from the share's exact fourth
+        # moment.  The plug-in fourth moment of the 100 shares is no gate: the
+        # share is heavy-tailed (kurtosis 5.6 at 300 K), and an ensemble that
+        # misses the tail understates its variance and that moment together.
+        se_var = math.sqrt((moments[4] - var**2 * (size - 3) / (size - 1)) / size)
+        assert abs(shares.var(ddof=1) - var) <= 3.0 * se_var
 
     def test_one_cycle_trials(self):
         fractions = ensemble_ground_occupancy(ExperimentConfig(), 3, 0.6 * 0.04 / 3600.0)
