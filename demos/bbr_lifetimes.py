@@ -9,6 +9,8 @@ calibration, and extracts the residence lifetime as a function of the
 environment temperature.
 """
 
+import numpy as np
+
 from dpqlsim.bbr_kinetics import (
     build_einstein_coefficients,
     build_rate_matrix,
@@ -18,12 +20,7 @@ from dpqlsim.bbr_kinetics import (
     rethermalization_time,
     restricted_boltzmann,
 )
-from dpqlsim.spectroscopy import (
-    ROT_GROUND,
-    MolecularConstants,
-    RoVibState,
-    StateDistribution,
-)
+from dpqlsim.spectroscopy import ROT_GROUND, MolecularConstants, RoVibState, level_code
 
 constants = MolecularConstants()
 
@@ -50,13 +47,16 @@ t63 = rethermalization_time(constants, 300.0)
 print(f"\nrethermalization (63% of thermal ground population): {t63:.1f} s")
 
 # The approach is not monotone: population cascading down the ladder
-# overshoots the stationary ground-level value before settling.
+# overshoots the stationary ground-level value before settling.  Populations
+# are vectors over the radiative levels, indexed by level code.
 m = build_rate_matrix(constants, 300.0)
 start = RoVibState(0, 3, 11)
-traj = evolve_populations(m, StateDistribution({start: 1.0}), 200.0, snapshots=401)
+p0 = np.zeros(len(m.generator))
+p0[level_code(start, constants)] = 1.0
+traj = evolve_populations(m, p0, 200.0, snapshots=401)
 pg = traj.population_of(ROT_GROUND)
 peak_idx = int(pg.argmax())
-stationary = restricted_boltzmann(constants, 300.0).probability(ROT_GROUND)
+stationary = restricted_boltzmann(constants, 300.0)[level_code(ROT_GROUND, constants)]
 print(f"starting from J = {start.two_J}/2: ground population peaks at "
       f"{pg[peak_idx]:.4f} (t = {traj.times[peak_idx]:.0f} s), "
       f"stationary value {stationary:.4f}")

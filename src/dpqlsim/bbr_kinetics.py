@@ -36,12 +36,11 @@ from .spectroscopy import (
     ROT_GROUND,
     MolecularConstants,
     RoVibState,
-    StateDistribution,
     _boltzmann,
     _check_temperature,
-    _level_code,
     _level_table,
     degeneracy,
+    level_code,
     most_probable_rotational_state,
     thermal_population,
 )
@@ -129,13 +128,6 @@ def radiative_levels(c: MolecularConstants) -> list[RoVibState]:
     return list(_level_table(c)[0][: (c.v_max + 1) * c.J_count])
 
 
-def _radiative_code(state: RoVibState, c: MolecularConstants) -> int:
-    """Rate-matrix index of a level; ValueError outside the radiative set."""
-    if state.two_omega != _RADIATIVE_TWO_OMEGA:
-        raise ValueError(f"{state.label()} is not in the radiative level set")
-    return _level_code(state, c)
-
-
 def _honl_london_pair(two_J_hi: int, two_omega: int) -> float:
     # P/R-type line strength for the pair (J_hi, J_hi - 1) at fixed Omega.
     J, O = two_J_hi / 2.0, two_omega / 2.0
@@ -169,7 +161,7 @@ class EinsteinCoefficients:
 
     def total_decay_rate(self, upper: RoVibState) -> float:
         """Sum of spontaneous rates out of one level."""
-        code = _level_code(upper, self.constants)
+        code = level_code(upper, self.constants)
         return sum(self.A[self.upper == code].tolist())
 
 
@@ -209,8 +201,8 @@ def build_einstein_coefficients(c: MolecularConstants) -> EinsteinCoefficients:
     energies = energies.tolist()  # Python floats keep nu**3 a scalar power
     pairs = []  # (upper code, lower code, A, frequency)
 
-    def code(v: int, n: int) -> int:
-        return _level_code(RoVibState(v, _RADIATIVE_TWO_OMEGA, _RADIATIVE_TWO_OMEGA + 2 * n), c)
+    def code(v: int, n: int) -> int:  # the radiative codes run v, then n
+        return v * c.J_count + n
 
     def add_pair(u: int, l: int, strength: float, mu: float):
         nu = (energies[u] - energies[l]) * _HZ_PER_CM
@@ -265,9 +257,6 @@ class RateMatrix:
         if residual > 1e-12:
             raise ValueError(f"generator columns sum to {residual:.3e} relative, expected 0")
 
-    def index_of(self, state: RoVibState) -> int:
-        return _radiative_code(state, self.constants)
-
 
 def build_rate_matrix(c: MolecularConstants, T: float) -> RateMatrix:
     """Generator combining spontaneous decay with thermal pumping at T.
@@ -290,16 +279,14 @@ def build_rate_matrix(c: MolecularConstants, T: float) -> RateMatrix:
     return RateMatrix(generator=gen, constants=c, temperature=T)
 
 
-def restricted_boltzmann(c: MolecularConstants, T: float) -> StateDistribution:
-    """Boltzmann distribution conditioned on the radiative level set.
+def restricted_boltzmann(c: MolecularConstants, T: float) -> np.ndarray:
+    """Boltzmann probabilities conditioned on the radiative set, by level code.
 
     This is the exact stationary vector of :func:`build_rate_matrix` at the
     same temperature.  T must be finite and positive.
     """
-    levels = radiative_levels(c)
-    boltz = _boltzmann(c, T)[: len(levels)]
-    boltz /= boltz.sum()
-    return StateDistribution(dict(zip(levels, boltz.tolist())), temperature=T)
+    boltz = _boltzmann(c, T)[: (c.v_max + 1) * c.J_count]
+    return boltz / boltz.sum()
 
 
 @dataclass(frozen=True)
@@ -313,7 +300,9 @@ class PopulationTrajectory:
 
     def population_of(self, state: RoVibState) -> np.ndarray:
         """Population of one level at every snapshot time."""
-        return self.populations[_radiative_code(state, self.constants)]
+        if state.two_omega != _RADIATIVE_TWO_OMEGA:
+            raise ValueError(f"{state.label()} is not in the radiative level set")
+        return self.populations[level_code(state, self.constants)]
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -340,23 +329,14 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _as_vector(init: StateDistribution, m: RateMatrix) -> np.ndarray:
-    p0 = np.zeros(len(m.generator))
-    for state, p in init.populations.items():
-        if p > 0.0:  # a level outside the radiative set may be listed at zero
-            p0[m.index_of(state)] += p
-    return p0
-
-
 def _checked_blocks(
-    m: RateMatrix, init: StateDistribution, times: np.ndarray, dt: float, tol: float, block: int
+    m: RateMatrix, p: np.ndarray, times: np.ndarray, dt: float, tol: float, block: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Propagate ``init`` by exp(G dt) over ``times``, ``block`` snapshots at a time.
+    """Propagate ``p`` by exp(G dt) over ``times``, ``block`` snapshots at a time.
 
     Yields (renormalized populations, raw sums minus one) per block once the
     checks of :func:`evolve_populations` pass on it; no block runs ahead.
     """
-    p = _as_vector(init, m)
     step = _expm(m.generator * dt)
     for k0 in range(0, len(times), block):
         raw = np.empty((len(p), min(block, len(times) - k0)))
@@ -380,28 +360,39 @@ def _checked_blocks(
 
 def evolve_populations(
     m: RateMatrix,
-    init: StateDistribution,
+    p0: np.ndarray,
     duration: float,
     tol: float = 1e-8,
     *,
     snapshots: int = 201,
 ) -> PopulationTrajectory:
-    """Propagate dp/dt = G p from ``init`` over ``duration`` seconds.
+    """Propagate dp/dt = G p from ``p0`` over ``duration`` seconds.
 
-    The generator is time independent, so each snapshot follows from the
-    last through the propagator exp(G dt) of the uniform grid step, taken
-    as a numpy degree-13 Pade approximant with scaling and squaring; it
-    needs no detailed-balance weights, so T = 0 works too.  The
-    result is checked as an invariant: :class:`IntegrationError` is raised
-    if a snapshot sum drifts from one by more than ``tol`` or a population
-    falls below -tol.
+    ``p0`` holds probabilities over the radiative level codes: one
+    non-negative entry per level, summing to one within 1e-9; else
+    ValueError.  The generator is time independent, so each snapshot
+    follows from the last through the propagator exp(G dt) of the uniform
+    grid step, taken as a numpy degree-13 Pade approximant with scaling
+    and squaring; it needs no detailed-balance weights, so T = 0 works
+    too.  The result is checked as an invariant: :class:`IntegrationError`
+    is raised if a snapshot sum drifts from one by more than ``tol`` or a
+    population falls below -tol.
     """
     if duration < 0.0:
         raise ValueError(f"duration must be >= 0, got {duration!r}")
+    if snapshots < 1:
+        raise ValueError(f"snapshots must be >= 1, got {snapshots!r}")
+    p0 = np.asarray(p0, dtype=float)
+    if p0.shape != (len(m.generator),):
+        raise ValueError(f"p0 has shape {p0.shape}, expected ({len(m.generator)},)")
+    if not (p0 >= 0.0).all():  # False for a NaN too
+        raise ValueError("p0 entries must be non-negative numbers")
+    if abs(p0.sum() - 1.0) > 1e-9:
+        raise ValueError(f"p0 sums to {p0.sum()!r}, expected 1 within 1e-9")
     times = np.linspace(0.0, duration, snapshots)
     dt = duration / max(snapshots - 1, 1)
     # One block: every snapshot is checked before any is returned.
-    [(populations, drift)] = _checked_blocks(m, init, times, dt, tol, max(snapshots, 1))
+    [(populations, drift)] = _checked_blocks(m, p0, times, dt, tol, snapshots)
     return PopulationTrajectory(
         times=times,
         constants=m.constants,
@@ -420,7 +411,7 @@ def ground_state_residence_lifetime(c: MolecularConstants, T: float) -> float:
     with no fit.
     """
     m = build_rate_matrix(c, T)
-    g = m.index_of(ROT_GROUND)
+    g = level_code(ROT_GROUND, c)
     gamma = -m.generator[g, g]
     if gamma <= 0.0:
         raise ValueError(f"ground level has no departure channels at T = {T:g} K")
@@ -438,12 +429,14 @@ def rethermalization_time(c: MolecularConstants, T: float) -> float:
     crosses; later ones are not computed, so they are not checked either.
     """
     m = build_rate_matrix(c, T)
-    init = StateDistribution({most_probable_rotational_state(c, T): 1.0})
-    target = 0.63 * restricted_boltzmann(c, T).probability(ROT_GROUND)
+    p0 = np.zeros(len(m.generator))
+    p0[level_code(most_probable_rotational_state(c, T), c)] = 1.0
+    g = level_code(ROT_GROUND, c)
+    target = 0.63 * restricted_boltzmann(c, T)[g]
     times = np.linspace(0.0, 600.0, 601)
     pg = np.empty(0)
-    for pops, _ in _checked_blocks(m, init, times, 1.0, 1e-8, _RETHERM_BLOCK):
-        pg = np.append(pg, pops[m.index_of(ROT_GROUND)])
+    for pops, _ in _checked_blocks(m, p0, times, 1.0, 1e-8, _RETHERM_BLOCK):
+        pg = np.append(pg, pops[g])
         above = np.nonzero(pg >= target)[0]
         if above.size:
             break

@@ -66,9 +66,10 @@ from .run_statistics import (
 from .spectroscopy import (
     ROT_GROUND,
     MolecularConstants,
-    _boltzmann,
-    _level_code,
-    _level_table,
+    enumerate_levels,
+    level_code,
+    level_energy,
+    thermal_distribution,
     thermal_population,
 )
 from .sweep_dynamics import SweepConfig, landau_zener_oracle, transfer_window_map
@@ -179,20 +180,20 @@ def cmd_thermal(
     """Thermal population table: one row per level, one column per T."""
     if not temperatures:
         raise UsageError("thermal needs at least one --temperature")
-    states, energies = _level_table(constants)[:2]
-    populations = [b / b.sum() for b in (_boltzmann(constants, T) for T in temperatures)]
+    states = enumerate_levels(constants)
+    populations = [thermal_distribution(constants, T) for T in temperatures]
     header = ["state", "v", "two_omega", "two_J", "energy_percm"] + [
         f"population_{T:g}K" for T in temperatures
     ]
     columns = [
         np.array([s.label() for s in states], "S"),
         *np.array([(s.v, s.two_omega, s.two_J) for s in states]).T,
-        energies,
+        np.array([level_energy(s, constants) for s in states]),
         *populations,
     ]
     path = out_dir / "thermal_populations.csv"
     write_table(path, header, columns)
-    ground = _level_code(ROT_GROUND, constants)
+    ground = level_code(ROT_GROUND, constants)
     for T, p in zip(temperatures, populations):
         print(f"T={T:g} K: P(ground rotational) = {p[ground]:.6f}")
     return {"thermal_populations.csv": path}, {}
@@ -274,13 +275,13 @@ def cmd_analyze(
         "n_records": int(outcomes.size),
     }
     if mode == "bins":
-        p_g, p_s = _detector_rates(constants, config)
-        observed = disjoint_bin_counts(outcomes, window)
         n_bins = outcomes.size // window
-        if n_bins < 1:
+        if n_bins < 1:  # before any array of window + 1 entries is made
             raise UsageError(
                 f"--window {window} is longer than the stream ({outcomes.size} records)"
             )
+        p_g, p_s = _detector_rates(constants, config)
+        observed = disjoint_bin_counts(outcomes, window)
         model = NoiseSignalModel(
             p_b=config.p_bright_noise,
             p_d=config.detection_fidelity,

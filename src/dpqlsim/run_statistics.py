@@ -265,34 +265,33 @@ def longest_run_cdf(n: int, x: int, p_dark: float) -> float:
 class SignificanceResult:
     """Longest-run significance summary for one (n, x) evaluation.
 
-    ``log10_p`` is the decimal logarithm of the p-value and defaults to
-    the one of ``p_value``; set it when the p-value lies below the float
-    range, where ``p_value`` reads 0.0 and ``z`` stays finite.  An
-    impossible event has p_value 0.0, log10_p -inf and z +inf.
+    ``log_p`` is the natural logarithm of the p-value, ``<= 0``; the
+    p-value, its decimal logarithm and the one-sided Gaussian ``z`` are
+    read from it, so a p-value below the float range reads 0.0 while
+    ``log10_p`` and ``z`` stay finite.  An impossible event has log_p -inf,
+    p_value 0.0 and z +inf.
     """
 
     n: int
     x: int
     p_dark: float
-    p_value: float
-    z: float
-    log10_p: float | None = None
+    log_p: float
 
     def __post_init__(self) -> None:
-        if self.log10_p is None:
-            if not 0.0 < self.p_value <= 1.0:
-                raise ValueError(f"p_value must lie in (0, 1], got {self.p_value!r}")
-            object.__setattr__(self, "log10_p", math.log10(self.p_value))
-        elif not (
-            self.log10_p <= 0.0
-            and math.isclose(self.p_value, 10.0**self.log10_p, rel_tol=1e-9, abs_tol=1e-300)
-        ):
-            raise ValueError(
-                f"p_value={self.p_value!r} inconsistent with log10_p={self.log10_p!r}"
-            )
-        expected = _z_from_log_p(self.log10_p * _LN10)
-        if not (self.z == expected or abs(self.z - expected) <= 1e-9):
-            raise ValueError(f"z={self.z!r} inconsistent with p={self.p_value!r}")
+        if not self.log_p <= 0.0:  # False for a NaN too
+            raise ValueError(f"log_p must be <= 0, got {self.log_p!r}")
+
+    @property
+    def p_value(self) -> float:
+        return math.exp(self.log_p)
+
+    @property
+    def log10_p(self) -> float:
+        return self.log_p / _LN10
+
+    @property
+    def z(self) -> float:
+        return _z_from_log_p(self.log_p)
 
     def to_json_dict(self) -> dict[str, object]:
         """Fields for a JSON report; an infinite ``z`` or ``log10_p`` becomes None (null)."""
@@ -309,11 +308,7 @@ class SignificanceResult:
 def significance(n: int, x: int, p_dark: float) -> SignificanceResult:
     """Full significance record for the event 'longest run exceeds x'."""
     _check_run_args(n, x, p_dark)
-    log_p = _log_exceedance(n, x, p_dark)
-    return SignificanceResult(
-        n=n, x=x, p_dark=p_dark, p_value=math.exp(log_p), z=_z_from_log_p(log_p),
-        log10_p=log_p / _LN10,
-    )
+    return SignificanceResult(n=n, x=x, p_dark=p_dark, log_p=_log_exceedance(n, x, p_dark))
 
 
 def find_longest_run(outcomes: Sequence[int] | np.ndarray) -> tuple[int, int]:
@@ -342,9 +337,7 @@ def observed_run_significance(
     n = int(outcomes.size)
     x_obs, _ = find_longest_run(outcomes)
     if x_obs == 0:
-        return SignificanceResult(
-            n=n, x=0, p_dark=p_dark, p_value=1.0, z=-math.inf
-        )
+        return SignificanceResult(n=n, x=0, p_dark=p_dark, log_p=0.0)
     inner = significance(n, x_obs - 1, p_dark)
     return replace(inner, x=x_obs)
 

@@ -20,8 +20,8 @@ two that cancels in every population ratio.
 A level's integer code is its position in :func:`enumerate_levels`:
 Omega = 3/2 first, then v, then n, so the radiatively coupled Omega = 3/2
 manifold is the prefix of the first ``(v_max + 1) * J_count`` codes and
-(v = 0, Omega = 3/2) the first ``J_count``.  Only this module maps a level
-to its code; the kinetics and the simulator index their arrays by it.
+(v = 0, Omega = 3/2) the first ``J_count``.  :func:`level_code` is the one
+map from a level to its code; populations are float arrays indexed by it.
 
 Half-integer angular momenta are stored doubled (``two_J`` = 2J,
 ``two_omega`` = 2*Omega) so quantum-number arithmetic stays exact.
@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -41,8 +41,8 @@ __all__ = [
     "PARITY_DOUBLET",
     "RoVibState",
     "MolecularConstants",
-    "StateDistribution",
     "ROT_GROUND",
+    "level_code",
     "level_energy",
     "degeneracy",
     "enumerate_levels",
@@ -159,45 +159,6 @@ class MolecularConstants:
             raise ValueError(f"J_count must be >= 1, got {self.J_count}")
 
 
-@dataclass(frozen=True)
-class StateDistribution:
-    """Probability table over rovibrational levels at a given temperature.
-
-    Entries must be non-negative and sum to one within 1e-9.
-    """
-
-    populations: Mapping[RoVibState, float]
-    temperature: float | None = None
-
-    def __post_init__(self) -> None:
-        total = 0.0
-        for state, p in self.populations.items():
-            if p < 0.0:
-                raise ValueError(f"negative population {p!r} for {state.label()}")
-            total += p
-        if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"populations sum to {total!r}, expected 1 within 1e-9")
-
-    def probability(self, state: RoVibState) -> float:
-        """Population of one level; zero if the level is not tabulated."""
-        return self.populations.get(state, 0.0)
-
-    def marginal(self, *, v: int | None = None, two_omega: int | None = None) -> float:
-        """Summed population over all levels matching the given filters."""
-        total = 0.0
-        for state, p in self.populations.items():
-            if v is not None and state.v != v:
-                continue
-            if two_omega is not None and state.two_omega != two_omega:
-                continue
-            total += p
-        return total
-
-    def argmax(self) -> RoVibState:
-        """Most populated level of the table."""
-        return max(self.populations, key=self.populations.__getitem__)
-
-
 def _check_temperature(T: float, *, zero_ok: bool = False) -> None:
     """Reject T unless it is a finite number > 0, or >= 0 with ``zero_ok``."""
     if not (isinstance(T, (int, float)) and 0.0 <= T < math.inf and (T > 0.0 or zero_ok)):
@@ -273,8 +234,11 @@ def _level_table(c: MolecularConstants):
     return states, energies, weights, dict(zip(states, range(len(states))))
 
 
-def _level_code(state: RoVibState, c: MolecularConstants) -> int:
-    """Code of a level; ValueError for a level outside the truncation."""
+def level_code(state: RoVibState, c: MolecularConstants) -> int:
+    """Code of a level: its index in every population array of the set.
+
+    ValueError for a level outside the truncation.
+    """
     code = _level_table(c)[3].get(state)
     if code is None:
         _check_in_truncation(state, c)  # every level inside it has a code
@@ -295,12 +259,7 @@ def partition_function(c: MolecularConstants, T: float) -> float:
 
 def thermal_population(state: RoVibState, c: MolecularConstants, T: float) -> float:
     """Boltzmann probability of one level (both parity components) at T."""
-    _check_temperature(T)
-    code = _level_code(state, c)
-    _, energies, weights, _ = _level_table(c)
-    # A scalar exp: np.exp can differ from math.exp in the last bit.
-    boltzmann = math.exp(-energies[code] / (KB_CM * T))
-    return float(weights[code] * boltzmann / partition_function(c, T))
+    return float(thermal_distribution(c, T)[level_code(state, c)])
 
 
 def manifold_population(
@@ -316,14 +275,15 @@ def manifold_population(
     ``manifold_population(c, T, v=0, two_omega=3) / manifold_population(c,
     T, v=0)``.
     """
-    return thermal_distribution(c, T).marginal(v=v, two_omega=two_omega)
+    keep = [(v is None or s.v == v) and (two_omega is None or s.two_omega == two_omega)
+            for s in _level_table(c)[0]]
+    return sum(thermal_distribution(c, T)[keep].tolist(), 0.0)  # Python floats, code order
 
 
-def thermal_distribution(c: MolecularConstants, T: float) -> StateDistribution:
-    """Full Boltzmann distribution over the truncated level set."""
+def thermal_distribution(c: MolecularConstants, T: float) -> np.ndarray:
+    """Boltzmann probabilities of the truncated level set, indexed by level code."""
     boltz = _boltzmann(c, T)
-    boltz /= boltz.sum()
-    return StateDistribution(dict(zip(_level_table(c)[0], boltz.tolist())), temperature=T)
+    return boltz / boltz.sum()
 
 
 def most_probable_rotational_state(c: MolecularConstants, T: float) -> RoVibState:

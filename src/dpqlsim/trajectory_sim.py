@@ -32,9 +32,9 @@ from .spectroscopy import (
     ROT_GROUND,
     MolecularConstants,
     RoVibState,
-    _boltzmann,
-    _level_code,
     _level_table,
+    level_code,
+    thermal_distribution,
 )
 
 __all__ = [
@@ -180,10 +180,9 @@ class TrajectoryDynamics:
 
         self.constants = constants
         self.states: tuple[RoVibState, ...] = _level_table(constants)[0]
-        self.ground_code = _level_code(ROT_GROUND, constants)
+        self.ground_code = level_code(ROT_GROUND, constants)
 
-        boltz = _boltzmann(constants, temperature)
-        self.thermal_cum = np.cumsum(boltz / boltz.sum())
+        self.thermal_cum = np.cumsum(thermal_distribution(constants, temperature))
         self.thermal_cum[-1] = 1.0  # guard the top edge against roundoff
 
         # Radiative level i is level code i, so a draw from a jump row (its
@@ -210,9 +209,6 @@ class TrajectoryDynamics:
             constants or MolecularConstants(), temperature=config.temperature,
             cycle=config.cycle, collision_rate=config.collision_rate,
         )
-
-    def code_of(self, state: RoVibState) -> int:
-        return _level_code(state, self.constants)
 
     def sample_thermal_code(self, u: float) -> int:
         return int(np.searchsorted(self.thermal_cum, u, side="right"))
@@ -357,19 +353,12 @@ def disjoint_bin_counts(
     Splits the stream into consecutive windows at every starting offset
     0..window-1, histograms the per-window dark counts, and averages the
     histograms.  Returns an array of length window + 1 whose k-th entry is
-    the mean number of windows containing exactly k darks.
+    the mean number of windows containing exactly k darks.  Every start s
+    with s + window <= n is a window of offset s mod window, so the summed
+    histograms are one histogram of all sliding-window sums.
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window!r}")
-    arr = np.asarray(values, dtype=np.int64)
-    if arr.size < window:
-        return np.zeros(window + 1)
-    total = np.zeros(window + 1)
-    for offset in range(window):
-        usable = (arr.size - offset) // window
-        if usable == 0:
-            continue
-        chunk = arr[offset : offset + usable * window].reshape(usable, window)
-        counts = chunk.sum(axis=1)
-        total += np.bincount(counts, minlength=window + 1)[: window + 1]
-    return total / window
+    cum = np.concatenate(([0], np.cumsum(np.asarray(values, dtype=np.int64))))
+    counts = np.bincount(cum[window:] - cum[:-window], minlength=window + 1)
+    return counts[: window + 1] / window

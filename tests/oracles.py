@@ -23,11 +23,13 @@ reader and columnar writers against:
 - ``rate_generator``: the rate-matrix generator from a loop over the
   (upper, lower) level pairs, one scalar pair of entries each.
 - ``dynamics_tables``: the simulator's jump and thermal tables, read
-  from the one-cycle propagator's columns through a state-to-code dict and
-  a ``StateDistribution`` rather than by level code.
+  from the one-cycle propagator's columns through a state-to-code dict,
+  with the thermal weights built level by level in a dict keyed by
+  ``RoVibState`` rather than read from a code-indexed array.
 - ``evolve_populations``: every snapshot propagated and checked at once.
 - ``rethermalization_time``: the full 600 s horizon, then the first
   crossing; built on the two above.
+- ``disjoint_bin_counts``: one reshape and histogram per window offset.
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ from dpqlsim.spectroscopy import (
     degeneracy,
     enumerate_levels,
     level_energy,
-    thermal_distribution,
 )
 from dpqlsim.trajectory_sim import TrajectoryDynamics
 
@@ -385,8 +386,11 @@ def dynamics_tables(c: MolecularConstants, T: float, cycle: float):
     """(stay_prob, jump_cum, thermal_cum) through state lookups."""
     states = enumerate_levels(c)
     code_of = {state: i for i, state in enumerate(states)}
-    dist = thermal_distribution(c, T)
-    thermal_cum = np.cumsum(np.array([dist.probability(s) for s in states]))
+    energies = np.array([level_energy(s, c) for s in states])
+    weights = np.array([float(degeneracy(s)) for s in states])
+    boltz = weights * np.exp(-energies / (KB_CM * T))
+    thermal = dict(zip(states, (boltz / boltz.sum()).tolist()))
+    thermal_cum = np.cumsum(np.array([thermal[s] for s in states]))
     thermal_cum[-1] = 1.0
     levels = radiative_levels(c)
     step = _expm(build_rate_matrix(c, T).generator * cycle)
@@ -455,3 +459,19 @@ def rethermalization_time(c: MolecularConstants, T: float) -> float:
     t0, t1 = times[k - 1], times[k]
     f0, f1 = pg[k - 1], pg[k]
     return float(t0 + (target - f0) / (f1 - f0) * (t1 - t0))
+
+
+def disjoint_bin_counts(values, window=20):
+    """Histogram of dark counts averaged over the ``window`` offsets, one pass each."""
+    arr = np.asarray(values, dtype=np.int64)
+    if arr.size < window:
+        return np.zeros(window + 1)
+    total = np.zeros(window + 1)
+    for offset in range(window):
+        usable = (arr.size - offset) // window
+        if usable == 0:
+            continue
+        chunk = arr[offset : offset + usable * window].reshape(usable, window)
+        counts = chunk.sum(axis=1)
+        total += np.bincount(counts, minlength=window + 1)[: window + 1]
+    return total / window

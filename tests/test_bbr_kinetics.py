@@ -41,10 +41,9 @@ from dpqlsim.spectroscopy import (
     ROT_GROUND,
     MolecularConstants,
     RoVibState,
-    StateDistribution,
-    _level_code,
     degeneracy,
     enumerate_levels,
+    level_code,
     level_energy,
     most_probable_rotational_state,
     thermal_population,
@@ -74,6 +73,13 @@ def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def point_mass(state, c=CONSTANTS):
+    """Unit population on one level, a vector over the radiative codes."""
+    p0 = np.zeros(len(radiative_levels(c)))
+    p0[level_code(state, c)] = 1.0
+    return p0
+
+
 def dop853_populations(gen, p0, times):
     """Populations at ``times`` from an adaptive solve of dp/dt = gen p."""
     sol = solve_ivp(
@@ -88,8 +94,7 @@ def dop853_populations(gen, p0, times):
 def rethermalization_oracle(T):
     """DOP853 populations from the argmax level on the rethermalization grid."""
     m = build_rate_matrix(CONSTANTS, T)
-    p0 = np.zeros(len(m.generator))
-    p0[m.index_of(most_probable_rotational_state(CONSTANTS, T))] = 1.0
+    p0 = point_mass(most_probable_rotational_state(CONSTANTS, T))
     times = np.linspace(0.0, RETHERM_DURATION, RETHERM_SNAPSHOTS)
     return times, dop853_populations(m.generator, p0, times)
 
@@ -128,9 +133,9 @@ class TestEinsteinCoefficients:
         radiative = radiative_levels(c)
         assert radiative == levels[: (c.v_max + 1) * c.J_count]
         assert radiative == enumerate_levels(c, two_omega=3)
-        assert [_level_code(s, c) for s in levels] == list(range(len(levels)))
-        m = build_rate_matrix(c, 300.0)
-        assert [m.index_of(s) for s in radiative] == list(range(len(radiative)))
+        assert [level_code(s, c) for s in levels] == list(range(len(levels)))
+        assert len(build_rate_matrix(c, 300.0).generator) == len(radiative)
+        assert restricted_boltzmann(c, 300.0).shape == (len(radiative),)
         co = build_einstein_coefficients(c)
         assert max(co.upper.max(), co.lower.max()) == len(radiative) - 1
         # Pair order: the v = 0 rotational lines (n -> n - 1) come first.
@@ -181,25 +186,23 @@ class TestRateMatrix:
 
     def test_detailed_balance(self):
         m = build_rate_matrix(CONSTANTS, 300.0)
-        pi = restricted_boltzmann(CONSTANTS, 300.0)
-        p = np.array([pi.probability(s) for s in radiative_levels(CONSTANTS)])
-        flux = m.generator @ p
+        flux = m.generator @ restricted_boltzmann(CONSTANTS, 300.0)
         assert np.abs(flux).max() / np.abs(m.generator).max() < 1e-12
 
     def test_zero_temperature_pure_decay(self):
         m = build_rate_matrix(CONSTANTS, 0.0)
-        g = m.index_of(ROT_GROUND)
+        g = level_code(ROT_GROUND, CONSTANTS)
         # Nothing pumps out of the lowest level without photons.
         col = m.generator[:, g].copy()
         col[g] = 0.0
         assert np.all(col == 0.0)
 
-    def test_index_of_unknown_state(self):
-        m = build_rate_matrix(CONSTANTS, 300.0)
+    def test_population_of_unknown_state(self):
+        traj = evolve_populations(build_rate_matrix(CONSTANTS, 300.0), point_mass(ROT_GROUND), 0.0)
         with pytest.raises(ValueError, match="not in the radiative level set"):
-            m.index_of(RoVibState(0, 1, 1))
+            traj.population_of(RoVibState(0, 1, 1))
         with pytest.raises(ValueError, match="exceeds the truncation"):
-            m.index_of(RoVibState(2, 3, 3))
+            traj.population_of(RoVibState(2, 3, 3))
 
     def test_negative_temperature_rejected(self):
         with pytest.raises(ValueError):
@@ -283,7 +286,7 @@ class TestEvolvePopulations:
 
     def test_snapshots_normalized(self):
         m = build_rate_matrix(CONSTANTS, 300.0)
-        init = StateDistribution({ROT_GROUND: 1.0})
+        init = point_mass(ROT_GROUND)
         traj = evolve_populations(m, init, 10.0, snapshots=21)
         assert np.abs(traj.populations.sum(axis=0) - 1.0).max() < 1e-12
         assert np.abs(traj.norm_drift).max() < 1e-8
@@ -291,7 +294,7 @@ class TestEvolvePopulations:
 
     def test_zero_duration_returns_initial(self):
         m = build_rate_matrix(CONSTANTS, 300.0)
-        init = StateDistribution({ROT_GROUND: 1.0})
+        init = point_mass(ROT_GROUND)
         traj = evolve_populations(m, init, 0.0, snapshots=5)
         assert traj.population_of(ROT_GROUND)[-1] == 1.0
 
@@ -299,29 +302,46 @@ class TestEvolvePopulations:
         # Slowest generator mode is vibrational with tau ~ 440 s, so allow
         # several of those before comparing pointwise.
         m = build_rate_matrix(CONSTANTS, 300.0)
-        init = StateDistribution({ROT_GROUND: 1.0})
+        init = point_mass(ROT_GROUND)
         traj = evolve_populations(m, init, 1500.0, snapshots=11)
-        target = restricted_boltzmann(CONSTANTS, 300.0)
-        expected = np.array([target.probability(s) for s in radiative_levels(CONSTANTS)])
+        expected = restricted_boltzmann(CONSTANTS, 300.0)
         assert np.abs(traj.populations[:, -1] - expected).max() < 2e-3
 
-    def test_initial_state_outside_set_rejected(self):
+    def test_initial_vector_checked(self):
         m = build_rate_matrix(CONSTANTS, 300.0)
-        lower = RoVibState(0, 1, 1)  # Omega = 1/2, radiatively closed
-        init = StateDistribution({lower: 1.0})
-        with pytest.raises(ValueError, match="v0.O1.J1 is not in the radiative level set"):
-            evolve_populations(m, init, 1.0)
-        # A level outside the set may be listed with zero population.
-        traj = evolve_populations(m, StateDistribution({ROT_GROUND: 1.0, lower: 0.0}), 0.0,
-                                  snapshots=2)
+        # One entry per level of the whole set, Omega = 1/2 included: wrong shape.
+        full = np.zeros(len(enumerate_levels(CONSTANTS)))
+        full[0] = 1.0
+        with pytest.raises(ValueError, match=r"p0 has shape \(280,\), expected \(140,\)"):
+            evolve_populations(m, full, 1.0)
+        with pytest.raises(ValueError, match="shape"):
+            evolve_populations(m, point_mass(ROT_GROUND)[None, :], 1.0)
+        for bad in (-1e-3, math.nan):
+            p0 = point_mass(ROT_GROUND)
+            p0[1] = bad
+            with pytest.raises(ValueError, match="non-negative"):
+                evolve_populations(m, p0, 1.0)
+        for scale in (0.5, 1.0 + 2e-9):
+            with pytest.raises(ValueError, match="expected 1 within 1e-9"):
+                evolve_populations(m, scale * point_mass(ROT_GROUND), 1.0)
+        # Within the tolerance, a list, and ints pass.
+        traj = evolve_populations(m, (1.0 + 5e-10) * point_mass(ROT_GROUND), 0.0, snapshots=2)
         assert traj.population_of(ROT_GROUND).tolist() == [1.0, 1.0]
-        with pytest.raises(ValueError, match="not in the radiative level set"):
-            traj.population_of(lower)
+        ints = point_mass(ROT_GROUND).astype(int)
+        for p0 in (ints, ints.tolist()):
+            traj = evolve_populations(m, p0, 0.0, snapshots=2)
+            assert traj.population_of(ROT_GROUND).tolist() == [1.0, 1.0]
+
+    @pytest.mark.parametrize("snapshots", [0, -1])
+    def test_no_snapshot_rejected(self, snapshots):
+        m = build_rate_matrix(CONSTANTS, 300.0)
+        with pytest.raises(ValueError, match=f"snapshots must be >= 1, got {snapshots}"):
+            evolve_populations(m, point_mass(ROT_GROUND), 1.0, snapshots=snapshots)
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_impossible_tolerance_raises(self):
         m = build_rate_matrix(CONSTANTS, 300.0)
-        init = StateDistribution({ROT_GROUND: 1.0})
+        init = point_mass(ROT_GROUND)
         with pytest.raises((IntegrationError, ValueError)):
             evolve_populations(m, init, 10.0, tol=1e-60)
 
@@ -329,23 +349,18 @@ class TestEvolvePopulations:
         # At T = 0 only spontaneous decay acts: no detailed balance, and the
         # rotational ground level only fills.
         m = build_rate_matrix(CONSTANTS, 0.0)
-        start = StateDistribution({RoVibState(1, 3, 11): 1.0})
-        traj = evolve_populations(m, start, 100.0, snapshots=51)
+        traj = evolve_populations(m, point_mass(RoVibState(1, 3, 11)), 100.0, snapshots=51)
         ground = traj.population_of(ROT_GROUND)
         assert ground[0] == 0.0 and np.all(np.diff(ground) >= 0.0) and ground[-1] > 0.0
         assert np.abs(traj.norm_drift).max() < 1e-12
-        p0 = np.zeros(len(m.generator))
-        p0[m.index_of(RoVibState(1, 3, 11))] = 1.0
-        expected = dop853_populations(m.generator, p0, traj.times)
+        expected = dop853_populations(m.generator, point_mass(RoVibState(1, 3, 11)), traj.times)
         assert np.abs(traj.populations - expected).max() <= 1e-9
 
     def test_matches_full_propagation_bit_for_bit(self):
         # The demo's run: J = 11/2 at 300 K over 200 s in 401 snapshots.
         m = build_rate_matrix(CONSTANTS, 300.0)
-        start = RoVibState(0, 3, 11)
-        traj = evolve_populations(m, StateDistribution({start: 1.0}), 200.0, snapshots=401)
-        p0 = np.zeros(len(m.generator))
-        p0[m.index_of(start)] = 1.0
+        p0 = point_mass(RoVibState(0, 3, 11))
+        traj = evolve_populations(m, p0, 200.0, snapshots=401)
         times, pops, drift = oracles.evolve_populations(m.generator, p0, 200.0, 401)
         assert same_bits(traj.times, times)
         assert same_bits(traj.populations, pops)
@@ -354,7 +369,7 @@ class TestEvolvePopulations:
     @pytest.mark.parametrize("T", [300.0, 450.0, 500.0])
     def test_matches_dop853_oracle(self, T):
         m = build_rate_matrix(CONSTANTS, T)
-        start = StateDistribution({most_probable_rotational_state(CONSTANTS, T): 1.0})
+        start = point_mass(most_probable_rotational_state(CONSTANTS, T))
         traj = evolve_populations(
             m, start, RETHERM_DURATION, snapshots=RETHERM_SNAPSHOTS
         )
@@ -372,7 +387,7 @@ class TestResidenceLifetime:
         # Without return paths the survival is a pure multi-channel
         # exponential, so the fitted rate equals the total outflow rate.
         m = build_rate_matrix(CONSTANTS, 300.0)
-        g = m.index_of(ROT_GROUND)
+        g = level_code(ROT_GROUND, CONSTANTS)
         gamma = -m.generator[g, g]
         tau = ground_state_residence_lifetime(CONSTANTS, 300.0)
         assert tau == pytest.approx(1.0 / gamma, rel=1e-6)
@@ -381,7 +396,7 @@ class TestResidenceLifetime:
         # The definition the closed form replaces: evolve with the return
         # paths into the ground level removed and watch its population.
         m = build_rate_matrix(CONSTANTS, 300.0)
-        g = m.index_of(ROT_GROUND)
+        g = level_code(ROT_GROUND, CONSTANTS)
         gen = m.generator.copy()
         gen[g, :] = 0.0
         gen[g, g] = m.generator[g, g]
@@ -425,9 +440,9 @@ class TestRethermalization:
         t63 = rethermalization_time(CONSTANTS, T)
         assert math.isfinite(t63)
         times, pops = rethermalization_oracle(T)
-        m = build_rate_matrix(CONSTANTS, T)
-        pg = pops[m.index_of(ROT_GROUND)]
-        target = 0.63 * restricted_boltzmann(CONSTANTS, T).probability(ROT_GROUND)
+        g = level_code(ROT_GROUND, CONSTANTS)
+        pg = pops[g]
+        target = 0.63 * restricted_boltzmann(CONSTANTS, T)[g]
         k = int(np.nonzero(pg >= target)[0][0])
         expected = times[k - 1] + (target - pg[k - 1]) / (pg[k] - pg[k - 1]) * (
             times[k] - times[k - 1]
@@ -438,14 +453,13 @@ class TestRethermalization:
         # Cascading down from J=11/2 parks excess population in the ground
         # level before the slow vibrational ladder re-equilibrates it.
         m = build_rate_matrix(CONSTANTS, 300.0)
-        start = StateDistribution({RoVibState(0, 3, 11): 1.0})
-        traj = evolve_populations(m, start, 200.0, snapshots=401)
+        traj = evolve_populations(m, point_mass(RoVibState(0, 3, 11)), 200.0, snapshots=401)
         peak = traj.population_of(ROT_GROUND).max()
         assert peak == pytest.approx(0.04176, rel=1e-3)
         assert peak > 5.0 * PG_RESTRICTED_300
 
     def test_restricted_thermal_ground_population(self):
-        pg = restricted_boltzmann(CONSTANTS, 300.0).probability(ROT_GROUND)
+        pg = restricted_boltzmann(CONSTANTS, 300.0)[level_code(ROT_GROUND, CONSTANTS)]
         assert pg == pytest.approx(PG_RESTRICTED_300, rel=1e-9)
 
     @pytest.mark.parametrize("T", [0.0, *NON_FINITE])

@@ -396,6 +396,9 @@ class TestAnalyzeBins:
         # A window that fits once is one bin.
         assert main([*argv, "--window", "19", "--out", str(out)]) == EXIT_OK
         assert json.loads((out / "report.json").read_text())["n_bins"] == 1
+        # Refused before a histogram of window + 1 entries (745 GiB here) is made.
+        assert main([*argv, "--window", "100000000000", "--out", str(out)]) == EXIT_USAGE
+        assert "--window 100000000000 is longer than the stream" in capsys.readouterr().err
 
     @pytest.mark.parametrize("window", ["0", "-3"])
     def test_window_below_one_is_usage_error(self, sim_dir, tmp_path, capsys, window):

@@ -115,6 +115,24 @@ def test_sources_import_no_scipy(path):
     assert [name for name in names if name.split(".")[0] == "scipy"] == []
 
 
+def test_level_table_internals_stay_inside_the_library():
+    # Populations are public code-indexed arrays: the CLI reads them through
+    # spectroscopy's public names, and only the kinetics builds on the raw
+    # Boltzmann factors.
+    offenders = []
+    for path in sorted(Path(dpqlsim.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            source = ("." * node.level) + (node.module or "")
+            for alias in node.names:
+                from_spectroscopy = source in (".spectroscopy", "dpqlsim.spectroscopy")
+                if (path.name == "cli.py" and from_spectroscopy and alias.name.startswith("_")
+                        or path.name != "bbr_kinetics.py" and alias.name == "_boltzmann"):
+                    offenders.append(f"{path.name}: {alias.name} from {source}")
+    assert offenders == []
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_public_names_exist_and_are_exported(module):
     # A profiler wraps each name in every module's __all__ through getattr,

@@ -209,13 +209,22 @@ class TestSignificance:
         p = significance(1000, 4, 0.03).p_value
         assert p == pytest.approx(1.0 - longest_run_cdf(1000, 4, 0.03), rel=1e-9)
 
-    def test_result_consistency_enforced(self):
-        with pytest.raises(ValueError):
-            SignificanceResult(n=10, x=2, p_dark=0.03, p_value=0.01, z=5.0)
-        with pytest.raises(ValueError):
-            SignificanceResult(n=10, x=2, p_dark=0.03, p_value=0.0, z=-math.inf)
-        ok = SignificanceResult(n=10, x=0, p_dark=0.03, p_value=1.0, z=-math.inf)
-        assert ok.log10_p == 0.0
+    @pytest.mark.parametrize("log_p", [1e-300, 0.5, math.inf, math.nan])
+    def test_positive_or_nan_log_p_rejected(self, log_p):
+        with pytest.raises(ValueError, match="log_p must be <= 0"):
+            SignificanceResult(n=10, x=2, p_dark=0.03, log_p=log_p)
+
+    def test_fields_derive_from_log_p(self):
+        ok = SignificanceResult(n=10, x=0, p_dark=0.03, log_p=0.0)
+        assert (ok.p_value, ok.log10_p, ok.z) == (1.0, 0.0, -math.inf)
+        # Below the float range the p-value reads 0.0; log10_p and z stay finite.
+        tiny = SignificanceResult(n=10, x=2, p_dark=0.03, log_p=-1000.0)
+        assert tiny.p_value == 0.0
+        assert tiny.log10_p == -1000.0 / math.log(10.0)
+        assert 44.0 < tiny.z < 45.0
+        result = significance(1000, 4, 0.03)
+        assert result.p_value == math.exp(result.log_p)
+        assert result.log10_p == result.log_p / math.log(10.0)
 
     def test_json_dict(self):
         d = significance(1000, 4, 0.03).to_json_dict()
@@ -233,15 +242,10 @@ class TestSignificance:
         assert d["p_value"] == 0.0 and d["log10_p"] is None and d["z"] is None
         json.dumps(d, allow_nan=False)
 
-    def test_zero_p_value_needs_the_whole_triple(self):
-        ok = SignificanceResult(n=5, x=3, p_dark=0.0, p_value=0.0, z=math.inf,
-                                log10_p=-math.inf)
-        assert ok.log10_p == -math.inf
-        with pytest.raises(ValueError, match="z="):
-            SignificanceResult(n=5, x=3, p_dark=0.0, p_value=0.0, z=40.0, log10_p=-math.inf)
-        with pytest.raises(ValueError, match="log10_p=-inf"):
-            SignificanceResult(n=5, x=3, p_dark=0.0, p_value=1e-200, z=math.inf,
-                               log10_p=-math.inf)
+    def test_impossible_event_from_log_p(self):
+        ok = SignificanceResult(n=5, x=3, p_dark=0.0, log_p=-math.inf)
+        assert (ok.p_value, ok.log10_p, ok.z) == (0.0, -math.inf, math.inf)
+        assert ok == significance(5, 3, 0.0)
 
 
 def loop_longest_run(outcomes):

@@ -18,9 +18,9 @@ from dpqlsim.spectroscopy import (
     ROT_GROUND,
     MolecularConstants,
     RoVibState,
-    StateDistribution,
     degeneracy,
     enumerate_levels,
+    level_code,
     level_energy,
     manifold_population,
     most_probable_rotational_state,
@@ -178,20 +178,24 @@ class TestThermalPopulation:
 class TestThermalDistribution:
     def test_normalized(self):
         d = thermal_distribution(C, 300.0)
-        total = sum(d.probability(s) for s in enumerate_levels(C))
-        assert total == pytest.approx(1.0, abs=1e-12)
+        assert d.shape == (len(enumerate_levels(C)),)
+        assert d.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_pointwise(self):
         d = thermal_distribution(C, 300.0)
         for s in (ROT_GROUND, RoVibState(1, 1, 11), RoVibState(0, 3, 35)):
-            assert d.probability(s) == pytest.approx(thermal_population(s, C, 300.0), rel=1e-12)
+            assert d[level_code(s, C)] == thermal_population(s, C, 300.0)
 
     def test_marginal_consistency(self):
         d = thermal_distribution(C, 450.0)
-        assert d.marginal(v=0) == pytest.approx(manifold_population(C, 450.0, v=0), rel=1e-12)
-        assert d.marginal(v=0, two_omega=1) == pytest.approx(
-            manifold_population(C, 450.0, v=0, two_omega=1), rel=1e-12
-        )
+        levels = enumerate_levels(C)
+        for v, two_omega in ((None, None), (0, None), (0, 1), (1, 3), (None, 1), (2, None)):
+            # A Python-float sum in code order, bit for bit.
+            total = 0.0
+            for s, p in zip(levels, d.tolist()):
+                if (v is None or s.v == v) and (two_omega is None or s.two_omega == two_omega):
+                    total += p
+            assert manifold_population(C, 450.0, v=v, two_omega=two_omega) == total
 
     def test_argmax_rotational_states(self):
         assert most_probable_rotational_state(C, 300.0).two_J == 35
@@ -199,7 +203,7 @@ class TestThermalDistribution:
 
     def test_distribution_argmax_matches(self):
         d = thermal_distribution(C, 300.0)
-        assert d.argmax() == most_probable_rotational_state(C, 300.0)
+        assert enumerate_levels(C)[int(d.argmax())] == most_probable_rotational_state(C, 300.0)
 
     @pytest.mark.parametrize(
         "constants",
@@ -217,18 +221,23 @@ class TestThermalDistribution:
             most_probable_rotational_state(C, T)
 
 
-class TestStateDistribution:
-    def test_validates_normalization(self):
-        with pytest.raises(ValueError):
-            StateDistribution({ROT_GROUND: 0.5})
-        with pytest.raises(ValueError):
-            StateDistribution({ROT_GROUND: 1.5, RoVibState(0, 3, 5): -0.5})
+class TestLevelCode:
+    @pytest.mark.parametrize(
+        "constants", [C, MolecularConstants(v_max=2, J_count=5)], ids=["default", "v_max=2"]
+    )
+    def test_code_is_the_listing_position(self, constants):
+        levels = enumerate_levels(constants)
+        assert [level_code(s, constants) for s in levels] == list(range(len(levels)))
+        assert level_code(ROT_GROUND, constants) == 0
+        # The Omega = 1/2 manifold follows all Omega = 3/2 levels.
+        omega_half = RoVibState(0, 1, 1)
+        assert level_code(omega_half, constants) == (constants.v_max + 1) * constants.J_count
 
-    def test_point_mass(self):
-        d = StateDistribution({ROT_GROUND: 1.0})
-        assert d.probability(ROT_GROUND) == 1.0
-        assert d.probability(RoVibState(0, 3, 5)) == 0.0
-        assert d.argmax() == ROT_GROUND
+    def test_outside_the_truncation_rejected(self):
+        with pytest.raises(ValueError, match="v=2 exceeds"):
+            level_code(RoVibState(2, 3, 3), C)
+        with pytest.raises(ValueError, match="rotational level 70 outside"):
+            level_code(RoVibState(0, 3, 143), C)
 
 
 class TestConfigRoundTrip:

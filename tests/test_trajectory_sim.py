@@ -22,6 +22,7 @@ from dpqlsim.spectroscopy import (
     ROT_GROUND,
     MolecularConstants,
     RoVibState,
+    level_code,
     thermal_distribution,
 )
 from dpqlsim.trajectory_sim import (
@@ -295,18 +296,12 @@ class TestDynamics:
         assert np.abs(step - exact).max() <= 1e-12
         assert np.abs(pi @ step - pi).max() <= 1e-14
 
-    def test_code_of_outside_the_truncation_rejected(self):
-        dyn = TrajectoryDynamics.for_config(ExperimentConfig())
-        assert dyn.code_of(RoVibState(1, 1, 1)) == 210  # Omega = 3/2 levels come first
-        with pytest.raises(ValueError, match="exceeds the truncation"):
-            dyn.code_of(RoVibState(2, 3, 3))
-
     def test_lower_manifold_frozen_without_collisions(self):
         # The fine-structure gap is radiatively closed, so without
         # collisions an Omega = 1/2 state cannot move at all.
         cfg = ExperimentConfig(collision_rate=0.0)
         dyn = TrajectoryDynamics.for_config(cfg)
-        start = dyn.code_of(RoVibState(0, 1, 1))
+        start = level_code(RoVibState(0, 1, 1), CONSTANTS)
         assert dyn.jump_cum[start] is None
         rng = np.random.default_rng(5)
         code = start
@@ -343,8 +338,7 @@ class TestDynamics:
             codes = new
 
         counts = np.bincount(codes, minlength=len(dyn.states))
-        dist = thermal_distribution(CONSTANTS, 300.0)
-        probs = np.array([dist.probability(s) for s in dyn.states])
+        probs = thermal_distribution(CONSTANTS, 300.0)
         tvd = 0.5 * np.abs(counts / n - probs).sum()
         assert tvd < 0.03
         p_min = min(
@@ -381,7 +375,7 @@ def _step_weights(dyn: TrajectoryDynamics, state: RoVibState) -> np.ndarray:
     column[i] = 0.0
     weights = np.zeros(len(dyn.states))
     for k, level in enumerate(levels):
-        weights[dyn.code_of(level)] = column[k] / column.sum()
+        weights[level_code(level, CONSTANTS)] = column[k] / column.sum()
     return weights
 
 
@@ -394,7 +388,7 @@ def _oracle_weights(dyn: TrajectoryDynamics, state: RoVibState) -> np.ndarray:
     column[i] = 0.0
     weights = np.zeros(len(dyn.states))
     for k, level in enumerate(levels):
-        weights[dyn.code_of(level)] = column[k] / -m.generator[i, i]
+        weights[level_code(level, CONSTANTS)] = column[k] / -m.generator[i, i]
     return weights
 
 
@@ -404,9 +398,8 @@ def _exact_kernel(dyn: TrajectoryDynamics, T: float, collision_rate: float,
     Q being the radiative rates on the Omega = 3/2 levels plus collisions
     that re-thermalize at ``collision_rate``."""
     n = len(dyn.states)
-    dist = thermal_distribution(dyn.constants, T)
-    pi = np.array([dist.probability(s) for s in dyn.states])
-    codes = [dyn.code_of(s) for s in radiative_levels(dyn.constants)]
+    pi = thermal_distribution(dyn.constants, T)
+    codes = [level_code(s, dyn.constants) for s in radiative_levels(dyn.constants)]
     gen = collision_rate * (np.outer(pi, np.ones(n)) - np.eye(n))
     gen[np.ix_(codes, codes)] += build_rate_matrix(dyn.constants, T).generator
     return pi, scipy.linalg.expm(gen * cycle).T
@@ -449,7 +442,7 @@ class TestReturnChannel:
 
     def test_v1_j32_returns_to_ground(self):
         dyn = TrajectoryDynamics.for_config(ExperimentConfig())
-        table = _table_weights(dyn, dyn.code_of(self.V1_J32))
+        table = _table_weights(dyn, level_code(self.V1_J32, CONSTANTS))
         assert np.allclose(table, _step_weights(dyn, self.V1_J32), rtol=0.0, atol=1e-12)
         oracle = _oracle_weights(dyn, self.V1_J32)
         assert oracle[dyn.ground_code] == pytest.approx(0.60, abs=0.005)
@@ -724,3 +717,18 @@ class TestBinning:
 
     def test_disjoint_counts_short_stream(self):
         assert np.allclose(disjoint_bin_counts([1, 0], window=20), np.zeros(21))
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 7, 19, 20, 21, 100, 1999, 2000])
+    def test_matches_offset_loop_bit_for_bit(self, window):
+        rng = np.random.default_rng(window)
+        for n in sorted({0, 1, window - 1, window, window + 1, 2 * window + 3, 997, 4001}):
+            values = (rng.random(n) < 0.2).astype(np.int8)
+            got = disjoint_bin_counts(values, window)
+            want = oracles.disjoint_bin_counts(values, window)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), n
+
+    def test_two_hour_stream_matches_offset_loop_bit_for_bit(self):
+        outcome = simulate_hours(ExperimentConfig(rng_seed=7), 2.0).outcome
+        for window in (20, 2000):
+            got = disjoint_bin_counts(outcome, window)
+            assert got.tobytes() == oracles.disjoint_bin_counts(outcome, window).tobytes()
