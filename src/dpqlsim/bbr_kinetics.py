@@ -345,10 +345,10 @@ def _checked_blocks(
             p = step @ p
         drift = raw.sum(axis=0) - 1.0
         worst = int(np.abs(drift).argmax())
-        if abs(drift[worst]) > tol:
+        if not abs(drift[worst]) <= tol:  # True for a NaN too
             raise IntegrationError(f"normalization drifted by {drift[worst]:.3e}",
                                    last_time=float(times[k0 + worst]))
-        if raw.min() < -tol:
+        if not raw.min() >= -tol:
             k = int(np.unravel_index(raw.argmin(), raw.shape)[1])
             raise IntegrationError(
                 f"population dipped to {raw.min():.3e}", last_time=float(times[k0 + k])
@@ -378,8 +378,10 @@ def evolve_populations(
     is raised if a snapshot sum drifts from one by more than ``tol`` or a
     population falls below -tol.
     """
-    if duration < 0.0:
-        raise ValueError(f"duration must be >= 0, got {duration!r}")
+    if not 0.0 <= duration < math.inf:
+        raise ValueError(f"duration must be finite and >= 0, got {duration!r}")
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
     if snapshots < 1:
         raise ValueError(f"snapshots must be >= 1, got {snapshots!r}")
     p0 = np.asarray(p0, dtype=float)
@@ -466,8 +468,8 @@ def leave_probability_per_cycle(
     """
     if not cycle > 0.0:
         raise ValueError(f"cycle must be positive, got {cycle!r}")
-    if collision_rate < 0.0:
-        raise ValueError(f"collision_rate must be >= 0, got {collision_rate!r}")
+    if not 0.0 <= collision_rate < math.inf:
+        raise ValueError(f"collision_rate must be finite and >= 0, got {collision_rate!r}")
     gamma = 1.0 / ground_state_residence_lifetime(c, T)
     if collision_rate > 0.0:
         gamma += collision_rate * (1.0 - thermal_population(ROT_GROUND, c, T))

@@ -12,9 +12,10 @@ Every command writes flat CSV/JSON files into --out plus a manifest.json
 recording the command line, the full config snapshot, the seed, the tool
 version, the environment (Python and numpy versions, platform, machine and
 CPU count) and a sha256 digest of every output, so a rerun can be checked
-for byte-identical results.  Each ``cmd_*`` function returns its outputs
-and its added manifest fields (``simulate`` and ``analyze --mode hmm`` add
-``counts``).  Exit codes:
+for byte-identical results.  Each subcommand binds its ``cmd_*`` handler
+on its parser; the handler takes ``(args, constants, config, out_dir)``,
+checks its own flags, and returns its outputs and its added manifest
+fields (``simulate`` and ``analyze --mode hmm`` add ``counts``).  Exit codes:
 0 success, 2 usage or config errors, 3 data-format errors (a dataset with
 no records is one), 4 numerical failures.  JSON files are strict RFC 8259:
 an infinite run z-score is written as null.
@@ -22,12 +23,12 @@ an infinite run z-score is written as null.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 import os
 import platform
 import sys
+from argparse import ArgumentParser, Namespace
 from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -103,15 +104,12 @@ _CONSTANT_KEYS = frozenset(config_casts(MolecularConstants))
 _EXPERIMENT_KEYS = frozenset(config_casts(ExperimentConfig))
 
 
-def load_config(
-    path: str | Path | None, *, paper_defaults: bool = False
-) -> tuple[MolecularConstants, ExperimentConfig]:
+def load_config(path: str | Path | None) -> tuple[MolecularConstants, ExperimentConfig]:
     """Split one key-value config file into molecular and experiment parts.
 
-    ``paper_defaults`` ignores the file and pins every constant to the
-    built-in values in one stroke.
+    No file gives the built-in values of every constant.
     """
-    if paper_defaults or path is None:
+    if path is None:
         return MolecularConstants(), ExperimentConfig()
     mapping = read_keyvalues(path)
     constant_part = {k: v for k, v in mapping.items() if k in _CONSTANT_KEYS}
@@ -129,12 +127,6 @@ def load_config(
     return constants, config
 
 
-def _ensure_out(out: str | Path) -> Path:
-    out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir
-
-
 def _write_json(path: Path, obj: Mapping[str, object]) -> Path:
     """Write ``obj`` as strict RFC 8259 JSON, keys sorted, two-space indent."""
     path.write_text(json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
@@ -145,10 +137,10 @@ def _write_manifest(
     out_dir: Path,
     argv: Sequence[str],
     constants: MolecularConstants,
-    config: ExperimentConfig | None,
+    config: ExperimentConfig,
     seed: int | None,
     outputs: Mapping[str, Path],
-    extra: Mapping[str, object] | None = None,
+    extra: Mapping[str, object],
 ) -> Path:
     manifest = {
         "command": list(argv),
@@ -156,7 +148,7 @@ def _write_manifest(
         "seed": seed,
         "config": {
             "molecular": config_to_mapping(constants),
-            "experiment": config_to_mapping(config) if config is not None else None,
+            "experiment": config_to_mapping(config),
         },
         "outputs": {name: sha256_digest(p) for name, p in sorted(outputs.items())},
         # No platform.platform(): it scans the interpreter binary for a libc
@@ -169,17 +161,15 @@ def _write_manifest(
             "cpu_count": os.cpu_count(),
         },
     }
-    if extra:
-        manifest.update(extra)
+    manifest.update(extra)
     return _write_json(out_dir / "manifest.json", manifest)
 
 
 def cmd_thermal(
-    constants: MolecularConstants, temperatures: Sequence[float], out_dir: Path
+    args: Namespace, constants: MolecularConstants, config: ExperimentConfig, out_dir: Path
 ) -> tuple[dict[str, Path], dict[str, object]]:
     """Thermal population table: one row per level, one column per T."""
-    if not temperatures:
-        raise UsageError("thermal needs at least one --temperature")
+    temperatures = args.temperature or [config.temperature]
     states = enumerate_levels(constants)
     populations = [thermal_distribution(constants, T) for T in temperatures]
     header = ["state", "v", "two_omega", "two_J", "energy_percm"] + [
@@ -200,11 +190,16 @@ def cmd_thermal(
 
 
 def cmd_lifetime(
-    constants: MolecularConstants, temperatures: Sequence[float], out_dir: Path
+    args: Namespace, constants: MolecularConstants, config: ExperimentConfig, out_dir: Path
 ) -> tuple[dict[str, Path], dict[str, object]]:
     """Residence lifetime and thermal occupancy across temperatures."""
-    if len(temperatures) == 0:
-        raise UsageError("lifetime needs a nonempty temperature range")
+    # The chain is False for a NaN bound, so NaN never reaches linspace.
+    if not 0 < args.t_min <= args.t_max < math.inf or args.t_points < 1:
+        raise UsageError(
+            "lifetime needs finite 0 < t-min <= t-max and t-points >= 1, got "
+            f"t-min={args.t_min!r}, t-max={args.t_max!r}, t-points={args.t_points}"
+        )
+    temperatures = np.linspace(args.t_min, args.t_max, args.t_points)
     rows = lifetime_temperature_sweep(constants, temperatures)
     path = out_dir / "lifetime_vs_temperature.csv"
     header = ("temperature_K", "residence_lifetime_s", "thermal_ground_population")
@@ -215,21 +210,18 @@ def cmd_lifetime(
 
 
 def cmd_simulate(
-    constants: MolecularConstants,
-    config: ExperimentConfig,
-    hours: float,
-    out_dir: Path,
+    args: Namespace, constants: MolecularConstants, config: ExperimentConfig, out_dir: Path
 ) -> tuple[dict[str, Path], dict[str, object]]:
-    """Labeled Monte Carlo stream covering ``hours`` of wall-clock time."""
+    """Labeled Monte Carlo stream covering ``--hours`` of wall-clock time."""
     try:
-        _cycles_in(hours, config.cycle)
+        _cycles_in(args.hours, config.cycle)
     except ValueError as exc:  # its message starts with the argument, "hours"
         raise UsageError(f"--{exc}") from None
-    dataset = simulate_hours(config, hours, constants)
+    dataset = simulate_hours(config, args.hours, constants)
     path = out_dir / "dataset.csv"
     dataset.to_csv(path)
     print(
-        f"simulated {dataset.outcome.size} cycles ({hours:g} h), "
+        f"simulated {dataset.outcome.size} cycles ({args.hours:g} h), "
         f"ground occupancy {dataset.ground_occupancy():.6f}"
     )
     labels = dataset.hidden  # a ground visit is a run of ground labels
@@ -238,10 +230,8 @@ def cmd_simulate(
     return {"dataset.csv": path}, {"counts": counts}
 
 
-def _detector_rates(
-    constants: MolecularConstants, config: ExperimentConfig
-) -> tuple[float, float]:
-    """Thermal occupancy p_g and per-cycle leave probability p_s."""
+def _detector_rates(constants: MolecularConstants, config: ExperimentConfig) -> dict[str, float]:
+    """Detector rates p_b, p_d, p_s (per-cycle leave probability), p_g (occupancy)."""
     p_g = thermal_population(ROT_GROUND, constants, config.temperature)
     p_s = leave_probability_per_cycle(
         constants,
@@ -249,20 +239,16 @@ def _detector_rates(
         config.cycle,
         collision_rate=config.collision_rate,
     )
-    return p_g, p_s
+    return dict(p_b=config.p_bright_noise, p_d=config.detection_fidelity, p_s=p_s, p_g=p_g)
 
 
 def cmd_analyze(
-    constants: MolecularConstants,
-    config: ExperimentConfig,
-    dataset_path: str | Path,
-    mode: str,
-    out_dir: Path,
-    *,
-    params_path: str | Path | None = None,
-    window: int = 20,
+    args: Namespace, constants: MolecularConstants, config: ExperimentConfig, out_dir: Path
 ) -> tuple[dict[str, Path], dict[str, object]]:
     """Analyze a measurement stream: histogram, run test, or HMM decode."""
+    dataset_path, mode, params_path, window = args.dataset, args.mode, args.params, args.window
+    if window < 1:
+        raise UsageError(f"analyze needs --window >= 1, got --window={window}")
     index, outcomes, _, hidden = _read_columns(dataset_path)
     if not outcomes.size:
         raise DataFormatError("dataset holds no records", source=str(dataset_path))
@@ -280,15 +266,9 @@ def cmd_analyze(
             raise UsageError(
                 f"--window {window} is longer than the stream ({outcomes.size} records)"
             )
-        p_g, p_s = _detector_rates(constants, config)
+        rates = _detector_rates(constants, config)
         observed = disjoint_bin_counts(outcomes, window)
-        model = NoiseSignalModel(
-            p_b=config.p_bright_noise,
-            p_d=config.detection_fidelity,
-            p_s=p_s,
-            p_g=p_g,
-            bin=window,
-        )
+        model = NoiseSignalModel(**rates, bin=window)
         prediction = bin_value_distribution(n_bins, model)
         noise_only = bin_value_distribution(n_bins, model, p_g=0.0)
         path = out_dir / "bins.csv"
@@ -299,7 +279,7 @@ def cmd_analyze(
         write_table(path, header, columns)
         outputs["bins.csv"] = path
         report.update(
-            window=window, n_bins=n_bins, p_ground=p_g, p_leave=p_s,
+            window=window, n_bins=n_bins, p_ground=rates["p_g"], p_leave=rates["p_s"],
             observed_mean_darks=float(outcomes.mean() * window),
         )
     elif mode == "runs":
@@ -319,13 +299,7 @@ def cmd_analyze(
             except ValueError as exc:
                 raise UsageError(f"{params_path}: {exc}") from exc
         else:
-            p_g, p_s = _detector_rates(constants, config)
-            params = default_params(
-                p_b=config.p_bright_noise,
-                p_d=config.detection_fidelity,
-                p_s=p_s,
-                p_g=p_g,
-            )
+            params = default_params(**_detector_rates(constants, config))
         decoded = forward_backward(params, outcomes)
         path = out_dir / "decoded.csv"
         write_decoded_csv(path, outcomes, decoded, indices=index)
@@ -352,14 +326,21 @@ def cmd_analyze(
 
 
 def cmd_sweep(
-    cfg: SweepConfig,
-    omega_mol_values: Sequence[float],
-    out_dir: Path,
-    *,
-    threshold: float = 0.99,
+    args: Namespace, constants: MolecularConstants, config: ExperimentConfig, out_dir: Path
 ) -> tuple[dict[str, Path], dict[str, object]]:
     """Transfer map over molecular frequencies plus the window report."""
-    window_map = transfer_window_map(cfg, omega_mol_values, threshold=threshold)
+    lo, hi, points = args.omega_min_khz, args.omega_max_khz, args.omega_points
+    threshold = args.threshold
+    # Each chain is False for a NaN, as in lifetime.
+    if not (0 < lo < hi < math.inf and points >= 1 and 0 <= threshold <= 1):
+        raise UsageError(
+            "sweep needs finite 0 < omega-min-khz < omega-max-khz, omega-points >= 1 "
+            f"and 0 <= threshold <= 1, got omega-min-khz={lo!r}, omega-max-khz={hi!r}, "
+            f"omega-points={points}, threshold={threshold!r}"
+        )
+    cfg = SweepConfig(g_q=constants.g_q_ground)
+    grid = _TWO_PI * 1e3 * np.linspace(lo, hi, points)
+    window_map = transfer_window_map(cfg, grid, threshold=threshold)
     path = out_dir / "transfer_map.csv"
     omega_hz = window_map.omega_mol_values / _TWO_PI
     columns = omega_hz, np.full_like(omega_hz, window_map.g_q / _TWO_PI), window_map.transfer
@@ -382,13 +363,13 @@ def cmd_sweep(
     return {"transfer_map.csv": path, "report.json": report_path}, {}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def build_parser() -> ArgumentParser:
+    parser = ArgumentParser(
         prog="dpqlsim",
         description="Dipole-phonon logic desk simulator and analysis toolkit.",
     )
     parser.add_argument("--version", action="version", version=f"dpqlsim {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
+    common = ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="key-value config file")
     common.add_argument("--seed", type=int, metavar="N", help="RNG seed override")
     common.add_argument("--out", metavar="DIR", default=".", help="output directory")
@@ -410,6 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="K",
         help="temperature in kelvin (repeatable)",
     )
+    p_thermal.set_defaults(run=cmd_thermal)
 
     p_life = sub.add_parser(
         "lifetime", parents=[common], help="residence lifetime vs temperature"
@@ -417,6 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_life.add_argument("--t-min", type=float, default=200.0, metavar="K")
     p_life.add_argument("--t-max", type=float, default=600.0, metavar="K")
     p_life.add_argument("--t-points", type=int, default=5, metavar="N")
+    p_life.set_defaults(run=cmd_lifetime)
 
     p_sim = sub.add_parser(
         "simulate", parents=[common], help="Monte Carlo measurement stream"
@@ -425,12 +408,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument(
         "--temperature", type=float, metavar="K", help="override the BBR temperature"
     )
+    p_sim.set_defaults(run=cmd_simulate)
 
     p_an = sub.add_parser("analyze", parents=[common], help="analyze a dataset")
     p_an.add_argument("dataset", metavar="DATASET.CSV")
     p_an.add_argument("--mode", choices=("bins", "runs", "hmm"), required=True)
     p_an.add_argument("--params", metavar="PATH", help="HMM parameter file (key-value)")
     p_an.add_argument("--window", type=int, default=20, metavar="N", help="bin size")
+    p_an.set_defaults(run=cmd_analyze)
 
     p_sweep = sub.add_parser(
         "sweep", parents=[common], help="trap-frequency sweep transfer map"
@@ -439,59 +424,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--omega-max-khz", type=float, default=500.0, metavar="KHZ")
     p_sweep.add_argument("--omega-points", type=int, default=51, metavar="N")
     p_sweep.add_argument("--threshold", type=float, default=0.99, metavar="P")
+    p_sweep.set_defaults(run=cmd_sweep)
     return parser
 
 
-def _run(args: argparse.Namespace, argv: Sequence[str]) -> int:
-    constants, config = load_config(args.config, paper_defaults=args.paper_defaults)
+def _run(args: Namespace, argv: Sequence[str]) -> int:
+    constants, config = load_config(None if args.paper_defaults else args.config)
     if args.seed is not None:
         config = replace(config, rng_seed=args.seed)
-    if getattr(args, "temperature", None) is not None and args.command == "simulate":
+    if args.command == "simulate" and args.temperature is not None:
         config = replace(config, temperature=args.temperature)
-    out_dir = _ensure_out(args.out)
-
-    if args.command == "thermal":
-        temperatures = args.temperature or [config.temperature]
-        outputs, extra = cmd_thermal(constants, temperatures, out_dir)
-    elif args.command == "lifetime":
-        # The chain is False for a NaN bound, so NaN never reaches linspace.
-        if not 0 < args.t_min <= args.t_max < math.inf or args.t_points < 1:
-            raise UsageError(
-                "lifetime needs finite 0 < t-min <= t-max and t-points >= 1, got "
-                f"t-min={args.t_min!r}, t-max={args.t_max!r}, t-points={args.t_points}"
-            )
-        temperatures = np.linspace(args.t_min, args.t_max, args.t_points)
-        outputs, extra = cmd_lifetime(constants, temperatures, out_dir)
-    elif args.command == "simulate":
-        outputs, extra = cmd_simulate(constants, config, args.hours, out_dir)
-    elif args.command == "analyze":
-        if args.window < 1:
-            raise UsageError(f"analyze needs --window >= 1, got --window={args.window}")
-        outputs, extra = cmd_analyze(
-            constants,
-            config,
-            args.dataset,
-            args.mode,
-            out_dir,
-            params_path=args.params,
-            window=args.window,
-        )
-    elif args.command == "sweep":
-        lo, hi, points = args.omega_min_khz, args.omega_max_khz, args.omega_points
-        threshold = args.threshold
-        # Each chain is False for a NaN, as in lifetime.
-        if not (0 < lo < hi < math.inf and points >= 1 and 0 <= threshold <= 1):
-            raise UsageError(
-                "sweep needs finite 0 < omega-min-khz < omega-max-khz, omega-points >= 1 "
-                f"and 0 <= threshold <= 1, got omega-min-khz={lo!r}, omega-max-khz={hi!r}, "
-                f"omega-points={points}, threshold={threshold!r}"
-            )
-        grid = _TWO_PI * 1e3 * np.linspace(lo, hi, points)
-        sweep_cfg = SweepConfig(g_q=constants.g_q_ground)
-        outputs, extra = cmd_sweep(sweep_cfg, grid, out_dir, threshold=threshold)
-    else:  # pragma: no cover - argparse enforces the choices
-        raise UsageError(f"unknown command {args.command!r}")
-
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    outputs, extra = args.run(args, constants, config, out_dir)
     manifest = _write_manifest(out_dir, argv, constants, config, args.seed, outputs, extra)
     print(f"wrote {len(outputs)} output file(s) + {manifest.name} in {out_dir}")
     return EXIT_OK

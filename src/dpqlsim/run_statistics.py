@@ -141,8 +141,8 @@ def bin_value_distribution(
         raise ValueError("p_g must be set on the model or passed explicitly")
     if not 0.0 <= occupancy <= 1.0:
         raise ValueError(f"p_g must lie in [0, 1], got {occupancy!r}")
-    if p_g_sigma < 0.0:
-        raise ValueError("p_g_sigma must be >= 0")
+    if not p_g_sigma >= 0.0:
+        raise ValueError(f"p_g_sigma must be >= 0, got {p_g_sigma!r}")
     p_noise = noise_pmf(model)
     p_signal = signal_pmf(model)
 

@@ -149,7 +149,7 @@ def evolve_sweep(cfg: SweepConfig) -> float:
 
 def landau_zener_oracle(g_q: float, ramp_rate: float) -> float:
     """Analytic transfer probability 1 - exp(-2 pi (g_q/2)^2 / ramp_rate)."""
-    if g_q < 0.0:
+    if not g_q >= 0.0:
         raise ValueError(f"g_q must be >= 0, got {g_q!r}")
     if not ramp_rate > 0.0:
         raise ValueError(f"ramp_rate must be positive, got {ramp_rate!r}")
@@ -182,6 +182,8 @@ def transfer_window_map(
     wm = np.asarray(list(omega_mol_values), dtype=float)
     if wm.size == 0:
         raise ValueError("the omega_mol grid must be nonempty")
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError(f"threshold must lie in [0, 1], got {threshold!r}")
     _, amp_e = _propagate(cfg, wm, np.asarray(cfg.g_q))
     transfer = np.abs(amp_e) ** 2
     above = np.nonzero(transfer > threshold)[0]
@@ -204,10 +206,12 @@ def offres_carrier_excitation(
     and over carrier offsets within +-``carrier_noise`` of the nominal
     detuning.  All frequencies are angular.
     """
-    if detuning == 0.0:
-        raise ValueError("detuning must be nonzero")
-    if rabi < 0.0 or carrier_noise < 0.0:
-        raise ValueError("rabi and carrier_noise must be >= 0")
+    if not abs(detuning) > 0.0:
+        raise ValueError(f"detuning must be a nonzero number, got {detuning!r}")
+    if not 0.0 <= rabi < math.inf:
+        raise ValueError(f"rabi must be finite and >= 0, got {rabi!r}")
+    if not 0.0 <= carrier_noise < math.inf:
+        raise ValueError(f"carrier_noise must be finite and >= 0, got {carrier_noise!r}")
     if not pulse > 0.0:
         raise ValueError(f"pulse must be positive, got {pulse!r}")
     if rabi == 0.0:

@@ -338,6 +338,24 @@ class TestEvolvePopulations:
         with pytest.raises(ValueError, match=f"snapshots must be >= 1, got {snapshots}"):
             evolve_populations(m, point_mass(ROT_GROUND), 1.0, snapshots=snapshots)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [("duration", math.nan), ("duration", math.inf), ("tol", math.nan), ("tol", -1e-8)],
+    )
+    def test_non_finite_duration_or_bad_tol_rejected(self, name, value):
+        m = build_rate_matrix(CONSTANTS, 300.0)
+        kwargs = {"duration": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            evolve_populations(m, point_mass(ROT_GROUND), **kwargs)
+
+    def test_nan_population_trips_the_norm_check(self):
+        m = build_rate_matrix(CONSTANTS, 300.0)
+        p = point_mass(ROT_GROUND)
+        p[0] = math.nan
+        blocks = bbr_kinetics._checked_blocks(m, p, np.zeros(2), 1.0, 1e-8, 2)
+        with pytest.raises(IntegrationError, match="normalization drifted by nan"):
+            next(blocks)
+
     @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_impossible_tolerance_raises(self):
         m = build_rate_matrix(CONSTANTS, 300.0)
@@ -525,6 +543,11 @@ class TestLeaveProbability:
     def test_non_finite_temperature_rejected(self, T):
         with pytest.raises(ValueError, match="temperature must be a finite number >= 0"):
             leave_probability_per_cycle(CONSTANTS, T, 0.04)
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf])
+    def test_non_finite_collision_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="collision_rate must be finite and >= 0"):
+            leave_probability_per_cycle(CONSTANTS, 300.0, 0.04, collision_rate=rate)
 
     def test_argument_validation(self):
         with pytest.raises(ValueError):

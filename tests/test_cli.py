@@ -693,6 +693,15 @@ class TestAnalyzeErrors:
         assert "no records" in capsys.readouterr().err
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize("mode", ["runs", "hmm"])
+    def test_window_below_one_is_usage_error_in_every_mode(self, sim_dir, tmp_path, capsys, mode):
+        # Modes that take no bins still refuse a window below one, as bins mode does.
+        out = tmp_path / "out"
+        argv = ["analyze", str(sim_dir / "dataset.csv"), "--mode", mode, "--window", "0"]
+        assert main([*argv, "--out", str(out)]) == EXIT_USAGE
+        assert "analyze needs --window >= 1, got --window=0" in capsys.readouterr().err
+        assert_no_output(out)
+
     def test_unknown_mode_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "x.csv", "--mode", "histogram", "--out", str(tmp_path)])

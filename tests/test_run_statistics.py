@@ -130,6 +130,10 @@ class TestBinValueDistribution:
         with pytest.raises(ValueError):
             bin_value_distribution(10, m, p_g_sigma=-0.1)
 
+    def test_nan_sigma_rejected(self):
+        with pytest.raises(ValueError, match="p_g_sigma must be >= 0, got nan"):
+            bin_value_distribution(10, NoiseSignalModel(p_g=0.01), p_g_sigma=math.nan)
+
     def test_column_shapes(self):
         pred = bin_value_distribution(100, NoiseSignalModel(), p_g=0.004)
         assert pred.k.tolist() == list(range(21))

@@ -191,6 +191,10 @@ class TestEvolveSweep:
         with pytest.raises(ValueError):
             landau_zener_oracle(1.0, 0.0)
 
+    def test_nan_coupling_rejected(self):
+        with pytest.raises(ValueError, match="g_q must be >= 0, got nan"):
+            landau_zener_oracle(math.nan, 1e9)
+
 
 class TestTransferWindowMap:
     GRID_KHZ = (410.0, 440.0, 475.0, 485.0)
@@ -224,6 +228,11 @@ class TestTransferWindowMap:
     def test_grid_must_be_nonempty(self):
         with pytest.raises(ValueError):
             transfer_window_map(SweepConfig(), [])
+
+    @pytest.mark.parametrize("threshold", [math.nan, -0.1, 1.5])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        with pytest.raises(ValueError, match="threshold must lie in"):
+            transfer_window_map(SweepConfig(), [TWO_PI * 450e3], threshold=threshold)
 
 
 class TestPropagator:
@@ -298,3 +307,10 @@ class TestOffresCarrier:
             offres_carrier_excitation(-1.0, 1.0, 1e-6, 0.0)
         with pytest.raises(ValueError):
             offres_carrier_excitation(1.0, 1.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("name", ["rabi", "detuning", "carrier_noise"])
+    def test_nan_argument_rejected(self, name):
+        kwargs = {"rabi": TWO_PI * 90e3, "detuning": TWO_PI * 410e3, "pulse": 45e-6,
+                  "carrier_noise": TWO_PI * 9e3, name: math.nan}
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            offres_carrier_excitation(**kwargs)
