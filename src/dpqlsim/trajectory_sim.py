@@ -10,10 +10,11 @@ Exactly four uniform variates are drawn per cycle in a fixed order
 (collision gate, jump gate / collision resample, jump target, emission),
 so datasets are bit-reproducible from (config, seed) and insensitive to
 which branches fire.  Drawn up front, they let the simulator skip from
-event to event (Gillespie, J. Phys. Chem. 81:2340, 1977), so its Python
-work scales with jumps and collisions, not cycles.  A stream is held as
-columns: one int8 outcome array and one int8 ground-level label array,
-with cycle k ending at ``(k + 1) * cycle`` seconds.
+event to event (Gillespie, J. Phys. Chem. 81:2340, 1977), scanning a buffer
+of candidate jump cycles that one numpy compare fills per 1024 cycles, so
+its Python work scales with jumps and collisions, not cycles.  A stream is
+held as columns: one int8 outcome array and one int8 ground-level label
+array, with cycle k ending at ``(k + 1) * cycle`` seconds.
 """
 
 from __future__ import annotations
@@ -171,7 +172,9 @@ class TrajectoryDynamics:
     in-cycle round trips such as ground -> v = 1 -> ground count; at 300 K
     the v = 1 levels leave at up to 6.4 /s (5.25 /s for v = 1, J = 3/2), up
     to 0.26 per 40 ms cycle.  The simulator applies :meth:`step_code` at
-    events only, a jump at the first cycle whose gate clears ``stay_prob``.
+    events only, a jump at the first cycle whose gate clears ``stay_prob``;
+    only cycles whose gate clears ``stay_floor``, the lowest radiative
+    ``stay_prob`` (1.0 with none), can hold one.
     """
 
     def __init__(self, constants: MolecularConstants, *, temperature: float,
@@ -200,6 +203,8 @@ class TrajectoryDynamics:
                 cum = np.cumsum(weights / weights.sum())
                 cum[targets[-1]:] = 1.0  # no draw lands past the last target
                 self.jump_cum[code] = cum.tolist()
+        radiative = [p for p, cum in zip(self.stay_prob, self.jump_cum) if cum is not None]
+        self.stay_floor = float(min(radiative, default=1.0))
 
     @classmethod
     def for_config(
@@ -225,41 +230,60 @@ class TrajectoryDynamics:
 
 
 _dynamics_cached = lru_cache(maxsize=16)(TrajectoryDynamics)
+_CANDIDATE_BLOCK = 1024  # cycles gathered per refill of the jump-candidate buffer
+
+
+def _hidden_walk(dyn: TrajectoryDynamics, rng: np.random.Generator,
+                 n_cycles: int) -> tuple[np.ndarray, np.ndarray]:
+    """(ground_labels, uniforms) of one stream, bit for bit a per-cycle ``step_code`` loop."""
+    code = dyn.sample_thermal_code(rng.random())
+    u = rng.random((n_cycles, 4))
+    gate = u[:, 1]
+    collided = np.flatnonzero(u[:, 0] < dyn.collision_prob)
+    resampled = np.searchsorted(dyn.thermal_cum, gate[collided], side="right").tolist()
+    stops = zip(collided.tolist() + [n_cycles], resampled + [None])
+    stop, fresh = next(stops)  # the next collision and its thermal code, or the end
+    cums, stays = dyn.jump_cum, dyn.stay_prob.tolist()
+    labels = np.zeros(n_cycles, dtype=np.int8)
+    # Candidates: the cycles below `filled` whose gate clears stay_floor; pos[i] is the
+    # first not yet passed, and a sentinel at `filled` with an infinite gate ends each scan.
+    pos, gates, targets, filled, i = [0], [math.inf], [], 0, 0
+    k = start = 0  # labels are written below k, jumps are searched from start
+    while True:
+        event = stop
+        if cums[code] is not None:
+            stay, j = stays[code], i
+            while True:
+                while gates[j] < stay:  # the same >= that step_code leaves for a jump
+                    j += 1
+                if pos[j] < filled or pos[j] >= stop:  # anything but the sentinel before stop
+                    break
+                lo = max(start, filled)  # gather the next block
+                filled = min(lo + _CANDIDATE_BLOCK, n_cycles)
+                hits = np.flatnonzero(gate[lo:filled] >= dyn.stay_floor) + lo
+                pos, gates = hits.tolist() + [filled], gate[hits].tolist() + [math.inf]
+                targets, i, j = u[hits, 2].tolist(), 0, 0
+            if pos[j] < stop:
+                event = pos[j]
+        if code == dyn.ground_code:
+            labels[k:event] = 1
+        if event == n_cycles:
+            break
+        if event == stop:  # a collision, even on a candidate cycle
+            i = bisect_right(pos, stop, i, len(pos) - 1)  # drop candidates up to it
+            code = fresh
+            stop, fresh = next(stops)
+        else:
+            code = bisect_right(cums[code], targets[j])
+            i = j + 1
+        k, start = event, event + 1
+    return labels, u
 
 
 def _simulate_arrays(config: ExperimentConfig, constants: MolecularConstants,
                      rng: np.random.Generator, n_cycles: int) -> tuple[np.ndarray, np.ndarray]:
     """(outcomes, ground_labels) int8 arrays, bit for bit a per-cycle ``step_code`` loop."""
-    dyn = TrajectoryDynamics.for_config(config, constants)
-    code = dyn.sample_thermal_code(rng.random())
-    u = rng.random((n_cycles, 4))
-    gate = u[:, 1]
-    stops = iter(np.flatnonzero(u[:, 0] < dyn.collision_prob).tolist() + [n_cycles])
-    stop = next(stops)  # the next collision, or the end of the stream
-    cums = dyn.jump_cum
-    labels = np.zeros(n_cycles, dtype=np.int8)
-    k = start = 0  # labels are written below k, the gate is searched from start
-    while True:
-        # The next event: a collision at `stop`, unless a radiative level's
-        # gate clears its stay probability first (windows widening x4).
-        event, width = stop, 64
-        while cums[code] is not None and start < stop:
-            end = min(start + width, stop)
-            hit = (gate[start:end] >= dyn.stay_prob[code]).tobytes().find(1)  # first True, or -1
-            if hit >= 0:
-                event = start + hit
-                break
-            start, width = end, width * 4
-        if code == dyn.ground_code:
-            labels[k:event] = 1
-        if event == n_cycles:
-            break
-        if event == stop:
-            stop = next(stops)
-            code = dyn.sample_thermal_code(gate[event])
-        else:
-            code = bisect_right(cums[code], u[event, 2])
-        k, start = event, event + 1
+    labels, u = _hidden_walk(TrajectoryDynamics.for_config(config, constants), rng, n_cycles)
     dark = u[:, 3] < config.p_bright_noise
     in_ground = np.flatnonzero(labels)
     dark[in_ground] = u[in_ground, 3] < config.detection_fidelity
@@ -335,14 +359,10 @@ def ensemble_ground_occupancy(
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     n_cycles = _capped_cycles(config, _cycles_in(hours, config.cycle))
-    constants = constants or MolecularConstants()
+    dyn = TrajectoryDynamics.for_config(config, constants)
     children = np.random.SeedSequence(config.rng_seed).spawn(n_trials)
-    fractions = np.empty(n_trials)
-    for i, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        _, labels = _simulate_arrays(config, constants, rng, n_cycles)
-        fractions[i] = labels.mean()
-    return fractions
+    return np.array([_hidden_walk(dyn, np.random.default_rng(child), n_cycles)[0].mean()
+                     for child in children])
 
 
 def disjoint_bin_counts(

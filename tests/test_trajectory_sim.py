@@ -283,6 +283,21 @@ class TestDynamics:
 
     @pytest.mark.parametrize(
         "c, T",
+        [(CONSTANTS, 200.0), (CONSTANTS, 450.0), (MolecularConstants(v_max=1, J_count=1), 300.0),
+         (MolecularConstants(v_max=0, J_count=1), 300.0)],
+        ids=["200K", "450K", "v_max=1,J_count=1", "no radiative level"],
+    )
+    def test_stay_floor_is_the_lowest_radiative_stay_probability(self, c, T):
+        # The simulator buffers only cycles whose gate clears stay_floor, so
+        # a floor above any radiative stay_prob would miss that level's jumps.
+        dyn = TrajectoryDynamics(c, temperature=T, cycle=0.040, collision_rate=0.008)
+        stay_prob, jump_cum, _ = oracles.dynamics_tables(c, T, 0.040)
+        radiative = [p for p, cum in zip(stay_prob.tolist(), jump_cum) if cum is not None]
+        assert type(dyn.stay_floor) is float
+        assert dyn.stay_floor == min(radiative, default=1.0)
+
+    @pytest.mark.parametrize(
+        "c, T",
         [(CONSTANTS, 200.0), (CONSTANTS, 300.0), (CONSTANTS, 450.0), (CONSTANTS, 600.0),
          (MolecularConstants(v_max=2, J_count=5), 300.0)],
         ids=["200K", "300K", "450K", "600K", "v_max=2,J_count=5"],
@@ -507,19 +522,22 @@ def _share_central_moments(step: np.ndarray, pi: np.ndarray, g: int, n: int) -> 
     return [math.factorial(k) * float(pi @ power[k].sum(axis=1)) / n**k for k in range(5)]
 
 
-def _run_both(config: ExperimentConfig, n: int, seed: int):
+def _run_both(config: ExperimentConfig, n: int, seed, constants=CONSTANTS,
+              make_rng=np.random.default_rng):
     """(event-driven, per-cycle oracle) results for one seed, plus the next
     uniform each RNG gives afterwards, which shows the draws consumed."""
     runs = []
     for simulate in (trajectory_sim._simulate_arrays, oracles.simulate_arrays):
-        rng = np.random.default_rng(seed)
-        outcomes, labels = simulate(config, CONSTANTS, rng, n)
+        rng = make_rng(seed)
+        outcomes, labels = simulate(config, constants, rng, n)
         runs.append((outcomes, labels, rng.random()))
     return runs
 
 
-def _assert_bit_equal(config: ExperimentConfig, n: int, seed: int) -> np.ndarray:
-    (outcomes, labels, after), (outcomes_0, labels_0, after_0) = _run_both(config, n, seed)
+def _assert_bit_equal(config: ExperimentConfig, n: int, seed, constants=CONSTANTS,
+                      make_rng=np.random.default_rng) -> np.ndarray:
+    (outcomes, labels, after), (outcomes_0, labels_0, after_0) = _run_both(
+        config, n, seed, constants, make_rng)
     assert outcomes.dtype == labels.dtype == np.int8
     assert outcomes.shape == labels.shape == (n,)
     assert np.array_equal(outcomes, outcomes_0), (config, n, seed)
@@ -528,12 +546,48 @@ def _assert_bit_equal(config: ExperimentConfig, n: int, seed: int) -> np.ndarray
     return labels
 
 
+class _StubGenerator:
+    """An RNG stand-in serving set draws: the initial scalar, then the
+    (n, 4) uniform block, then 0.5 for any later scalar."""
+
+    def __init__(self, draws):
+        first, self._block = draws
+        self._scalars = [first, 0.5]
+
+    def random(self, size=None):
+        if size is None:
+            return self._scalars.pop(0)
+        assert size == self._block.shape
+        return self._block.copy()
+
+
+def _thermal_draw(dyn: TrajectoryDynamics, code: int) -> float:
+    """A collision or initial variate that lands on ``code``."""
+    lo = dyn.thermal_cum[code - 1] if code else 0.0
+    u = float(lo + dyn.thermal_cum[code]) / 2
+    assert dyn.sample_thermal_code(u) == code
+    return u
+
+
+def _stub_draws(dyn: TrajectoryDynamics, code: int, n: int, gates: dict, collisions=()):
+    """Draws starting in ``code`` for n cycles that neither collide nor jump,
+    but for the given gates (cycle -> value) and collision cycles."""
+    block = np.full((n, 4), 0.5)
+    block[:, 1] = 0.0
+    for k, gate in gates.items():
+        block[k, 1] = gate
+    for k in collisions:
+        block[k, 0] = 0.0
+    return _thermal_draw(dyn, code), block
+
+
 class TestEventDrivenAgainstOracle:
     """The event-driven simulator against the per-cycle loop it replaced."""
 
-    # 64 and 65 sit on the first search window's edge; 4097 crosses the x4
-    # widened windows (64 + 256 + 1024 + 4096) of the slowest levels.
-    LENGTHS = (0, 1, 2, 63, 64, 65, 4097)
+    # The walk gathers jump candidates 1024 cycles at a time: 1023, 1024,
+    # 1025 and 2049 end a stream on either side of a block edge, and 4097
+    # crosses four of them.
+    LENGTHS = (0, 1, 2, 63, 64, 65, 1023, 1024, 1025, 2049, 4097)
 
     @pytest.mark.parametrize("temperature", [200.0, 300.0, 450.0, 600.0])
     @pytest.mark.parametrize("collision_rate", [0.0, 0.008, 1e3])
@@ -607,6 +661,64 @@ class TestEventDrivenAgainstOracle:
         ends = [_assert_bit_equal(config, n, seed)[-1] for seed in range(300) for n in (1, 2)]
         assert sum(ends) > 0
 
+    @pytest.mark.parametrize("collision_rate", [0.0, 5.0, 1e3])
+    def test_no_radiative_level(self, collision_rate):
+        # Only collisions move the state, and stay_floor is 1.0.
+        constants = MolecularConstants(v_max=0, J_count=1)
+        config = ExperimentConfig(collision_rate=collision_rate)
+        seeds = random.Random(f"no radiative level/{collision_rate}")
+        for n in (1, 1025, 4097):
+            _assert_bit_equal(config, n, seeds.randrange(2**63), constants)
+
+    # The stub streams below put their events on either side of the walk's
+    # 1024-cycle candidate blocks.
+    @pytest.mark.parametrize("at", [1, 1023, 1024, 2048])
+    def test_gate_equal_to_stay_floor(self, monkeypatch, at):
+        # The floor level jumps on a gate equal to stay_floor, the lowest
+        # gate the candidate buffer keeps, and not on the float below it.
+        config = ExperimentConfig(collision_rate=0.008)
+        dyn = TrajectoryDynamics.for_config(config, CONSTANTS)
+        floor_code = dyn.stay_prob.tolist().index(dyn.stay_floor)
+        gates = {at - 1: np.nextafter(dyn.stay_floor, 0.0), at: dyn.stay_floor}
+        draws = _stub_draws(dyn, floor_code, at + 5, gates)
+        monkeypatch.setattr(dyn, "ground_code", floor_code)
+        labels = _assert_bit_equal(config, at + 5, draws, make_rng=_StubGenerator)
+        assert labels.tolist() == [1] * at + [0] * 5
+
+    @pytest.mark.parametrize("at", [2, 1023, 1024, 2048])
+    def test_gate_equal_to_stay_prob(self, at):
+        # The ground level passes two candidates, one at stay_floor and one a
+        # float below its own stay_prob, and jumps on a gate equal to it.
+        config = ExperimentConfig(collision_rate=0.008)
+        dyn = TrajectoryDynamics.for_config(config, CONSTANTS)
+        stay = dyn.stay_prob[dyn.ground_code]
+        assert stay > dyn.stay_floor
+        gates = {at - 2: dyn.stay_floor, at - 1: np.nextafter(stay, 0.0), at: stay}
+        draws = _stub_draws(dyn, dyn.ground_code, at + 5, gates)
+        labels = _assert_bit_equal(config, at + 5, draws, make_rng=_StubGenerator)
+        assert labels.tolist() == [1] * at + [0] * 5
+
+    @pytest.mark.parametrize("at", [2, 1023, 1024, 2048])
+    @pytest.mark.parametrize("onto", ["jump gate", "floor level"])
+    def test_collision_on_a_candidate_cycle(self, monkeypatch, at, onto):
+        # From the ground level, a collision whose gate would also be a jump
+        # takes the resample branch.  A collision into the floor level must
+        # drop the candidate at stay_floor two cycles before it, which that
+        # level would otherwise take as a jump back in time.
+        config = ExperimentConfig(collision_rate=0.008)
+        dyn = TrajectoryDynamics.for_config(config, CONSTANTS)
+        floor_code = dyn.stay_prob.tolist().index(dyn.stay_floor)
+        gate = 0.995 if onto == "jump gate" else _thermal_draw(dyn, floor_code)
+        landed = dyn.sample_thermal_code(gate)
+        assert landed != dyn.ground_code
+        if onto == "jump gate":
+            assert gate >= dyn.stay_prob[dyn.ground_code]
+        draws = _stub_draws(dyn, dyn.ground_code, at + 5, {at - 2: dyn.stay_floor, at: gate},
+                            collisions=[at])
+        monkeypatch.setattr(dyn, "ground_code", landed)
+        labels = _assert_bit_equal(config, at + 5, draws, make_rng=_StubGenerator)
+        assert labels.tolist() == [0] * at + [1] * 5
+
     def test_duration_cap_and_ensemble(self, monkeypatch):
         capped = ExperimentConfig(rng_seed=17, trial_duration_cap=123.45, temperature=450.0)
         ensemble = ExperimentConfig(rng_seed=18, temperature=450.0)
@@ -614,10 +726,15 @@ class TestEventDrivenAgainstOracle:
         new_fractions = ensemble_ground_occupancy(ensemble, 4, 0.25)
         monkeypatch.setattr(trajectory_sim, "_simulate_arrays", oracles.simulate_arrays)
         old_trial = simulate_trial(capped, 30000)
-        old_fractions = ensemble_ground_occupancy(ensemble, 4, 0.25)
         assert new_trial.outcome.size == 3086  # cycles ending within 123.45 s
         assert np.array_equal(new_trial.outcome, old_trial.outcome)
         assert np.array_equal(new_trial.hidden, old_trial.hidden)
+        # The ensemble walks the hidden state alone: compare it with the
+        # oracle's labels of the same spawned streams.
+        children = np.random.SeedSequence(ensemble.rng_seed).spawn(4)
+        n_cycles = round(0.25 * 3600.0 / ensemble.cycle)
+        old_fractions = [oracles.simulate_arrays(ensemble, CONSTANTS, np.random.default_rng(child),
+                                                 n_cycles)[1].mean() for child in children]
         assert np.array_equal(new_fractions, old_fractions)
         assert new_fractions.dtype == np.float64
 
