@@ -36,8 +36,8 @@ for n in (30000, 180000):
 
 # The same machinery predicts the dark-count histogram per 20-cycle
 # bin, splitting noise-only bins from bins that caught a ground visit.
-model = NoiseSignalModel(p_b=P_DARK, p_d=0.72, p_s=0.015, p_g=0.0047)
-pred = bin_value_distribution(4500, model, p_g_sigma=0.0030)
+model = NoiseSignalModel(p_b=P_DARK, p_d=0.72, p_s=0.015)
+pred = bin_value_distribution(4500, model, 0.0047, p_g_sigma=0.0030)
 print("\npredicted bins by dark count (4500 bins, with signal):")
 for k in range(9):
     print(f"  {k} darks: {pred.counts[k]:9.2f}  "

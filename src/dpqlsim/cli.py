@@ -267,10 +267,11 @@ def cmd_analyze(
                 f"--window {window} is longer than the stream ({outcomes.size} records)"
             )
         rates = _detector_rates(constants, config)
+        p_g = rates.pop("p_g")
         observed = disjoint_bin_counts(outcomes, window)
         model = NoiseSignalModel(**rates, bin=window)
-        prediction = bin_value_distribution(n_bins, model)
-        noise_only = bin_value_distribution(n_bins, model, p_g=0.0)
+        prediction = bin_value_distribution(n_bins, model, p_g)
+        noise_only = bin_value_distribution(n_bins, model, 0.0)
         path = out_dir / "bins.csv"
         header = ("dark_count", "observed_bins", "predicted_bins", "predicted_band_low",
                   "predicted_band_high", "noise_only_bins")
@@ -279,7 +280,7 @@ def cmd_analyze(
         write_table(path, header, columns)
         outputs["bins.csv"] = path
         report.update(
-            window=window, n_bins=n_bins, p_ground=rates["p_g"], p_leave=rates["p_s"],
+            window=window, n_bins=n_bins, p_ground=p_g, p_leave=rates["p_s"],
             observed_mean_darks=float(outcomes.mean() * window),
         )
     elif mode == "runs":

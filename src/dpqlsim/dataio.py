@@ -13,7 +13,7 @@ import hashlib
 import io
 from dataclasses import fields
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence, get_args, get_type_hints
+from typing import Callable, Iterable, Mapping, Sequence, get_type_hints
 
 import numpy as np
 
@@ -92,23 +92,14 @@ _CASTS: dict[type, Callable[[object], object]] = {float: float, int: int}
 
 
 def config_casts(cls: type) -> dict[str, Callable[[object], object]]:
-    """Config key -> parser for each field of a flat config dataclass.
-
-    The key set is the field list; a field annotated ``T | None`` parses
-    as T and may be left out.
-    """
+    """Config key -> parser for each field of a flat config dataclass."""
     hints = get_type_hints(cls)
-    casts = {}
-    for f in fields(cls):
-        kind = next((t for t in get_args(hints[f.name]) if t is not type(None)), hints[f.name])
-        casts[f.name] = _CASTS[kind]
-    return casts
+    return {f.name: _CASTS[hints[f.name]] for f in fields(cls)}
 
 
 def config_to_mapping(config: object) -> dict[str, object]:
-    """Field values of a flat config dataclass, unset optionals left out."""
-    values = ((f.name, getattr(config, f.name)) for f in fields(config))
-    return {name: value for name, value in values if value is not None}
+    """Field values of a flat config dataclass, by field name."""
+    return {f.name: getattr(config, f.name) for f in fields(config)}
 
 
 def config_from_mapping(cls: type, mapping: Mapping[str, object]):
@@ -147,9 +138,8 @@ def _check_header(header: list[str], source: str) -> None:
         )
 
 
-def _parse_rows(path: Path, source: str) -> tuple[np.ndarray, ...]:
+def _parse_rows(raw: bytes, source: str) -> tuple[np.ndarray, ...]:
     """``csv.reader`` parse naming the first line of a bad record (the header is 1)."""
-    raw = path.read_bytes()
     try:
         text = raw.decode()
     except UnicodeDecodeError as exc:
@@ -313,7 +303,7 @@ def _parse_block(b: np.ndarray) -> tuple[np.ndarray, ...] | None:
     return index, outcome.view(np.int8), time_s, hidden
 
 
-def _read_table(path: Path, source: str) -> tuple[np.ndarray, ...] | None:
+def _read_table(raw: bytes, source: str) -> tuple[np.ndarray, ...] | None:
     """Check the header, then parse the body as bytes, a block of rows at a time.
 
     Returns None unless every body line is ``digits,0|1,time,0|1|NA`` (the
@@ -324,7 +314,6 @@ def _read_table(path: Path, source: str) -> tuple[np.ndarray, ...] | None:
     stdlib ``csv`` reader then parses the file, naming the first line of a
     bad record.
     """
-    raw = path.read_bytes()
     if not raw:
         raise DataFormatError("empty dataset file", source=source, line=1)
     start = raw.find(b"\n") + 1 or len(raw)
@@ -355,9 +344,9 @@ def _read_columns(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray,
 
     The index is int64 where every value fits, else Python ints.
     """
-    path = Path(path)
-    columns = _read_table(path, str(path))
-    return _parse_rows(path, str(path)) if columns is None else columns
+    raw = Path(path).read_bytes()  # read once: both parses see the same bytes
+    columns = _read_table(raw, str(path))
+    return _parse_rows(raw, str(path)) if columns is None else columns
 
 
 def read_dataset_csv(path: str | Path) -> list[tuple[int, int, float, int | None]]:

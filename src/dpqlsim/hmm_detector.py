@@ -40,6 +40,9 @@ __all__ = [
 ]
 
 STATE_NAMES = ("J!=3/2", "J=3/2")
+# The keys of an HMM parameter file, in the order of trans, emit and initial, row-major.
+_PARAM_KEYS = (*(f"{name}_{i}{j}" for name in ("trans", "emit") for i in (0, 1) for j in (0, 1)),
+               "initial_0", "initial_1")
 
 
 class EstimationError(RuntimeError):
@@ -89,16 +92,8 @@ class HmmParams:
             raise ValueError("initial must be a probability vector within 1e-12")
 
     def to_mapping(self) -> dict[str, float]:
-        out: dict[str, float] = {}
-        for i in range(2):
-            for j in range(2):
-                out[f"trans_{i}{j}"] = float(self.trans[i, j])
-        for i in range(2):
-            for o in range(2):
-                out[f"emit_{i}{o}"] = float(self.emit[i, o])
-        out["initial_0"] = float(self.initial[0])
-        out["initial_1"] = float(self.initial[1])
-        return out
+        values = np.concatenate((self.trans.ravel(), self.emit.ravel(), self.initial))
+        return dict(zip(_PARAM_KEYS, values.tolist()))
 
     @classmethod
     def from_mapping(cls, mapping: Mapping[str, object]) -> "HmmParams":
@@ -106,17 +101,20 @@ class HmmParams:
 
         Serialized parameters carry 10 significant digits, so row sums can
         be off by ~1e-10; anything worse than 1e-6 is treated as a broken
-        file rather than rounding.  A key outside the set raises ValueError.
+        file rather than rounding.  A key outside the set raises ValueError,
+        and so does a value that is no number, naming its key.
         """
-        known = {f"{name}_{i}{j}" for name in ("trans", "emit") for i in (0, 1) for j in (0, 1)}
-        unknown = sorted(set(mapping) - known - {"initial_0", "initial_1"})
+        unknown = sorted(set(mapping) - set(_PARAM_KEYS))
         if unknown:
             raise ValueError(f"unknown HMM parameter keys: {', '.join(unknown)}")
 
         def grab(key: str) -> float:
             if key not in mapping:
                 raise ValueError(f"missing HMM parameter key {key!r}")
-            return float(mapping[key])
+            try:
+                return float(mapping[key])
+            except ValueError as exc:
+                raise ValueError(f"key {key!r}: {exc}") from None
 
         def renormalized(name: str, rows: np.ndarray) -> np.ndarray:
             sums = rows.sum(axis=-1, keepdims=True)
@@ -124,13 +122,11 @@ class HmmParams:
                 raise ValueError(f"{name} rows must sum to 1 within 1e-6")
             return rows / sums
 
-        trans = np.array([[grab(f"trans_{i}{j}") for j in range(2)] for i in range(2)])
-        emit = np.array([[grab(f"emit_{i}{o}") for o in range(2)] for i in range(2)])
-        initial = np.array([grab("initial_0"), grab("initial_1")])
+        values = np.array([grab(key) for key in _PARAM_KEYS])
         return cls(
-            trans=renormalized("trans", trans),
-            emit=renormalized("emit", emit),
-            initial=renormalized("initial", initial),
+            trans=renormalized("trans", values[:4].reshape(2, 2)),
+            emit=renormalized("emit", values[4:8].reshape(2, 2)),
+            initial=renormalized("initial", values[8:]),
         )
 
 

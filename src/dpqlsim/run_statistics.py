@@ -49,18 +49,17 @@ _SQRT2 = math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class NoiseSignalModel:
-    """Per-bin dark statistics: noise floor, fidelity, departure, occupancy.
+    """Per-bin dark statistics: noise floor, fidelity, departure, bin size.
 
     ``p_b`` is the dark probability away from the ground level, ``p_d``
-    the dark probability in it, ``p_s`` the per-cycle probability of
-    leaving it, and ``p_g`` the thermal occupancy used to mix the two bin
-    distributions (may be left None and supplied at prediction time).
+    the dark probability in it and ``p_s`` the per-cycle probability of
+    leaving it.  The occupancy that mixes the two bin distributions is an
+    argument of :func:`bin_value_distribution`.
     """
 
     p_b: float = 0.03
     p_d: float = 0.72
     p_s: float = 0.015
-    p_g: float | None = None
     bin: int = 20
 
     def __post_init__(self) -> None:
@@ -68,8 +67,6 @@ class NoiseSignalModel:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
-        if self.p_g is not None and not 0.0 <= self.p_g <= 1.0:
-            raise ValueError(f"p_g must lie in [0, 1], got {self.p_g!r}")
         if self.p_d <= self.p_b:
             raise ValueError("p_d must exceed p_b")
         if self.bin < 1:
@@ -125,22 +122,19 @@ class BinValuePrediction:
 def bin_value_distribution(
     n_bins: int,
     model: NoiseSignalModel,
+    p_g: float,
     *,
-    p_g: float | None = None,
     p_g_sigma: float = 0.0,
 ) -> BinValuePrediction:
     """Predicted dark-count histogram N [(1 - p_g) p_n(k) + p_g p_e(k)].
 
-    ``p_g`` overrides the model's thermal occupancy; the band re-evaluates
-    the mixture at p_g plus and minus one sigma (clipped to [0, 1]).
+    ``p_g`` is the thermal ground occupancy; the band re-evaluates the
+    mixture at p_g plus and minus one sigma (clipped to [0, 1]).
     """
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins!r}")
-    occupancy = model.p_g if p_g is None else p_g
-    if occupancy is None:
-        raise ValueError("p_g must be set on the model or passed explicitly")
-    if not 0.0 <= occupancy <= 1.0:
-        raise ValueError(f"p_g must lie in [0, 1], got {occupancy!r}")
+    if not 0.0 <= p_g <= 1.0:
+        raise ValueError(f"p_g must lie in [0, 1], got {p_g!r}")
     if not p_g_sigma >= 0.0:
         raise ValueError(f"p_g_sigma must be >= 0, got {p_g_sigma!r}")
     p_noise = noise_pmf(model)
@@ -150,14 +144,14 @@ def bin_value_distribution(
         pg = min(max(pg, 0.0), 1.0)
         return n_bins * ((1.0 - pg) * p_noise + pg * p_signal)
 
-    lo, hi = mixture(occupancy - p_g_sigma), mixture(occupancy + p_g_sigma)
+    lo, hi = mixture(p_g - p_g_sigma), mixture(p_g + p_g_sigma)
     return BinValuePrediction(
         k=np.arange(model.bin + 1),
-        counts=mixture(occupancy),
+        counts=mixture(p_g),
         band_low=np.minimum(lo, hi),
         band_high=np.maximum(lo, hi),
         n_bins=n_bins,
-        p_g=occupancy,
+        p_g=p_g,
     )
 
 
@@ -347,6 +341,8 @@ def required_run_length(n: int, p_dark: float, z_target: float) -> SignificanceR
 
     No run can exceed x = n, so the search stops at n - 1.
     """
+    if math.isnan(z_target):
+        raise ValueError(f"z_target must be a number, got {z_target!r}")
     top = min(n - 1, 200)
     for x in range(top + 1):
         result = significance(n, x, p_dark)

@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 import numpy as np
 
@@ -194,31 +193,14 @@ def degeneracy(state: RoVibState) -> int:
     return state.two_J + 1
 
 
-def enumerate_levels(
-    c: MolecularConstants,
-    *,
-    two_omega: int | None = None,
-    v: int | None = None,
-) -> list[RoVibState]:
+def enumerate_levels(c: MolecularConstants) -> list[RoVibState]:
     """All levels of the truncated set, the lower Omega = 3/2 manifold first.
 
     Within each manifold the order is v ascending, then rotational quanta
-    ascending, so a single-manifold listing indexes as ``v * J_count + n``.
-    Optional filters restrict the listing to one manifold or one vibrational
-    level.
+    ascending, so a level of one manifold sits ``v * J_count + n`` into it.
     """
-    manifolds: Iterable[int] = (3, 1)
-    if two_omega is not None:
-        if two_omega not in (1, 3):
-            raise ValueError(f"two_omega must be 1 or 3, got {two_omega}")
-        manifolds = (two_omega,)
-    v_values = range(c.v_max + 1) if v is None else (v,)
-    levels = []
-    for omega2 in manifolds:
-        for vv in v_values:
-            for n in range(c.J_count):
-                levels.append(RoVibState(v=vv, two_omega=omega2, two_J=omega2 + 2 * n))
-    return levels
+    return [RoVibState(v=v, two_omega=omega2, two_J=omega2 + 2 * n)
+            for omega2 in (3, 1) for v in range(c.v_max + 1) for n in range(c.J_count)]
 
 
 @lru_cache(maxsize=32)

@@ -24,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .bbr_kinetics import IntegrationError
+from .spectroscopy import MolecularConstants
 
 __all__ = [
     "SweepConfig",
@@ -53,14 +54,14 @@ class SweepConfig:
 
     Defaults: sweep from 2 pi x 492 kHz down to 2 pi x 410 kHz at
     2 pi x 10 kHz per ms, with the molecular resonance at 2 pi x 450 kHz
-    and a vacuum Rabi coupling of 2 pi x 2.6 kHz.
+    and the vacuum Rabi coupling ``MolecularConstants.g_q_ground``.
     """
 
     omega_start: float = _TWO_PI * 492e3
     omega_end: float = _TWO_PI * 410e3
     ramp_rate: float = _TWO_PI * 10e3 / 1e-3
     omega_mol: float = _TWO_PI * 450e3
-    g_q: float = _TWO_PI * 2.6e3
+    g_q: float = MolecularConstants.g_q_ground
 
     def __post_init__(self) -> None:
         if not self.ramp_rate > 0.0:

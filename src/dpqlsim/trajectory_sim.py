@@ -54,10 +54,8 @@ class ExperimentConfig:
 
     The length of a stream is not a knob here: :func:`simulate_trial`
     takes it as a cycle count and :func:`simulate_hours` (``dpqlsim
-    simulate --hours``) as a wall-clock time.  ``trial_duration_cap``
-    truncates a trial at a wall-clock time (molecule loss).  Every field is
-    a config-file key of the same name; :func:`dataio.config_to_mapping`
-    leaves the cap out when it is unset.
+    simulate --hours``) as a wall-clock time.  Every field is a
+    config-file key of the same name.
     """
 
     cycle: float = 0.040
@@ -66,13 +64,12 @@ class ExperimentConfig:
     collision_rate: float = 0.008
     temperature: float = 300.0
     rng_seed: int = 0
-    trial_duration_cap: float | None = None
 
     def __post_init__(self) -> None:
         # Each check is a chain of comparisons, all False for a NaN.
-        for name in ("cycle", "temperature", "trial_duration_cap"):
+        for name in ("cycle", "temperature"):
             value = getattr(self, name)
-            if value is not None and not 0.0 < value < math.inf:
+            if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be finite and positive, got {value!r}")
         rate = self.collision_rate
         if not 0.0 <= rate < math.inf:
@@ -297,12 +294,10 @@ def simulate_trial(
 
     The initial hidden state is a thermal draw, as if the molecule had
     equilibrated with the blackbody field before the trial; each cycle then
-    steps the state and emits an outcome.  A configured
-    ``trial_duration_cap`` truncates the stream at that wall-clock time.
+    steps the state and emits an outcome.
     """
     if n_cycles < 1:
         raise ValueError(f"n_cycles must be >= 1, got {n_cycles!r}")
-    n_cycles = _capped_cycles(config, n_cycles)
     constants = constants or MolecularConstants()
     rng = np.random.default_rng(config.rng_seed)
     outcomes, labels = _simulate_arrays(config, constants, rng, n_cycles)
@@ -320,22 +315,6 @@ def _cycles_in(hours: float, cycle: float) -> int:
     return n_cycles
 
 
-def _capped_cycles(config: ExperimentConfig, n_cycles: int) -> int:
-    """``n_cycles`` cut to those ending within the cap; ValueError at zero."""
-    cap = config.trial_duration_cap
-    if cap is None:
-        return n_cycles
-    # Count the cycles whose end time (k + 1) * cycle lies within the cap;
-    # int(cap / cycle) alone can round one cycle short.
-    n_capped = int(cap / config.cycle) + 1
-    while n_capped * config.cycle > cap:
-        n_capped -= 1
-    if n_capped < 1:
-        raise ValueError(f"trial_duration_cap {cap:g} s is shorter than one cycle "
-                         f"({config.cycle:g} s)")
-    return min(n_cycles, n_capped)
-
-
 def simulate_hours(
     config: ExperimentConfig, hours: float, constants: MolecularConstants | None = None
 ) -> TrialDataset:
@@ -351,14 +330,13 @@ def ensemble_ground_occupancy(
 ) -> np.ndarray:
     """Ground-level occupancy fraction of ``n_trials`` independent runs.
 
-    Each run covers ``hours`` of wall-clock time, or the configured
-    ``trial_duration_cap`` if shorter, with its own RNG stream spawned
-    from the config seed, so the ensemble is reproducible yet the streams
-    are statistically independent.
+    Each run covers ``hours`` of wall-clock time with its own RNG stream
+    spawned from the config seed, so the ensemble is reproducible yet the
+    streams are statistically independent.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    n_cycles = _capped_cycles(config, _cycles_in(hours, config.cycle))
+    n_cycles = _cycles_in(hours, config.cycle)
     dyn = TrajectoryDynamics.for_config(config, constants)
     children = np.random.SeedSequence(config.rng_seed).spawn(n_trials)
     return np.array([_hidden_walk(dyn, np.random.default_rng(child), n_cycles)[0].mean()

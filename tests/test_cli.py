@@ -172,10 +172,10 @@ class TestSimulate:
         assert manifest["command"] == argv
         assert manifest["seed"] == 11
         assert manifest["config"]["experiment"]["rng_seed"] == 11
-        # Every field but the unset trial_duration_cap, and nothing else.
+        # Every field, and nothing else.
         fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
-        assert len(fields) == 7
-        assert set(manifest["config"]["experiment"]) == fields - {"trial_duration_cap"}
+        assert len(fields) == 6
+        assert set(manifest["config"]["experiment"]) == fields
         assert manifest["outputs"]["dataset.csv"] == sha256_digest(
             tmp_path / "dataset.csv"
         )
@@ -290,23 +290,13 @@ class TestSimulate:
         assert "simulated 1 cycles" in capsys.readouterr().out
         assert len(read_dataset_csv(tmp_path / "dataset.csv")) == 1
 
-    def test_cap_shorter_than_a_cycle_is_usage_error(self, tmp_path, capsys):
-        # A 0.01 s cap holds no 40 ms cycle: refused before any file is written.
-        cfg = tmp_path / "config.txt"
-        cfg.write_text("trial_duration_cap = 0.01\n")
-        out = tmp_path / "out"
-        code = main(["simulate", "--config", str(cfg), "--hours", "1", "--out", str(out)])
-        assert code == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert "trial_duration_cap 0.01 s" in err and "cycle (0.04 s)" in err
-        assert not (out / "dataset.csv").exists()
-        assert not (out / "manifest.json").exists()
-
     def test_removed_config_keys_are_usage_errors(self, tmp_path, capsys):
         # The first four keys were validated but configured nothing; the
-        # stream length comes from --hours; Omega = 3/2 is the lower manifold.
+        # stream length comes from --hours alone; Omega = 3/2 is the lower
+        # manifold.
         removed = ("thermalization_wait", "ramp_fidelity_1", "ramp_fidelity_2",
-                   "shelving_fidelity", "experiments_per_trial", "omega_half_lower")
+                   "shelving_fidelity", "experiments_per_trial", "trial_duration_cap",
+                   "omega_half_lower")
         cfg = tmp_path / "config.txt"
         cfg.write_text("".join(f"{key} = 0.9\n" for key in removed))
         out = tmp_path / "out"
@@ -314,8 +304,17 @@ class TestSimulate:
         assert code == EXIT_USAGE
         err = capsys.readouterr().err
         assert all(key in err for key in removed)
-        assert not (out / "dataset.csv").exists()
-        assert not (out / "manifest.json").exists()
+        assert_no_output(out)
+
+    def test_trial_duration_cap_is_usage_error(self, tmp_path, capsys):
+        # Retired: a shorter stream is a shorter --hours.
+        cfg = tmp_path / "config.txt"
+        cfg.write_text("trial_duration_cap = 1.0\n")
+        out = tmp_path / "out"
+        code = main(["simulate", "--config", str(cfg), "--hours", "0.01", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "unknown config keys: trial_duration_cap" in capsys.readouterr().err
+        assert_no_output(out)
 
     def test_temperature_override_recorded(self, tmp_path):
         code = main(
@@ -645,6 +644,20 @@ class TestAnalyzeHmm:
         assert "params.txt" in err and "unknown HMM parameter keys: trans_02" in err
         assert not (out / "decoded.csv").exists()
 
+    def test_bad_params_value_names_its_key(self, sim_dir, tmp_path, capsys):
+        # As a config file does: "key 'temperature': ..." for a bad value.
+        params = tmp_path / "params.txt"
+        write_keyvalues(params, {**default_params().to_mapping(), "emit_01": "abc"})
+        out = tmp_path / "out"
+        code = main(
+            ["analyze", str(sim_dir / "dataset.csv"), "--mode", "hmm",
+             "--params", str(params), "--out", str(out)]
+        )
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "params.txt: key 'emit_01': could not convert string to float: 'abc'" in err
+        assert_no_output(out)
+
 class TestAnalyzeErrors:
     def test_missing_dataset_file(self, tmp_path, capsys):
         code = main(
@@ -820,7 +833,7 @@ class TestConfigAndManifest:
     @pytest.mark.parametrize(
         "key, value",
         [("collision_rate", "nan"), ("collision_rate", "inf"), ("cycle", "inf"),
-         ("cycle", "nan"), ("temperature", "inf"), ("trial_duration_cap", "inf"),
+         ("cycle", "nan"), ("temperature", "inf"),
          ("p_bright_noise", "nan"), ("B_e", "nan"), ("omega_e", "inf"), ("A_so", "nan"),
          ("g_q_ground", "inf"), ("g_q_ground", "nan"), ("mu_vib_scale", "inf"),
          ("mu_rot_scale", "nan"), ("rng_seed", "-2")],
@@ -849,7 +862,7 @@ class TestConfigAndManifest:
     NON_DEFAULT = {
         "cycle": 0.05, "p_bright_noise": 0.2, "detection_fidelity": 0.4,
         "collision_rate": 1.0, "temperature": 450.0, "rng_seed": 417,
-        "trial_duration_cap": 10.0, "omega_e": 600.0, "A_so": 100.0, "B_e": 0.4,
+        "omega_e": 600.0, "A_so": 100.0, "B_e": 0.4,
         "g_q_ground": 1e4, "v_max": 0, "J_count": 20, "mu_vib_scale": 2.0,
         "mu_rot_scale": 5.0,
     }

@@ -86,11 +86,24 @@ class TestHmmParams:
         assert np.allclose(back.trans, p.trans)
         assert np.allclose(back.emit, p.emit)
         assert np.allclose(back.initial, p.initial)
+        assert list(p.to_mapping()) == [
+            "trans_00", "trans_01", "trans_10", "trans_11",
+            "emit_00", "emit_01", "emit_10", "emit_11", "initial_0", "initial_1",
+        ]
+        assert list(p.to_mapping().values()) == [
+            *p.trans.ravel().tolist(), *p.emit.ravel().tolist(), *p.initial.tolist()
+        ]
 
-    def test_mapping_missing_key(self):
+    def test_mapping_value_error_names_the_key(self):
+        m = {**default_params().to_mapping(), "emit_01": "abc"}
+        with pytest.raises(ValueError, match="^key 'emit_01': could not convert"):
+            HmmParams.from_mapping(m)
+
+    @pytest.mark.parametrize("key", list(default_params().to_mapping()))
+    def test_mapping_missing_key(self, key):
         m = default_params().to_mapping()
-        del m["emit_11"]
-        with pytest.raises(ValueError):
+        del m[key]
+        with pytest.raises(ValueError, match=f"^missing HMM parameter key '{key}'$"):
             HmmParams.from_mapping(m)
 
     @pytest.mark.parametrize("extra", [["trans_02"], ["initial_2", "emit"]])

@@ -1,5 +1,6 @@
 """Bin-count models and exact longest-run significance."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -37,7 +38,8 @@ class TestNoiseSignalModel:
     def test_defaults(self):
         m = NoiseSignalModel()
         assert (m.p_b, m.p_d, m.p_s, m.bin) == (0.03, 0.72, 0.015, 20)
-        assert m.p_g is None
+        # The occupancy is an argument of bin_value_distribution, not a field.
+        assert [f.name for f in dataclasses.fields(m)] == ["p_b", "p_d", "p_s", "bin"]
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -45,7 +47,6 @@ class TestNoiseSignalModel:
             {"p_b": -0.1},
             {"p_d": 1.2},
             {"p_s": 2.0},
-            {"p_g": -0.5},
             {"p_b": 0.5, "p_d": 0.4},  # fidelity below the noise floor
             {"bin": 0},
         ],
@@ -114,25 +115,19 @@ class TestBinValueDistribution:
         assert np.allclose(pred.band_low, pred.counts)
         assert np.allclose(pred.band_high, pred.counts)
 
-    def test_model_occupancy_used_when_present(self):
-        m = NoiseSignalModel(p_g=0.01)
-        pred = bin_value_distribution(100, m)
-        assert pred.p_g == 0.01
-
-    def test_missing_occupancy_rejected(self):
-        with pytest.raises(ValueError):
-            bin_value_distribution(100, NoiseSignalModel())
-
     def test_validation(self):
-        m = NoiseSignalModel(p_g=0.01)
+        m = NoiseSignalModel()
         with pytest.raises(ValueError):
-            bin_value_distribution(0, m)
+            bin_value_distribution(0, m, 0.01)
         with pytest.raises(ValueError):
-            bin_value_distribution(10, m, p_g_sigma=-0.1)
+            bin_value_distribution(10, m, 0.01, p_g_sigma=-0.1)
+        for p_g in (-0.5, 1.5, math.nan):
+            with pytest.raises(ValueError, match="p_g must lie in"):
+                bin_value_distribution(10, m, p_g)
 
     def test_nan_sigma_rejected(self):
         with pytest.raises(ValueError, match="p_g_sigma must be >= 0, got nan"):
-            bin_value_distribution(10, NoiseSignalModel(p_g=0.01), p_g_sigma=math.nan)
+            bin_value_distribution(10, NoiseSignalModel(), 0.01, p_g_sigma=math.nan)
 
     def test_column_shapes(self):
         pred = bin_value_distribution(100, NoiseSignalModel(), p_g=0.004)
@@ -537,6 +532,11 @@ class TestRequiredRunLength:
         # Even 100 darks in 100 trials stay below 40 sigma.
         with pytest.raises(ValueError, match="up to 99 reaches Z = 40"):
             required_run_length(100, 0.03, 40.0)
+
+    def test_nan_target_rejected_up_front(self):
+        # Named at once, not after a search that no NaN can end.
+        with pytest.raises(ValueError, match="^z_target must be a number, got nan"):
+            required_run_length(180000, 0.03, math.nan)
 
 
 class TestPredictionContainer:

@@ -5,6 +5,7 @@ doublet ladder directly from the spectroscopic constants and sums the
 Boltzmann weights with no shared code.
 """
 
+import inspect
 import math
 
 import numpy as np
@@ -105,19 +106,21 @@ class TestEnumerateLevels:
         # 2 manifolds x 2 vibrational levels x 70 rotational quanta
         assert len(enumerate_levels(C)) == 280
 
-    def test_filters(self):
-        lower = enumerate_levels(C, two_omega=3)
-        assert len(lower) == 140
-        assert all(s.two_omega == 3 for s in lower)
-        v0 = enumerate_levels(C, v=0)
-        assert len(v0) == 140
-        assert all(s.v == 0 for s in v0)
+    def test_takes_the_constants_alone(self):
+        # One manifold or one v is a slice of the listing (see radiative_levels).
+        assert list(inspect.signature(enumerate_levels).parameters) == ["c"]
+
+    def test_order_is_manifold_then_v_then_quanta(self):
+        levels = enumerate_levels(C)
+        keys = [(-s.two_omega, s.v, s.rotational_quanta) for s in levels]
+        assert keys == sorted(keys) and len(set(keys)) == 280
+        assert all(s.two_omega == 3 for s in levels[:140])
 
     def test_order_starts_at_ground(self):
         assert enumerate_levels(C)[0] == ROT_GROUND
 
     def test_energies_within_manifold_increase(self):
-        levels = enumerate_levels(C, two_omega=3, v=0)
+        levels = enumerate_levels(C)[: C.J_count]  # v = 0, Omega = 3/2
         energies = [level_energy(s, C) for s in levels]
         assert all(b > a for a, b in zip(energies, energies[1:]))
 

@@ -10,6 +10,7 @@ from scipy.linalg import expm
 
 from dpqlsim import sweep_dynamics
 from dpqlsim.bbr_kinetics import IntegrationError
+from dpqlsim.spectroscopy import MolecularConstants
 from dpqlsim.sweep_dynamics import (
     DEFAULT_TIME_STEP,
     SweepConfig,
@@ -82,6 +83,10 @@ class TestSweepConfig:
         assert cfg.g_q == pytest.approx(TWO_PI * 2.6e3)
         assert cfg.duration == pytest.approx(8.2e-3)
         assert cfg.direction == -1.0
+
+    def test_default_coupling_is_the_molecular_constant(self):
+        # The 2 pi x 2.6 kHz coupling is written once, on MolecularConstants.
+        assert SweepConfig().g_q == MolecularConstants().g_q_ground == 2.0 * math.pi * 2.6e3
 
     def test_omega_q_linear(self):
         cfg = SweepConfig()

@@ -53,12 +53,11 @@ class TestExperimentConfig:
             {"detection_fidelity": 1.5},
             {"collision_rate": -1.0},
             {"temperature": 0.0},
-            {"trial_duration_cap": 0.0},
             {"rng_seed": -1},
             # A NaN passes any check written as a comparison it must fail.
             *({key: value} for value in (math.nan, math.inf, -math.inf)
               for key in ("cycle", "p_bright_noise", "detection_fidelity", "collision_rate",
-                          "temperature", "trial_duration_cap")),
+                          "temperature")),
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -66,10 +65,10 @@ class TestExperimentConfig:
             ExperimentConfig(**kwargs)
 
     def test_mapping_round_trip(self):
-        cfg = ExperimentConfig(cycle=0.05, rng_seed=3, trial_duration_cap=2.0)
+        cfg = ExperimentConfig(cycle=0.05, rng_seed=3)
         back = config_from_mapping(ExperimentConfig, config_to_mapping(cfg))
         assert back == cfg
-        assert "trial_duration_cap" not in config_to_mapping(ExperimentConfig())
+        assert len(config_to_mapping(ExperimentConfig())) == 6
 
     def test_mapping_casts_strings(self):
         cfg = config_from_mapping(
@@ -79,10 +78,10 @@ class TestExperimentConfig:
         assert cfg.rng_seed == 9
 
     def test_unknown_key_rejected(self):
-        # A typo; four keys that configured nothing; and experiments_per_trial,
-        # which simulate ignored, as the stream length comes from --hours.
+        # A typo; four keys that configured nothing; and experiments_per_trial
+        # and trial_duration_cap, as the stream length comes from --hours.
         for key in ("cyclee", "thermalization_wait", "ramp_fidelity_1", "ramp_fidelity_2",
-                    "shelving_fidelity", "experiments_per_trial"):
+                    "shelving_fidelity", "experiments_per_trial", "trial_duration_cap"):
             with pytest.raises(ValueError, match=key):
                 config_from_mapping(ExperimentConfig, {key: "0.5"})
 
@@ -115,29 +114,22 @@ class TestRecordsAndDatasets:
             # Timestamps round through the shared 10-digit float format.
             assert a[2] == pytest.approx(b[2], rel=1e-9)
 
-    # (n_cycles, trial_duration_cap, seed): short, long,
-    # one-cycle and capped streams, at seeds drawn once and frozen here.
+    # (n_cycles, seed): short, long and one-cycle streams, at seeds drawn
+    # once and frozen here.
     ROUND_TRIP_CASES = [
-        (1, None, 0), (1, None, 91), (2, None, 5), (3, None, 17),
-        (7, None, 23), (20, None, 8), (64, None, 404), (101, None, 77),
-        (500, None, 12), (999, None, 3), (2500, None, 65), (4096, None, 29),
-        (9000, None, 250), (30000, 1.16, 1), (30000, 0.04, 2),
-        (30000, 0.039, 6), (100, 2.0, 44), (60, 2.44, 10),
-        (30000, 12.345, 31), (40, 100.0, 9),
+        (1, 0), (1, 91), (2, 5), (3, 17), (7, 23), (20, 8), (64, 404), (101, 77),
+        (500, 12), (999, 3), (2500, 65), (4096, 29), (9000, 250), (29, 1), (1, 2),
+        (50, 44), (60, 10), (308, 31), (40, 9),
     ]
 
-    @pytest.mark.parametrize("n, cap, seed", ROUND_TRIP_CASES)
-    def test_randomized_round_trip(self, tmp_path, n, cap, seed):
+    @pytest.mark.parametrize("n, seed", ROUND_TRIP_CASES)
+    def test_randomized_round_trip(self, tmp_path, n, seed):
         cfg = ExperimentConfig(
-            trial_duration_cap=cap, rng_seed=seed,
+            rng_seed=seed,
             # A cold bath with fast collisions puts ~42 % of cycles in the
             # ground level, so even short streams carry both labels.
             temperature=2.0, collision_rate=25.0,
         )
-        if cap is not None and cap < cfg.cycle:  # the 0.039 s cap holds no 40 ms cycle
-            with pytest.raises(ValueError, match="shorter than one cycle"):
-                simulate_trial(cfg, n)
-            return
         ds = simulate_trial(cfg, n)
         rows = list(ds.records)
         size = ds.outcomes().size
@@ -176,26 +168,6 @@ class TestSimulateTrial:
         times = [time_s for _, _, time_s, _ in ds.records]
         assert times == [(k + 1) * 0.04 for k in range(5)]
         assert [ds.records[k][2] for k in range(5)] == times
-
-    def test_duration_cap_truncates(self):
-        ds = simulate_trial(ExperimentConfig(trial_duration_cap=1.0), 30000)
-        assert len(ds.records) == 25
-        assert ds.records[-1][2] <= 1.0
-
-    def test_duration_cap_keeps_cycle_ending_on_cap(self):
-        # 1.16 / 0.04 evaluates to 28.999999999999996, but cycle 29 ends at
-        # 29 * 0.04 == 1.16 exactly, inside the cap.
-        ds = simulate_trial(ExperimentConfig(trial_duration_cap=1.16), 30000)
-        assert len(ds.records) == 29
-        assert ds.records[-1][2] == 1.16
-
-    def test_cap_shorter_than_a_cycle_rejected(self):
-        # Both entry points go through one capped-cycle count.
-        cfg = ExperimentConfig(trial_duration_cap=0.01)
-        with pytest.raises(ValueError, match=r"trial_duration_cap 0.01 s .* \(0.04 s\)"):
-            simulate_trial(cfg, 100)
-        with pytest.raises(ValueError, match="shorter than one cycle"):
-            ensemble_ground_occupancy(cfg, 2, 0.5)
 
     def test_simulate_hours_sizes_trial(self):
         ds = simulate_hours(ExperimentConfig(rng_seed=2), 0.1)
@@ -719,14 +691,13 @@ class TestEventDrivenAgainstOracle:
         labels = _assert_bit_equal(config, at + 5, draws, make_rng=_StubGenerator)
         assert labels.tolist() == [0] * at + [1] * 5
 
-    def test_duration_cap_and_ensemble(self, monkeypatch):
-        capped = ExperimentConfig(rng_seed=17, trial_duration_cap=123.45, temperature=450.0)
+    def test_trial_and_ensemble(self, monkeypatch):
+        trial = ExperimentConfig(rng_seed=17, temperature=450.0)
         ensemble = ExperimentConfig(rng_seed=18, temperature=450.0)
-        new_trial = simulate_trial(capped, 30000)
+        new_trial = simulate_trial(trial, 3086)
         new_fractions = ensemble_ground_occupancy(ensemble, 4, 0.25)
         monkeypatch.setattr(trajectory_sim, "_simulate_arrays", oracles.simulate_arrays)
-        old_trial = simulate_trial(capped, 30000)
-        assert new_trial.outcome.size == 3086  # cycles ending within 123.45 s
+        old_trial = simulate_trial(trial, 3086)
         assert np.array_equal(new_trial.outcome, old_trial.outcome)
         assert np.array_equal(new_trial.hidden, old_trial.hidden)
         # The ensemble walks the hidden state alone: compare it with the
@@ -771,15 +742,6 @@ class TestEnsemble:
                 ensemble_ground_occupancy(ExperimentConfig(), 2, hours)
             with pytest.raises(ValueError, match=match):
                 simulate_hours(ExperimentConfig(), hours)
-
-    def test_duration_cap_applies(self):
-        # A 1 s cap leaves 25 cycles of each 0.5 h stream: the same fractions
-        # as uncapped 1 s streams, all multiples of 1/25.
-        cfg = ExperimentConfig(rng_seed=3, temperature=450.0)
-        capped = ensemble_ground_occupancy(replace(cfg, trial_duration_cap=1.0), 3, 0.5)
-        assert np.array_equal(capped, ensemble_ground_occupancy(cfg, 3, 1.0 / 3600.0))
-        assert np.array_equal(capped * 25, np.round(capped * 25))
-        assert not np.array_equal(capped, ensemble_ground_occupancy(cfg, 3, 0.5))
 
     @pytest.mark.parametrize("temperature", [300.0, 450.0])
     def test_ground_share_mean_and_sd_match_the_kernel(self, temperature):
