@@ -15,7 +15,8 @@ CPU count) and a sha256 digest of every output, so a rerun can be checked
 for byte-identical results.  Each subcommand binds its ``cmd_*`` handler
 on its parser; the handler takes ``(args, constants, config, out_dir)``,
 checks its own flags, and returns its outputs and its added manifest
-fields (``simulate`` and ``analyze --mode hmm`` add ``counts``).  Exit codes:
+fields (``simulate`` and ``analyze --mode hmm`` add ``counts``).  A command
+that fails before it writes leaves no --out directory that it made.  Exit codes:
 0 success, 2 usage or config errors, 3 data-format errors (a dataset with
 no records is one), 4 numerical failures.  JSON files are strict RFC 8259:
 an infinite run z-score is written as null.
@@ -436,8 +437,19 @@ def _run(args: Namespace, argv: Sequence[str]) -> int:
     if args.command == "simulate" and args.temperature is not None:
         config = replace(config, temperature=args.temperature)
     out_dir = Path(args.out)
+    created = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # deepest first
     out_dir.mkdir(parents=True, exist_ok=True)
-    outputs, extra = args.run(args, constants, config, out_dir)
+    try:
+        outputs, extra = args.run(args, constants, config, out_dir)
+    except BaseException:
+        # A handler refuses its flags before it writes, so a refused command
+        # leaves no directory behind that it made; one with files stays.
+        for directory in created:
+            try:
+                directory.rmdir()
+            except OSError:
+                break
+        raise
     manifest = _write_manifest(out_dir, argv, constants, config, args.seed, outputs, extra)
     print(f"wrote {len(outputs)} output file(s) + {manifest.name} in {out_dir}")
     return EXIT_OK

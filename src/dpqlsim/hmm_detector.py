@@ -189,109 +189,154 @@ def _check_binary(values: Sequence[int] | np.ndarray, name: str = "observations"
 # the chunk already bit-equal to the true filter in the common case: a
 # normalized 2-state filter forgets its start within a few dozen records.
 _WARMUP = 64
+# Record offsets that the lane panel holds between copies into the outputs.
+_PANEL = 32
 
 
-def _filter(
-    trans: np.ndarray, emit: np.ndarray, start: Sequence[float], obs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized 2-state filter ``p_t = normalize((p_{t-1} trans) * emit[:, o_t])``.
+def _fused_filters(
+    params: HmmParams, obs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The forward and backward filters of :func:`_smooth`, stepped side by side.
 
-    ``p_0`` is ``normalize(start * emit[:, o_0])``.  Returns the states as
-    rows, ``p[i, t]`` of shape (2, n), and the normalizers ``scale`` (n,).
-    Every record takes the IEEE operations of the scalar step in the repair
-    loop, in its order (no fused multiply-add), so the bits do not depend on
-    how the stream is cut:
+    Both problems run the normalized 2-state filter ``p_t =
+    normalize((p_{t-1} T) * emit[:, o_t])`` from ``p_0 = normalize(start *
+    emit[:, o_0])``: the forward one with ``T = trans`` and ``start =
+    initial`` over the stream, the backward one with ``T = trans.T`` and
+    ``start = (1, 1)`` over the reversed stream.  Returns the states as
+    ``states[q, i, t]`` of shape (2, 2, n), problem q in its own record
+    order, and the two normalizers (n,) each.  Every record takes the IEEE
+    operations of the scalar step in the repair loop, in its order (no fused
+    multiply-add), so the bits do not depend on how the stream is cut:
 
-    1. Records 1..n-1 are cut into chunks of ``b = ceil(sqrt(n))``.
-    2. All chunks step side by side, one numpy step per record offset, in
-       the scalar step's operation order.  Chunk 0 starts from ``p_0``,
-       every other chunk from the guess ``start``, ``_WARMUP`` records (at
-       most ``b``) before the chunk.
-    3. The seams are walked in order.  Each chunk is redone with scalar
-       steps from the true end state of the chunk before it, until its
-       state equals the speculative one bit for bit; from there on the
-       speculative records are exact.
-    4. A filter that never forgets (``trans`` the identity) is redone to
+    1. Records 1..n-1 of each problem are cut into k chunks of ``b =
+       ceil(sqrt(n))``.  Chunk c of problem q is lane ``q k + c`` of 2k.
+    2. All lanes step side by side, one numpy step per record offset, in the
+       scalar step's operation order.  A step reads one contiguous row of a
+       lane-major (b, 2k) int8 observation matrix, and each transition entry
+       is an array over the lanes, so the two problems share every call.
+       Chunk 0 starts from ``p_0``, every other chunk from the guess
+       ``start``, ``_WARMUP`` records (at most ``b``) before the chunk.
+    3. The steps write into a panel of ``_PANEL`` offsets by 2k lanes, which
+       is copied into the record-ordered outputs each time it fills, so no
+       lane-major copy of the outputs is ever made.
+    4. The seams are walked in order, per problem.  Each chunk is redone
+       with scalar steps from the true end state of the chunk before it,
+       until its state equals the speculative one bit for bit; from there
+       on the speculative records are exact.
+    5. A filter that never forgets (``trans`` the identity) is redone to
        the end of every chunk: still exact, only slower.
     """
     n = obs.size
-    states, scale = np.empty((2, n)), np.empty(n)
-    (t00, t01), (t10, t11) = trans.tolist()
+    states, scales = np.empty((2, 2, n)), (np.empty(n), np.empty(n))
+    trans, emit = params.trans, params.emit
     em = tuple(zip(*emit.tolist()))  # em[o] = (emit[0, o], emit[1, o])
-    seq, flat, sc = memoryview(obs), memoryview(states.reshape(-1)), memoryview(scale)
-    x0, x1 = em[seq[0]]
-    p0, p1 = start
-    a0, a1 = p0 * x0, p1 * x1
-    s = a0 + a1
-    if s == 0.0:
-        raise ValueError("observation sequence impossible under the model")
-    sc[0], flat[0], flat[n] = s, a0 / s, a1 / s
+    problems = [
+        (t.tolist(), memoryview(seq), memoryview(states[q].reshape(-1)), memoryview(scales[q]))
+        for q, (t, seq) in enumerate(((trans, obs), (trans.T, obs[::-1])))
+    ]
+    for (p0, p1), (_, seq, flat, sc) in zip((params.initial.tolist(), (1.0, 1.0)), problems):
+        x0, x1 = em[seq[0]]
+        a0, a1 = p0 * x0, p1 * x1
+        s = a0 + a1
+        if s == 0.0:
+            raise ValueError("observation sequence impossible under the model")
+        sc[0], flat[0], flat[n] = s, a0 / s, a1 / s
     if n == 1:
-        return states, scale
+        return states, *scales
     b = isqrt(n - 1) + 1
     k = -(-(n - 1) // b)
+    # lanes[j, q k + c] is record 1 + c b + j of problem q; the last chunk is
+    # padded with brights, whose steps are never copied out.
+    lanes = np.zeros((2, k * b), np.int8)
+    lanes[0, : n - 1] = obs[1:]
+    lanes[1, : n - 1] = obs[-2::-1]
+    lanes = np.ascontiguousarray(lanes.reshape(2 * k, b).T)
+    c00, c01, c10, c11 = np.repeat(np.stack((trans, trans.T)).reshape(2, 4), k, axis=0).T.copy()
     e0, e1 = emit[0].copy(), emit[1].copy()
-    tmp, x0, x1 = np.empty(k), np.empty(k), np.empty(k)
+    tmp, x0, x1 = np.empty(2 * k), np.empty(2 * k), np.empty(2 * k)
 
     def step(p0, p1, o, a0, a1, s):
-        m = o.size
-        e0.take(o, out=x0[:m], mode="clip")
-        e1.take(o, out=x1[:m], mode="clip")
-        np.multiply(p0, t00, a0)
-        np.multiply(p1, t10, tmp[:m])
-        np.add(a0, tmp[:m], a0)
-        np.multiply(a0, x0[:m], a0)
-        np.multiply(p0, t01, a1)
-        np.multiply(p1, t11, tmp[:m])
-        np.add(a1, tmp[:m], a1)
-        np.multiply(a1, x1[:m], a1)
+        e0.take(o, out=x0, mode="clip")
+        e1.take(o, out=x1, mode="clip")
+        np.multiply(p0, c00, a0)
+        np.multiply(p1, c10, tmp)
+        np.add(a0, tmp, a0)
+        np.multiply(a0, x0, a0)
+        np.multiply(p0, c01, a1)
+        np.multiply(p1, c11, tmp)
+        np.add(a1, tmp, a1)
+        np.multiply(a1, x1, a1)
         np.add(a0, a1, s)
         np.divide(a0, s, a0)
         np.divide(a1, s, a1)
 
-    # Chunk c holds records 1 + c b .. min(1 + (c + 1) b, n) - 1.
-    p0, p1 = np.full(k, start[0]), np.full(k, start[1])
-    q0, q1, qs = np.empty(k - 1), np.empty(k - 1), np.empty(k - 1)
-    row0, row1 = states
+    # The warm-up of chunk c reads the last records of chunk c - 1; the
+    # chunk-0 lanes step too, on brights, and are then set to p_0.
+    warm = min(_WARMUP, b)
+    before = np.zeros((warm, 2, k), np.int8)
+    before[:, :, 1:] = lanes[b - warm :].reshape(warm, 2, k)[:, :, :-1]
+    p0 = np.repeat((params.initial[0], 1.0), k)
+    p1 = np.repeat((params.initial[1], 1.0), k)
+    q0, q1, qs = np.empty(2 * k), np.empty(2 * k), np.empty(2 * k)
+    panel = np.empty((_PANEL, 3, 2 * k))  # per offset: state 0, state 1, scale
+    # Records 1 + c b + j of the full chunks c < k - 1 as [.., c, j] views,
+    # and where the last chunk's records start.
+    head = (k - 1) * b
+    full_states = states[:, :, 1 : 1 + head].reshape(2, 2, k - 1, b)
+    full_scales = [scale[1 : 1 + head].reshape(k - 1, b) for scale in scales]
     # A speculative chunk from a wrong start may divide 0 by 0; its records
     # are redone below.
     with np.errstate(divide="ignore", invalid="ignore"):
-        for j in range(-min(_WARMUP, b), 0):
-            step(p0[1:], p1[1:], obs[1 + b + j :: b][: k - 1], q0, q1, qs)
-            p0[1:], p1[1:] = q0, q1
-        p0[0], p1[0] = flat[0], flat[n]
-        for j in range(b):
-            o = obs[1 + j :: b]
-            a0, a1, m = row0[1 + j :: b], row1[1 + j :: b], o.size
-            step(p0[:m], p1[:m], o, a0, a1, scale[1 + j :: b])
-            p0, p1 = a0, a1
-    for lo in range(1 + b, n, b):
-        p0, p1 = flat[lo - 1], flat[n + lo - 1]
-        for t in range(lo, min(lo + b, n)):
-            x0, x1 = em[seq[t]]
-            a0, a1 = (p0 * t00 + p1 * t10) * x0, (p0 * t01 + p1 * t11) * x1
-            s = a0 + a1
-            if s == 0.0:
-                raise ValueError("observation sequence impossible under the model")
-            p0, p1 = a0 / s, a1 / s
-            sc[t] = s
-            q0, q1 = flat[t], flat[n + t]
-            if (
-                p0 == q0 and p1 == q1
-                and copysign(1.0, p0) == copysign(1.0, q0)
-                and copysign(1.0, p1) == copysign(1.0, q1)
-            ):
-                break
-            flat[t], flat[n + t] = p0, p1
-    if not scale.all():
+        for o in before.reshape(warm, 2 * k):
+            step(p0, p1, o, q0, q1, qs)
+            p0, q0, p1, q1 = q0, p0, q1, p1
+        p0[::k], p1[::k] = states[:, 0, 0], states[:, 1, 0]
+        for j0 in range(0, b, _PANEL):
+            m = min(_PANEL, b - j0)
+            for row, o in zip(panel, lanes[j0 : j0 + m]):
+                step(p0, p1, o, *row)
+                p0, p1 = row[0], row[1]
+            block = panel[:m].reshape(m, 3, 2, k)  # [u, field, q, c] for offset j0 + u
+            full_states[..., j0 : j0 + m] = block[:, :2, :, :-1].transpose(2, 1, 3, 0)
+            m_tail, lo = max(0, min(m, n - 1 - head - j0)), 1 + head + j0
+            states[:, :, lo : lo + m_tail] = block[:m_tail, :2, :, -1].transpose(2, 1, 0)
+            for q in (0, 1):
+                full_scales[q][:, j0 : j0 + m] = block[:, 2, q, :-1].T
+                scales[q][lo : lo + m_tail] = block[:m_tail, 2, q, -1]
+    for ((t00, t01), (t10, t11)), seq, flat, sc in problems:
+        for lo in range(1 + b, n, b):
+            p0, p1 = flat[lo - 1], flat[n + lo - 1]
+            for t in range(lo, min(lo + b, n)):
+                x0, x1 = em[seq[t]]
+                a0, a1 = (p0 * t00 + p1 * t10) * x0, (p0 * t01 + p1 * t11) * x1
+                s = a0 + a1
+                if s == 0.0:
+                    raise ValueError("observation sequence impossible under the model")
+                p0, p1 = a0 / s, a1 / s
+                sc[t] = s
+                q0, q1 = flat[t], flat[n + t]
+                if (
+                    p0 == q0 and p1 == q1
+                    and copysign(1.0, p0) == copysign(1.0, q0)
+                    and copysign(1.0, p1) == copysign(1.0, q1)
+                ):
+                    break
+                flat[t], flat[n + t] = p0, p1
+    if not (scales[0].all() and scales[1].all()):
         raise ValueError("observation sequence impossible under the model")
-    return states, scale
+    return states, *scales
 
 
 def _smooth(
     params: HmmParams, obs: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Forward and backward passes over a nonempty stream, both by :func:`_filter`.
+    """Forward and backward passes over a nonempty stream, as one :func:`_fused_filters` call.
+
+    The forward filter runs in the chunk lanes 0..k-1 and the backward one in
+    lanes k..2k-1 of the same steps; both share one state buffer, of which
+    ``alpha`` and ``r`` are views.  The backward normalizers are checked
+    for zeros there and dropped here, before ``w`` is formed, so the peak
+    stays at eight stream-length float rows.
 
     The state arrays are rows, shape (2, n).  ``alpha[:, t]`` is the
     filtered state distribution after record t and ``scale[t]`` the
@@ -305,8 +350,8 @@ def _smooth(
     ``tests/oracles.py::smooth_scalar``, and ``r`` those of
     ``tests/oracles.py::backward_scalar``.
     """
-    alpha, scale = _filter(params.trans, params.emit, params.initial.tolist(), obs)
-    r = _filter(params.trans.T, params.emit, (1.0, 1.0), obs[::-1])[0][:, ::-1]
+    states, scale = _fused_filters(params, obs)[:2]
+    alpha, r = states[0], states[1][:, ::-1]
     (t00, t01), (t10, t11) = params.trans.tolist()
     # w[:, :-1] = trans @ r[:, 1:] in elementwise steps (no BLAS, so no FMA),
     # with one temporary, then times alpha.
@@ -338,7 +383,9 @@ def forward_backward(
             posteriors=np.empty(0),
             log_likelihood=0.0,
         )
-    _, scale, _, w = _smooth(params, obs)
+    # Only scale and w are kept, so the shared state buffer is freed before
+    # the posteriors are formed.
+    scale, w = _smooth(params, obs)[1::2]
     posteriors = w[1] / (w[0] + w[1])
     states = (posteriors > 0.5).astype(np.int8)
     return DecodedSeries(
@@ -410,14 +457,15 @@ def estimate_params_supervised(datasets: Iterable) -> HmmParams:
     trans_counts = np.zeros((2, 2))
     emit_counts = np.zeros((2, 2))
     init_counts = np.zeros(2)
-    seen = np.zeros(2, dtype=bool)
     for obs, labels in pairs:
         if labels.size == 0:
             continue
-        seen |= np.isin((0, 1), labels)
         init_counts[labels[0]] += 1
-        np.add.at(emit_counts, (labels, obs), 1.0)
-        np.add.at(trans_counts, (labels[:-1], labels[1:]), 1.0)
+        # Cell 2 i + j of a flat count is row i, column j.
+        emit_counts += np.bincount(2 * labels + obs, minlength=4).reshape(2, 2)
+        trans_counts += np.bincount(2 * labels[:-1] + labels[1:], minlength=4).reshape(2, 2)
+    # Every labelled record emits once, so a state's emission row counts its records.
+    seen = emit_counts.sum(axis=1) > 0
     for state in (0, 1):
         if not seen[state]:
             raise EstimationError(

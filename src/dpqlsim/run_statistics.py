@@ -339,8 +339,11 @@ def observed_run_significance(
 def required_run_length(n: int, p_dark: float, z_target: float) -> SignificanceResult:
     """Smallest x up to 200 whose exceedance reaches ``z_target`` sigmas at size n.
 
-    No run can exceed x = n, so the search stops at n - 1.
+    No run can exceed x = n, so the search stops at n - 1, and n must be
+    at least 1 for the search to hold any x.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n!r}")
     if math.isnan(z_target):
         raise ValueError(f"z_target must be a number, got {z_target!r}")
     top = min(n - 1, 200)

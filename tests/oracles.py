@@ -10,6 +10,9 @@ reader and columnar writers against:
   chunked filter replaced; ``backward_scalar``: a scalar loop of the
   self-normalized backward recursion; ``posteriors_scalar``: posteriors
   from the former.
+- ``supervised_counts``: the transition, emission and initial counts of
+  labelled streams by ``np.add.at`` scatters, as the supervised fit made
+  them before it counted with ``np.bincount``.
 - ``read_dataset_csv``: a ``csv.reader`` row loop.
 - ``write_dataset_csv`` / ``write_decoded_csv``: ``csv.writer`` writers
   of rows; ``dataset_columns`` turns such rows into the columns that
@@ -52,6 +55,7 @@ from dpqlsim.bbr_kinetics import (
     radiative_levels,
 )
 from dpqlsim.dataio import DATASET_HEADER, DataFormatError, format_number
+from dpqlsim.hmm_detector import STATE_NAMES, EstimationError
 from dpqlsim.spectroscopy import (
     KB_CM,
     ROT_GROUND,
@@ -187,6 +191,34 @@ def forward_backward(params, obs):
     gamma = alpha * beta
     gamma /= gamma.sum(axis=1, keepdims=True)
     return gamma[:, 1], float(np.log(scale).sum())
+
+
+def supervised_counts(pairs):
+    """(trans, emit, initial) float counts of (observations, labels) 0/1 pairs.
+
+    Raises ``EstimationError`` naming a hidden state that never appears in
+    the labels, and for no pairs at all, with the supervised fit's messages.
+    """
+    if not pairs:
+        raise EstimationError("no training data supplied")
+    trans_counts = np.zeros((2, 2))
+    emit_counts = np.zeros((2, 2))
+    init_counts = np.zeros(2)
+    seen = np.zeros(2, dtype=bool)
+    for obs, labels in pairs:
+        obs, labels = np.asarray(obs, dtype=np.int8), np.asarray(labels, dtype=np.int8)
+        if labels.size == 0:
+            continue
+        seen |= np.isin((0, 1), labels)
+        init_counts[labels[0]] += 1
+        np.add.at(emit_counts, (labels, obs), 1.0)
+        np.add.at(trans_counts, (labels[:-1], labels[1:]), 1.0)
+    for state in (0, 1):
+        if not seen[state]:
+            raise EstimationError(
+                f"hidden state {STATE_NAMES[state]} never observed in the labels"
+            )
+    return trans_counts, emit_counts, init_counts
 
 
 def viterbi(params, obs):

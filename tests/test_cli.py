@@ -399,6 +399,23 @@ class TestAnalyzeBins:
         assert main([*argv, "--window", "100000000000", "--out", str(out)]) == EXIT_USAGE
         assert "--window 100000000000 is longer than the stream" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("window", ["0", "20"])
+    def test_refused_window_leaves_no_new_out_dir(self, tmp_path, capsys, window):
+        # --window 0 is refused before the dataset is read and --window 20
+        # after it (19 records); neither leaves the directories it made.
+        data = tmp_path / "dataset.csv"
+        write_dataset_csv(data, *oracles.dataset_columns(
+            [(k, k % 2, 0.04 * (k + 1), 0) for k in range(19)]
+        ))
+        argv = ["analyze", str(data), "--mode", "bins", "--window", window]
+        assert main([*argv, "--out", str(tmp_path / "new" / "out")]) == EXIT_USAGE
+        assert "--window" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        assert main([*argv, "--out", str(kept)]) == EXIT_USAGE
+        assert kept.is_dir() and not any(kept.iterdir())
+
     @pytest.mark.parametrize("window", ["0", "-3"])
     def test_window_below_one_is_usage_error(self, sim_dir, tmp_path, capsys, window):
         # Refused before the dataset is read, naming the flag.

@@ -6,6 +6,7 @@ which is exact for a two-state chain on short streams.
 
 import itertools
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -30,7 +31,7 @@ from dpqlsim.hmm_detector import (
     forward_backward,
     viterbi,
     write_decoded_csv,
-    _filter,
+    _fused_filters,
     _smooth,
 )
 from dpqlsim.trajectory_sim import ExperimentConfig, simulate_hours
@@ -319,6 +320,53 @@ class TestSupervisedEstimation:
         assert mean_error(8.0) < mean_error(1.0)
 
 
+@st.composite
+def labelled_pairs(draw):
+    """One to four (observations, labels) streams, empty and 1-record ones
+    included; a signal share of 0 or 1 leaves a hidden state unseen."""
+    pairs = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.sampled_from([0, 1]) | st.integers(2, 400))
+        p_signal = draw(st.sampled_from([0.0, 0.02, 0.5, 1.0]))
+        p_dark = draw(_prob)
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        labels = (rng.random(n) < p_signal).astype(np.int8)
+        pairs.append(((rng.random(n) < p_dark).astype(np.int8), labels))
+    return pairs
+
+
+class TestSupervisedCountsAgainstOracle:
+    """The bincount fit against the np.add.at counts, bit for bit."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(labelled_pairs())
+    def test_bit_identical(self, pairs):
+        try:
+            counts = oracles.supervised_counts(pairs)
+        except EstimationError as exc:
+            with pytest.raises(EstimationError) as got:
+                estimate_params_supervised(pairs)
+            assert str(got.value) == str(exc)
+            return
+        est = estimate_params_supervised(pairs)
+        for have, count in zip((est.trans, est.emit, est.initial), counts):
+            smoothed = count + 1.0
+            want = smoothed / smoothed.sum(axis=-1, keepdims=True)
+            assert np.array_equal(_bits(have), _bits(want))
+
+    @pytest.mark.parametrize("pairs", [
+        [], [(np.zeros(0, np.int8), np.zeros(0, np.int8))],
+        [(np.array([0, 1, 1]), np.zeros(3, np.int8)), (np.array([1]), np.zeros(1, np.int8))],
+        [(np.array([1, 1]), np.ones(2, np.int8))],
+    ])
+    def test_same_errors(self, pairs):
+        with pytest.raises(EstimationError) as want:
+            oracles.supervised_counts(pairs)
+        with pytest.raises(EstimationError) as got:
+            estimate_params_supervised(pairs)
+        assert str(got.value) == str(want.value)
+
+
 def loop_baum_welch(obs, params, max_iter, tol):
     """Per-record EM loop: the reference for the shared smoother and the
     contracted transition count."""
@@ -521,6 +569,22 @@ def _outcome(fn, *args):
         return str(exc)
 
 
+def test_forward_backward_peak_memory():
+    # Eight stream-length float rows: the shared forward and backward state
+    # buffer (4), the forward normalizers, w (2) and one temporary.  A kept
+    # backward normalizer or state buffer would add a ninth.
+    n = 180000
+    obs = (np.random.default_rng(9).random(n) < 0.05).astype(np.int8)
+    forward_backward(default_params(), obs[:100])
+    tracemalloc.start()
+    try:
+        forward_backward(default_params(), obs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.5 * 8 * n
+
+
 class TestScalarKernelsAgainstOracle:
     """The scalar forward-backward and Viterbi loops against the numpy-loop oracles."""
 
@@ -583,7 +647,7 @@ def _chunked_or_error(params, obs):
         warnings.simplefilter("error")
         try:
             alpha, scale, r, _ = _smooth(params, obs)
-            back_scale = _filter(params.trans.T, params.emit, (1.0, 1.0), obs[::-1])[1]
+            back_scale = _fused_filters(params, obs)[2]
         except ValueError as exc:
             return str(exc)
     return alpha.T, scale, r.T, back_scale[::-1]
@@ -625,7 +689,12 @@ class TestChunkedFilterBitExact:
     def test_matches_scalar_loops(self, params, obs):
         _assert_bit_identical(params, obs)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 10, 4097, 20000])
+    # Chunks hold b = isqrt(n - 1) + 1 records.  n = 4161 has n - 1 = 64 b
+    # (b = 65), so its last chunk is full, and n = 4162 puts one record past
+    # it; n = 1500 has b = 39, under _WARMUP = 64.  b = 39 and 65 end on a
+    # part-filled panel of _PANEL = 32 offsets, and n = 9121 (b = 96 = 3 x 32)
+    # on a full one.
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 10, 1500, 4097, 4161, 4162, 9121, 20000])
     def test_lengths(self, n):
         obs = (np.random.default_rng(n).random(n) < 0.1).astype(np.int8)
         _assert_bit_identical(default_params(), obs)

@@ -533,6 +533,12 @@ class TestRequiredRunLength:
         with pytest.raises(ValueError, match="up to 99 reaches Z = 40"):
             required_run_length(100, 0.03, 40.0)
 
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_empty_stream_rejected_up_front(self, n):
+        # Named as n, not as a search up to x = n - 1 that holds no x.
+        with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
+            required_run_length(n, 0.03, 4.1)
+
     def test_nan_target_rejected_up_front(self):
         # Named at once, not after a search that no NaN can end.
         with pytest.raises(ValueError, match="^z_target must be a number, got nan"):
