@@ -37,10 +37,14 @@ for n in (30000, 180000):
 # The same machinery predicts the dark-count histogram per 20-cycle
 # bin, splitting noise-only bins from bins that caught a ground visit.
 model = NoiseSignalModel(p_b=P_DARK, p_d=0.72, p_s=0.015)
-pred = bin_value_distribution(4500, model, 0.0047, p_g_sigma=0.0030)
+# The band brackets the prediction between p_g minus and plus its sigma.
+P_G, P_G_SIGMA = 0.0047, 0.0030
+counts = bin_value_distribution(4500, model, P_G)
+low = bin_value_distribution(4500, model, P_G - P_G_SIGMA)
+high = bin_value_distribution(4500, model, P_G + P_G_SIGMA)
 print("\npredicted bins by dark count (4500 bins, with signal):")
 for k in range(9):
-    print(f"  {k} darks: {pred.counts[k]:9.2f}  "
-          f"[{pred.band_low[k]:.2f}, {pred.band_high[k]:.2f}]")
-tail = pred.counts[9:].sum()
+    lo, hi = sorted((low[k], high[k]))
+    print(f"  {k} darks: {counts[k]:9.2f}  [{lo:.2f}, {hi:.2f}]")
+tail = counts[9:].sum()
 print(f"  >= 9:    {tail:9.2f}   (noise alone would leave this empty)")

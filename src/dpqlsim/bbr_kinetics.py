@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -60,7 +60,6 @@ __all__ = [
     "ground_state_residence_lifetime",
     "rethermalization_time",
     "leave_probability_per_cycle",
-    "lifetime_temperature_sweep",
 ]
 
 #: Aggregate spontaneous decay rate, s^-1, of the lowest v = 1 level; the
@@ -111,7 +110,7 @@ def photon_occupation(nu: float, T: float) -> float:
     if not nu > 0.0:
         raise ValueError(f"frequency must be positive, got {nu!r}")
     _check_temperature(T, zero_ok=True)
-    if T == 0.0:
+    if BOLTZMANN_K * T == 0.0:  # T = 0, or T below ~3.6e-301 K, where k_B T underflows
         return 0.0
     x = PLANCK_H * nu / (BOLTZMANN_K * T)
     if x > 700.0:  # expm1 would overflow; occupation underflows to zero
@@ -474,19 +473,3 @@ def leave_probability_per_cycle(
     if collision_rate > 0.0:
         gamma += collision_rate * (1.0 - thermal_population(ROT_GROUND, c, T))
     return float(-math.expm1(-gamma * cycle))
-
-
-def lifetime_temperature_sweep(
-    c: MolecularConstants, temperatures: Sequence[float]
-) -> list[tuple[float, float, float]]:
-    """Rows (T, residence lifetime, thermal ground population) per T."""
-    rows = []
-    for T in temperatures:
-        rows.append(
-            (
-                float(T),
-                ground_state_residence_lifetime(c, T),
-                thermal_population(ROT_GROUND, c, T),
-            )
-        )
-    return rows

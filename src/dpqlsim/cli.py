@@ -39,8 +39,8 @@ import numpy as np
 from . import __version__
 from .bbr_kinetics import (
     IntegrationError,
+    ground_state_residence_lifetime,
     leave_probability_per_cycle,
-    lifetime_temperature_sweep,
 )
 from .dataio import (
     DataFormatError,
@@ -112,7 +112,10 @@ def load_config(path: str | Path | None) -> tuple[MolecularConstants, Experiment
     """
     if path is None:
         return MolecularConstants(), ExperimentConfig()
-    mapping = read_keyvalues(path)
+    try:
+        mapping = read_keyvalues(path)
+    except DataFormatError as exc:  # it names the file and the line
+        raise UsageError(str(exc)) from None
     constant_part = {k: v for k, v in mapping.items() if k in _CONSTANT_KEYS}
     experiment_part = {k: v for k, v in mapping.items() if k in _EXPERIMENT_KEYS}
     unknown = set(mapping) - _CONSTANT_KEYS - _EXPERIMENT_KEYS
@@ -200,8 +203,9 @@ def cmd_lifetime(
             "lifetime needs finite 0 < t-min <= t-max and t-points >= 1, got "
             f"t-min={args.t_min!r}, t-max={args.t_max!r}, t-points={args.t_points}"
         )
-    temperatures = np.linspace(args.t_min, args.t_max, args.t_points)
-    rows = lifetime_temperature_sweep(constants, temperatures)
+    temperatures = np.linspace(args.t_min, args.t_max, args.t_points).tolist()
+    rows = [(T, ground_state_residence_lifetime(constants, T),
+             thermal_population(ROT_GROUND, constants, T)) for T in temperatures]
     path = out_dir / "lifetime_vs_temperature.csv"
     header = ("temperature_K", "residence_lifetime_s", "thermal_ground_population")
     write_table(path, header, np.array(rows).T)
@@ -271,13 +275,13 @@ def cmd_analyze(
         p_g = rates.pop("p_g")
         observed = disjoint_bin_counts(outcomes, window)
         model = NoiseSignalModel(**rates, bin=window)
-        prediction = bin_value_distribution(n_bins, model, p_g)
+        predicted = bin_value_distribution(n_bins, model, p_g)
         noise_only = bin_value_distribution(n_bins, model, 0.0)
         path = out_dir / "bins.csv"
+        # With no spread in p_g, the band columns of the file are the prediction.
         header = ("dark_count", "observed_bins", "predicted_bins", "predicted_band_low",
                   "predicted_band_high", "noise_only_bins")
-        columns = (prediction.k, observed, prediction.counts, prediction.band_low,
-                   prediction.band_high, noise_only.counts)
+        columns = (np.arange(window + 1), observed, predicted, predicted, predicted, noise_only)
         write_table(path, header, columns)
         outputs["bins.csv"] = path
         report.update(
@@ -298,6 +302,8 @@ def cmd_analyze(
         if params_path is not None:
             try:
                 params = HmmParams.from_mapping(read_keyvalues(params_path))
+            except DataFormatError as exc:  # it names the file and the line
+                raise UsageError(str(exc)) from None
             except ValueError as exc:
                 raise UsageError(f"{params_path}: {exc}") from exc
         else:

@@ -13,7 +13,7 @@ import hashlib
 import io
 from dataclasses import fields
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence, get_type_hints
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, get_type_hints
 
 import numpy as np
 
@@ -69,8 +69,8 @@ def parse_keyvalues(text: str, *, source: str | None = None) -> dict[str, str]:
 
 
 def read_keyvalues(path: str | Path) -> dict[str, str]:
-    path = Path(path)
-    return parse_keyvalues(path.read_text(), source=str(path))
+    """Parse a ``key = value`` file; DataFormatError names the line of a non-UTF-8 byte."""
+    return parse_keyvalues(_decode(Path(path).read_bytes(), str(path)), source=str(path))
 
 
 def write_keyvalues(
@@ -138,18 +138,22 @@ def _check_header(header: list[str], source: str) -> None:
         )
 
 
-def _parse_rows(raw: bytes, source: str) -> tuple[np.ndarray, ...]:
-    """``csv.reader`` parse naming the first line of a bad record (the header is 1)."""
+def _decode(raw: bytes, source: str) -> str:
+    """``raw`` as UTF-8 text; DataFormatError naming the line of a bad byte."""
     try:
-        text = raw.decode()
+        return raw.decode()
     except UnicodeDecodeError as exc:
         line = len(raw[: exc.start + 1].splitlines())  # the bad byte is no line break
         raise DataFormatError(
             f"byte 0x{raw[exc.start]:02x} is not UTF-8", source=source, line=line
         ) from None
+
+
+def _parse_rows(raw: bytes, source: str) -> tuple[np.ndarray, ...]:
+    """``csv.reader`` parse naming the first line of a bad record (the header is 1)."""
     columns = [], [], [], []  # index, outcome, time_s, hidden
     start = 1  # first line of the record being read
-    with io.StringIO(text, newline="") as fh:
+    with io.StringIO(_decode(raw, source), newline="") as fh:
         reader = csv.reader(fh)
         try:
             _check_header(next(reader, []), source)
@@ -166,6 +170,8 @@ def _parse_rows(raw: bytes, source: str) -> tuple[np.ndarray, ...]:
                     error = f"expected 4 columns, got {len(row)}"
                 elif values is None:
                     error = f"malformed row {row!r}"
+                elif not -(2**63) <= values[0] < 2**63:
+                    error = f"index must fit in int64, got {row[0]!r}"
                 elif values[1] not in (0, 1):
                     error = f"outcome must be 0 or 1, got {row[1]!r}"
                 elif values[3] is None:
@@ -342,11 +348,32 @@ def _read_table(raw: bytes, source: str) -> tuple[np.ndarray, ...] | None:
 def _read_columns(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """A dataset file's (index, outcome, time_s, hidden) columns; NA reads as -1.
 
-    The index is int64 where every value fits, else Python ints.
+    The index is int64: an index outside it is a :class:`DataFormatError`.
     """
     raw = Path(path).read_bytes()  # read once: both parses see the same bytes
     columns = _read_table(raw, str(path))
     return _parse_rows(raw, str(path)) if columns is None else columns
+
+
+class _Rows(Sequence):
+    """Read-only ``(index, outcome, time_s, hidden)`` rows of the dataset ``columns``,
+    built on access; a hidden -1 (NA) reads as None.  Indexing takes an int."""
+
+    def __init__(self, *columns: np.ndarray):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return self.columns[0].size
+
+    def __getitem__(self, k: int) -> tuple[int, int, float, int | None]:
+        k = range(len(self))[k]
+        return next(iter(_Rows(*(c[k : k + 1] for c in self.columns))))  # as __iter__ builds it
+
+    def __iter__(self) -> Iterator[tuple[int, int, float, int | None]]:
+        for k in range(0, len(self), _BLOCK_ROWS):
+            *rows, hidden = (c[k : k + _BLOCK_ROWS].tolist() for c in self.columns)
+            # (0, 1, None)[h] is h for 0 and 1, and None for -1.
+            yield from zip(*rows, map((0, 1, None).__getitem__, hidden))
 
 
 def read_dataset_csv(path: str | Path) -> list[tuple[int, int, float, int | None]]:
@@ -355,16 +382,11 @@ def read_dataset_csv(path: str | Path) -> list[tuple[int, int, float, int | None
     Cells may be quoted or padded, blank lines are skipped and ``hidden`` is
     None for NA.  A body in the layout the writers emit is parsed as numpy
     bytes, a block of rows at a time; any other file by the stdlib ``csv``
-    reader, naming the first line of a bad record.  Malformed content,
-    including a bad header, a csv error or a byte that is not UTF-8, raises
+    reader, naming the first line of a bad record.  Malformed content (a bad
+    header, a csv error, a non-UTF-8 byte, an index outside int64) raises
     :class:`DataFormatError` with the offending line number.
     """
-    columns = _read_columns(path)
-    rows: list[tuple[int, int, float, int | None]] = []
-    for k in range(0, columns[0].size, _BLOCK_ROWS):
-        index, outcome, time_s, hidden = (c[k : k + _BLOCK_ROWS].tolist() for c in columns)
-        rows.extend(zip(index, outcome, time_s, (None if h < 0 else h for h in hidden)))
-    return rows
+    return list(_Rows(*_read_columns(path)))
 
 
 _PAD = 0  # byte dropped from a formatted block: no cell holds a NUL
@@ -424,14 +446,8 @@ def _splice(block: np.ndarray, rows: np.ndarray, cells: list[str]) -> np.ndarray
 
 def _int_cells(values: np.ndarray) -> np.ndarray:
     """``str(int(v))`` of each value, one row of bytes per value."""
-    if values.dtype != object and values.size and 0 <= values.min() <= values.max() <= 9:
+    if values.size and 0 <= values.min() <= values.max() <= 9:
         return (values.astype(np.uint8) + np.uint8(ord("0")))[:, None]  # one digit
-    fallback = np.zeros(0, np.intp)
-    if values.dtype == object:  # Python ints, some perhaps past int64
-        ints = [int(v) for v in values.tolist()]
-        big = np.array([not -(2**63) <= v < 2**63 for v in ints], bool)
-        fallback = np.flatnonzero(big)
-        values = np.array([0 if b else v for v, b in zip(ints, big)], np.int64)
     negative = values < 0
     magnitude = values.astype(np.uint64)
     magnitude[negative] = ~magnitude[negative] + np.uint64(1)  # two's complement |v|
@@ -450,7 +466,7 @@ def _int_cells(values: np.ndarray) -> np.ndarray:
         _LAST.take(length, axis=0)[:, 32 - width :],
         out=block[:, sign:],
     )
-    return _splice(block, fallback, [format_number(ints[k]) for k in fallback.tolist()])
+    return block
 
 
 def _float_cells(values: np.ndarray) -> np.ndarray:
@@ -505,16 +521,12 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
 
 
 def _int_column(values: Iterable[int]) -> np.ndarray:
-    """An integer column: int64 where every value fits, else Python ints."""
+    """A numpy integer array as it is, else an int64 column; OverflowError past int64."""
     if isinstance(values, np.ndarray):
         if values.dtype.kind in "biu":
             return values
         values = values.tolist()
-    values = list(values)
-    try:
-        return np.array(values, np.int64)
-    except OverflowError:
-        return np.array([int(v) for v in values], object)
+    return np.array(list(values), np.int64)
 
 
 def _cells(values: np.ndarray) -> np.ndarray:
@@ -571,12 +583,15 @@ def write_dataset_csv(
     """Write a measurement stream in the shared dataset format.
 
     Takes the columns as :func:`_read_columns` returns them: a hidden -1
-    is written as NA.
+    is written as NA.  As the reader does, it refuses an outcome outside {0, 1}
+    or a hidden value outside {-1, 0, 1} (ValueError) and an index past int64 (OverflowError).
     """
-    hidden = np.asarray(hidden)
+    outcome, hidden = _int_column(outcome), np.asarray(hidden)
+    if outcome.size and not 0 <= outcome.min() <= outcome.max() <= 1:  # an integer column
+        raise ValueError("outcome values must be 0 or 1")
     if not np.isin(hidden, (-1, 0, 1)).all():
         raise ValueError("hidden values must be -1 (NA), 0 or 1")
-    columns = _int_column(index), _int_column(outcome), np.asarray(time_s, dtype=float)
+    columns = _int_column(index), outcome, np.asarray(time_s, dtype=float)
     write_table(path, DATASET_HEADER, (*columns, _HIDDEN_CELLS[hidden.astype(np.intp) + 1]))
 
 

@@ -31,7 +31,6 @@ import numpy as np
 __all__ = [
     "NoiseSignalModel",
     "SignificanceResult",
-    "BinValuePrediction",
     "noise_pmf",
     "signal_pmf",
     "bin_value_distribution",
@@ -107,52 +106,15 @@ def signal_pmf(model: NoiseSignalModel) -> np.ndarray:
     return _bin_pmfs(model.p_b, model.p_d, model.p_s, model.bin)[1].copy()
 
 
-@dataclass(frozen=True)
-class BinValuePrediction:
-    """Expected dark-count histogram over N bins, with a p_g sigma band."""
-
-    k: np.ndarray
-    counts: np.ndarray
-    band_low: np.ndarray
-    band_high: np.ndarray
-    n_bins: int
-    p_g: float
-
-
-def bin_value_distribution(
-    n_bins: int,
-    model: NoiseSignalModel,
-    p_g: float,
-    *,
-    p_g_sigma: float = 0.0,
-) -> BinValuePrediction:
-    """Predicted dark-count histogram N [(1 - p_g) p_n(k) + p_g p_e(k)].
-
-    ``p_g`` is the thermal ground occupancy; the band re-evaluates the
-    mixture at p_g plus and minus one sigma (clipped to [0, 1]).
-    """
+def bin_value_distribution(n_bins: int, model: NoiseSignalModel, p_g: float) -> np.ndarray:
+    """Predicted dark-count histogram N [(1 - p_g) p_n(k) + p_g p_e(k)], k = 0..bin,
+    with ``p_g`` the thermal ground occupancy."""
     if n_bins < 1:
         raise ValueError(f"n_bins must be >= 1, got {n_bins!r}")
     if not 0.0 <= p_g <= 1.0:
         raise ValueError(f"p_g must lie in [0, 1], got {p_g!r}")
-    if not p_g_sigma >= 0.0:
-        raise ValueError(f"p_g_sigma must be >= 0, got {p_g_sigma!r}")
-    p_noise = noise_pmf(model)
-    p_signal = signal_pmf(model)
-
-    def mixture(pg: float) -> np.ndarray:
-        pg = min(max(pg, 0.0), 1.0)
-        return n_bins * ((1.0 - pg) * p_noise + pg * p_signal)
-
-    lo, hi = mixture(p_g - p_g_sigma), mixture(p_g + p_g_sigma)
-    return BinValuePrediction(
-        k=np.arange(model.bin + 1),
-        counts=mixture(p_g),
-        band_low=np.minimum(lo, hi),
-        band_high=np.maximum(lo, hi),
-        n_bins=n_bins,
-        p_g=p_g,
-    )
+    pmfs = _bin_pmfs(model.p_b, model.p_d, model.p_s, model.bin)
+    return n_bins * ((1.0 - p_g) * pmfs[0] + p_g * pmfs[1])
 
 
 def _log_upper_tail(z: float) -> tuple[float, float]:

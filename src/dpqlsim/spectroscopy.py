@@ -231,7 +231,8 @@ def _boltzmann(c: MolecularConstants, T: float) -> np.ndarray:
     """Unnormalized Boltzmann factors g_i exp(-E_i / k_B T), by level code."""
     _check_temperature(T)
     _, energies, weights, _ = _level_table(c)
-    return weights * np.exp(-energies / (KB_CM * T))
+    with np.errstate(over="ignore"):  # below ~1e-308 K, E / k_B T is inf and its factor 0
+        return weights * np.exp(-energies / (KB_CM * T))
 
 
 def partition_function(c: MolecularConstants, T: float) -> float:

@@ -82,29 +82,6 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
 
 
-class _Rows(Sequence):
-    """Read-only ``(index, outcome, time_s, hidden)`` rows of a dataset.
-
-    The row format of :func:`dataio.read_dataset_csv`, built from the
-    columns on access; indexing takes an int.
-    """
-
-    def __init__(self, outcome: np.ndarray, hidden: np.ndarray, cycle: float):
-        self._outcome, self._hidden, self._cycle = outcome, hidden, cycle
-
-    def __len__(self) -> int:
-        return self._outcome.size
-
-    def __getitem__(self, k: int) -> tuple[int, int, float, int]:
-        k = range(len(self))[k]
-        return k, int(self._outcome[k]), (k + 1) * self._cycle, int(self._hidden[k])
-
-    def __iter__(self):
-        n = len(self)
-        times = np.arange(1, n + 1) * self._cycle
-        return zip(range(n), self._outcome.tolist(), times.tolist(), self._hidden.tolist())
-
-
 @dataclass(frozen=True, eq=False)
 class TrialDataset:
     """Labeled measurement stream plus the config that made it.
@@ -137,9 +114,11 @@ class TrialDataset:
             )
 
     @property
-    def records(self) -> _Rows:
-        """The stream as dataset CSV rows, built on access."""
-        return _Rows(self.outcome, self.hidden, self.config.cycle)
+    def records(self) -> Sequence[tuple[int, int, float, int]]:
+        """The stream as dataset CSV rows over its CSV ``columns``, built on access."""
+        n = self.outcome.size
+        times = np.arange(1, n + 1) * self.config.cycle
+        return dataio._Rows(np.arange(n), self.outcome, times, self.hidden)
 
     def outcomes(self) -> np.ndarray:
         return self.outcome.copy()
@@ -152,9 +131,7 @@ class TrialDataset:
         return float(self.hidden.mean())
 
     def to_csv(self, path) -> None:
-        n = self.outcome.size
-        times = np.arange(1, n + 1) * self.config.cycle  # the times of ``records``
-        dataio.write_dataset_csv(path, np.arange(n), self.outcome, times, self.hidden)
+        dataio.write_dataset_csv(path, *self.records.columns)
 
 
 class TrajectoryDynamics:

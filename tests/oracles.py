@@ -275,6 +275,10 @@ def read_dataset_csv(path):
                 raise DataFormatError(
                     f"malformed row {row!r}", source=source, line=lineno
                 ) from None
+            if not -(2**63) <= index < 2**63:
+                raise DataFormatError(
+                    f"index must fit in int64, got {row[0]!r}", source=source, line=lineno
+                )
             if outcome not in (0, 1):
                 raise DataFormatError(
                     f"outcome must be 0 or 1, got {row[1]!r}", source=source, line=lineno

@@ -22,7 +22,7 @@ import numpy as np
 import oracles
 import pytest
 
-from dpqlsim.bbr_kinetics import leave_probability_per_cycle, lifetime_temperature_sweep
+from dpqlsim.bbr_kinetics import ground_state_residence_lifetime, leave_probability_per_cycle
 from dpqlsim.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from dpqlsim.dataio import (
     config_casts,
@@ -123,9 +123,11 @@ class TestLifetime:
             "temperature_K", "residence_lifetime_s", "thermal_ground_population",
         ]
         assert [float(r[0]) for r in rows] == [300.0, 450.0]
-        expected = lifetime_temperature_sweep(MolecularConstants(), [300.0, 450.0])
-        for row, (_, tau, pop) in zip(rows, expected):
+        constants = MolecularConstants()
+        for row, T in zip(rows, [300.0, 450.0]):
+            tau = ground_state_residence_lifetime(constants, T)
             assert float(row[1]) == pytest.approx(tau, rel=1e-9)
+            pop = thermal_population(ROT_GROUND, constants, T)
             assert float(row[2]) == pytest.approx(pop, rel=1e-9)
 
     @pytest.mark.parametrize(
@@ -324,6 +326,23 @@ class TestSimulate:
         assert code == EXIT_OK
         manifest = load_manifest(tmp_path)
         assert manifest["config"]["experiment"]["temperature"] == 450.0
+
+    def test_temperature_where_thermal_energy_underflows(self, tmp_path, capsys):
+        # Below ~3.6e-301 K, k_B T underflows to 0.0 and the field is that
+        # of T = 0: the stream is simulated, while the detector rates and the
+        # lifetime find no way out of the ground level, as at T = 0.
+        sim = tmp_path / "sim"
+        argv = ["simulate", "--hours", "0.01", "--temperature", "1e-302", "--out", str(sim)]
+        assert main(argv) == EXIT_OK
+        cfg = tmp_path / "config.txt"
+        cfg.write_text("temperature = 1e-302\n")
+        bins = ["analyze", str(sim / "dataset.csv"), "--mode", "bins", "--config", str(cfg)]
+        lifetime = ["lifetime", "--t-min", "1e-302", "--t-max", "1e-302", "--t-points", "1"]
+        for argv in (bins, lifetime):
+            capsys.readouterr()
+            assert main([*argv, "--out", str(tmp_path / argv[0])]) == EXIT_USAGE
+            assert "no departure channels at T = 1e-302 K" in capsys.readouterr().err
+            assert_no_output(tmp_path / argv[0])
 
 
 class TestAnalyzeBins:
@@ -594,16 +613,17 @@ class TestAnalyzeHmm:
         assert report["n_records"] == 2000
         assert "metrics" not in report
 
-    def test_indices_past_int64_pass_through(self, tmp_path):
-        # The reader keeps an index past int64 as a Python int; decoded.csv
-        # writes each index as the dataset holds it, on either side of 2**63.
+    def test_index_past_int64_is_data_error(self, tmp_path, capsys):
+        # Indices run up to 2**63 - 1 and on past it; the first one past it,
+        # on line 27, is refused before anything is decoded or written.
         data = tmp_path / "dataset.csv"
-        indices = [2**63 - 25 + k for k in range(50)]
-        rows = [(i, k % 3 // 2, 0.04 * (k + 1), None) for k, i in enumerate(indices)]
-        write_dataset_csv(data, *oracles.dataset_columns(rows))
-        assert main(["analyze", str(data), "--mode", "hmm", "--out", str(tmp_path)]) == EXIT_OK
-        _, decoded = read_csv(tmp_path / "decoded.csv")
-        assert [int(r[0]) for r in decoded] == indices
+        lines = [f"{2**63 - 25 + k},{k % 3 // 2},{0.04 * (k + 1):.10g},NA" for k in range(50)]
+        data.write_text("index,outcome,time_s,hidden\n" + "\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        assert main(["analyze", str(data), "--mode", "hmm", "--out", str(out)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"{data}: line 27: index must fit in int64, got '{2**63}'" in err
+        assert_no_output(out)
 
     def test_one_na_label_skips_metrics_and_indices_pass_through(self, sim_dir, tmp_path):
         # A single NA leaves the whole stream unlabeled; decoded.csv echoes
@@ -660,6 +680,19 @@ class TestAnalyzeHmm:
         err = capsys.readouterr().err
         assert "params.txt" in err and "unknown HMM parameter keys: trans_02" in err
         assert not (out / "decoded.csv").exists()
+
+    def test_malformed_params_file_names_its_path_once(self, sim_dir, tmp_path, capsys):
+        params = tmp_path / "params.txt"
+        params.write_text("trans_00 0.9\n")
+        out = tmp_path / "out"
+        code = main(
+            ["analyze", str(sim_dir / "dataset.csv"), "--mode", "hmm",
+             "--params", str(params), "--out", str(out)]
+        )
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"error: {params}: line 1: expected 'key = value', got 'trans_00 0.9'\n"
+        assert_no_output(out)
 
     def test_bad_params_value_names_its_key(self, sim_dir, tmp_path, capsys):
         # As a config file does: "key 'temperature': ..." for a bad value.
@@ -840,6 +873,24 @@ class TestConfigAndManifest:
         assert main(argv) == EXIT_USAGE
         assert "omega_mol" in capsys.readouterr().err
         assert not (tmp_path / "transfer_map.csv").exists()
+
+    @pytest.mark.parametrize(
+        "body, line, message",
+        [
+            (b"temperature = 300\ncycle 0.04\n", 2, "expected 'key = value', got 'cycle 0.04'"),
+            (b"cycle = 0.04\ncycle = 0.05\n", 2, "duplicate key 'cycle'"),
+            (b"cycle = 0.04\n# caf\xff\n", 2, "byte 0xff is not UTF-8"),
+        ],
+    )
+    def test_malformed_config_file_is_usage_error(self, tmp_path, capsys, body, line, message):
+        # A config file is no dataset: exit 2, naming the file once and the line.
+        cfg = tmp_path / "config.txt"
+        cfg.write_bytes(body)
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", str(cfg), "--hours", "0.01", "--out", str(out)]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {cfg}: line {line}: {message}\n"
+        assert_no_output(out)
 
     def test_bad_config_value(self, tmp_path, capsys):
         cfg = tmp_path / "config.txt"

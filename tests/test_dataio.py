@@ -63,6 +63,14 @@ class TestKeyValues:
         with pytest.raises(DataFormatError):
             parse_keyvalues("= 3\n")
 
+    def test_non_utf8_byte_reports_file_and_line(self, tmp_path):
+        path = tmp_path / "config.kv"
+        path.write_bytes(b"a = 1\r\nb = caf\xe9\n")
+        with pytest.raises(DataFormatError) as err:
+            read_keyvalues(path)
+        assert (err.value.source, err.value.line) == (str(path), 2)
+        assert str(err.value) == f"{path}: line 2: byte 0xe9 is not UTF-8"
+
 
 @dataclass(frozen=True)
 class _Knobs:
@@ -111,6 +119,12 @@ class TestDatasetCsv:
     def test_columns_are_checked(self, tmp_path):
         with pytest.raises(ValueError, match="hidden"):
             write_dataset_csv(tmp_path / "d.csv", [0], [1], [0.04], [2])
+        # The reader refuses an outcome of 2, so the writer does too.
+        t = np.array([0.04, 0.08, 0.12])
+        with pytest.raises(ValueError, match="outcome values must be 0 or 1"):
+            write_dataset_csv(tmp_path / "d.csv", np.arange(3), np.array([0, 2, 1]), t,
+                              np.array([0, 0, 1]))
+        assert not (tmp_path / "d.csv").exists()
         with pytest.raises(ValueError, match="length"):
             write_dataset_csv(tmp_path / "d.csv", [0, 1], [1], [0.04], [0])
         decoded = DecodedSeries(np.zeros(2, np.int8), np.zeros(2), 0.0)
@@ -335,7 +349,6 @@ class TestColumnarReaderAgainstOracle:
             '"index","outcome","time_s","hidden"\n"0","1","0.04","NA"\n',
             "index,outcome,time_s,hidden\n 0 ,1, 0.04 , NA \n",
             "index,outcome,time_s,hidden\n1_0,1,0.04,NA\n",
-            "index,outcome,time_s,hidden\n99999999999999999999,1,1e400,NA\n",
             "\xa0index,outcome,time_s,hidden\n0,1,0.04,1\n",
             'index,outcome,time_s,hidden\n"0\n",1,0.04, NA\n',
             'index,outcome,time_s,hidden\n0,1,0.04,"1\n"\n',
@@ -364,6 +377,8 @@ class TestColumnarReaderAgainstOracle:
             ('index,outcome,time_s,hidden\n0,1,0.04,"N""A', 2),
             ('index,outcome,time_s,hidden\n"0\n"  ,1,0.04,"N""\n"\n', 2),
             ('index,outcome,time_s,hidden\r\n"x\r\n",1,0.04,NA\r\n', 2),
+            ("index,outcome,time_s,hidden\n99999999999999999999,1,1e400,NA\n", 2),
+            (f"index,outcome,time_s,hidden\n0,1,0.04,NA\n{-(2**63) - 1},0,0.08,1\n", 3),
         ],
     )
     def test_edge_errors(self, tmp_path, text, line):
@@ -567,8 +582,15 @@ class TestByteParseAgainstCsvReader:
         assert dataio._read_table(path.read_bytes(), str(path)) is None
         index = dataio._read_columns(path)[0]
         assert index.dtype == np.int64 and index.tolist() == [0, 1]
-        path.write_text(f"index,outcome,time_s,hidden\n {2**63} ,1,0.04,NA\n")
-        assert dataio._read_columns(path)[0].tolist() == [2**63]
+        path.write_text(f"index,outcome,time_s,hidden\n0,0,0.04,NA\n{2**63 - 1},1,0.08,NA\n")
+        assert dataio._read_columns(path)[0].tolist() == [0, 2**63 - 1]
+        # Past int64, with or without padding, the index names its line.
+        for cell in (f" {2**63} ", f"{2**63}", f"{-(2**63) - 1}"):
+            path.write_text(f"index,outcome,time_s,hidden\n0,0,0.04,NA\n{cell},1,0.08,NA\n")
+            with pytest.raises(DataFormatError) as err:
+                dataio._read_columns(path)
+            assert err.value.line == 3
+            assert str(err.value).endswith(f"index must fit in int64, got {cell!r}")
 
     def test_a_declined_file_is_read_once(self, tmp_path):
         # The byte parse declines a quoted cell; the csv.reader parse then
@@ -581,13 +603,13 @@ class TestByteParseAgainstCsvReader:
         assert read.call_count == 1
 
 
-_ints = st.integers(-(2**70), 2**70)
+_ints = st.integers(-(2**63), 2**63 - 1)
 
 
 _TEXT = st.text(st.characters(min_codepoint=32, max_codepoint=126, exclude_characters=',"'),
                 min_size=1)  # csv.writer quotes a lone empty cell
 _TABLE_COLUMNS = {  # kind: (values, column of them, oracle cell of a column item)
-    "i": (st.integers(-(2**63), 2**63 - 1), lambda v: np.array(v, np.int64), int),
+    "i": (_ints, lambda v: np.array(v, np.int64), int),
     "f": (_times | st.sampled_from([-5e-324, 2.2e-308, -1e300]),
           lambda v: np.array(v, float), format_number),
     "S": (_TEXT, lambda v: np.array([x.encode() for x in v], "S"), bytes.decode),
@@ -691,15 +713,27 @@ class TestColumnFormatterAgainstFormatNumber:
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(st.lists(_ints, max_size=60))
     def test_integers(self, values):
-        column = dataio._int_column(values)  # int64, or Python ints past its range
+        column = dataio._int_column(values)
+        assert column.dtype == np.int64
         assert _formatted(column) == [format_number(v) for v in values]
 
     def test_integer_extremes(self):
         fits = [-(2**63), 2**63 - 1, 0, -1, 9, 10, -10]
         assert _formatted(np.array(fits, np.int64)) == [str(v) for v in fits]
-        values = fits + [-(2**63) - 1, 2**63]
-        assert _formatted(dataio._int_column(values)) == [str(v) for v in values]
+        assert _formatted(dataio._int_column(fits)) == [str(v) for v in fits]
         assert _formatted(np.array([0, 2**64 - 1], np.uint64)) == ["0", str(2**64 - 1)]
+
+    @pytest.mark.parametrize("big", [2**63, -(2**63) - 1, 2**70])
+    def test_writers_refuse_an_index_past_int64(self, tmp_path, big):
+        # The reader refuses such an index, so neither writer emits one.
+        with pytest.raises(OverflowError):
+            dataio._int_column([0, big])
+        with pytest.raises(OverflowError):
+            write_dataset_csv(tmp_path / "d.csv", [0, big], [0, 1], [0.04, 0.08], [0, 1])
+        decoded = DecodedSeries(np.zeros(2, np.int8), np.zeros(2), 0.0)
+        with pytest.raises(OverflowError):
+            write_decoded_csv(tmp_path / "x.csv", [0, 1], decoded, indices=[0, big])
+        assert not (tmp_path / "d.csv").exists() and not (tmp_path / "x.csv").exists()
 
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(st.lists(st.integers(0, 1), max_size=40), st.lists(st.integers(-1, 10), max_size=40))

@@ -130,9 +130,11 @@ class TestPartitionFunction:
         assert partition_function(C, 300.0) == pytest.approx(Z_300, rel=1e-6)
         assert partition_function(C, 450.0) == pytest.approx(Z_450, rel=1e-6)
 
-    def test_low_temperature_limit(self):
-        # T -> 0+: only the ground level survives, weight = parity doublet x (2J+1)
-        assert partition_function(C, 1e-3) == pytest.approx(8.0)
+    @pytest.mark.parametrize("T", [1e-3, 1e-310, np.float64(1e-310), 5e-324])
+    def test_low_temperature_limit(self, T):
+        # T -> 0+: only the ground level survives, weight = parity doublet x (2J+1);
+        # below ~1e-308 K, E / k_B T overflows to inf, without a warning.
+        assert partition_function(C, T) == pytest.approx(8.0)
 
     def test_monotone_in_temperature(self):
         zs = [partition_function(C, t) for t in (100.0, 200.0, 300.0, 400.0)]
