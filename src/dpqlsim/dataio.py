@@ -48,9 +48,14 @@ class DataFormatError(ValueError):
 
 
 def parse_keyvalues(text: str, *, source: str | None = None) -> dict[str, str]:
-    """Parse ``key = value`` lines; '#' starts a comment, blanks are skipped."""
+    """Parse ``key = value`` lines; '#' starts a comment, blanks are skipped.
+
+    Lines end at LF, CRLF or CR, as :func:`_decode` counts them: a form
+    feed, a vertical tab or a Unicode separator stays inside its line.
+    """
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -397,127 +402,139 @@ _UPOW10 = np.array([10**k for k in range(20)], np.uint64)
 # ``take`` moves a whole row.  q runs over the four-digit groups 0..9999.
 _QDIGITS = np.indices((10,) * 4, np.uint8).reshape(4, -1).T + np.uint8(ord("0"))
 _QDIGITS = np.ascontiguousarray(_QDIGITS)  # row q: q as four digits
-_DIGITS4 = _QDIGITS.view("<u4").ravel()
-_TRAILING = np.logical_and.accumulate(_QDIGITS[:, ::-1] == ord("0"), axis=1).sum(axis=1)  # of q
+_DIGITS4 = _QDIGITS.view("<u4").ravel().astype(_U)
 _PAIRS = np.full((10**4, 8), ord("."), np.uint8)  # "d.d.d.d."
 _PAIRS[:, ::2] = _QDIGITS
 _PAIRS = _PAIRS.view("<u8").ravel()
-_LAST = np.tril(np.full((33, 32), 0xFF, np.uint8), -1)[:, ::-1].copy()  # row L: last L bytes
 
-# A float cell is four words: the sign and a leading "0.000"; digits 0-3 and
-# 4-7 each followed by a point slot; digits 8, 9 with the slot between them,
-# then the exponent.  _KEEP masks the last three.
+# The words of a float cell (see _float_cells).  Its decade e picks the
+# lead, the exponent and the point's place, by row e + 301 (2 * (e + 301)
+# + sign for the lead).
+_E = np.arange(-301, 301)
 _LEADS = np.array(
     [sign + lead for lead in (b"", b"0.", b"0.0", b"0.00", b"0.000") for sign in (b"\0", b"-")],
     "S8",
-).view("<u8")  # row 2 * (-e) + sign
-_TAILS = np.zeros((100, 8), np.uint8)  # "d.d" for q < 100
-_TAILS[:, [0, 2]] = _QDIGITS[:100, 2:]
-_TAILS[:, 1] = ord(".")
-_TAILS = _TAILS.view("<u8").ravel()
-_EXPONENTS = np.zeros((602, 8), np.uint8)  # row e + 301 ends in "e+XX", row 0 is empty
-_E = np.arange(-300, 301)
-_EXPONENTS[1:, 3] = ord("e")
-_EXPONENTS[1:, 4] = np.where(_E < 0, ord("-"), ord("+"))
-_EXPONENTS[1:, 5:] = _QDIGITS[np.abs(_E), 1:]
-_EXPONENTS[1:, 5] *= np.abs(_E) >= 100  # two digits at least
+).view("<u8").reshape(5, 2)[np.where((_E >= -4) & (_E < 0), -_E, 0)].ravel()
+_TAILS = _PAIRS[:100] >> _U(32) & _U(0xFFFFFF)  # "d.d" for q < 100
+_EXPONENTS = np.zeros((602, 8), np.uint8)  # "e+XX" outside fixed notation, -4 <= e < 10
+_EXPONENTS[:, 3] = ord("e")
+_EXPONENTS[:, 4] = np.where(_E < 0, ord("-"), ord("+"))
+_EXPONENTS[:, 5:] = _QDIGITS[np.abs(_E), 1:]
+_EXPONENTS[:, 5] *= np.abs(_E) >= 100  # two digits at least
+_EXPONENTS[(_E >= -4) & (_E < 10)] = 0
 _EXPONENTS = _EXPONENTS.view("<u8").ravel()
-_KEEP = np.zeros((100, 24), np.uint8)  # row 10 * k + p: digits 0..k, a point after p - 1
-for _k in range(10):
-    _KEEP[10 * _k : 10 * _k + 10, 0 : 2 * _k + 1 : 2] = 0xFF
-    _KEEP[10 * _k + np.arange(1, 10), np.arange(1, 19, 2)] = 0xFF
-_KEEP[:, 19:] = 0xFF
-_KEEP = _KEEP.view("<u8")
+# The digit the point follows: digit e in fixed notation from 1 up, else
+# the first, and 10 (none: the lead holds the point) below 1.
+_WHOLE = np.where((_E >= 0) & (_E < 10), _E, np.where((_E >= -4) & (_E < 0), 10, 0)).astype(np.int8)
+# Which of q's four digits is its last nonzero one; -9 for q = 0.
+_LAST_DIGIT = 3 - np.logical_and.accumulate(_QDIGITS[:, ::-1] == ord("0"), axis=1).sum(
+    axis=1, dtype=np.int8
+)
+_LAST_DIGIT[0] = -9
+# Row 11 * last + whole: the lead, digits 0..max(last, whole), the point slot
+# after digit whole where a digit follows it, and the exponent.
+_KEEP = np.zeros((10, 11, 32), np.uint8)
+_KEEP[..., :8] = _KEEP[..., 27:] = 0xFF
+for _last, _whole in np.ndindex(10, 11):
+    _KEEP[_last, _whole, 8 : 9 + 2 * max(_last, _whole % 10) : 2] = 0xFF
+    if _whole < _last:
+        _KEEP[_last, _whole, 9 + 2 * _whole] = 0xFF
+_KEEP = _KEEP.view("<u8").reshape(110, 4)
 _HIDDEN_CELLS = np.array([b"NA", b"0", b"1"])  # by hidden + 1
 _UNSAFE = np.frombuffer(b',"\r\n', np.uint8)  # text cell bytes the unquoted writer refuses
 
 
-def _splice(block: np.ndarray, rows: np.ndarray, cells: list[str]) -> np.ndarray:
-    """``block`` with ``rows`` replaced by the text ``cells``, widened to fit."""
-    if not rows.size:
-        return block
-    text = np.array([cell.encode() for cell in cells])  # NUL-padded to the longest
-    out = np.zeros((len(block), max(block.shape[1], text.itemsize)), np.uint8)
-    out[:, : block.shape[1]] = block
-    out[rows] = _PAD
-    out[rows, : text.itemsize] = text.view(np.uint8).reshape(rows.size, -1)
-    return out
-
-
 def _int_cells(values: np.ndarray) -> np.ndarray:
-    """``str(int(v))`` of each value, one row of bytes per value."""
+    """``str(int(v))`` of each value, one row of bytes per value.
+
+    |v| is written as little-endian words of eight digits, as many as the
+    widest value and a sign need, each word from two ``_DIGITS4`` lookups.
+    A row's "0" bytes before its first nonzero digit, its last digit aside,
+    become pads, and a negative row's "-" takes its first byte.
+    """
     if values.size and 0 <= values.min() <= values.max() <= 9:
         return (values.astype(np.uint8) + np.uint8(ord("0")))[:, None]  # one digit
     negative = values < 0
-    magnitude = values.astype(np.uint64)
-    magnitude[negative] = ~magnitude[negative] + np.uint64(1)  # two's complement |v|
-    length = np.maximum(np.searchsorted(_UPOW10, magnitude, side="right"), 1)
-    width = int(length.max()) if values.size else 1
-    quads = -(-width // 4)
-    digits = np.empty((values.size, quads), "<u4")
-    for j in range(quads - 1, -1, -1):  # four digits at a time, from the right
-        magnitude, quad = np.divmod(magnitude, np.uint64(10**4))
-        digits[:, j] = _DIGITS4.take(quad)
-    sign = int(negative.any())
-    block = np.empty((values.size, sign + width), np.uint8)
-    block[:, :sign] = negative[:, None] * np.uint8(ord("-"))
-    np.bitwise_and(  # leading zeros become pads
-        digits.view(np.uint8)[:, 4 * quads - width :],
-        _LAST.take(length, axis=0)[:, 32 - width :],
-        out=block[:, sign:],
-    )
-    return block
+    magnitude = values.astype(_U)
+    np.negative(magnitude, out=magnitude, where=negative)  # two's complement |v|
+    width = len(str(magnitude.max(initial=0))) + int(negative.any())
+    words = -(-width // 8)
+    groups = [magnitude]  # of eight digits, the first leading
+    for _ in range(words - 1):
+        groups[:1] = np.divmod(groups[0], _U(10**8))
+    block = np.empty((values.size, words), "<u8")
+    for word, group in zip(block.T, groups):
+        group = group.astype(np.uint32)
+        high = group // np.uint32(10**4)
+        _DIGITS4.take(high, out=word, mode="clip")  # not "raise": that buffers out
+        group -= high * np.uint32(10**4)
+        word |= _DIGITS4.take(group, mode="clip") << _U(32)
+    x = block ^ _ZEROS  # nonzero from a word's first nonzero digit on
+    keep = np.negative(x)
+    keep |= x  # the bytes from that digit on
+    keep[:, -1] |= ~_BEFORE[1]  # and a row's last digit
+    keep[:, 1:][np.logical_or.accumulate(x[:, :-1] != 0, axis=1)] = ~_U(0)
+    block &= keep
+    cells = block.view(np.uint8)[:, 8 * words - width :]
+    cells[negative, 0] = ord("-")
+    return cells
 
 
 def _float_cells(values: np.ndarray) -> np.ndarray:
     """``f"{v:.10g}"`` of each value, one row of bytes per value.
 
-    With e = floor(log10 |v|), the ten digits are m = round(|v| * 10**(9 - e)),
-    a carry to 10**10 moving to the next decade.  The product takes one
-    rounding while 10**|9 - e| is exact and two beyond, far inside the
-    1e-4 margin kept from a tie, so m is the correctly rounded mantissa.
-    Zeros, non-finite values, |v| outside [1e-290, 1e290], near-ties and
-    misjudged decades are formatted by :func:`format_number` instead.
+    With e = floor(log10 |v|), the ten digits are m = round(r) for
+    r = |v| * 10**(9 - e), a carry to 10**10 moving to the next decade.
+    The product takes one rounding while 10**|9 - e| is exact and two
+    beyond, far inside the 1e-4 margin kept from a tie (|r - m| <= 0.4999),
+    so m is the correctly rounded mantissa.  Zeros, non-finite values, |v|
+    outside [1e-290, 1e290], near-ties and misjudged decades are formatted
+    by :func:`format_number` instead.
 
-    A row holds every byte some layout may need, pads where this value's
-    layout has none: the sign, a leading ``0.000`` (fixed notation below
-    1), the digits with a point slot after each, and the exponent.  The
-    fraction's trailing zeros are pads, and so is a point with no digit
-    after it.
+    A row is four words: the sign and a leading ``0.000`` (fixed notation
+    below 1); digits 0-3 and 4-7, each followed by a point slot; digits 8
+    and 9 with the slot between them, then the exponent.  Each word is one
+    table ``take`` into a contiguous plane, and one AND with the ``_KEEP``
+    row of the last nonzero digit and the point's place pads what this
+    value's layout lacks: the fraction's trailing zeros, a point no digit
+    follows.  The lead word, and the exponent bytes, are cut where no row
+    of the block uses them.
     """
     a = np.abs(values)
     fast = (a >= 1e-290) & (a <= 1e290)
     a[~fast] = 1.0
-    e = np.floor(np.log10(a)).astype(np.int64)
+    e = np.floor(np.log10(a)).astype(np.intp)
     power = _POW10.take(np.abs(9 - e))
     r = np.divide(a, power)
     np.multiply(a, power, out=r, where=e <= 9)
-    m = np.floor(r + 0.5)
-    fast &= (r >= 1e9) & (m <= 1e10) & (np.abs(r - np.floor(r) - 0.5) >= 1e-4)
+    m = np.rint(r)
+    fast &= (r >= 1e9) & (m <= 1e10) & (np.abs(r - m) <= 0.5 - 1e-4)
     carry = m == 1e10
     m[carry] = 1e9
     e += carry
-    m[~fast] = 1e9
-    m = m.astype(np.int64)
-    head = m // 10**6  # digits 0-3
-    middle = m // 100 - head * 10**4  # digits 4-7
-    tail = m - m // 100 * 100  # digits 8-9
-    last = 3 - _TRAILING.take(head)  # the last nonzero digit
-    last = np.where(middle > 0, 7 - _TRAILING.take(middle), last)
-    last = np.where(tail > 0, 9 - _TRAILING.take(tail), last)
-    fixed = (e >= -4) & (e < 10)
-    below_one = fixed & (e < 0)
-    whole = np.where(fixed & (e > 0), e, 0)  # the last digit before the point
-    point = np.where(below_one | (last <= whole), 0, whole + 1)
-    block = np.empty((values.size, 4), "<u8")
-    block[:, 0] = _LEADS.take(2 * np.where(below_one, -e, 0) + np.signbit(values))
-    block[:, 1] = _PAIRS.take(head)
-    block[:, 2] = _PAIRS.take(middle)
-    block[:, 3] = _TAILS.take(tail) | _EXPONENTS.take(np.where(fixed, 0, e + 301))
-    block[:, 1:] &= _KEEP.take(10 * np.maximum(last, whole) + point, axis=0)
+    e += 301  # the decade's table row
+    m = m.astype(np.intp)  # past 10**10 in a fallback row, whose head takes "clip"
+    middle = m // 100
+    tail = m - 100 * middle  # digits 8-9
+    head = middle // 10**4  # digits 0-3
+    middle -= 10**4 * head  # digits 4-7
+    last = np.maximum(_LAST_DIGIT.take(head, mode="clip"), _LAST_DIGIT.take(middle) + 4)
+    np.maximum(last, _LAST_DIGIT.take(tail) + 6, out=last)  # the last nonzero digit
+    keep = 11 * last + _WHOLE.take(e)
+    planes = np.empty((4, values.size), "<u8")  # "clip": "raise" would buffer out
+    _LEADS.take(2 * e + np.signbit(values), out=planes[0], mode="clip")
+    _PAIRS.take(head, out=planes[1], mode="clip")
+    _PAIRS.take(middle, out=planes[2], mode="clip")
+    _TAILS.take(tail, out=planes[3], mode="clip")
+    exponents = _EXPONENTS.take(e)
+    planes[3] |= exponents
+    block = _KEEP.take(keep, axis=0)
+    block &= planes.T
     slow = np.flatnonzero(~fast)
-    cells = [format_number(v) for v in values[slow].tolist()]
-    return _splice(block.view(np.uint8), slow, cells)
+    text = [format_number(v).encode() for v in values[slow].tolist()]  # 17 bytes at most
+    block[slow] = np.array(text, "S32").view("<u8").reshape(-1, 4)
+    start = 0 if slow.size or planes[0].any() else 8  # a sign, a lead or a fallback cell
+    return block.view(np.uint8)[:, start : 32 if exponents.any() else 27]
 
 
 def _int_column(values: Iterable[int]) -> np.ndarray:
@@ -549,9 +566,10 @@ def write_table(
     (``S``) column as it is, unquoted.  A block of ``_BLOCK_ROWS`` rows is
     formatted at once: each column becomes a NUL-padded byte block (see
     :func:`_cells`), the blocks are laid side by side between commas, and
-    the block is written with its pads dropped.  No columns, columns of
-    unequal length, or a bytes cell that would need quoting (a comma, a
-    quote, a CR, a LF or an interior NUL) raise ``ValueError``.
+    ``bytes.translate`` drops the pads as the block is written.  No
+    columns, columns of unequal length, or a bytes cell that would need
+    quoting (a comma, a quote, a CR, a LF or an interior NUL) raise
+    ``ValueError``.
     """
     lengths = {len(column) for column in columns}
     if len(lengths) != 1:
@@ -569,8 +587,7 @@ def write_table(
             for column in columns:
                 blocks += [_cells(column[k : k + rows]), np.full((rows, 1), ord(","), np.uint8)]
             blocks[-1][:] = ord("\n")  # the last separator ends the line
-            data = np.hstack(blocks).ravel()
-            fh.write(data.compress(data != _PAD).tobytes())
+            fh.write(np.hstack(blocks).tobytes().translate(None, bytes([_PAD])))
 
 
 def write_dataset_csv(

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import dataclasses
 
+import dpqlsim.dataio
 import numpy as np
 import oracles
 import pytest
@@ -232,6 +233,20 @@ class TestSimulate:
     def test_golden_digest_two_hours(self, tmp_path):
         # The 0.05 h stream above comes out the same under a kernel that
         # fires one jump per cycle at most; this 2 h stream does not.
+        argv = ["simulate", "--paper-defaults", "--hours", "2", "--seed", "7"]
+        assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
+        assert sha256_digest(tmp_path / "dataset.csv") == (
+            "d60ae809ed39b003808ca7395c46921ab454ca3bbb68d76a80f0d64f5215cf17"
+        )
+
+    def test_two_hour_cells_take_no_fallback(self, tmp_path, monkeypatch):
+        # Every index and time cell of the stream above comes from the
+        # column kernels: none is handed to format_number, and the file is
+        # the one whose digest test_golden_digest_two_hours pins.
+        def refuse(x):
+            raise AssertionError(f"format_number({x!r}) called")
+
+        monkeypatch.setattr(dpqlsim.dataio, "format_number", refuse)
         argv = ["simulate", "--paper-defaults", "--hours", "2", "--seed", "7"]
         assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
         assert sha256_digest(tmp_path / "dataset.csv") == (
@@ -890,6 +905,17 @@ class TestConfigAndManifest:
         argv = ["simulate", "--config", str(cfg), "--hours", "0.01", "--out", str(out)]
         assert main(argv) == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {cfg}: line {line}: {message}\n"
+        assert_no_output(out)
+
+    def test_form_feed_stays_inside_its_config_line(self, tmp_path, capsys):
+        # The bad value is the one on line 1, named by its key; no line 2 is
+        # made up from the text after the form feed.
+        cfg = tmp_path / "config.txt"
+        cfg.write_bytes(b"temperature = 300\x0cbogus\nrng_seed = 1\n")
+        out = tmp_path / "out"
+        assert main(["thermal", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg}: key 'temperature': ") and "line" not in err
         assert_no_output(out)
 
     def test_bad_config_value(self, tmp_path, capsys):

@@ -63,6 +63,27 @@ class TestKeyValues:
         with pytest.raises(DataFormatError):
             parse_keyvalues("= 3\n")
 
+    @pytest.mark.parametrize("mark", list("\v\f\x1c\x1d\x1e\x85\u2028\u2029"))
+    def test_only_lf_crlf_and_cr_end_a_line(self, mark):
+        # str.splitlines also breaks at these, which made one line two.
+        text = f"a = 1{mark}b = 2\r\nc = 3\rd = 4\n"
+        assert parse_keyvalues(text) == {"a": f"1{mark}b = 2", "c": "3", "d": "4"}
+        with pytest.raises(DataFormatError) as err:
+            parse_keyvalues(f"a = 1{mark}bogus\r\nnonsense\n")
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [(b"a = 1\x0cx\rb\n", "expected 'key = value', got 'b'"),
+         (b"a = 1\xc2\x85x\r\nb = \xff\n", "byte 0xff is not UTF-8")],
+    )
+    def test_parser_and_decoder_count_the_same_lines(self, tmp_path, body, message):
+        path = tmp_path / "config.kv"
+        path.write_bytes(body)
+        with pytest.raises(DataFormatError) as err:
+            read_keyvalues(path)
+        assert str(err.value) == f"{path}: line 2: {message}"
+
     def test_non_utf8_byte_reports_file_and_line(self, tmp_path):
         path = tmp_path / "config.kv"
         path.write_bytes(b"a = 1\r\nb = caf\xe9\n")
@@ -723,6 +744,21 @@ class TestColumnFormatterAgainstFormatNumber:
         assert _formatted(dataio._int_column(fits)) == [str(v) for v in fits]
         assert _formatted(np.array([0, 2**64 - 1], np.uint64)) == ["0", str(2**64 - 1)]
 
+    @pytest.mark.parametrize(
+        "dtype", [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint64]
+    )
+    def test_integer_widths(self, dtype):
+        # 10**k - 1 and 10**k for every width up to 20 digits, the 8- and
+        # 16-digit word edges among them, and their negatives, alone, with
+        # a 0 and with a -1: the widest cell and a sign set the words.
+        info = np.iinfo(dtype)
+        powers = [v for k in range(21) for v in (10**k - 1, 10**k, 1 - 10**k, -(10**k))]
+        values = [v for v in powers if info.min <= v <= info.max] + [info.min, info.max]
+        assert _formatted(np.array(values, dtype)) == [format_number(v) for v in values]
+        for v in values:
+            for column in ([v], [v, 0], [0, v, -1] if info.min < 0 else [v, 0, 1]):
+                assert _formatted(np.array(column, dtype)) == [format_number(c) for c in column]
+
     @pytest.mark.parametrize("big", [2**63, -(2**63) - 1, 2**70])
     def test_writers_refuse_an_index_past_int64(self, tmp_path, big):
         # The reader refuses such an index, so neither writer emits one.
@@ -753,6 +789,23 @@ class TestColumnFormatterAgainstFormatNumber:
         values = np.array([1234567890.5, 123456789.25, 123456789.75])
         expected = ["1234567890", "123456789.2", "123456789.8"]
         assert _formatted(values) == [format_number(v) for v in values.tolist()] == expected
+
+    @pytest.mark.parametrize("e", [-20, -7, -5, -4, -1, 0, 4, 9, 10, 14, 25])
+    def test_values_at_the_tie_margin(self, e, monkeypatch):
+        # |v| * 10**(9 - e) within an ulp either side of k + 0.5 +- 1e-4, the
+        # margin from a tie past which format_number writes the cell, in
+        # fixed and in exponent notation.
+        k = np.array([1000000000, 1234567890, 5000000000, 9999999999], float)
+        r = np.concatenate([k + 0.5 - 1e-4, k + 0.5 + 1e-4])
+        v = r * 10.0 ** (e - 9) if e > 9 else r / 10.0 ** (9 - e)
+        v = np.concatenate([np.nextafter(v, 0), v, np.nextafter(v, np.inf)])
+        values = np.concatenate([v, -v])
+        fallbacks = []
+        monkeypatch.setattr(
+            dataio, "format_number", lambda x: fallbacks.append(x) or format_number(x)
+        )
+        assert _formatted(values) == [format_number(x) for x in values.tolist()]
+        assert 0 < len(fallbacks) < values.size  # the margin runs through the values
 
     @pytest.mark.parametrize("cycle", [0.04, 0.001, 0.1, 1 / 3])
     def test_two_hour_time_column(self, cycle):
