@@ -130,7 +130,7 @@ def format_number(x: float) -> str:
 
 
 _HIDDEN = {"0": 0, "1": 1, "NA": -1}  # hidden cell -> column code
-_BLOCK_ROWS = 1 << 14  # rows converted, or formatted and written, per block
+_BLOCK_ROWS = 1 << 14  # rows formatted and written per block
 _PARSE_BYTES = 1 << 18  # body bytes parsed per block, cut at a line end
 
 
@@ -375,10 +375,9 @@ class _Rows(Sequence):
         return next(iter(_Rows(*(c[k : k + 1] for c in self.columns))))  # as __iter__ builds it
 
     def __iter__(self) -> Iterator[tuple[int, int, float, int | None]]:
-        for k in range(0, len(self), _BLOCK_ROWS):
-            *rows, hidden = (c[k : k + _BLOCK_ROWS].tolist() for c in self.columns)
-            # (0, 1, None)[h] is h for 0 and 1, and None for -1.
-            yield from zip(*rows, map((0, 1, None).__getitem__, hidden))
+        *rows, hidden = map(memoryview, self.columns)  # items read as Python scalars
+        # (0, 1, None)[h] is h for 0 and 1, and None for -1.
+        return zip(*rows, map((0, 1, None).__getitem__, hidden))
 
 
 def read_dataset_csv(path: str | Path) -> list[tuple[int, int, float, int | None]]:
@@ -484,12 +483,12 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
     """``f"{v:.10g}"`` of each value, one row of bytes per value.
 
     With e = floor(log10 |v|), the ten digits are m = round(r) for
-    r = |v| * 10**(9 - e), a carry to 10**10 moving to the next decade.
-    The product takes one rounding while 10**|9 - e| is exact and two
-    beyond, far inside the 1e-4 margin kept from a tie (|r - m| <= 0.4999),
-    so m is the correctly rounded mantissa.  Zeros, non-finite values, |v|
-    outside [1e-290, 1e290], near-ties and misjudged decades are formatted
-    by :func:`format_number` instead.
+    r = |v| * 10**(9 - e).  The product takes one rounding while
+    10**|9 - e| is exact and two beyond, far inside the 1e-4 margin kept
+    from a tie (|r - m| <= 0.4999), so m is the correctly rounded mantissa.
+    Zeros, non-finite values, |v| outside [1e-290, 1e290], near-ties,
+    misjudged decades and a mantissa that rounds up to 10**10 (a carry
+    into the next decade) are formatted by :func:`format_number` instead.
 
     A row is four words: the sign and a leading ``0.000`` (fixed notation
     below 1); digits 0-3 and 4-7, each followed by a point slot; digits 8
@@ -508,10 +507,7 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
     r = np.divide(a, power)
     np.multiply(a, power, out=r, where=e <= 9)
     m = np.rint(r)
-    fast &= (r >= 1e9) & (m <= 1e10) & (np.abs(r - m) <= 0.5 - 1e-4)
-    carry = m == 1e10
-    m[carry] = 1e9
-    e += carry
+    fast &= (r >= 1e9) & (m < 1e10) & (np.abs(r - m) <= 0.5 - 1e-4)
     e += 301  # the decade's table row
     m = m.astype(np.intp)  # past 10**10 in a fallback row, whose head takes "clip"
     middle = m // 100

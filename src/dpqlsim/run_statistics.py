@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -72,9 +71,8 @@ class NoiseSignalModel:
             raise ValueError(f"bin must be >= 1, got {self.bin!r}")
 
 
-@lru_cache(maxsize=64)
 def _bin_pmfs(p_b: float, p_d: float, p_s: float, bin_size: int) -> np.ndarray:
-    """Read-only rows (noise pmf, signal pmf) of the dark count in one bin.
+    """Rows (noise pmf, signal pmf) of the dark count in one bin.
 
     One forward pass over (start level, current level, darks so far).  The
     rows of ``mass`` are outside from outside, outside from ground and
@@ -91,19 +89,17 @@ def _bin_pmfs(p_b: float, p_d: float, p_s: float, bin_size: int) -> np.ndarray:
         mass[:, 1:] += dark[:, :-1]
         mass[1] += p_s * mass[2]
         mass[2] *= 1.0 - p_s
-    pmfs = np.stack((mass[0], mass[1] + mass[2]))
-    pmfs.setflags(write=False)
-    return pmfs
+    return np.stack((mass[0], mass[1] + mass[2]))
 
 
 def noise_pmf(model: NoiseSignalModel) -> np.ndarray:
     """Dark-count pmf of a noise-only bin, indices 0..bin."""
-    return _bin_pmfs(model.p_b, model.p_d, model.p_s, model.bin)[0].copy()
+    return _bin_pmfs(model.p_b, model.p_d, model.p_s, model.bin)[0]
 
 
 def signal_pmf(model: NoiseSignalModel) -> np.ndarray:
     """Dark-count pmf of a bin that starts in the ground level."""
-    return _bin_pmfs(model.p_b, model.p_d, model.p_s, model.bin)[1].copy()
+    return _bin_pmfs(model.p_b, model.p_d, model.p_s, model.bin)[1]
 
 
 def bin_value_distribution(n_bins: int, model: NoiseSignalModel, p_g: float) -> np.ndarray:

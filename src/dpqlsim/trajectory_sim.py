@@ -10,9 +10,9 @@ Exactly four uniform variates are drawn per cycle in a fixed order
 (collision gate, jump gate / collision resample, jump target, emission),
 so datasets are bit-reproducible from (config, seed) and insensitive to
 which branches fire.  Drawn up front, they let the simulator skip from
-event to event (Gillespie, J. Phys. Chem. 81:2340, 1977), scanning a buffer
-of candidate jump cycles that one numpy compare fills per 1024 cycles, so
-its Python work scales with jumps and collisions, not cycles.  A stream is
+event to event (Gillespie, J. Phys. Chem. 81:2340, 1977), scanning the
+stream's candidate jump cycles, which one numpy compare finds, so its
+Python work scales with jumps and collisions, not cycles.  A stream is
 held as columns: one int8 outcome array and one int8 ground-level label
 array, with cycle k ending at ``(k + 1) * cycle`` seconds.
 """
@@ -20,7 +20,7 @@ array, with cycle k ending at ``(k + 1) * cycle`` seconds.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -204,7 +204,6 @@ class TrajectoryDynamics:
 
 
 _dynamics_cached = lru_cache(maxsize=16)(TrajectoryDynamics)
-_CANDIDATE_BLOCK = 1024  # cycles gathered per refill of the jump-candidate buffer
 
 
 def _hidden_walk(dyn: TrajectoryDynamics, rng: np.random.Generator,
@@ -219,38 +218,33 @@ def _hidden_walk(dyn: TrajectoryDynamics, rng: np.random.Generator,
     stop, fresh = next(stops)  # the next collision and its thermal code, or the end
     cums, stays = dyn.jump_cum, dyn.stay_prob.tolist()
     labels = np.zeros(n_cycles, dtype=np.int8)
-    # Candidates: the cycles below `filled` whose gate clears stay_floor; pos[i] is the
-    # first not yet passed, and a sentinel at `filled` with an infinite gate ends each scan.
-    pos, gates, targets, filled, i = [0], [math.inf], [], 0, 0
-    k = start = 0  # labels are written below k, jumps are searched from start
+    # Candidates: the cycles whose gate clears stay_floor, read as Python scalars.  A scan
+    # runs from pos[i], the first not yet passed, to pos[last], the first at or after stop.
+    hits = np.flatnonzero(gate >= dyn.stay_floor)
+    pos, gates, draws = map(memoryview, (hits, gate[hits], u))
+    i = k = 0  # labels are written below k
+    last = bisect_left(pos, stop)
     while True:
         event = stop
         if cums[code] is not None:
             stay, j = stays[code], i
-            while True:
-                while gates[j] < stay:  # the same >= that step_code leaves for a jump
-                    j += 1
-                if pos[j] < filled or pos[j] >= stop:  # anything but the sentinel before stop
-                    break
-                lo = max(start, filled)  # gather the next block
-                filled = min(lo + _CANDIDATE_BLOCK, n_cycles)
-                hits = np.flatnonzero(gate[lo:filled] >= dyn.stay_floor) + lo
-                pos, gates = hits.tolist() + [filled], gate[hits].tolist() + [math.inf]
-                targets, i, j = u[hits, 2].tolist(), 0, 0
-            if pos[j] < stop:
+            while j < last and gates[j] < stay:  # the same >= that step_code leaves for a jump
+                j += 1
+            if j < last:
                 event = pos[j]
         if code == dyn.ground_code:
             labels[k:event] = 1
         if event == n_cycles:
             break
         if event == stop:  # a collision, even on a candidate cycle
-            i = bisect_right(pos, stop, i, len(pos) - 1)  # drop candidates up to it
+            i = bisect_right(pos, stop, last)  # drop candidates up to it
             code = fresh
             stop, fresh = next(stops)
+            last = bisect_left(pos, stop, i)
         else:
-            code = bisect_right(cums[code], targets[j])
+            code = bisect_right(cums[code], draws[event, 2])
             i = j + 1
-        k, start = event, event + 1
+        k = event
     return labels, u
 
 

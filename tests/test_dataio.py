@@ -33,7 +33,7 @@ from dpqlsim.dataio import (
     write_table,
 )
 from dpqlsim.hmm_detector import DecodedSeries, write_decoded_csv
-from dpqlsim.trajectory_sim import ExperimentConfig, simulate_hours
+from dpqlsim.trajectory_sim import ExperimentConfig, TrialDataset, simulate_hours
 
 
 class TestKeyValues:
@@ -185,6 +185,23 @@ class TestDatasetCsv:
         path.write_text("")
         with pytest.raises(DataFormatError):
             read_dataset_csv(path)
+
+    def test_rows_hold_python_scalars(self, tmp_path):
+        # (int, int, float, int | None) exactly, from records and from both
+        # reader paths: the byte parse, and csv on a CRLF file with an NA.
+        dataset = TrialDataset(np.array([0, 1, 1, 0]), np.array([0, 1, 0, 1]),
+                               ExperimentConfig())
+        written, crlf = tmp_path / "written.csv", tmp_path / "crlf.csv"
+        dataset.to_csv(written)
+        crlf.write_bytes(b"index,outcome,time_s,hidden\r\n0,1,0.04,NA\r\n1,0,0.08,1\r\n")
+        assert dataio._read_table(written.read_bytes(), str(written)) is not None
+        assert dataio._read_table(crlf.read_bytes(), str(crlf)) is None
+        read = read_dataset_csv(written) + read_dataset_csv(crlf)
+        rows = [*dataset.records, dataset.records[0], dataset.records[-1], *read]
+        assert {tuple(map(type, row)) for row in rows} == {
+            (int, int, float, int), (int, int, float, type(None))}
+        assert read[-2:] == [(0, 1, 0.04, None), (1, 0, 0.08, 1)]
+        assert all(type(row) is tuple for row in rows)
 
     @pytest.mark.parametrize(
         "raw, line",
@@ -806,6 +823,20 @@ class TestColumnFormatterAgainstFormatNumber:
         )
         assert _formatted(values) == [format_number(x) for x in values.tolist()]
         assert 0 < len(fallbacks) < values.size  # the margin runs through the values
+
+    def test_mantissas_that_round_into_the_next_decade(self, monkeypatch):
+        # Just below 10**e the ten-digit mantissa rounds up to 10**10, a
+        # carry into the next decade: format_number writes every such cell,
+        # whether or not log10 already rounds the value up to 10**e.
+        powers = [float(f"1e{e}") for e in range(-5, 13)]
+        below = np.concatenate([np.nextafter(powers, 0.0), np.multiply(powers, 0.999999999996)])
+        values = np.concatenate([below, -below])
+        fallbacks = []
+        monkeypatch.setattr(
+            dataio, "format_number", lambda x: fallbacks.append(x) or format_number(x)
+        )
+        assert _formatted(values) == [format_number(x) for x in values.tolist()]
+        assert fallbacks == values.tolist()
 
     @pytest.mark.parametrize("cycle", [0.04, 0.001, 0.1, 1 / 3])
     def test_two_hour_time_column(self, cycle):

@@ -260,8 +260,9 @@ class TestDynamics:
         ids=["200K", "450K", "v_max=1,J_count=1", "no radiative level"],
     )
     def test_stay_floor_is_the_lowest_radiative_stay_probability(self, c, T):
-        # The simulator buffers only cycles whose gate clears stay_floor, so
-        # a floor above any radiative stay_prob would miss that level's jumps.
+        # The simulator's jump candidates are the cycles whose gate clears
+        # stay_floor, so a floor above any radiative stay_prob would miss
+        # that level's jumps.
         dyn = TrajectoryDynamics(c, temperature=T, cycle=0.040, collision_rate=0.008)
         stay_prob, jump_cum, _ = oracles.dynamics_tables(c, T, 0.040)
         radiative = [p for p, cum in zip(stay_prob.tolist(), jump_cum) if cum is not None]
@@ -556,9 +557,8 @@ def _stub_draws(dyn: TrajectoryDynamics, code: int, n: int, gates: dict, collisi
 class TestEventDrivenAgainstOracle:
     """The event-driven simulator against the per-cycle loop it replaced."""
 
-    # The walk gathers jump candidates 1024 cycles at a time: 1023, 1024,
-    # 1025 and 2049 end a stream on either side of a block edge, and 4097
-    # crosses four of them.
+    # Short streams (0, 1 and 2 cycles), odd ones and long ones, so that
+    # events fall near both ends of a stream and far from them.
     LENGTHS = (0, 1, 2, 63, 64, 65, 1023, 1024, 1025, 2049, 4097)
 
     @pytest.mark.parametrize("temperature", [200.0, 300.0, 450.0, 600.0])
@@ -642,12 +642,12 @@ class TestEventDrivenAgainstOracle:
         for n in (1, 1025, 4097):
             _assert_bit_equal(config, n, seeds.randrange(2**63), constants)
 
-    # The stub streams below put their events on either side of the walk's
-    # 1024-cycle candidate blocks.
+    # The stub streams below put their events near the start of a stream
+    # and far into it.
     @pytest.mark.parametrize("at", [1, 1023, 1024, 2048])
     def test_gate_equal_to_stay_floor(self, monkeypatch, at):
         # The floor level jumps on a gate equal to stay_floor, the lowest
-        # gate the candidate buffer keeps, and not on the float below it.
+        # gate the candidate list keeps, and not on the float below it.
         config = ExperimentConfig(collision_rate=0.008)
         dyn = TrajectoryDynamics.for_config(config, CONSTANTS)
         floor_code = dyn.stay_prob.tolist().index(dyn.stay_floor)
@@ -656,6 +656,23 @@ class TestEventDrivenAgainstOracle:
         monkeypatch.setattr(dyn, "ground_code", floor_code)
         labels = _assert_bit_equal(config, at + 5, draws, make_rng=_StubGenerator)
         assert labels.tolist() == [1] * at + [0] * 5
+
+    @pytest.mark.parametrize("jump", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 1025, 4097])
+    def test_every_cycle_a_candidate(self, n, jump):
+        # Every gate equals stay_floor, which the ground level stays on, so
+        # its scan passes each candidate of the stream and stops at the end
+        # of the list; or, with a jump gate on the last cycle, leaves there.
+        config = ExperimentConfig(collision_rate=0.008)
+        dyn = TrajectoryDynamics.for_config(config, CONSTANTS)
+        stay = dyn.stay_prob[dyn.ground_code]
+        assert dyn.stay_floor < stay
+        gates = dict.fromkeys(range(n), dyn.stay_floor)
+        if jump:
+            gates[n - 1] = stay
+        draws = _stub_draws(dyn, dyn.ground_code, n, gates)
+        labels = _assert_bit_equal(config, n, draws, make_rng=_StubGenerator)
+        assert labels.tolist() == [1] * (n - jump) + [0] * jump
 
     @pytest.mark.parametrize("at", [2, 1023, 1024, 2048])
     def test_gate_equal_to_stay_prob(self, at):
