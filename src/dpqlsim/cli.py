@@ -219,10 +219,14 @@ def cmd_simulate(
 ) -> tuple[dict[str, Path], dict[str, object]]:
     """Labeled Monte Carlo stream covering ``--hours`` of wall-clock time."""
     try:
-        _cycles_in(args.hours, config.cycle)
+        n_cycles = _cycles_in(args.hours, config.cycle)
     except ValueError as exc:  # its message starts with the argument, "hours"
         raise UsageError(f"--{exc}") from None
-    dataset = simulate_hours(config, args.hours, constants)
+    try:
+        dataset = simulate_hours(config, args.hours, constants)
+    except MemoryError:
+        raise UsageError(f"--hours {args.hours:g} is {n_cycles:g} cycles of "
+                         f"{config.cycle:g} s, too many to hold in memory") from None
     path = out_dir / "dataset.csv"
     dataset.to_csv(path)
     print(

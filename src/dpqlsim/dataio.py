@@ -130,17 +130,20 @@ def format_number(x: float) -> str:
 
 
 _HIDDEN = {"0": 0, "1": 1, "NA": -1}  # hidden cell -> column code
+_HEADER_LINE = (",".join(DATASET_HEADER) + "\n").encode()  # as the writers start a file
 _BLOCK_ROWS = 1 << 14  # rows formatted and written per block
 _PARSE_BYTES = 1 << 18  # body bytes parsed per block, cut at a line end
 
 
-def _check_header(header: list[str], source: str) -> None:
-    if tuple(h.strip() for h in header) != DATASET_HEADER:
-        raise DataFormatError(
-            f"expected header {','.join(DATASET_HEADER)!r}, got {','.join(header)!r}",
-            source=source,
-            line=1,
-        )
+def _check_binary(values: Sequence[int] | np.ndarray, name: str = "observations") -> np.ndarray:
+    """A 0/1 stream as an int8 copy; ValueError naming ``name`` unless 1-d and all 0 or 1."""
+    column = np.asarray(values)
+    if column.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional")
+    bad = (column != 0) & (column != 1)
+    if bad.any():
+        raise ValueError(f"{name} must be 0 or 1, got {column[bad][0].item()!r}")
+    return column.astype(np.int8)
 
 
 def _decode(raw: bytes, source: str) -> str:
@@ -161,7 +164,12 @@ def _parse_rows(raw: bytes, source: str) -> tuple[np.ndarray, ...]:
     with io.StringIO(_decode(raw, source), newline="") as fh:
         reader = csv.reader(fh)
         try:
-            _check_header(next(reader, []), source)
+            header = next(reader, None)
+            if header is None:
+                raise DataFormatError("empty dataset file", source=source, line=1)
+            if tuple(h.strip() for h in header) != DATASET_HEADER:
+                error = f"expected header {','.join(DATASET_HEADER)!r}, got {','.join(header)!r}"
+                raise DataFormatError(error, source=source, line=1)
             start = reader.line_num + 1
             for row in reader:
                 lineno, start = start, reader.line_num + 1
@@ -257,11 +265,11 @@ def _parse_block(b: np.ndarray) -> tuple[np.ndarray, ...] | None:
     """The columns of rows ``b[_LEAD:]``, each ending in a line feed, or None
     unless every row is ``digits,0|1,time,0|1|NA``.
 
-    A time cell ``[-]digits[.digits]`` of at most 16 bytes, its sign aside,
-    is N / 10**f with N its digits read as one integer.  With a point N has
-    15 digits at most, so it and 10**f are exact floats and the division
-    rounds once, as ``float()`` does (Clinger's fast path); without one,
-    N / 1 rounds once too.  Any other time cell goes to ``float()``.
+    A time cell is 1 to 16 bytes of digits with at most one point, and reads
+    as N / 10**f, N its digits as one integer and f the digits after the
+    point.  With a point N has 15 digits at most, so it and 10**f are exact
+    floats and the division rounds once, to the nearest float of the
+    decimal (Clinger's fast path); without one, N / 1 rounds once too.
     """
     sep = np.flatnonzero(b <= ord(","))
     if sep.size % 4 or not (b[sep].view("<u4") == _ROW_SEPARATORS).all():
@@ -286,9 +294,10 @@ def _parse_block(b: np.ndarray) -> tuple[np.ndarray, ...] | None:
         return None
     index = _cell_values(high, low).view(np.int64)
 
-    negative = b[s1 + 1] == ord("-")
-    width = s2 - s1 - 1 - negative
-    high, low = _cell_words(words, s2, np.minimum(width, 16))
+    width = s2 - s1 - 1
+    if not 1 <= width.min() <= width.max() <= 16:
+        return None
+    high, low = _cell_words(words, s2, width)
     ok, after = _point_to_zero(low)
     ok &= _all_digits(low)
     if high is not None:
@@ -296,53 +305,33 @@ def _parse_block(b: np.ndarray) -> tuple[np.ndarray, ...] | None:
         ok &= high_ok & _all_digits(high) & ((after < 0) | (high_after < 0))
         after = np.where(high_after < 0, after, high_after + 8)
     point = after >= 0
+    if not (ok & (width > point)).all():  # a lone point is no number
+        return None
     after = np.maximum(after, 0)
     digits = _cell_values(high, low)  # the point read as a 0
     right = digits % _UPOW10.take(after)
     digits = np.where(point, right + (digits - right) // _U(10), digits)  # that 0 dropped
-    ok &= (width > point) & (width <= 16)
-    time_s = digits / _POW10.take(after)
-    np.negative(time_s, out=time_s, where=negative)
-    for k in np.flatnonzero(~ok).tolist():
-        cell = b[s1[k] + 1 : s2[k]].tobytes()
-        try:
-            if len(cell) > csv.field_size_limit():
-                return None
-            time_s[k] = float(cell.decode())
-        except ValueError:
-            return None
-    return index, outcome.view(np.int8), time_s, hidden
+    return index, outcome.view(np.int8), digits / _POW10.take(after), hidden
 
 
 def _read_table(raw: bytes, source: str) -> tuple[np.ndarray, ...] | None:
-    """Check the header, then parse the body as bytes, a block of rows at a time.
+    """Parse a file in the writers' layout as bytes, a block of rows at a time.
 
-    Returns None unless every body line is ``digits,0|1,time,0|1|NA`` (the
-    layout the writers emit, its last line break optional), or when the
-    header holds a CR, a non-ASCII byte, an open quote or more than csv's
-    field limit.  A quote, padding, a CR, a blank line or a ``+`` in the
-    body declines it, and so does a time cell ``float()`` refuses.  The
-    stdlib ``csv`` reader then parses the file, naming the first line of a
-    bad record.
+    Returns None unless the file starts with the writers' header line, ends
+    with a line feed and every body line is ``digits,0|1,time,0|1|NA`` as
+    :func:`_parse_block` takes it.  The stdlib ``csv`` reader then parses
+    the file, naming the first line of a bad record.
     """
-    if not raw:
-        raise DataFormatError("empty dataset file", source=source, line=1)
-    start = raw.find(b"\n") + 1 or len(raw)
-    head = raw[:start]
-    if b"\r" in head or not head.isascii() or len(head) > csv.field_size_limit():
+    if not (raw.startswith(_HEADER_LINE) and raw.endswith(b"\n")):
         return None
-    header = next(csv.reader([head.decode()]), [])
-    if any("\n" in cell for cell in header):  # a quote left open: the record goes on
-        return None
-    _check_header(header, source)
     blocks = [_NO_ROWS]
+    start = len(_HEADER_LINE)
     while start < len(raw):
         stop = raw.find(b"\n", start + _PARSE_BYTES - 1) + 1 or len(raw)
-        block = np.empty(_LEAD + stop - start + 1, np.uint8)
+        block = np.empty(_LEAD + stop - start, np.uint8)
         block[:_LEAD] = ord("0")
-        block[_LEAD:-1] = np.frombuffer(raw, np.uint8, stop - start, start)
-        block[-1] = ord("\n")  # ends a last line that has no line break
-        columns = _parse_block(block[:-1] if raw[stop - 1] == ord("\n") else block)
+        block[_LEAD:] = np.frombuffer(raw, np.uint8, stop - start, start)
+        columns = _parse_block(block)
         if columns is None:
             return None
         blocks.append(columns)
@@ -384,11 +373,12 @@ def read_dataset_csv(path: str | Path) -> list[tuple[int, int, float, int | None
     """Read a measurement stream; returns (index, outcome, time_s, hidden) rows.
 
     Cells may be quoted or padded, blank lines are skipped and ``hidden`` is
-    None for NA.  A body in the layout the writers emit is parsed as numpy
-    bytes, a block of rows at a time; any other file by the stdlib ``csv``
-    reader, naming the first line of a bad record.  Malformed content (a bad
-    header, a csv error, a non-UTF-8 byte, an index outside int64) raises
-    :class:`DataFormatError` with the offending line number.
+    None for NA.  A file in the writers' layout (their header line, LF line
+    ends, a final LF, unsigned decimal time cells of at most 16 bytes) is
+    parsed as numpy bytes, a block of rows at a time; any other file by the
+    stdlib ``csv`` reader, naming the first line of a bad record.  Malformed
+    content (a bad header, a csv error, a non-UTF-8 byte, an index outside
+    int64) raises :class:`DataFormatError` with the offending line number.
     """
     return list(_Rows(*_read_columns(path)))
 
@@ -597,11 +587,12 @@ def write_dataset_csv(
 
     Takes the columns as :func:`_read_columns` returns them: a hidden -1
     is written as NA.  As the reader does, it refuses an outcome outside {0, 1}
-    or a hidden value outside {-1, 0, 1} (ValueError) and an index past int64 (OverflowError).
+    (:func:`_check_binary`) or a hidden value outside {-1, 0, 1} (ValueError)
+    and an index past int64 (OverflowError).  The file is in the layout that
+    :func:`_read_table` parses as bytes while every time is finite,
+    nonnegative and written without an exponent.
     """
-    outcome, hidden = _int_column(outcome), np.asarray(hidden)
-    if outcome.size and not 0 <= outcome.min() <= outcome.max() <= 1:  # an integer column
-        raise ValueError("outcome values must be 0 or 1")
+    outcome, hidden = _check_binary(outcome, "outcome"), np.asarray(hidden)
     if not np.isin(hidden, (-1, 0, 1)).all():
         raise ValueError("hidden values must be -1 (NA), 0 or 1")
     columns = _int_column(index), outcome, np.asarray(time_s, dtype=float)

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dataio import _int_column, write_table
+from .dataio import _check_binary, _int_column, write_table
 
 __all__ = [
     "STATE_NAMES",
@@ -174,17 +174,6 @@ class DetectionMetrics:
     incorrect_negative: int
 
 
-def _check_binary(values: Sequence[int] | np.ndarray, name: str = "observations") -> np.ndarray:
-    """``values`` as int8; ValueError naming ``name`` unless 1-d and all 0 or 1."""
-    column = np.asarray(values)
-    if column.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional")
-    bad = (column != 0) & (column != 1)
-    if bad.any():
-        raise ValueError(f"{name} must be 0 or 1, got {column[bad][0].item()!r}")
-    return column.astype(np.int8)
-
-
 # Records each speculative filter runs before its chunk, so that it enters
 # the chunk already bit-equal to the true filter in the common case: a
 # normalized 2-state filter forgets its start within a few dozen records.
@@ -209,7 +198,9 @@ def _fused_filters(
     multiply-add), so the bits do not depend on how the stream is cut:
 
     1. Records 1..n-1 of each problem are cut into k chunks of ``b =
-       ceil(sqrt(n))``.  Chunk c of problem q is lane ``q k + c`` of 2k.
+       ceil(sqrt(n))``, the last one padded with brights, so the outputs
+       are allocated for ``1 + k b`` records and returned as ``[..., :n]``
+       views.  Chunk c of problem q is lane ``q k + c`` of 2k.
     2. All lanes step side by side, one numpy step per record offset, in the
        scalar step's operation order.  A step reads one contiguous row of a
        lane-major (b, 2k) int8 observation matrix, and each transition entry
@@ -217,8 +208,8 @@ def _fused_filters(
        Chunk 0 starts from ``p_0``, every other chunk from the guess
        ``start``, ``_WARMUP`` records (at most ``b``) before the chunk.
     3. The steps write into a panel of ``_PANEL`` offsets by 2k lanes, which
-       is copied into the record-ordered outputs each time it fills, so no
-       lane-major copy of the outputs is ever made.
+       is copied into ``[.., c, j]`` views of all k chunks of the outputs
+       each time it fills, so no lane-major copy of them is ever made.
     4. The seams are walked in order, per problem.  Each chunk is redone
        with scalar steps from the true end state of the chunk before it,
        until its state equals the speculative one bit for bit; from there
@@ -227,7 +218,10 @@ def _fused_filters(
        the end of every chunk: still exact, only slower.
     """
     n = obs.size
-    states, scales = np.empty((2, 2, n)), (np.empty(n), np.empty(n))
+    b = isqrt(n - 1) + 1
+    k = -(-(n - 1) // b)
+    size = 1 + k * b  # records 0..n-1, then the padding's
+    states, scales = np.empty((2, 2, size)), (np.empty(size), np.empty(size))
     trans, emit = params.trans, params.emit
     em = tuple(zip(*emit.tolist()))  # em[o] = (emit[0, o], emit[1, o])
     problems = [
@@ -240,13 +234,11 @@ def _fused_filters(
         s = a0 + a1
         if s == 0.0:
             raise ValueError("observation sequence impossible under the model")
-        sc[0], flat[0], flat[n] = s, a0 / s, a1 / s
+        sc[0], flat[0], flat[size] = s, a0 / s, a1 / s
     if n == 1:
         return states, *scales
-    b = isqrt(n - 1) + 1
-    k = -(-(n - 1) // b)
     # lanes[j, q k + c] is record 1 + c b + j of problem q; the last chunk is
-    # padded with brights, whose steps are never copied out.
+    # padded with brights, whose steps are copied out only into the padding.
     lanes = np.zeros((2, k * b), np.int8)
     lanes[0, : n - 1] = obs[1:]
     lanes[1, : n - 1] = obs[-2::-1]
@@ -279,11 +271,9 @@ def _fused_filters(
     p1 = np.repeat((params.initial[1], 1.0), k)
     q0, q1, qs = np.empty(2 * k), np.empty(2 * k), np.empty(2 * k)
     panel = np.empty((_PANEL, 3, 2 * k))  # per offset: state 0, state 1, scale
-    # Records 1 + c b + j of the full chunks c < k - 1 as [.., c, j] views,
-    # and where the last chunk's records start.
-    head = (k - 1) * b
-    full_states = states[:, :, 1 : 1 + head].reshape(2, 2, k - 1, b)
-    full_scales = [scale[1 : 1 + head].reshape(k - 1, b) for scale in scales]
+    # Records 1 + c b + j of the chunks c as [.., c, j] views.
+    chunk_states = states[:, :, 1:].reshape(2, 2, k, b)
+    chunk_scales = [scale[1:].reshape(k, b) for scale in scales]
     # A speculative chunk from a wrong start may divide 0 by 0; its records
     # are redone below.
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -297,15 +287,12 @@ def _fused_filters(
                 step(p0, p1, o, *row)
                 p0, p1 = row[0], row[1]
             block = panel[:m].reshape(m, 3, 2, k)  # [u, field, q, c] for offset j0 + u
-            full_states[..., j0 : j0 + m] = block[:, :2, :, :-1].transpose(2, 1, 3, 0)
-            m_tail, lo = max(0, min(m, n - 1 - head - j0)), 1 + head + j0
-            states[:, :, lo : lo + m_tail] = block[:m_tail, :2, :, -1].transpose(2, 1, 0)
+            chunk_states[..., j0 : j0 + m] = block[:, :2].transpose(2, 1, 3, 0)
             for q in (0, 1):
-                full_scales[q][:, j0 : j0 + m] = block[:, 2, q, :-1].T
-                scales[q][lo : lo + m_tail] = block[:m_tail, 2, q, -1]
+                chunk_scales[q][:, j0 : j0 + m] = block[:, 2, q].T
     for ((t00, t01), (t10, t11)), seq, flat, sc in problems:
         for lo in range(1 + b, n, b):
-            p0, p1 = flat[lo - 1], flat[n + lo - 1]
+            p0, p1 = flat[lo - 1], flat[size + lo - 1]
             for t in range(lo, min(lo + b, n)):
                 x0, x1 = em[seq[t]]
                 a0, a1 = (p0 * t00 + p1 * t10) * x0, (p0 * t01 + p1 * t11) * x1
@@ -314,14 +301,15 @@ def _fused_filters(
                     raise ValueError("observation sequence impossible under the model")
                 p0, p1 = a0 / s, a1 / s
                 sc[t] = s
-                q0, q1 = flat[t], flat[n + t]
+                q0, q1 = flat[t], flat[size + t]
                 if (
                     p0 == q0 and p1 == q1
                     and copysign(1.0, p0) == copysign(1.0, q0)
                     and copysign(1.0, p1) == copysign(1.0, q1)
                 ):
                     break
-                flat[t], flat[n + t] = p0, p1
+                flat[t], flat[size + t] = p0, p1
+    states, scales = states[..., :n], [scale[:n] for scale in scales]
     if not (scales[0].all() and scales[1].all()):
         raise ValueError("observation sequence impossible under the model")
     return states, *scales

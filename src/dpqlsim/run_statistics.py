@@ -27,6 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .dataio import _check_binary
+
 __all__ = [
     "NoiseSignalModel",
     "SignificanceResult",
@@ -265,7 +267,7 @@ def significance(n: int, x: int, p_dark: float) -> SignificanceResult:
 
 def find_longest_run(outcomes: Sequence[int] | np.ndarray) -> tuple[int, int]:
     """(length, start index) of the longest run of dark outcomes; first wins."""
-    dark = np.asarray(outcomes) == 1
+    dark = _check_binary(outcomes, "outcomes").view(bool)
     # Padded with brights, the stream changes value at every run's start
     # and one past its end, in alternation.
     edges = np.flatnonzero(np.diff(np.concatenate(([False], dark, [False])).view(np.int8)))
@@ -285,9 +287,8 @@ def observed_run_significance(
     The p-value is P(longest run >= observed length) under pure noise,
     i.e. the exceedance threshold sits one below the observed length.
     """
-    outcomes = np.asarray(outcomes)
-    n = int(outcomes.size)
-    x_obs, _ = find_longest_run(outcomes)
+    x_obs, _ = find_longest_run(outcomes)  # which checks the stream
+    n = int(np.size(outcomes))
     if x_obs == 0:
         return SignificanceResult(n=n, x=0, p_dark=p_dark, log_p=0.0)
     inner = significance(n, x_obs - 1, p_dark)

@@ -100,12 +100,7 @@ class TrialDataset:
 
     def __post_init__(self) -> None:
         for name in ("outcome", "hidden"):
-            column = np.asarray(getattr(self, name))
-            if column.ndim != 1:
-                raise ValueError(f"{name} must be one-dimensional")
-            if not ((column == 0) | (column == 1)).all():
-                raise ValueError(f"{name} values must be 0 or 1")
-            column = column.astype(np.int8)
+            column = dataio._check_binary(getattr(self, name), name)
             column.flags.writeable = False
             object.__setattr__(self, name, column)
         if self.outcome.size != self.hidden.size:
@@ -276,13 +271,16 @@ def simulate_trial(
 
 
 def _cycles_in(hours: float, cycle: float) -> int:
-    """Whole cycles of ``cycle`` seconds in ``hours``; ValueError below one."""
+    """Whole cycles of ``cycle`` seconds in ``hours``; ValueError below one, or
+    past the largest stream whose (n, 4) float uniforms numpy can index."""
     cycles = hours * 3600.0 / cycle
     if not 0.0 < cycles < math.inf:  # False for a NaN too
         raise ValueError(f"hours must be finite and positive, got {hours!r}")
     n_cycles = round(cycles)
     if n_cycles < 1:
         raise ValueError(f"hours {hours:g} rounds to zero cycles of {cycle:g} s")
+    if n_cycles > np.iinfo(np.intp).max // 32:
+        raise ValueError(f"hours {hours:g} is {n_cycles:g} cycles of {cycle:g} s, too many to hold")
     return n_cycles
 
 
@@ -328,6 +326,6 @@ def disjoint_bin_counts(
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window!r}")
-    cum = np.concatenate(([0], np.cumsum(np.asarray(values, dtype=np.int64))))
+    cum = np.concatenate(([0], np.cumsum(dataio._check_binary(values, "values"), dtype=np.int64)))
     counts = np.bincount(cum[window:] - cum[:-window], minlength=window + 1)
     return counts[: window + 1] / window

@@ -301,6 +301,21 @@ class TestSimulate:
         assert not (tmp_path / "dataset.csv").exists()
         assert not (tmp_path / "manifest.json").exists()
 
+    @pytest.mark.parametrize(
+        "hours, message",
+        [
+            ("1e12", "--hours 1e+12 is 9e+16 cycles of 0.04 s, too many to hold in memory"),
+            ("1e300", "--hours 1e+300 is 9e+304 cycles of 0.04 s, too many to hold"),
+        ],
+    )
+    def test_stream_too_long_to_hold_is_usage_error(self, tmp_path, capsys, hours, message):
+        # 2.9e18 bytes of uniforms, past any address space, fail at once;
+        # 1e300 h is refused before any allocation.  No --out is left behind.
+        out = tmp_path / "out"
+        assert main(["simulate", "--hours", hours, "--out", str(out)]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_hours_rounding_to_one_cycle_simulates_it(self, tmp_path, capsys):
         # 0.0252 s is nearer one 40 ms cycle than none.
         assert main(["simulate", "--hours", "7e-6", "--out", str(tmp_path)]) == EXIT_OK

@@ -142,10 +142,12 @@ class TestDatasetCsv:
             write_dataset_csv(tmp_path / "d.csv", [0], [1], [0.04], [2])
         # The reader refuses an outcome of 2, so the writer does too.
         t = np.array([0.04, 0.08, 0.12])
-        with pytest.raises(ValueError, match="outcome values must be 0 or 1"):
+        with pytest.raises(ValueError, match="^outcome must be 0 or 1, got 2$"):
             write_dataset_csv(tmp_path / "d.csv", np.arange(3), np.array([0, 2, 1]), t,
                               np.array([0, 0, 1]))
         assert not (tmp_path / "d.csv").exists()
+        with pytest.raises(ValueError, match="^outcome must be 0 or 1, got 2$"):
+            TrialDataset(outcome=[0, 2], hidden=[0, 0], config=ExperimentConfig())
         with pytest.raises(ValueError, match="length"):
             write_dataset_csv(tmp_path / "d.csv", [0, 1], [1], [0.04], [0])
         decoded = DecodedSeries(np.zeros(2, np.int8), np.zeros(2), 0.0)
@@ -269,9 +271,11 @@ _times = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
     [0.04, 7200.0, -0.0, 1e-300, 5e-324]
 )
 _PADS = ["", " ", "  ", "\t", " \t "]
-# A body line in the layout the writers emit; the byte parse takes a body of
-# these alone, its last line break optional.
-_WRITER_LINE = re.compile(r"[0-9]{1,16},[01],[^\x00-,]+,(0|1|NA)")
+# A body line in the layout the writers emit: the byte parse takes a file of
+# the writers' header line and these, each ending in a line feed.  A time cell
+# is 1 to 16 bytes of digits with at most one point, and not the point alone.
+_WRITER_LINE = re.compile(r"[0-9]{1,16},[01],(?=[0-9.]{1,16},)(?!\.,)[0-9]*\.?[0-9]*,(0|1|NA)")
+_HEADER_LINE = ",".join(DATASET_HEADER) + "\n"
 _SPECIAL_TIMES = [0.0, -0.0, 0.04, 1e-300, 5e-324, 1e300, math.inf, -math.inf, math.nan]
 
 
@@ -314,7 +318,8 @@ def dataset_texts(draw, breaks=False):
         lines.append(",".join(cells))
     text = newline.join(lines) + draw(st.sampled_from(["", newline, newline * 2]))
     body = text.partition("\n")[2].splitlines()
-    return text, "\r" not in text and all(map(_WRITER_LINE.fullmatch, body))
+    return text, (text.startswith(_HEADER_LINE) and text.endswith("\n") and "\r" not in text
+                  and all(map(_WRITER_LINE.fullmatch, body)))
 
 
 _JUNK = ["", " ", "x", "2", "-1", "1.5", "0x1", "NA", "nan", "1e3", "1_0", "00", "+1",
@@ -531,13 +536,7 @@ class TestByteParseAgainstCsvReader:
         with patch.object(dataio, "_PARSE_BYTES", block):
             fast, expected = _parsed(path)
         body = text.partition("\n")[2]
-        try:
-            [float(line.split(",")[2]) for line in body.split("\n") if line]
-        except ValueError:
-            body = None  # a time cell float() refuses
-        takes = body is not None and "+" not in body and "\n\n" not in text and all(
-            index < 10**16 for index, *_ in rows
-        )
+        takes = text.endswith("\n") and all(map(_WRITER_LINE.fullmatch, body.split("\n")[:-1]))
         assert (fast is not None) == takes
         if fast is not None:
             assert _bit_equal(fast, expected)
@@ -548,6 +547,8 @@ class TestByteParseAgainstCsvReader:
                     | st.sampled_from(_EDGE_TIME_CELLS),
                     min_size=1, max_size=20))
     def test_time_cells_read_as_float(self, tmp_path_factory, cells):
+        # The byte parse declines a file or reads it with float()'s bits;
+        # read_dataset_csv always reads float()'s bits, or refuses the file.
         path = tmp_path_factory.mktemp("d") / "d.csv"
         body = "".join(f"{k},0,{cell},NA\n" for k, cell in enumerate(cells))
         path.write_text(",".join(DATASET_HEADER) + "\n" + body)
@@ -556,17 +557,22 @@ class TestByteParseAgainstCsvReader:
         except ValueError:
             expected = None
         columns = dataio._read_table(path.read_bytes(), str(path))
+        assert (columns is not None) == all(map(_WRITER_LINE.fullmatch, body.split("\n")[:-1]))
         if expected is None:
             assert columns is None
+            with pytest.raises(DataFormatError):
+                read_dataset_csv(path)
         else:
-            assert np.array_equal(columns[2].view(np.uint64), expected.view(np.uint64))
+            read = np.array([time_s for _, _, time_s, _ in read_dataset_csv(path)])
+            for time_s in [read] if columns is None else [read, columns[2]]:
+                assert np.array_equal(time_s.view(np.uint64), expected.view(np.uint64))
 
     def test_edge_bodies(self, tmp_path):
         # (body, whether the byte parse takes it)
         cases = [
             ("", True),
             ("\n", False),
-            ("0,1,0.04,NA", True),
+            ("0,1,0.04,NA", False),  # no final line feed
             ("0,1,0.04,NA\n\n", False),
             ("0,1,0.04,NA\r\n", False),
             ('0,1,"0.04",NA\n', False),
@@ -586,8 +592,8 @@ class TestByteParseAgainstCsvReader:
             ("0,1,0.04,2\n", False),
             ("1a,1,0.04,NA\n", False),
             ("1a345678901,1,0.04,NA\n", False),
-            ("0,1,-0.04,1\n", True),
-            ("0,1,-12345678.12345678,0\n", True),
+            ("0,1,-0.04,1\n", False),
+            ("0,1,-12345678.12345678,0\n", False),
             ("0,1,x,NA\n", False),
             (f"0,1,{'1' * 200000},NA\n", False),  # past csv's field limit
         ]
@@ -613,6 +619,17 @@ class TestByteParseAgainstCsvReader:
         fast, expected = _parsed(path)
         assert fast is not None and fast[0].size == 180000
         assert _bit_equal(fast, expected)
+
+    def test_thirtieth_second_stream_takes_the_byte_parse(self, tmp_path):
+        # A tripwire for the two-word time cells: 36000 of the 54000 times
+        # of a 1/30 s stream, such as 0.03333333333, take 13 bytes.
+        path = tmp_path / "dataset.csv"
+        simulate_hours(ExperimentConfig(cycle=1 / 30, rng_seed=7), 0.5).to_csv(path)
+        fast, expected = _parsed(path)
+        assert fast is not None and fast[0].size == 54000
+        assert _bit_equal(fast, expected)
+        times = [line.split(",")[2] for line in path.read_text().split("\n")[1:-1]]
+        assert sum(len(cell) > 8 for cell in times) == 36000
 
     def test_index_is_int64_on_either_path(self, tmp_path):
         path = tmp_path / "d.csv"

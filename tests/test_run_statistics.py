@@ -27,6 +27,7 @@ from dpqlsim.run_statistics import (
     signal_pmf,
     significance,
 )
+from dpqlsim.trajectory_sim import disjoint_bin_counts
 
 # Frozen from independent evaluations of the exact run-length automaton.
 Z_1000_4 = 4.070291517361775
@@ -270,6 +271,26 @@ class TestObservedRuns:
         result = observed_run_significance([0] * 50, 0.03)
         assert result.p_value == 1.0
         assert result.z == -math.inf
+
+    @pytest.mark.parametrize(
+        "call, stream, message",
+        [
+            (lambda v: disjoint_bin_counts(v, 1), [0, 2, 1], "values must be 0 or 1, got 2"),
+            (lambda v: disjoint_bin_counts(v, 2), [0, 1, -1, 1], "values must be 0 or 1, got -1"),
+            (find_longest_run, [1, 2, 1], "outcomes must be 0 or 1, got 2"),
+            (lambda v: observed_run_significance(v, 0.03), [1, 1, -1, 1, 1],
+             "outcomes must be 0 or 1, got -1"),
+            (lambda v: observed_run_significance(v, 0.03), [1, 0.5],
+             "outcomes must be 0 or 1, got 0.5"),
+            (find_longest_run, [[0, 1], [1, 0]], "outcomes must be one-dimensional"),
+            (lambda v: disjoint_bin_counts(v, 2), [[0, 1]], "values must be one-dimensional"),
+        ],
+    )
+    def test_streams_are_checked(self, call, stream, message):
+        # A 2, an NA code -1 or a fraction once read as a dark, a bright or
+        # nothing; each now names its argument and the first bad value.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call(stream)
 
 
 def underflowing_stream(n=30000, run=300, p_dark=0.05, seed=7):
