@@ -29,6 +29,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .dataio import _check_at_least, _check_nonnegative
 from .spectroscopy import (
     BOLTZMANN_K,
     LIGHT_C,
@@ -377,12 +378,9 @@ def evolve_populations(
     is raised if a snapshot sum drifts from one by more than ``tol`` or a
     population falls below -tol.
     """
-    if not 0.0 <= duration < math.inf:
-        raise ValueError(f"duration must be finite and >= 0, got {duration!r}")
-    if not tol >= 0.0:
-        raise ValueError(f"tol must be >= 0, got {tol!r}")
-    if snapshots < 1:
-        raise ValueError(f"snapshots must be >= 1, got {snapshots!r}")
+    _check_nonnegative("duration", duration)
+    _check_at_least("tol", tol, 0)
+    _check_at_least("snapshots", snapshots)
     p0 = np.asarray(p0, dtype=float)
     if p0.shape != (len(m.generator),):
         raise ValueError(f"p0 has shape {p0.shape}, expected ({len(m.generator)},)")
@@ -467,8 +465,7 @@ def leave_probability_per_cycle(
     """
     if not cycle > 0.0:
         raise ValueError(f"cycle must be positive, got {cycle!r}")
-    if not 0.0 <= collision_rate < math.inf:
-        raise ValueError(f"collision_rate must be finite and >= 0, got {collision_rate!r}")
+    _check_nonnegative("collision_rate", collision_rate)
     gamma = 1.0 / ground_state_residence_lifetime(c, T)
     if collision_rate > 0.0:
         gamma += collision_rate * (1.0 - thermal_population(ROT_GROUND, c, T))

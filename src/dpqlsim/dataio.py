@@ -8,9 +8,11 @@ made experimental files use NA for the hidden column.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import hashlib
 import io
+import math
 from dataclasses import fields
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, get_type_hints
@@ -22,7 +24,6 @@ import numpy as np
 __all__ = [
     "DataFormatError",
     "read_keyvalues",
-    "write_keyvalues",
     "DATASET_HEADER",
     "read_dataset_csv",
     "write_dataset_csv",
@@ -78,21 +79,6 @@ def read_keyvalues(path: str | Path) -> dict[str, str]:
     return parse_keyvalues(_decode(Path(path).read_bytes(), str(path)), source=str(path))
 
 
-def write_keyvalues(
-    path: str | Path, mapping: Mapping[str, object], *, header: str | None = None
-) -> None:
-    lines = []
-    if header:
-        lines.extend(f"# {part}" for part in header.splitlines())
-    for key, value in mapping.items():
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        elif isinstance(value, float):
-            value = format_number(value)
-        lines.append(f"{key} = {value}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 _CASTS: dict[type, Callable[[object], object]] = {float: float, int: int}
 
 
@@ -146,8 +132,30 @@ def _check_binary(values: Sequence[int] | np.ndarray, name: str = "observations"
     return column.astype(np.int8)
 
 
+# The scalar argument rules.  Each is a comparison chain, which a NaN fails.
+def _check_probability(name: str, v: float) -> None:
+    if not 0.0 <= v <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {v!r}")
+
+
+def _check_positive(name: str, v: float) -> None:
+    if not 0.0 < v < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {v!r}")
+
+
+def _check_nonnegative(name: str, v: float) -> None:
+    if not 0.0 <= v < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
+
+
+def _check_at_least(name: str, v: float, low: int = 1) -> None:
+    if not v >= low:
+        raise ValueError(f"{name} must be >= {low}, got {v!r}")
+
+
 def _decode(raw: bytes, source: str) -> str:
-    """``raw`` as UTF-8 text; DataFormatError naming the line of a bad byte."""
+    """``raw`` as UTF-8 text past any BOM; DataFormatError naming the line of a bad byte."""
+    raw = raw.removeprefix(codecs.BOM_UTF8)
     try:
         return raw.decode()
     except UnicodeDecodeError as exc:

@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dataio import _check_binary, _int_column, write_table
+from .dataio import _check_binary, _check_probability, _int_column, write_table
 
 __all__ = [
     "STATE_NAMES",
@@ -99,9 +99,9 @@ class HmmParams:
     def from_mapping(cls, mapping: Mapping[str, object]) -> "HmmParams":
         """Parse the flat key set, renormalizing away file rounding.
 
-        Serialized parameters carry 10 significant digits, so row sums can
-        be off by ~1e-10; anything worse than 1e-6 is treated as a broken
-        file rather than rounding.  A key outside the set raises ValueError,
+        A hand-written file may round its values, so row sums can be off
+        by a little; anything worse than 1e-6 is treated as a broken file
+        rather than rounding.  A key outside the set raises ValueError,
         and so does a value that is no number, naming its key.
         """
         unknown = sorted(set(mapping) - set(_PARAM_KEYS))
@@ -141,8 +141,7 @@ def default_params(
     and the initial vector is the thermal occupancy.
     """
     for name, value in (("p_b", p_b), ("p_d", p_d), ("p_s", p_s)):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+        _check_probability(name, value)
     if not 0.0 <= p_g < 1.0:
         raise ValueError(f"p_g must lie in [0, 1), got {p_g!r}")
     entry = p_g * p_s / (1.0 - p_g)

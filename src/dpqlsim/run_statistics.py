@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataio import _check_binary
+from .dataio import _check_at_least, _check_binary, _check_probability
 
 __all__ = [
     "NoiseSignalModel",
@@ -64,13 +64,10 @@ class NoiseSignalModel:
 
     def __post_init__(self) -> None:
         for name in ("p_b", "p_d", "p_s"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+            _check_probability(name, getattr(self, name))
         if self.p_d <= self.p_b:
             raise ValueError("p_d must exceed p_b")
-        if self.bin < 1:
-            raise ValueError(f"bin must be >= 1, got {self.bin!r}")
+        _check_at_least("bin", self.bin)
 
 
 def _bin_pmfs(p_b: float, p_d: float, p_s: float, bin_size: int) -> np.ndarray:
@@ -107,10 +104,8 @@ def signal_pmf(model: NoiseSignalModel) -> np.ndarray:
 def bin_value_distribution(n_bins: int, model: NoiseSignalModel, p_g: float) -> np.ndarray:
     """Predicted dark-count histogram N [(1 - p_g) p_n(k) + p_g p_e(k)], k = 0..bin,
     with ``p_g`` the thermal ground occupancy."""
-    if n_bins < 1:
-        raise ValueError(f"n_bins must be >= 1, got {n_bins!r}")
-    if not 0.0 <= p_g <= 1.0:
-        raise ValueError(f"p_g must lie in [0, 1], got {p_g!r}")
+    _check_at_least("n_bins", n_bins)
+    _check_probability("p_g", p_g)
     pmfs = _bin_pmfs(model.p_b, model.p_d, model.p_s, model.bin)
     return n_bins * ((1.0 - p_g) * pmfs[0] + p_g * pmfs[1])
 
@@ -159,12 +154,10 @@ def _z_from_log_p(log_p: float) -> float:
 
 
 def _check_run_args(n: int, x: int, p_dark: float) -> None:
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n!r}")
+    _check_at_least("n", n, 0)
     if x < 0 or x > n:
         raise ValueError(f"x must lie in [0, n], got x={x!r} for n={n!r}")
-    if not 0.0 <= p_dark <= 1.0:
-        raise ValueError(f"p_dark must lie in [0, 1], got {p_dark!r}")
+    _check_probability("p_dark", p_dark)
 
 
 def _automaton_row(n: int, x: int, p_dark: float) -> np.ndarray:
@@ -288,6 +281,7 @@ def observed_run_significance(
     i.e. the exceedance threshold sits one below the observed length.
     """
     x_obs, _ = find_longest_run(outcomes)  # which checks the stream
+    _check_probability("p_dark", p_dark)
     n = int(np.size(outcomes))
     if x_obs == 0:
         return SignificanceResult(n=n, x=0, p_dark=p_dark, log_p=0.0)
@@ -301,8 +295,7 @@ def required_run_length(n: int, p_dark: float, z_target: float) -> SignificanceR
     No run can exceed x = n, so the search stops at n - 1, and n must be
     at least 1 for the search to hold any x.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
+    _check_at_least("n", n)
     if math.isnan(z_target):
         raise ValueError(f"z_target must be a number, got {z_target!r}")
     top = min(n - 1, 200)

@@ -35,6 +35,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .dataio import _check_at_least, _check_nonnegative, _check_positive
+
 __all__ = [
     "KB_CM",
     "PARITY_DOUBLET",
@@ -145,17 +147,11 @@ class MolecularConstants:
     mu_rot_scale: float = 10.0
 
     def __post_init__(self) -> None:
-        # Each check is a chain of comparisons, all False for a NaN.
         for name in ("omega_e", "A_so", "B_e", "mu_vib_scale", "mu_rot_scale"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        if not 0.0 <= self.g_q_ground < math.inf:
-            raise ValueError(f"g_q_ground must be finite and >= 0, got {self.g_q_ground!r}")
-        if self.v_max < 0:
-            raise ValueError(f"v_max must be >= 0, got {self.v_max}")
-        if self.J_count < 1:
-            raise ValueError(f"J_count must be >= 1, got {self.J_count}")
+            _check_positive(name, getattr(self, name))
+        _check_nonnegative("g_q_ground", self.g_q_ground)
+        _check_at_least("v_max", self.v_max, 0)
+        _check_at_least("J_count", self.J_count)
 
 
 def _check_temperature(T: float, *, zero_ok: bool = False) -> None:

@@ -24,6 +24,7 @@ from typing import Sequence
 import numpy as np
 
 from .bbr_kinetics import IntegrationError
+from .dataio import _check_at_least, _check_nonnegative, _check_probability
 from .spectroscopy import MolecularConstants
 
 __all__ = [
@@ -68,8 +69,7 @@ class SweepConfig:
             raise ValueError(f"ramp_rate must be positive, got {self.ramp_rate!r}")
         if self.omega_start == self.omega_end:
             raise ValueError("omega_start and omega_end must differ")
-        if self.g_q < 0.0:
-            raise ValueError(f"g_q must be >= 0, got {self.g_q!r}")
+        _check_at_least("g_q", self.g_q, 0)
 
     @property
     def duration(self) -> float:
@@ -150,8 +150,7 @@ def evolve_sweep(cfg: SweepConfig) -> float:
 
 def landau_zener_oracle(g_q: float, ramp_rate: float) -> float:
     """Analytic transfer probability 1 - exp(-2 pi (g_q/2)^2 / ramp_rate)."""
-    if not g_q >= 0.0:
-        raise ValueError(f"g_q must be >= 0, got {g_q!r}")
+    _check_at_least("g_q", g_q, 0)
     if not ramp_rate > 0.0:
         raise ValueError(f"ramp_rate must be positive, got {ramp_rate!r}")
     return -math.expm1(-_TWO_PI * (0.5 * g_q) ** 2 / ramp_rate)
@@ -183,8 +182,7 @@ def transfer_window_map(
     wm = np.asarray(list(omega_mol_values), dtype=float)
     if wm.size == 0:
         raise ValueError("the omega_mol grid must be nonempty")
-    if not 0.0 <= threshold <= 1.0:
-        raise ValueError(f"threshold must lie in [0, 1], got {threshold!r}")
+    _check_probability("threshold", threshold)
     _, amp_e = _propagate(cfg, wm, np.asarray(cfg.g_q))
     transfer = np.abs(amp_e) ** 2
     above = np.nonzero(transfer > threshold)[0]
@@ -209,10 +207,8 @@ def offres_carrier_excitation(
     """
     if not abs(detuning) > 0.0:
         raise ValueError(f"detuning must be a nonzero number, got {detuning!r}")
-    if not 0.0 <= rabi < math.inf:
-        raise ValueError(f"rabi must be finite and >= 0, got {rabi!r}")
-    if not 0.0 <= carrier_noise < math.inf:
-        raise ValueError(f"carrier_noise must be finite and >= 0, got {carrier_noise!r}")
+    _check_nonnegative("rabi", rabi)
+    _check_nonnegative("carrier_noise", carrier_noise)
     if not pulse > 0.0:
         raise ValueError(f"pulse must be positive, got {pulse!r}")
     if rabi == 0.0:

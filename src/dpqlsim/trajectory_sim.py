@@ -66,20 +66,12 @@ class ExperimentConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        # Each check is a chain of comparisons, all False for a NaN.
         for name in ("cycle", "temperature"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be finite and positive, got {value!r}")
-        rate = self.collision_rate
-        if not 0.0 <= rate < math.inf:
-            raise ValueError(f"collision_rate must be finite and >= 0, got {rate!r}")
-        if self.rng_seed < 0:
-            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed!r}")
+            dataio._check_positive(name, getattr(self, name))
+        dataio._check_nonnegative("collision_rate", self.collision_rate)
+        dataio._check_at_least("rng_seed", self.rng_seed, 0)
         for name in ("p_bright_noise", "detection_fidelity"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value!r}")
+            dataio._check_probability(name, getattr(self, name))
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,8 +254,7 @@ def simulate_trial(
     equilibrated with the blackbody field before the trial; each cycle then
     steps the state and emits an outcome.
     """
-    if n_cycles < 1:
-        raise ValueError(f"n_cycles must be >= 1, got {n_cycles!r}")
+    dataio._check_at_least("n_cycles", n_cycles)
     constants = constants or MolecularConstants()
     rng = np.random.default_rng(config.rng_seed)
     outcomes, labels = _simulate_arrays(config, constants, rng, n_cycles)
@@ -303,8 +294,7 @@ def ensemble_ground_occupancy(
     spawned from the config seed, so the ensemble is reproducible yet the
     streams are statistically independent.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
+    dataio._check_at_least("n_trials", n_trials)
     n_cycles = _cycles_in(hours, config.cycle)
     dyn = TrajectoryDynamics.for_config(config, constants)
     children = np.random.SeedSequence(config.rng_seed).spawn(n_trials)
@@ -324,8 +314,7 @@ def disjoint_bin_counts(
     with s + window <= n is a window of offset s mod window, so the summed
     histograms are one histogram of all sliding-window sums.
     """
-    if window < 1:
-        raise ValueError(f"window must be >= 1, got {window!r}")
+    dataio._check_at_least("window", window)
     cum = np.concatenate(([0], np.cumsum(dataio._check_binary(values, "values"), dtype=np.int64)))
     counts = np.bincount(cum[window:] - cum[:-window], minlength=window + 1)
     return counts[: window + 1] / window

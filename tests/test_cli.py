@@ -7,6 +7,7 @@ wrap, so a drift between the CLI and the library surfaces here.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import json
 import math
@@ -32,7 +33,6 @@ from dpqlsim.dataio import (
     read_dataset_csv,
     sha256_digest,
     write_dataset_csv,
-    write_keyvalues,
 )
 from dpqlsim.hmm_detector import default_params
 from dpqlsim.run_statistics import find_longest_run, observed_run_significance
@@ -47,6 +47,12 @@ from dpqlsim.trajectory_sim import ExperimentConfig
 # Closed-form transfer for the default coupling and ramp rate, reported by
 # the sweep command next to the integrated map.
 LZ_DEFAULT = 0.9987339488777311
+
+
+def write_keyvalues(path, mapping: dict) -> None:
+    """``key = value`` lines, floats formatted as the CSV writers format them."""
+    cells = {k: format_number(v) if isinstance(v, float) else v for k, v in mapping.items()}
+    path.write_text("".join(f"{k} = {v}\n" for k, v in cells.items()))
 
 
 def read_csv(path: Path) -> tuple[list[str], list[list[str]]]:
@@ -376,6 +382,18 @@ class TestSimulate:
 
 
 class TestAnalyzeBins:
+    def test_byte_order_mark_dataset_reads_as_without(self, sim_dir, tmp_path):
+        # Excel's "CSV UTF-8" starts a file with one.
+        head = b"".join((sim_dir / "dataset.csv").read_bytes().splitlines(keepends=True)[:2001])
+        bins = []
+        for name, raw in (("plain", head), ("marked", codecs.BOM_UTF8 + head)):
+            (tmp_path / f"{name}.csv").write_bytes(raw)
+            argv = ["analyze", str(tmp_path / f"{name}.csv"), "--mode", "bins",
+                    "--out", str(tmp_path / name)]
+            assert main(argv) == EXIT_OK
+            bins.append((tmp_path / name / "bins.csv").read_bytes())
+        assert bins[0] == bins[1]
+
     def test_bins_output(self, sim_dir, tmp_path):
         code = main(
             ["analyze", str(sim_dir / "dataset.csv"), "--mode", "bins",
@@ -887,6 +905,13 @@ class TestConfigAndManifest:
         # The rest of the constants stay at their defaults.
         defaults = config_to_mapping(MolecularConstants())
         assert manifest["config"]["molecular"]["omega_e"] == defaults["omega_e"]
+
+    def test_byte_order_mark_config_loads(self, tmp_path):
+        cfg = tmp_path / "config.txt"
+        cfg.write_bytes(codecs.BOM_UTF8 + b"B_e = 0.8\n")
+        out = tmp_path / "out"
+        assert main(["thermal", "--config", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert load_manifest(out)["config"]["molecular"]["B_e"] == 0.8
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "config.txt"

@@ -1,5 +1,6 @@
 """Round-trip and error-reporting tests for the flat-file layer."""
 
+import codecs
 import csv
 import hashlib
 import math
@@ -29,7 +30,6 @@ from dpqlsim.dataio import (
     read_keyvalues,
     sha256_digest,
     write_dataset_csv,
-    write_keyvalues,
     write_table,
 )
 from dpqlsim.hmm_detector import DecodedSeries, write_decoded_csv
@@ -40,12 +40,6 @@ class TestKeyValues:
     def test_parse_basic(self):
         text = "a = 1\n\n# comment\nb = two words  # trailing\n"
         assert parse_keyvalues(text) == {"a": "1", "b": "two words"}
-
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "config.kv"
-        write_keyvalues(path, {"x": 1.5, "name": "abc", "flag": True}, header="two\nlines")
-        parsed = read_keyvalues(path)
-        assert parsed == {"x": "1.5", "name": "abc", "flag": "true"}
 
     def test_duplicate_key_reports_line(self):
         with pytest.raises(DataFormatError) as err:
@@ -75,7 +69,8 @@ class TestKeyValues:
     @pytest.mark.parametrize(
         "body, message",
         [(b"a = 1\x0cx\rb\n", "expected 'key = value', got 'b'"),
-         (b"a = 1\xc2\x85x\r\nb = \xff\n", "byte 0xff is not UTF-8")],
+         (b"a = 1\xc2\x85x\r\nb = \xff\n", "byte 0xff is not UTF-8"),
+         (codecs.BOM_UTF8 + b"a = 1\r\nb = caf\xe9\n", "byte 0xe9 is not UTF-8")],
     )
     def test_parser_and_decoder_count_the_same_lines(self, tmp_path, body, message):
         path = tmp_path / "config.kv"
@@ -91,6 +86,12 @@ class TestKeyValues:
             read_keyvalues(path)
         assert (err.value.source, err.value.line) == (str(path), 2)
         assert str(err.value) == f"{path}: line 2: byte 0xe9 is not UTF-8"
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # Excel's "CSV UTF-8" starts a file with one.
+        path = tmp_path / "config.kv"
+        path.write_bytes(codecs.BOM_UTF8 + b"cycle = 0.05\n")
+        assert read_keyvalues(path) == {"cycle": "0.05"}
 
 
 @dataclass(frozen=True)
@@ -221,6 +222,22 @@ class TestDatasetCsv:
         with pytest.raises(DataFormatError, match="is not UTF-8") as err:
             read_dataset_csv(path)
         assert err.value.line == line and err.value.source == str(path)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # The byte parse declines the file at its header; the csv reader takes it.
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_dataset_csv(plain, *oracles.dataset_columns(self.ROWS))
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        assert dataio._read_table(marked.read_bytes(), str(marked)) is None
+        assert read_dataset_csv(marked) == read_dataset_csv(plain) == self.ROWS
+
+    def test_bad_byte_after_byte_order_mark_is_named(self, tmp_path):
+        path = tmp_path / "d.csv"
+        body = b"index,outcome,time_s,hidden\n0,1,0.04,NA\n1,0,\x80,0\n"
+        path.write_bytes(codecs.BOM_UTF8 + body)
+        with pytest.raises(DataFormatError) as err:
+            read_dataset_csv(path)
+        assert str(err.value) == f"{path}: line 3: byte 0x80 is not UTF-8"
 
 
 class TestWriteTable:

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpqlsim.dataio import read_keyvalues, write_keyvalues
+from dpqlsim.dataio import format_number, read_keyvalues
 from dpqlsim.hmm_detector import (
     STATE_NAMES,
     DecodedSeries,
@@ -35,6 +35,12 @@ from dpqlsim.hmm_detector import (
     _smooth,
 )
 from dpqlsim.trajectory_sim import ExperimentConfig, simulate_hours
+
+
+def write_keyvalues(path, mapping: dict) -> None:
+    """``key = value`` lines, floats formatted as the CSV writers format them."""
+    cells = {k: format_number(v) if isinstance(v, float) else v for k, v in mapping.items()}
+    path.write_text("".join(f"{k} = {v}\n" for k, v in cells.items()))
 
 
 def brute_force_posteriors(params, obs):

@@ -101,6 +101,7 @@ class TestSweepConfig:
             {"ramp_rate": 0.0},
             {"omega_end": TWO_PI * 492e3},
             {"g_q": -1.0},
+            {"g_q": math.nan},
         ],
     )
     def test_validation(self, kwargs):
