@@ -186,17 +186,9 @@ def build_einstein_coefficients(c: MolecularConstants) -> EinsteinCoefficients:
     rate out of (v = 1, lowest rotational level) equals ``VIB_DECAY_TARGET``
     times ``mu_vib_scale`` squared; the rotational dipole is
     ``mu_rot_scale`` times the vibrational one.  Both knobs default to the
-    anchored calibration.
+    anchored calibration.  A rate or frequency that is not finite and
+    positive raises ``ValueError`` naming the constants that set them.
     """
-    # Calibration: decay channels of (v=1, n=0) depend only on omega_e, B_e.
-    base_rate = 0.0
-    for n_low, strength in _vibrational_channels(0, c.J_count):
-        gap_cm = c.omega_e - c.B_e * n_low * (n_low + 1)
-        nu = gap_cm * _HZ_PER_CM
-        base_rate += _A_PREFACTOR * nu**3 * strength / (_RADIATIVE_TWO_OMEGA + 1)
-    mu_vib = math.sqrt(VIB_DECAY_TARGET / base_rate) * c.mu_vib_scale
-    mu_rot = c.mu_rot_scale * mu_vib
-
     states, energies = _level_table(c)[:2]
     energies = energies.tolist()  # Python floats keep nu**3 a scalar power
     pairs = []  # (upper code, lower code, A, frequency)
@@ -208,19 +200,35 @@ def build_einstein_coefficients(c: MolecularConstants) -> EinsteinCoefficients:
         nu = (energies[u] - energies[l]) * _HZ_PER_CM
         pairs.append((u, l, _A_PREFACTOR * nu**3 * mu**2 * strength / degeneracy(states[u]), nu))
 
-    for v in range(c.v_max + 1):
-        # Pure rotational lines within one vibrational level, Delta J = -1.
-        for n in range(1, c.J_count):
-            upper = code(v, n)
-            strength = _honl_london_pair(states[upper].two_J, _RADIATIVE_TWO_OMEGA)
-            add_pair(upper, code(v, n - 1), strength, mu_rot)
-        # Vibrational band v -> v-1 with P, Q, R rotational structure.
-        if v >= 1:
-            for n_u in range(c.J_count):
-                for n_l, strength in _vibrational_channels(n_u, c.J_count):
-                    add_pair(code(v, n_u), code(v - 1, n_l), strength, mu_vib)
+    try:
+        # Calibration: decay channels of (v=1, n=0) depend only on omega_e, B_e.
+        base_rate = 0.0
+        for n_low, strength in _vibrational_channels(0, c.J_count):
+            gap_cm = c.omega_e - c.B_e * n_low * (n_low + 1)
+            nu = gap_cm * _HZ_PER_CM
+            base_rate += _A_PREFACTOR * nu**3 * strength / (_RADIATIVE_TWO_OMEGA + 1)
+        mu_vib = math.sqrt(VIB_DECAY_TARGET / base_rate) if base_rate > 0.0 else math.nan
+        mu_vib *= c.mu_vib_scale
+        mu_rot = c.mu_rot_scale * mu_vib
+        for v in range(c.v_max + 1):
+            # Pure rotational lines within one vibrational level, Delta J = -1.
+            for n in range(1, c.J_count):
+                upper = code(v, n)
+                strength = _honl_london_pair(states[upper].two_J, _RADIATIVE_TWO_OMEGA)
+                add_pair(upper, code(v, n - 1), strength, mu_rot)
+            # Vibrational band v -> v-1 with P, Q, R rotational structure.
+            if v >= 1:
+                for n_u in range(c.J_count):
+                    for n_l, strength in _vibrational_channels(n_u, c.J_count):
+                        add_pair(code(v, n_u), code(v - 1, n_l), strength, mu_vib)
+    except OverflowError:  # a float power past the largest float
+        pairs.append((0, 0, math.nan, math.nan))  # refused below
 
     table = np.array(pairs, dtype=float).reshape(-1, 4)
+    if not ((table[:, 2:] > 0.0) & (table[:, 2:] < math.inf)).all():
+        names = ("omega_e", "B_e", "mu_vib_scale", "mu_rot_scale")  # the constants that set them
+        keys = ", ".join(f"{k} = {getattr(c, k)!r}" for k in names)
+        raise ValueError(f"{keys}: a radiative rate or frequency is not finite and positive")
     upper, lower = table[:, :2].T.astype(np.intp)
     return EinsteinCoefficients(
         constants=c, upper=upper, lower=lower, A=table[:, 2].copy(),

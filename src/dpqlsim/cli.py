@@ -383,7 +383,6 @@ def build_parser() -> ArgumentParser:
     parser.add_argument("--version", action="version", version=f"dpqlsim {__version__}")
     common = ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="key-value config file")
-    common.add_argument("--seed", type=int, metavar="N", help="RNG seed override")
     common.add_argument("--out", metavar="DIR", default=".", help="output directory")
     common.add_argument(
         "--paper-defaults",
@@ -417,6 +416,7 @@ def build_parser() -> ArgumentParser:
         "simulate", parents=[common], help="Monte Carlo measurement stream"
     )
     p_sim.add_argument("--hours", type=float, required=True, metavar="H")
+    p_sim.add_argument("--seed", type=int, metavar="N", help="RNG seed override")
     p_sim.add_argument(
         "--temperature", type=float, metavar="K", help="override the BBR temperature"
     )
@@ -442,8 +442,9 @@ def build_parser() -> ArgumentParser:
 
 def _run(args: Namespace, argv: Sequence[str]) -> int:
     constants, config = load_config(None if args.paper_defaults else args.config)
-    if args.seed is not None:
-        config = replace(config, rng_seed=args.seed)
+    seed = getattr(args, "seed", None)  # a simulate flag
+    if seed is not None:
+        config = replace(config, rng_seed=seed)
     if args.command == "simulate" and args.temperature is not None:
         config = replace(config, temperature=args.temperature)
     out_dir = Path(args.out)
@@ -460,7 +461,7 @@ def _run(args: Namespace, argv: Sequence[str]) -> int:
             except OSError:
                 break
         raise
-    manifest = _write_manifest(out_dir, argv, constants, config, args.seed, outputs, extra)
+    manifest = _write_manifest(out_dir, argv, constants, config, seed, outputs, extra)
     print(f"wrote {len(outputs)} output file(s) + {manifest.name} in {out_dir}")
     return EXIT_OK
 

@@ -13,6 +13,7 @@ import csv
 import hashlib
 import io
 import math
+import re
 from dataclasses import fields
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, get_type_hints
@@ -204,8 +205,7 @@ def _parse_rows(raw: bytes, source: str) -> tuple[np.ndarray, ...]:
                 raise DataFormatError(error, source=source, line=lineno)
         except csv.Error as exc:
             raise DataFormatError(str(exc), source=source, line=start) from None
-    index, *rest = columns
-    return (_int_column(index), *map(np.array, rest, (np.int8, float, np.int8)))
+    return tuple(map(np.array, columns, (np.int64, np.int8, float, np.int8)))
 
 
 # The byte parse reads a cell as the little-endian words of text that end
@@ -223,6 +223,7 @@ _HIGH4 = _U(0xF0 * _EACH)
 _BEFORE = np.array([(1 << 8 * (8 - w)) - 1 for w in range(9)], _U)  # w: all but the last w bytes
 _ROW_SEPARATORS = int.from_bytes(b",,,\n", "little")
 _LEAD = 16  # "0" bytes ahead of a block, so that every cell has two whole words
+_EXPONENT_TIME = re.compile(rb"[0-9](\.[0-9]+)?e-[0-9]{2,3}")  # format_number below 1e-4
 _NO_ROWS = (np.zeros(0, np.int64), np.zeros(0, np.int8), np.zeros(0), np.zeros(0, np.int8))
 
 
@@ -278,6 +279,7 @@ def _parse_block(b: np.ndarray) -> tuple[np.ndarray, ...] | None:
     point.  With a point N has 15 digits at most, so it and 10**f are exact
     floats and the division rounds once, to the nearest float of the
     decimal (Clinger's fast path); without one, N / 1 rounds once too.
+    :func:`format_number`'s ``e-XX`` cells, below 1e-4, read as ``float()``.
     """
     sep = np.flatnonzero(b <= ord(","))
     if sep.size % 4 or not (b[sep].view("<u4") == _ROW_SEPARATORS).all():
@@ -313,13 +315,17 @@ def _parse_block(b: np.ndarray) -> tuple[np.ndarray, ...] | None:
         ok &= high_ok & _all_digits(high) & ((after < 0) | (high_after < 0))
         after = np.where(high_after < 0, after, high_after + 8)
     point = after >= 0
-    if not (ok & (width > point)).all():  # a lone point is no number
-        return None
+    ok &= width > point  # a lone point is no number
     after = np.maximum(after, 0)
     digits = _cell_values(high, low)  # the point read as a 0
     right = digits % _UPOW10.take(after)
     digits = np.where(point, right + (digits - right) // _U(10), digits)  # that 0 dropped
-    return index, outcome.view(np.int8), digits / _POW10.take(after), hidden
+    time_s = digits / _POW10.take(after)
+    cells = [b[s1[k] + 1 : s2[k]].tobytes() for k in np.flatnonzero(~ok).tolist()]
+    if not all(map(_EXPONENT_TIME.fullmatch, cells)):
+        return None
+    time_s[~ok] = list(map(float, cells))
+    return index, outcome.view(np.int8), time_s, hidden
 
 
 def _read_table(raw: bytes, source: str) -> tuple[np.ndarray, ...] | None:
@@ -382,11 +388,12 @@ def read_dataset_csv(path: str | Path) -> list[tuple[int, int, float, int | None
 
     Cells may be quoted or padded, blank lines are skipped and ``hidden`` is
     None for NA.  A file in the writers' layout (their header line, LF line
-    ends, a final LF, unsigned decimal time cells of at most 16 bytes) is
-    parsed as numpy bytes, a block of rows at a time; any other file by the
-    stdlib ``csv`` reader, naming the first line of a bad record.  Malformed
-    content (a bad header, a csv error, a non-UTF-8 byte, an index outside
-    int64) raises :class:`DataFormatError` with the offending line number.
+    ends, a final LF, time cells of at most 16 bytes, unsigned decimal or
+    ``e-XX``) is parsed as numpy bytes, a block of rows at a time; any
+    other file by the stdlib ``csv`` reader, naming the first line of a bad
+    record.  Malformed content (a bad header, a csv error, a non-UTF-8
+    byte, an index outside int64) raises :class:`DataFormatError` with the
+    offending line number.
     """
     return list(_Rows(*_read_columns(path)))
 
@@ -405,13 +412,10 @@ _PAIRS[:, ::2] = _QDIGITS
 _PAIRS = _PAIRS.view("<u8").ravel()
 
 # The words of a float cell (see _float_cells).  Its decade e picks the
-# lead, the exponent and the point's place, by row e + 301 (2 * (e + 301)
-# + sign for the lead).
+# lead, the exponent and the point's place, by row e + 301.
 _E = np.arange(-301, 301)
-_LEADS = np.array(
-    [sign + lead for lead in (b"", b"0.", b"0.0", b"0.00", b"0.000") for sign in (b"\0", b"-")],
-    "S8",
-).view("<u8").reshape(5, 2)[np.where((_E >= -4) & (_E < 0), -_E, 0)].ravel()
+_LEADS = np.array([b"", b"0.", b"0.0", b"0.00", b"0.000"], "S8").view("<u8")
+_LEADS = _LEADS[np.where((_E >= -4) & (_E < 0), -_E, 0)]
 _TAILS = _PAIRS[:100] >> _U(32) & _U(0xFFFFFF)  # "d.d" for q < 100
 _EXPONENTS = np.zeros((602, 8), np.uint8)  # "e+XX" outside fixed notation, -4 <= e < 10
 _EXPONENTS[:, 3] = ord("e")
@@ -444,52 +448,38 @@ _UNSAFE = np.frombuffer(b',"\r\n', np.uint8)  # text cell bytes the unquoted wri
 def _int_cells(values: np.ndarray) -> np.ndarray:
     """``str(int(v))`` of each value, one row of bytes per value.
 
-    |v| is written as little-endian words of eight digits, as many as the
-    widest value and a sign need, each word from two ``_DIGITS4`` lookups.
-    A row's "0" bytes before its first nonzero digit, its last digit aside,
-    become pads, and a negative row's "-" takes its first byte.
+    A column in [0, 10**8) is one little-endian word of eight digits per
+    value, from two ``_DIGITS4`` lookups; a row's "0" bytes before its first
+    nonzero digit, its last digit aside, become pads.  Any other column is
+    formatted by :func:`format_number`.
     """
-    if values.size and 0 <= values.min() <= values.max() <= 9:
+    if not (values.size and 0 <= values.min() and values.max() < 10**8):
+        text = [format_number(v).encode() for v in values.tolist()]
+        return np.array(text, "S20").view(np.uint8).reshape(values.size, 20)  # any 64-bit int
+    if values.max() <= 9:
         return (values.astype(np.uint8) + np.uint8(ord("0")))[:, None]  # one digit
-    negative = values < 0
-    magnitude = values.astype(_U)
-    np.negative(magnitude, out=magnitude, where=negative)  # two's complement |v|
-    width = len(str(magnitude.max(initial=0))) + int(negative.any())
-    words = -(-width // 8)
-    groups = [magnitude]  # of eight digits, the first leading
-    for _ in range(words - 1):
-        groups[:1] = np.divmod(groups[0], _U(10**8))
-    block = np.empty((values.size, words), "<u8")
-    for word, group in zip(block.T, groups):
-        group = group.astype(np.uint32)
-        high = group // np.uint32(10**4)
-        _DIGITS4.take(high, out=word, mode="clip")  # not "raise": that buffers out
-        group -= high * np.uint32(10**4)
-        word |= _DIGITS4.take(group, mode="clip") << _U(32)
-    x = block ^ _ZEROS  # nonzero from a word's first nonzero digit on
-    keep = np.negative(x)
-    keep |= x  # the bytes from that digit on
-    keep[:, -1] |= ~_BEFORE[1]  # and a row's last digit
-    keep[:, 1:][np.logical_or.accumulate(x[:, :-1] != 0, axis=1)] = ~_U(0)
-    block &= keep
-    cells = block.view(np.uint8)[:, 8 * words - width :]
-    cells[negative, 0] = ord("-")
-    return cells
+    group = values.astype(np.uint32)
+    high = group // np.uint32(10**4)  # digits 0-3; the group keeps digits 4-7
+    group -= high * np.uint32(10**4)
+    word = _DIGITS4.take(high) | _DIGITS4.take(group) << _U(32)
+    x = word ^ _ZEROS  # nonzero from the first nonzero digit on
+    word &= np.negative(x) | x | ~_BEFORE[1]  # the bytes from that digit on, and the last
+    return word.view(np.uint8).reshape(values.size, 8)
 
 
 def _float_cells(values: np.ndarray) -> np.ndarray:
     """``f"{v:.10g}"`` of each value, one row of bytes per value.
 
-    With e = floor(log10 |v|), the ten digits are m = round(r) for
-    r = |v| * 10**(9 - e).  The product takes one rounding while
+    With e = floor(log10 v), the ten digits are m = round(r) for
+    r = v * 10**(9 - e).  The product takes one rounding while
     10**|9 - e| is exact and two beyond, far inside the 1e-4 margin kept
     from a tie (|r - m| <= 0.4999), so m is the correctly rounded mantissa.
-    Zeros, non-finite values, |v| outside [1e-290, 1e290], near-ties,
-    misjudged decades and a mantissa that rounds up to 10**10 (a carry
-    into the next decade) are formatted by :func:`format_number` instead.
+    Values outside [1e-290, 1e290] (zeros, negatives, non-finite values),
+    near-ties, misjudged decades and a mantissa that rounds up to 10**10 (a
+    carry into the next decade) are formatted by :func:`format_number`.
 
-    A row is four words: the sign and a leading ``0.000`` (fixed notation
-    below 1); digits 0-3 and 4-7, each followed by a point slot; digits 8
+    A row is four words: a leading ``0.000`` (fixed notation below 1);
+    digits 0-3 and 4-7, each followed by a point slot; digits 8
     and 9 with the slot between them, then the exponent.  Each word is one
     table ``take`` into a contiguous plane, and one AND with the ``_KEEP``
     row of the last nonzero digit and the point's place pads what this
@@ -497,9 +487,8 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
     follows.  The lead word, and the exponent bytes, are cut where no row
     of the block uses them.
     """
-    a = np.abs(values)
-    fast = (a >= 1e-290) & (a <= 1e290)
-    a[~fast] = 1.0
+    fast = (values >= 1e-290) & (values <= 1e290)
+    a = np.where(fast, values, 1.0)
     e = np.floor(np.log10(a)).astype(np.intp)
     power = _POW10.take(np.abs(9 - e))
     r = np.divide(a, power)
@@ -516,7 +505,7 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
     np.maximum(last, _LAST_DIGIT.take(tail) + 6, out=last)  # the last nonzero digit
     keep = 11 * last + _WHOLE.take(e)
     planes = np.empty((4, values.size), "<u8")  # "clip": "raise" would buffer out
-    _LEADS.take(2 * e + np.signbit(values), out=planes[0], mode="clip")
+    _LEADS.take(e, out=planes[0], mode="clip")
     _PAIRS.take(head, out=planes[1], mode="clip")
     _PAIRS.take(middle, out=planes[2], mode="clip")
     _TAILS.take(tail, out=planes[3], mode="clip")
@@ -527,17 +516,19 @@ def _float_cells(values: np.ndarray) -> np.ndarray:
     slow = np.flatnonzero(~fast)
     text = [format_number(v).encode() for v in values[slow].tolist()]  # 17 bytes at most
     block[slow] = np.array(text, "S32").view("<u8").reshape(-1, 4)
-    start = 0 if slow.size or planes[0].any() else 8  # a sign, a lead or a fallback cell
+    start = 0 if slow.size or planes[0].any() else 8  # a lead or a fallback cell
     return block.view(np.uint8)[:, start : 32 if exponents.any() else 27]
 
 
 def _int_column(values: Iterable[int]) -> np.ndarray:
-    """A numpy integer array as it is, else an int64 column; OverflowError past int64."""
-    if isinstance(values, np.ndarray):
-        if values.dtype.kind in "biu":
-            return values
-        values = values.tolist()
-    return np.array(list(values), np.int64)
+    """An int64 column; OverflowError past int64, ValueError for a non-integer."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "bi":
+        return values.astype(np.int64, copy=False)
+    items = values.tolist() if isinstance(values, np.ndarray) else list(values)
+    ints = [int(v) for v in items]
+    if ints != items:
+        raise ValueError("index values must be integers")
+    return np.array(ints, np.int64)
 
 
 def _cells(values: np.ndarray) -> np.ndarray:
@@ -596,9 +587,9 @@ def write_dataset_csv(
     Takes the columns as :func:`_read_columns` returns them: a hidden -1
     is written as NA.  As the reader does, it refuses an outcome outside {0, 1}
     (:func:`_check_binary`) or a hidden value outside {-1, 0, 1} (ValueError)
-    and an index past int64 (OverflowError).  The file is in the layout that
-    :func:`_read_table` parses as bytes while every time is finite,
-    nonnegative and written without an exponent.
+    and an index past int64 (OverflowError) or not an integer (ValueError).
+    The file is in the layout that :func:`_read_table` parses as bytes while
+    every time lies in [0, 1e10) and none is -0.0.
     """
     outcome, hidden = _check_binary(outcome, "outcome"), np.asarray(hidden)
     if not np.isin(hidden, (-1, 0, 1)).all():

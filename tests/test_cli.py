@@ -982,6 +982,25 @@ class TestConfigAndManifest:
         assert f"{key} must " in capsys.readouterr().err
         assert_no_output(out)
 
+    @pytest.mark.parametrize(
+        "key, value", [("mu_vib_scale", "1e200"), ("omega_e", "1e-300"), ("B_e", "1e-300")]
+    )
+    def test_constants_without_finite_rates_name_their_keys(self, tmp_path, capsys, key, value):
+        # In range, but the radiative rates overflow (1e200), the calibration
+        # band gap goes negative (1e-300) or the rotational lines lose their
+        # frequency (B_e = 1e-300); thermal needs no rate and still runs.
+        cfg = tmp_path / "config.txt"
+        cfg.write_text(f"{key} = {value}\n")
+        out = tmp_path / "out"
+        argv = ["simulate", "--config", str(cfg), "--hours", "0.01", "--out", str(out)]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{key} = {float(value)!r}" in err
+        assert all(k in err for k in ("omega_e", "B_e", "mu_vib_scale", "mu_rot_scale"))
+        assert_no_output(out)
+        argv = ["thermal", "-T", "300", "--config", str(cfg), "--out", str(tmp_path / "t")]
+        assert main(argv) == EXIT_OK
+
     def test_paper_defaults_ignores_config(self, tmp_path):
         cfg = tmp_path / "config.txt"
         cfg.write_text("not_a_key = 1\n")
@@ -1066,6 +1085,16 @@ class TestParser:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "command", [["thermal"], ["lifetime"], ["sweep"], ["analyze", "d.csv", "--mode", "runs"]]
+    )
+    def test_seed_is_a_simulate_flag(self, tmp_path, command):
+        # No other command reads a seed.
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--seed", "1", "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert_no_output(tmp_path / "out")
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -290,8 +290,12 @@ _times = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
 _PADS = ["", " ", "  ", "\t", " \t "]
 # A body line in the layout the writers emit: the byte parse takes a file of
 # the writers' header line and these, each ending in a line feed.  A time cell
-# is 1 to 16 bytes of digits with at most one point, and not the point alone.
-_WRITER_LINE = re.compile(r"[0-9]{1,16},[01],(?=[0-9.]{1,16},)(?!\.,)[0-9]*\.?[0-9]*,(0|1|NA)")
+# is 1 to 16 bytes of digits with at most one point, and not the point alone,
+# or format_number's form below 1e-4, d[.ddd]e-XX.
+_WRITER_LINE = re.compile(
+    r"[0-9]{1,16},[01],(?=[0-9.e-]{1,16},)(?!\.,)"
+    r"([0-9]*\.?[0-9]*|[0-9](\.[0-9]+)?e-[0-9]{2,3}),(0|1|NA)"
+)
 _HEADER_LINE = ",".join(DATASET_HEADER) + "\n"
 _SPECIAL_TIMES = [0.0, -0.0, 0.04, 1e-300, 5e-324, 1e300, math.inf, -math.inf, math.nan]
 
@@ -648,6 +652,23 @@ class TestByteParseAgainstCsvReader:
         times = [line.split(",")[2] for line in path.read_text().split("\n")[1:-1]]
         assert sum(len(cell) > 8 for cell in times) == 36000
 
+    def test_exponent_time_stream_takes_the_byte_parse(self, tmp_path):
+        # At a 5e-5 s cycle the first time cell is format_number's 5e-05:
+        # the byte parse reads it with float() and keeps the file.
+        path = tmp_path / "dataset.csv"
+        n = 180000
+        rng = np.random.default_rng(3)
+        write_dataset_csv(path, np.arange(n), rng.integers(0, 2, n),
+                          np.arange(1, n + 1) * 5e-5, rng.integers(-1, 2, n))
+        assert path.read_text().split("\n")[1].split(",")[2] == "5e-05"
+        fast, expected = _parsed(path)
+        assert fast is not None and fast[0].size == n
+        assert _bit_equal(fast, expected)
+        # An e+ cell (a time of 1e10 s and up) still goes to the csv reader.
+        path.write_text("index,outcome,time_s,hidden\n0,1,5e-05,NA\n1,0,1e+10,1\n")
+        fast, expected = _parsed(path)
+        assert fast is None and expected[2].tolist() == [5e-05, 1e10]
+
     def test_index_is_int64_on_either_path(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("index,outcome,time_s,hidden\n 0 ,1,0.04,NA\n1,0,0.08, 1\n")
@@ -758,6 +779,10 @@ def _formatted(column):
     return lines.compress(lines != dataio._PAD).tobytes().decode().split("\n")[:-1]
 
 
+def _refuse(x):
+    raise AssertionError(f"format_number({x!r}) called")
+
+
 def _decades():
     """Every 10**e a float holds, with both neighbours."""
     for e in range(-323, 309):
@@ -809,6 +834,47 @@ class TestColumnFormatterAgainstFormatNumber:
         for v in values:
             for column in ([v], [v, 0], [0, v, -1] if info.min < 0 else [v, 0, 1]):
                 assert _formatted(np.array(column, dtype)) == [format_number(c) for c in column]
+
+    @pytest.mark.parametrize(
+        "dtype", [np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64]
+    )
+    def test_integer_word_path_and_fallback(self, dtype, monkeypatch):
+        # A column in [0, 10**8) is written without format_number; one that
+        # holds 10**8 or a negative value is written by it, cell by cell.
+        top = min(np.iinfo(dtype).max, 10**8 - 1)
+        values = sorted({v for k in range(9) for v in (10**k - 1, 10**k) if v <= top} | {top})
+        with monkeypatch.context() as patched:
+            patched.setattr(dataio, "format_number", _refuse)
+            assert _formatted(np.array(values, dtype)) == [str(v) for v in values]
+        fallbacks = []
+        monkeypatch.setattr(
+            dataio, "format_number", lambda x: fallbacks.append(x) or format_number(x)
+        )
+        for odd in (10**8, -1):
+            if np.iinfo(dtype).min <= odd <= np.iinfo(dtype).max:
+                column = np.array([*values, odd], dtype)
+                assert _formatted(column) == [str(int(v)) for v in column.tolist()]
+                assert fallbacks[-column.size :] == column.tolist()
+
+    @pytest.mark.parametrize("dtype", [bool, np.int8, np.int32, np.uint16, np.uint64, float])
+    def test_index_columns_are_int64(self, dtype):
+        column = dataio._int_column(np.array([0, 1, 1], dtype))
+        assert column.dtype == np.int64 and column.tolist() == [0, 1, 1]
+        assert dataio._int_column([0.0, 2.0]).tolist() == [0, 2]
+
+    @pytest.mark.parametrize(
+        "index, error",
+        [(np.array([0, 2**63], np.uint64), OverflowError),  # once written, then refused on read
+         ([0.5, 1.7], ValueError), (np.array([0.5, 1.7]), ValueError),  # once written as 0, 1
+         ([0, math.nan], ValueError)],
+    )
+    def test_writers_refuse_an_index_they_cannot_write_as_it_is(self, tmp_path, index, error):
+        with pytest.raises(error):
+            write_dataset_csv(tmp_path / "d.csv", index, [0, 1], [0.04, 0.08], [0, 1])
+        decoded = DecodedSeries(np.zeros(2, np.int8), np.zeros(2), 0.0)
+        with pytest.raises(error):
+            write_decoded_csv(tmp_path / "x.csv", [0, 1], decoded, indices=index)
+        assert not (tmp_path / "d.csv").exists() and not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("big", [2**63, -(2**63) - 1, 2**70])
     def test_writers_refuse_an_index_past_int64(self, tmp_path, big):
