@@ -40,7 +40,6 @@ from .spectroscopy import (
     _boltzmann,
     _check_temperature,
     _level_table,
-    degeneracy,
     level_code,
     most_probable_rotational_state,
     thermal_population,
@@ -72,6 +71,10 @@ _RADIATIVE_TWO_OMEGA = 3
 
 # Vacuum permittivity, F/m (CODATA 2022).
 _EPSILON_0 = 8.8541878188e-12
+
+# Emission channels (dv, dn) of a level (v, n): the rotational line, then the
+# band's Q, n + 1 and n - 1 lines.  A channel exists where its lower level does.
+_CHANNELS = np.array([(0, -1), (-1, 0), (-1, 1), (-1, -1)])
 
 # 16 pi^3 / (3 eps0 h c^3): A = _A_PREFACTOR * nu^3 * mu^2 * S / (2J_u + 1)
 _A_PREFACTOR = 16.0 * math.pi**3 / (3.0 * _EPSILON_0 * PLANCK_H * LIGHT_C**3)
@@ -128,16 +131,12 @@ def radiative_levels(c: MolecularConstants) -> list[RoVibState]:
     return list(_level_table(c)[0][: (c.v_max + 1) * c.J_count])
 
 
-def _honl_london_pair(two_J_hi: int, two_omega: int) -> float:
-    # P/R-type line strength for the pair (J_hi, J_hi - 1) at fixed Omega.
-    J, O = two_J_hi / 2.0, two_omega / 2.0
-    return (J * J - O * O) / J
-
-
-def _honl_london_q(two_J: int, two_omega: int) -> float:
-    # Q-type line strength (J -> J) at fixed Omega.
-    J, O = two_J / 2.0, two_omega / 2.0
-    return (2.0 * J + 1.0) * O * O / (J * (J + 1.0))
+def _line_strengths(n_u, n_l) -> np.ndarray:
+    # Hoenl-London factors at Omega = 3/2 and J = n + 3/2: (2J + 1) Omega^2 / (J (J + 1))
+    # for a Q line (n_u = n_l), (J^2 - Omega^2) / J at the larger J for a P/R pair.
+    J = np.maximum(n_u, n_l) + 1.5
+    return np.where(n_u == n_l, (2.0 * J + 1.0) * 1.5 * 1.5 / (J * (J + 1.0)),
+                    (J * J - 1.5 * 1.5) / J)
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,75 +164,51 @@ class EinsteinCoefficients:
         return sum(self.A[self.upper == code].tolist())
 
 
-def _vibrational_channels(n_upper: int, J_count: int) -> list[tuple[int, float]]:
-    """(lower n, line strength) pairs for emission from (v+1, n_upper)."""
-    two_J_u = _RADIATIVE_TWO_OMEGA + 2 * n_upper
-    channels = [(n_upper, _honl_london_q(two_J_u, _RADIATIVE_TWO_OMEGA))]
-    if n_upper + 1 < J_count:  # lower level with J one above
-        channels.append(
-            (n_upper + 1, _honl_london_pair(two_J_u + 2, _RADIATIVE_TWO_OMEGA))
-        )
-    if n_upper >= 1:  # lower level with J one below
-        channels.append((n_upper - 1, _honl_london_pair(two_J_u, _RADIATIVE_TWO_OMEGA)))
-    return channels
+def _einstein_a(nu: float, mu: float, strength: float, n_u: int) -> float:
+    # Python floats: numpy's x**3 differs from Python's in the last bit.
+    return _A_PREFACTOR * nu**3 * mu**2 * strength / (2 * n_u + 4)  # 2J_u + 1
 
 
 @lru_cache(maxsize=16)
 def build_einstein_coefficients(c: MolecularConstants) -> EinsteinCoefficients:
     """Construct the radiative coefficient tables for the level set.
 
-    The vibrational dipole is fixed by requiring that the total spontaneous
-    rate out of (v = 1, lowest rotational level) equals ``VIB_DECAY_TARGET``
-    times ``mu_vib_scale`` squared; the rotational dipole is
-    ``mu_rot_scale`` times the vibrational one.  Both knobs default to the
-    anchored calibration.  A rate or frequency that is not finite and
+    Pairs run by upper code, then in ``_CHANNELS`` order.  The vibrational
+    dipole is fixed by requiring that the total spontaneous rate out of
+    (v = 1, lowest rotational level) equals ``VIB_DECAY_TARGET`` times
+    ``mu_vib_scale`` squared; the rotational dipole is ``mu_rot_scale``
+    times the vibrational one.  A rate or frequency that is not finite and
     positive raises ``ValueError`` naming the constants that set them.
     """
-    states, energies = _level_table(c)[:2]
-    energies = energies.tolist()  # Python floats keep nu**3 a scalar power
-    pairs = []  # (upper code, lower code, A, frequency)
-
-    def code(v: int, n: int) -> int:  # the radiative codes run v, then n
-        return v * c.J_count + n
-
-    def add_pair(u: int, l: int, strength: float, mu: float):
-        nu = (energies[u] - energies[l]) * _HZ_PER_CM
-        pairs.append((u, l, _A_PREFACTOR * nu**3 * mu**2 * strength / degeneracy(states[u]), nu))
-
+    energies = _level_table(c)[1]
+    v, n = np.divmod(np.arange((c.v_max + 1) * c.J_count), c.J_count)
+    v_l, n_l = v[:, None] + _CHANNELS[:, 0], n[:, None] + _CHANNELS[:, 1]
+    upper, channel = np.divmod(np.flatnonzero((v_l >= 0) & (n_l >= 0) & (n_l < c.J_count)), 4)
+    lower = upper + (_CHANNELS @ (c.J_count, 1))[channel]  # code step dv * J_count + dn
+    n_u, n_l = n[upper], n[lower]
+    # Calibration: the band of (v = 1, n = 0) ends on (v = 0, n_l < 2), omega_e - E(0, n_l) below.
+    n_cal = np.arange(min(2, c.J_count))
+    with np.errstate(over="ignore"):  # an infinite frequency is refused below
+        nu = (energies[upper] - energies[lower]) * _HZ_PER_CM
+        nu_cal = (c.omega_e - energies[n_cal]) * _HZ_PER_CM
     try:
-        # Calibration: decay channels of (v=1, n=0) depend only on omega_e, B_e.
         base_rate = 0.0
-        for n_low, strength in _vibrational_channels(0, c.J_count):
-            gap_cm = c.omega_e - c.B_e * n_low * (n_low + 1)
-            nu = gap_cm * _HZ_PER_CM
-            base_rate += _A_PREFACTOR * nu**3 * strength / (_RADIATIVE_TWO_OMEGA + 1)
+        for nu_k, s in zip(nu_cal.tolist(), _line_strengths(0, n_cal).tolist()):
+            base_rate += _einstein_a(nu_k, 1.0, s, 0)
         mu_vib = math.sqrt(VIB_DECAY_TARGET / base_rate) if base_rate > 0.0 else math.nan
         mu_vib *= c.mu_vib_scale
         mu_rot = c.mu_rot_scale * mu_vib
-        for v in range(c.v_max + 1):
-            # Pure rotational lines within one vibrational level, Delta J = -1.
-            for n in range(1, c.J_count):
-                upper = code(v, n)
-                strength = _honl_london_pair(states[upper].two_J, _RADIATIVE_TWO_OMEGA)
-                add_pair(upper, code(v, n - 1), strength, mu_rot)
-            # Vibrational band v -> v-1 with P, Q, R rotational structure.
-            if v >= 1:
-                for n_u in range(c.J_count):
-                    for n_l, strength in _vibrational_channels(n_u, c.J_count):
-                        add_pair(code(v, n_u), code(v - 1, n_l), strength, mu_vib)
+        A = [_einstein_a(nu_k, mu_rot if k == 0 else mu_vib, s, n_k) for nu_k, k, s, n_k in
+             zip(nu.tolist(), channel.tolist(), _line_strengths(n_u, n_l).tolist(), n_u.tolist())]
     except OverflowError:  # a float power past the largest float
-        pairs.append((0, 0, math.nan, math.nan))  # refused below
-
-    table = np.array(pairs, dtype=float).reshape(-1, 4)
-    if not ((table[:, 2:] > 0.0) & (table[:, 2:] < math.inf)).all():
+        A = [math.nan]  # refused below, even with no pairs
+    rates = np.concatenate([A, nu])
+    if not ((rates > 0.0) & (rates < math.inf)).all():
         names = ("omega_e", "B_e", "mu_vib_scale", "mu_rot_scale")  # the constants that set them
         keys = ", ".join(f"{k} = {getattr(c, k)!r}" for k in names)
         raise ValueError(f"{keys}: a radiative rate or frequency is not finite and positive")
-    upper, lower = table[:, :2].T.astype(np.intp)
-    return EinsteinCoefficients(
-        constants=c, upper=upper, lower=lower, A=table[:, 2].copy(),
-        frequencies=table[:, 3].copy(), mu_vib=mu_vib, mu_rot=mu_rot,
-    )
+    return EinsteinCoefficients(constants=c, upper=upper, lower=lower, A=np.array(A),
+                                frequencies=nu, mu_vib=mu_vib, mu_rot=mu_rot)
 
 
 @dataclass(frozen=True)

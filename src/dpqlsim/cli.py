@@ -275,6 +275,10 @@ def cmd_analyze(
             raise UsageError(
                 f"--window {window} is longer than the stream ({outcomes.size} records)"
             )
+        p_d, p_b = config.detection_fidelity, config.p_bright_noise
+        if not p_d > p_b:  # the bin model tells darks of the ground level from noise
+            raise UsageError(f"analyze --mode bins needs detection_fidelity > p_bright_noise, "
+                             f"got detection_fidelity = {p_d!r}, p_bright_noise = {p_b!r}")
         rates = _detector_rates(constants, config)
         p_g = rates.pop("p_g")
         observed = disjoint_bin_counts(outcomes, window)

@@ -388,6 +388,7 @@ def viterbi(params: HmmParams, observations: Sequence[int] | np.ndarray) -> np.n
     The recursion is a scalar IEEE float loop with a fixed operation
     order; ``back[t]`` packs the best source of state 0 in bit 0 and that
     of state 1 in bit 1, a source switching to 1 only when strictly better.
+    A stream that no path can produce raises ValueError, as forward_backward does.
     """
     obs = _check_binary(observations)
     n = obs.size
@@ -407,6 +408,8 @@ def viterbi(params: HmmParams, observations: Sequence[int] | np.ndarray) -> np.n
         c00, c10, c01, c11 = d0 + l00, d1 + l10, d0 + l01, d1 + l11
         back[t] = (c10 > c00) | (c11 > c01) << 1
         d0, d1 = (c10 if c10 > c00 else c00) + y0, (c11 if c11 > c01 else c01) + y1
+    if d0 == d1 == -np.inf:
+        raise ValueError("observation sequence impossible under the model")
     path = bytearray(n)
     path[-1] = d1 > d0
     for t in range(n - 1, 0, -1):

@@ -149,11 +149,14 @@ def evolve_sweep(cfg: SweepConfig) -> float:
 
 
 def landau_zener_oracle(g_q: float, ramp_rate: float) -> float:
-    """Analytic transfer probability 1 - exp(-2 pi (g_q/2)^2 / ramp_rate)."""
+    """Analytic transfer probability 1 - exp(-2 pi (g_q/2)^2 / ramp_rate), or its limit 1."""
     _check_at_least("g_q", g_q, 0)
     if not ramp_rate > 0.0:
         raise ValueError(f"ramp_rate must be positive, got {ramp_rate!r}")
-    return -math.expm1(-_TWO_PI * (0.5 * g_q) ** 2 / ramp_rate)
+    try:
+        return -math.expm1(-_TWO_PI * (0.5 * g_q) ** 2 / ramp_rate)
+    except OverflowError:  # (g_q/2)^2 past the largest float
+        return 1.0
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,9 @@ reader and columnar writers against:
   dark run, practical for n up to a few hundred.
 - ``most_probable_rotational_state``: a loop over the relative Boltzmann
   weights of one manifold.
+- ``einstein_table``: the Einstein pair table from nested v, n and channel
+  loops, with the calibration's own loop over the channels of (v = 1, n = 0);
+  for v >= 1 it lists all rotational lines before the band.
 - ``rate_generator``: the rate-matrix generator from a loop over the
   (upper, lower) level pairs, one scalar pair of entries each.
 - ``dynamics_tables``: the simulator's jump and thermal tables, read
@@ -47,6 +50,11 @@ import numpy as np
 from scipy.stats import binom
 
 from dpqlsim.bbr_kinetics import (
+    _A_PREFACTOR,
+    _HZ_PER_CM,
+    _RADIATIVE_TWO_OMEGA,
+    VIB_DECAY_TARGET,
+    EinsteinCoefficients,
     IntegrationError,
     _expm,
     build_einstein_coefficients,
@@ -62,6 +70,7 @@ from dpqlsim.spectroscopy import (
     MolecularConstants,
     RoVibState,
     _check_temperature,
+    _level_table,
     degeneracy,
     enumerate_levels,
     level_energy,
@@ -236,6 +245,8 @@ def viterbi(params, obs):
         choose1 = cand[1] > cand[0]
         back[t] = choose1
         delta = np.where(choose1, cand[1], cand[0]) + log_emit[:, obs[t]]
+    if np.isneginf(delta).all():
+        raise ValueError("observation sequence impossible under the model")
     path = np.empty(n, dtype=np.int8)
     path[n - 1] = 1 if delta[1] > delta[0] else 0
     for t in range(n - 1, 0, -1):
@@ -400,6 +411,80 @@ def most_probable_rotational_state(c: MolecularConstants, T: float) -> RoVibStat
         if weight > best_weight:
             best_n, best_weight = n, weight
     return RoVibState(v=0, two_omega=omega2, two_J=omega2 + 2 * best_n)
+
+
+def _honl_london_pair(two_J_hi: int, two_omega: int) -> float:
+    # P/R-type line strength for the pair (J_hi, J_hi - 1) at fixed Omega.
+    J, O = two_J_hi / 2.0, two_omega / 2.0
+    return (J * J - O * O) / J
+
+
+def _honl_london_q(two_J: int, two_omega: int) -> float:
+    # Q-type line strength (J -> J) at fixed Omega.
+    J, O = two_J / 2.0, two_omega / 2.0
+    return (2.0 * J + 1.0) * O * O / (J * (J + 1.0))
+
+
+def _vibrational_channels(n_upper: int, J_count: int) -> list[tuple[int, float]]:
+    """(lower n, line strength) pairs for emission from (v+1, n_upper)."""
+    two_J_u = _RADIATIVE_TWO_OMEGA + 2 * n_upper
+    channels = [(n_upper, _honl_london_q(two_J_u, _RADIATIVE_TWO_OMEGA))]
+    if n_upper + 1 < J_count:  # lower level with J one above
+        channels.append(
+            (n_upper + 1, _honl_london_pair(two_J_u + 2, _RADIATIVE_TWO_OMEGA))
+        )
+    if n_upper >= 1:  # lower level with J one below
+        channels.append((n_upper - 1, _honl_london_pair(two_J_u, _RADIATIVE_TWO_OMEGA)))
+    return channels
+
+
+def einstein_table(c: MolecularConstants) -> EinsteinCoefficients:
+    """The Einstein pair table from nested loops, one Python-float pair at a time."""
+    states, energies = _level_table(c)[:2]
+    energies = energies.tolist()  # Python floats keep nu**3 a scalar power
+    pairs = []  # (upper code, lower code, A, frequency)
+
+    def code(v: int, n: int) -> int:  # the radiative codes run v, then n
+        return v * c.J_count + n
+
+    def add_pair(u: int, l: int, strength: float, mu: float):
+        nu = (energies[u] - energies[l]) * _HZ_PER_CM
+        pairs.append((u, l, _A_PREFACTOR * nu**3 * mu**2 * strength / degeneracy(states[u]), nu))
+
+    try:
+        # Calibration: decay channels of (v=1, n=0) depend only on omega_e, B_e.
+        base_rate = 0.0
+        for n_low, strength in _vibrational_channels(0, c.J_count):
+            gap_cm = c.omega_e - c.B_e * n_low * (n_low + 1)
+            nu = gap_cm * _HZ_PER_CM
+            base_rate += _A_PREFACTOR * nu**3 * strength / (_RADIATIVE_TWO_OMEGA + 1)
+        mu_vib = math.sqrt(VIB_DECAY_TARGET / base_rate) if base_rate > 0.0 else math.nan
+        mu_vib *= c.mu_vib_scale
+        mu_rot = c.mu_rot_scale * mu_vib
+        for v in range(c.v_max + 1):
+            # Pure rotational lines within one vibrational level, Delta J = -1.
+            for n in range(1, c.J_count):
+                upper = code(v, n)
+                strength = _honl_london_pair(states[upper].two_J, _RADIATIVE_TWO_OMEGA)
+                add_pair(upper, code(v, n - 1), strength, mu_rot)
+            # Vibrational band v -> v-1 with P, Q, R rotational structure.
+            if v >= 1:
+                for n_u in range(c.J_count):
+                    for n_l, strength in _vibrational_channels(n_u, c.J_count):
+                        add_pair(code(v, n_u), code(v - 1, n_l), strength, mu_vib)
+    except OverflowError:  # a float power past the largest float
+        pairs.append((0, 0, math.nan, math.nan))  # refused below
+
+    table = np.array(pairs, dtype=float).reshape(-1, 4)
+    if not ((table[:, 2:] > 0.0) & (table[:, 2:] < math.inf)).all():
+        names = ("omega_e", "B_e", "mu_vib_scale", "mu_rot_scale")  # the constants that set them
+        keys = ", ".join(f"{k} = {getattr(c, k)!r}" for k in names)
+        raise ValueError(f"{keys}: a radiative rate or frequency is not finite and positive")
+    upper, lower = table[:, :2].T.astype(np.intp)
+    return EinsteinCoefficients(
+        constants=c, upper=upper, lower=lower, A=table[:, 2].copy(),
+        frequencies=table[:, 3].copy(), mu_vib=mu_vib, mu_rot=mu_rot,
+    )
 
 
 def rate_generator(c: MolecularConstants, T: float) -> np.ndarray:

@@ -6,7 +6,8 @@ being frozen here.  The module propagates populations with its own numpy
 matrix exponential; scipy.linalg.expm and the adaptive DOP853 solves it
 replaced stay here as oracles.  The per-pair generator loop and the
 full-horizon propagation the array build and the early-stopping
-rethermalization replaced are in ``oracles`` and must agree bit for bit.
+rethermalization replaced are in ``oracles`` and must agree bit for bit, and so must the
+nested-loop Einstein pair table that the channel table replaced.
 """
 
 import math
@@ -178,6 +179,66 @@ class TestEinsteinCoefficients:
             gap_cm = level_energy(levels[u], CONSTANTS) - level_energy(levels[l], CONSTANTS)
             assert nu == pytest.approx(gap_cm * sc.c * 100.0, rel=1e-12)
             assert nu > 0.0
+
+
+def random_constants(seed):
+    """Constants drawn log-uniformly around the defaults, any truncation."""
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** rng.uniform([0.0, -3.0, -3.0, -2.0], [4.0, 1.5, 3.0, 3.0])
+    return MolecularConstants(
+        omega_e=float(scales[0]), B_e=float(scales[1]), mu_vib_scale=float(scales[2]),
+        mu_rot_scale=float(scales[3]), J_count=int(rng.integers(1, 90)),
+        v_max=int(rng.integers(0, 4)),
+    )
+
+
+# Every small truncation, seeded random sets (some refused), and the refusals:
+# overflowing dipole, negative or vanishing gaps, infinite frequencies, and an
+# overflowing calibration with no pairs at all.
+TABLE_GRID = {
+    **{f"J_count={j},v_max={v}": MolecularConstants(J_count=j, v_max=v)
+       for j in (1, 2, 3, 70) for v in (0, 1, 3)},
+    **{f"random{seed}": random_constants(seed) for seed in range(40)},
+    **{",".join(f"{k}={x:g}" for k, x in kw.items()): MolecularConstants(**kw) for kw in (
+        dict(mu_vib_scale=1e200), dict(omega_e=1e-300), dict(B_e=1e-300), dict(omega_e=1e300),
+        dict(B_e=1e3), dict(J_count=1, v_max=0, omega_e=1e103),
+    )},
+}
+
+
+def table_rows(co):
+    return sorted(zip(co.upper.tolist(), co.lower.tolist(), co.A.tolist(),
+                      co.frequencies.tolist()))
+
+
+class TestEinsteinTableAgainstLoopOracle:
+    @pytest.mark.parametrize("c", TABLE_GRID.values(), ids=TABLE_GRID.keys())
+    def test_bit_identical_or_same_refusal(self, c, monkeypatch):
+        try:
+            oracle = oracles.einstein_table(c)
+        except ValueError as err:
+            with pytest.raises(ValueError) as info:
+                build_einstein_coefficients(c)
+            assert str(info.value) == str(err)
+            return
+        co = build_einstein_coefficients(c)
+        assert table_rows(co) == table_rows(oracle)
+        assert same_bits([co.mu_vib, co.mu_rot], [oracle.mu_vib, oracle.mu_rot])
+        for level in radiative_levels(c):
+            assert same_bits(co.total_decay_rate(level), oracle.total_decay_rate(level)), level
+        for T in (0.0, 300.0):
+            gen = build_rate_matrix(c, T).generator
+            with monkeypatch.context() as m:
+                m.setattr(bbr_kinetics, "build_einstein_coefficients", lambda _: oracle)
+                assert same_bits(gen, build_rate_matrix(c, T).generator), T
+
+    def test_pairs_run_by_upper_level_in_channel_order(self):
+        # Codes v * 3 + n.  Each level lists its rotational line, then the
+        # band's Q, n + 1 and n - 1 lines, wherever the lower level exists.
+        co = build_einstein_coefficients(MolecularConstants(v_max=1, J_count=3))
+        assert list(zip(co.upper.tolist(), co.lower.tolist())) == [
+            (1, 0), (2, 1), (3, 0), (3, 1), (4, 3), (4, 1), (4, 2), (4, 0), (5, 4), (5, 2), (5, 1),
+        ]
 
 
 class TestRateMatrix:

@@ -757,6 +757,21 @@ class TestAnalyzeHmm:
         assert_no_output(out)
 
 class TestAnalyzeErrors:
+    def test_fidelity_at_or_below_noise_names_both_keys(self, sim_dir, tmp_path, capsys):
+        # The bin model needs p_d > p_b; the runs and hmm modes do not.
+        head = b"".join((sim_dir / "dataset.csv").read_bytes().splitlines(keepends=True)[:2001])
+        data = tmp_path / "dataset.csv"
+        data.write_bytes(head)
+        cfg = tmp_path / "config.txt"
+        cfg.write_text("detection_fidelity = 0.02\n")
+        argv = ["analyze", str(data), "--config", str(cfg), "--mode"]
+        assert main([*argv, "bins", "--out", str(tmp_path / "bins")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "detection_fidelity = 0.02" in err and "p_bright_noise = 0.03" in err
+        assert_no_output(tmp_path / "bins")
+        for mode in ("runs", "hmm"):
+            assert main([*argv, mode, "--out", str(tmp_path / mode)]) == EXIT_OK
+
     def test_missing_dataset_file(self, tmp_path, capsys):
         code = main(
             ["analyze", str(tmp_path / "absent.csv"), "--mode", "runs",
@@ -855,6 +870,14 @@ class TestSweep:
         assert report["landau_zener_transfer"] < LZ_DEFAULT - 0.1
         _, rows = read_csv(tmp_path / "transfer_map.csv")
         assert float(rows[0][1]) == pytest.approx(g_half / (2.0 * np.pi))
+
+    def test_overflowing_coupling_reports_the_limit(self, tmp_path):
+        # g_q_ground = 1e160 is in range; (g_q / 2)^2 overflows a float.
+        cfg = tmp_path / "config.txt"
+        cfg.write_text("g_q_ground = 1e160\n")
+        argv = ["sweep", "--config", str(cfg), "--omega-points", "3", "--out", str(tmp_path)]
+        assert main(argv) == EXIT_OK
+        assert json.loads((tmp_path / "report.json").read_text())["landau_zener_transfer"] == 1.0
 
     def test_bad_grid_rejected(self, tmp_path, capsys):
         code = main(["sweep", "--omega-points", "0", "--out", str(tmp_path)])

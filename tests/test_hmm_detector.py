@@ -257,6 +257,14 @@ class TestViterbi:
     def test_empty_stream(self):
         assert viterbi(default_params(), []).size == 0
 
+    def test_impossible_stream_raises_like_forward_backward(self):
+        # Neither state can emit the other's outcome or be left.
+        p = HmmParams(trans=np.eye(2), emit=np.eye(2), initial=np.array([1.0, 0.0]))
+        for decode in (viterbi, forward_backward):
+            with pytest.raises(ValueError, match="sequence impossible under the model"):
+                decode(p, [0, 1, 0])
+        assert not viterbi(p, [0, 0, 0]).any()
+
     def test_noise_only_stream_has_no_detections(self):
         rng = np.random.default_rng(99)
         noise = (rng.random(20000) < 0.03).astype(int)
@@ -597,7 +605,12 @@ class TestScalarKernelsAgainstOracle:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(hmm_params(), streams())
     def test_viterbi_path_identical(self, params, obs):
-        assert np.array_equal(viterbi(params, obs), oracles.viterbi(params, obs))
+        expected = _outcome(oracles.viterbi, params, obs)
+        got = _outcome(viterbi, params, obs)
+        if isinstance(expected, str):
+            assert got == expected  # the same "impossible" error
+            return
+        assert np.array_equal(got, expected)
 
     def test_viterbi_ties_go_to_state_zero(self):
         flat = HmmParams(trans=np.full((2, 2), 0.5), emit=np.full((2, 2), 0.5),

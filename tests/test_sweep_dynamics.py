@@ -197,6 +197,10 @@ class TestEvolveSweep:
         with pytest.raises(ValueError):
             landau_zener_oracle(1.0, 0.0)
 
+    def test_overflowing_coupling_gives_the_limit(self):
+        # (g_q / 2)^2 overflows a float at 1e160; the formula's limit is 1.
+        assert landau_zener_oracle(1e160, SweepConfig().ramp_rate) == 1.0
+
     def test_nan_coupling_rejected(self):
         with pytest.raises(ValueError, match="g_q must be >= 0, got nan"):
             landau_zener_oracle(math.nan, 1e9)
